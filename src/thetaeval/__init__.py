@@ -27,9 +27,9 @@ from .kronecker import (
 from .modular import (
     ComplexApprox,
     UpperHalfPoint,
+    eta_quotient,
     eta_uhp,
     theta_uhp,
-    verify_theta_eta_quotient,
 )
 from .number_theory import chi4, r_bruteforce, r_divisor
 from .qseries import QSeries, qs_mul, r_from_theta_squared, theta_qseries, triple_product_qseries
@@ -53,12 +53,9 @@ from .report import (
 from .special_values import (
     L_chi4,
     L_chi4_prime_at_1,
-    LaurentAtOne,
     euler_gamma,
     gamma_gauss,
     zeta,
-    zeta_2s_minus_1,
-    zeta_laurent_at_one,
 )
 from .suites import SUITES, run_suites
 
@@ -82,9 +79,9 @@ __all__ = [
     "theta_at_i_assembly",
     "ComplexApprox",
     "UpperHalfPoint",
+    "eta_quotient",
     "eta_uhp",
     "theta_uhp",
-    "verify_theta_eta_quotient",
     "chi4",
     "r_bruteforce",
     "r_divisor",
@@ -108,12 +105,9 @@ __all__ = [
     "make_record",
     "L_chi4",
     "L_chi4_prime_at_1",
-    "LaurentAtOne",
     "euler_gamma",
     "gamma_gauss",
     "zeta",
-    "zeta_2s_minus_1",
-    "zeta_laurent_at_one",
     "SUITES",
     "run_suites",
     "__version__",

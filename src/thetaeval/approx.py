@@ -13,6 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+EPS = 2.2204460492503131e-16    # spacing of doubles at 1.0
+
+
+def check_tol(tol: float, what: str = "tolerance", zero_ok: bool = False) -> None:
+    """Refuse a tolerance that is not finite and positive (or zero, if zero_ok).
+
+    Engines need tol > 0 to pick a truncation; a record's tolerance may be 0.
+    """
+    if not (math.isfinite(tol) and (tol > 0.0 or zero_ok and tol == 0.0)):
+        need = "finite and >= 0" if zero_ok else "positive and finite"
+        raise ValueError(f"{what} must be {need}, got {tol}")
+
 
 class NonConvergence(RuntimeError):
     """An iterative engine hit its budget before reaching the target bound.

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .approx import NonConvergence
 from .report import (
     DEFAULT_FORMS,
     SUITE_NAMES,
@@ -18,7 +17,7 @@ from .report import (
     emit_report,
     render_markdown,
 )
-from .suites import SUITES
+from .suites import run_suites
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -36,7 +35,8 @@ def _parse_form(text: str) -> tuple[float, float, float]:
 
 
 def _parse_tol(text: str) -> tuple[str, float]:
-    name, sep, raw = text.partition("=")
+    # Split at the last "=": record names such as .../s=1.5 contain one.
+    name, sep, raw = text.rpartition("=")
     if not sep or not name:
         raise argparse.ArgumentTypeError(
             f"tolerance override must look like name=value, got {text!r}")
@@ -72,18 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.suites:
-        unknown = [s for s in args.suites if s not in SUITE_NAMES]
-        if unknown:
-            raise ValueError(
-                f"unknown suite(s) {', '.join(unknown)}; "
-                f"choose from {', '.join(SUITE_NAMES)}")
-        seen = set(args.suites)
-        suites = tuple(s for s in SUITE_NAMES if s in seen)
-    else:
-        suites = SUITE_NAMES
     return RunConfig(
-        suites=suites,
+        suites=tuple(args.suites) or SUITE_NAMES,
         qseries_order=args.order,
         forms=tuple(args.form) if args.form else DEFAULT_FORMS,
         tol_overrides=dict(args.tol) if args.tol else {},
@@ -94,15 +84,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def run(config: RunConfig) -> int:
     """Execute the configured suites; emit reports; return the exit code."""
-    records = []
-    stalled: NonConvergence | None = None
-    for suite in config.suites:
-        try:
-            records.extend(SUITES[suite](config))
-        except NonConvergence as exc:
-            stalled = exc
-            break
-
+    records, stalled = run_suites(config)
     print(render_markdown(records))
     passed = sum(1 for r in records if r.passed)
     print(f"\n{passed}/{len(records)} checks passed")

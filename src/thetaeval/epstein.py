@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .approx import ApproxValue, NonConvergence
+from .approx import EPS, ApproxValue, NonConvergence, check_tol
 from .modular import UpperHalfPoint
 from .quadrature import gamma_integral
 from .special_values import euler_gamma
@@ -46,7 +46,6 @@ __all__ = [
     "upper_incomplete_gamma",
 ]
 
-_EPS = 2.2204460492503131e-16
 _TWO_PI = 2.0 * math.pi
 
 
@@ -146,7 +145,7 @@ def epstein_direct(form: BinaryQuadraticForm, s: float, radius: int = 256) -> Ap
     bias = level ** -s * mismatch_area
     # Sum-versus-integral discrepancy along the boundary ring.
     discrepancy = 16.0 * s * half_width * (form.lambda_min * radius * radius) ** -s
-    bound = 1.25 * bias + discrepancy + 8.0 * _EPS * abs(value)
+    bound = 1.25 * bias + discrepancy + 8.0 * EPS * abs(value)
     return ApproxValue(value, bound, 4 * radius * (radius + 1))
 
 
@@ -172,7 +171,7 @@ def _cf_upper(s: float, x: float) -> tuple[float, int]:
         dd = 1.0 / dd
         delta = cc * dd
         f *= delta
-        if abs(delta - 1.0) < 4.0 * _EPS:
+        if abs(delta - 1.0) < 4.0 * EPS:
             return 1.0 / f, i
     raise NonConvergence(f"incomplete gamma fraction stalled at s={s}, x={x}")
 
@@ -199,7 +198,7 @@ def _e1_series(x: float) -> ApproxValue:
         contribs.append(-term / k)
         if abs(term) < 1e-18:
             value = math.fsum(contribs)
-            bound = g.error_bound + 4.0 * _EPS * (abs(value) + abs(math.log(x)))
+            bound = g.error_bound + 4.0 * EPS * (abs(value) + abs(math.log(x)))
             return ApproxValue(value, bound, k)
     raise NonConvergence(f"exponential integral series stalled at x={x}")
 
@@ -217,21 +216,21 @@ def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
         front = math.exp(-x + s * math.log(x))
         cf, n = _cf_upper(s, x)
         value = front * cf
-        return ApproxValue(value, 16.0 * _EPS * abs(value) + 1e-306, n)
+        return ApproxValue(value, 16.0 * EPS * abs(value) + 1e-306, n)
     if s > 0.0:
         whole = _gamma_cached(s)
         front = math.exp(-x + s * math.log(x))
         series, n = _series_lower(s, x)
         lower = front * series
         value = whole.value - lower
-        bound = whole.error_bound + 8.0 * _EPS * (abs(lower) + abs(value))
+        bound = whole.error_bound + 8.0 * EPS * (abs(lower) + abs(value))
         return ApproxValue(value, bound, n + whole.cost)
     if s == 0.0:
         return _e1_series(x)
     lifted = upper_incomplete_gamma(s + 1.0, x)
     front = math.exp(-x + s * math.log(x))
     value = (lifted.value - front) / s
-    bound = (lifted.error_bound + 4.0 * _EPS * front) / abs(s) + 4.0 * _EPS * abs(value)
+    bound = (lifted.error_bound + 4.0 * EPS * front) / abs(s) + 4.0 * EPS * abs(value)
     return ApproxValue(value, bound, lifted.cost + 1)
 
 
@@ -248,8 +247,7 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
     """Incomplete-gamma accelerated value of the lattice sum, s > 1."""
     if not s > 1.0:
         raise ValueError(f"need s > 1, got {s}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    check_tol(tol)
     sqrt_d = math.sqrt(form.disc)
     lam = _TWO_PI / sqrt_d
     gamma_whole = _gamma_cached(s)
@@ -309,7 +307,7 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
     bounds.append(_gaussian_ring_tail(dual_rate, dual_pref, r2))
 
     total = math.fsum(pieces)
-    total_bound = math.fsum(bounds) + 8.0 * _EPS * abs(total)
+    total_bound = math.fsum(bounds) + 8.0 * EPS * abs(total)
     scaled = ApproxValue(total, total_bound, cost) / gamma_whole
     if scaled.error_bound > tol:
         raise NonConvergence(

@@ -23,12 +23,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .approx import ApproxValue, NonConvergence
+from .approx import EPS, ApproxValue, NonConvergence, check_tol
 from .epstein import BinaryQuadraticForm, epstein_accelerated
 from .modular import UpperHalfPoint, eta_uhp, theta_uhp
 from .quadrature import gamma_integral, integral_I
-from .report import VerificationRecord, make_record
-from .special_values import L_chi4, zeta, zeta_2s_minus_1
+from .report import VerificationRecord, timed_record
+from .special_values import L_chi4, zeta
 
 __all__ = [
     "ExtrapolationTable",
@@ -40,8 +40,6 @@ __all__ = [
     "target_limit_check",
     "theta_at_i_assembly",
 ]
-
-_EPS = 2.2204460492503131e-16
 
 
 @dataclass(frozen=True)
@@ -99,40 +97,55 @@ def extrapolate_to_zero(abscissae, values, value_bounds=None) -> ExtrapolationTa
             amp[i] = abs(w_hi) * amp[i] + abs(w_lo) * amp[i + 1]
         corner_gap = abs(t[0] - corner_prev)
         corner_prev = t[0]
-    bound = corner_gap + amp[0] + 8.0 * _EPS * (1.0 + abs(t[0]))
+    bound = corner_gap + amp[0] + 8.0 * EPS * (1.0 + abs(t[0]))
     return ExtrapolationTable(tuple(xs), tuple(float(y) for y in values), t[0], bound)
 
 
-def _pole_gap_nodes(form: BinaryQuadraticForm, node_tol: float,
-                    eps0: float, depth: int):
-    factor = math.sqrt(form.disc) / (4.0 * math.pi)
+def _limit_at_zero(node, eps0: float, depth: int) -> tuple[ExtrapolationTable, int]:
+    """Extrapolate node(eps) -> ApproxValue from eps = eps0 2^-k, k < depth, to 0.
+
+    Returns the table and the summed cost of the nodes.
+    """
     xs, vals, bounds, cost = [], [], [], 0
     for k in range(depth):
         eps = eps0 * 2.0 ** -k
-        z_val = epstein_accelerated(form, 1.0 + eps, node_tol / (2.0 * factor))
-        zeta_val = zeta_2s_minus_1(1.0 + eps, node_tol / 2.0)
-        node = factor * z_val - zeta_val
+        value = node(eps)
         xs.append(eps)
-        vals.append(node.value)
-        bounds.append(node.error_bound)
-        cost += node.cost
-    return xs, vals, bounds, cost
+        vals.append(value.value)
+        bounds.append(value.error_bound)
+        cost += value.cost
+    return extrapolate_to_zero(xs, vals, bounds), cost
+
+
+def _pole_gap_limit(form: BinaryQuadraticForm, tol: float, eps0: float,
+                    depth: int) -> tuple[ExtrapolationTable, int]:
+    check_tol(tol)
+    if not 0.0 < eps0 <= 0.5:
+        raise ValueError(f"eps0 must lie in (0, 0.5], got {eps0}")
+    if not (isinstance(depth, int) and 4 <= depth <= 16):
+        raise ValueError(f"depth must be an integer in [4, 16], got {depth!r}")
+    node_tol = tol / 64.0
+    factor = math.sqrt(form.disc) / (4.0 * math.pi)
+
+    def node(eps: float) -> ApproxValue:
+        s = 1.0 + eps
+        z_val = epstein_accelerated(form, s, node_tol / (2.0 * factor))
+        # 2s - 1, not 1 + 2 eps: the two round differently.
+        return factor * z_val - zeta(2.0 * s - 1.0, node_tol / 2.0)
+
+    return _limit_at_zero(node, eps0, depth)
 
 
 def kronecker_lhs_table(form: BinaryQuadraticForm, tol: float = 1e-8,
                         eps0: float = 0.1, depth: int = 8) -> ExtrapolationTable:
     """The extrapolation table behind kronecker_lhs, for inspection."""
-    _check_limit_args(tol, eps0, depth)
-    xs, vals, bounds, _ = _pole_gap_nodes(form, tol / 64.0, eps0, depth)
-    return extrapolate_to_zero(xs, vals, bounds)
+    return _pole_gap_limit(form, tol, eps0, depth)[0]
 
 
 def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8,
                   eps0: float = 0.1, depth: int = 8) -> ApproxValue:
     """Limit of (sqrt(D)/4 pi) Z(1+eps) - zeta(1+2 eps) as eps drops to 0."""
-    _check_limit_args(tol, eps0, depth)
-    xs, vals, bounds, cost = _pole_gap_nodes(form, tol / 64.0, eps0, depth)
-    table = extrapolate_to_zero(xs, vals, bounds)
+    table, cost = _pole_gap_limit(form, tol, eps0, depth)
     if table.error_bound > tol:
         raise NonConvergence(
             f"pole-gap extrapolation stalled above tol={tol:g}",
@@ -140,27 +153,17 @@ def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8,
     return ApproxValue(table.extrapolated, table.error_bound, cost)
 
 
-def _check_limit_args(tol: float, eps0: float, depth: int) -> None:
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    if not 0.0 < eps0 <= 0.5:
-        raise ValueError(f"eps0 must lie in (0, 0.5], got {eps0}")
-    if not (isinstance(depth, int) and 4 <= depth <= 16):
-        raise ValueError(f"depth must be an integer in [4, 16], got {depth!r}")
-
-
 def kronecker_rhs(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
     """(1/2) log(a / D) - 2 log |eta(z_Q)|, evaluated from the eta product."""
     z = form.z_point()
     eta = eta_uhp(z, tol / 8.0).magnitude()
     lead = 0.5 * math.log(form.a / form.disc)
-    return ApproxValue(lead, 4.0 * _EPS * (1.0 + abs(lead)), 0) - 2.0 * eta.log()
+    return ApproxValue(lead, 4.0 * EPS * (1.0 + abs(lead)), 0) - 2.0 * eta.log()
 
 
 def l1_series(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
     """pi y_Q / 6 - sum_k log|1 - exp(2 pi i k z_Q)|^2, equal to -log|eta(z_Q)|^2."""
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    check_tol(tol)
     z = form.z_point().as_complex()
     rho = math.exp(-2.0 * math.pi * z.imag)
     terms = [math.pi * z.imag / 6.0]
@@ -175,67 +178,46 @@ def l1_series(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
         w = 1.0 - cmath.exp(2.0 * math.pi * k * 1j * z)
         terms.append(-2.0 * math.log(abs(w)))
     value = math.fsum(terms)
-    bound = tail + 4.0 * _EPS * math.fsum(abs(t) for t in terms)
+    bound = tail + 4.0 * EPS * math.fsum(abs(t) for t in terms)
     return ApproxValue(value, bound, k)
 
 
 def target_limit_check(tol: float = 1e-8) -> VerificationRecord:
     """Extrapolated (2/pi) zeta(s) L(s) - zeta(2s - 1) at s = 1 versus the
-    logarithmic cosh integral."""
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    node_tol = tol / 64.0
-    xs, vals, bounds = [], [], []
-    for k in range(8):
-        eps = 0.1 * 2.0 ** -k
-        zeta_s = zeta(1.0 + eps, node_tol / 4.0)
-        l_s = L_chi4(1.0 + eps, node_tol / 4.0)
-        zeta_2s = zeta_2s_minus_1(1.0 + eps, node_tol / 4.0)
-        node = (2.0 / math.pi) * (zeta_s * l_s) - zeta_2s
-        xs.append(eps)
-        vals.append(node.value)
-        bounds.append(node.error_bound)
-    table = extrapolate_to_zero(xs, vals, bounds)
-    rhs = integral_I(1e-12)
-    return make_record(
-        name="kronecker/scalar-limit-vs-integral",
-        paper_anchor="§3",
-        lhs=table.extrapolated,
-        rhs=rhs.value,
-        combined_bound=table.error_bound + rhs.error_bound,
-        tolerance=tol,
-    )
+    logarithmic cosh integral.
+
+    tol (>= 0) is the record's tolerance only; the nodes are always
+    evaluated to the same fixed tolerance.
+    """
+    check_tol(tol, zero_ok=True)
+    part = 1e-8 / 64.0 / 4.0
+
+    def node(eps: float) -> ApproxValue:
+        s = 1.0 + eps
+        return ((2.0 / math.pi) * (zeta(s, part) * L_chi4(s, part))
+                - zeta(2.0 * s - 1.0, part))
+
+    def check():
+        table, _ = _limit_at_zero(node, 0.1, 8)
+        rhs = integral_I(1e-12)
+        return table.extrapolated, rhs.value, table.error_bound + rhs.error_bound
+
+    return timed_record("kronecker/scalar-limit-vs-integral", "§3", tol, check)
 
 
-def theta_at_i_assembly(tol: float = 1e-10) -> VerificationRecord:
-    """Four routes to the theta value at z = i, compared pairwise.
+def theta_at_i_assembly() -> tuple[ApproxValue, ...]:
+    """Four routes to the theta value at z = i.
 
     Routes: the theta series itself; sqrt(2) |eta(i)|; the gamma-quotient
     form (2 pi)^(-1/4) sqrt(Gamma(1/4) / Gamma(3/4)); and the closed form
-    Gamma(1/4) / (pi^(3/4) sqrt(2)).  The record stores the worst pairwise
-    gap against the summed bounds of the two worst routes.
+    Gamma(1/4) / (pi^(3/4) sqrt(2)).
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     at_i = UpperHalfPoint(0.0, 1.0)
     g14 = gamma_integral(0.25, 1e-13)
     g34 = gamma_integral(0.75, 1e-13)
-    routes = (
+    return (
         theta_uhp(at_i, 1e-13).magnitude(),
         math.sqrt(2.0) * eta_uhp(at_i, 1e-13).magnitude(),
         (2.0 * math.pi) ** -0.25 * (g14 / g34).sqrt(),
         (1.0 / (math.pi ** 0.75 * math.sqrt(2.0))) * g14,
-    )
-    worst = 0.0
-    for i in range(len(routes)):
-        for j in range(i + 1, len(routes)):
-            worst = max(worst, abs(routes[i].value - routes[j].value))
-    route_bounds = sorted(r.error_bound for r in routes)
-    return make_record(
-        name="theta/value-at-i-four-routes",
-        paper_anchor="Theorem 1",
-        lhs=worst,
-        rhs=0.0,
-        combined_bound=route_bounds[-1] + route_bounds[-2],
-        tolerance=tol,
     )

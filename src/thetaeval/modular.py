@@ -12,24 +12,15 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .approx import ApproxValue
-from .report import VerificationRecord, make_record
-
-_EPS = 2.2204460492503131e-16
+from .approx import EPS, ApproxValue, check_tol
 
 __all__ = [
     "UpperHalfPoint",
     "ComplexApprox",
     "theta_uhp",
     "eta_uhp",
-    "quotient_check_name",
-    "verify_theta_eta_quotient",
+    "eta_quotient",
 ]
-
-
-def quotient_check_name(z: "UpperHalfPoint") -> str:
-    """Report name of the quotient-identity check at z; stable for overrides."""
-    return f"theta/quotient-identity/z={z.re:g}+{z.im:g}i"
 
 
 @dataclass(frozen=True)
@@ -94,7 +85,7 @@ def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ComplexApprox:
     geometric tail bound drops below tol; that bound is the reported
     error_bound.
     """
-    _check_tol(tol)
+    check_tol(tol)
     n_max = _theta_terms(z, tol)
     zc = z.as_complex()
     res = [1.0]
@@ -104,7 +95,7 @@ def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ComplexApprox:
         res.append(term.real)
         ims.append(term.imag)
     # Tail plus a per-term roundoff floor; fsum itself is exact.
-    roundoff = 2.0 * _EPS * math.fsum(abs(t) for t in res)
+    roundoff = 2.0 * EPS * math.fsum(abs(t) for t in res)
     return ComplexApprox(math.fsum(res), math.fsum(ims),
                          _theta_tail(n_max + 1, z.im) + roundoff)
 
@@ -116,7 +107,7 @@ def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ComplexApprox:
     with |value| * (exp(rho) - 1) <= tol; that quantity is the reported
     error_bound.
     """
-    _check_tol(tol)
+    check_tol(tol)
     y = z.im
     absw = math.exp(-2.0 * math.pi * y)
     # Crude a-priori modulus bound, enough to pick the cut.
@@ -131,7 +122,7 @@ def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ComplexApprox:
     for n in range(1, n_max + 1):
         prod *= 1.0 - cmath.exp(2j * math.pi * n * zc)
     bound = abs(prod) * (math.expm1(_eta_log_tail(n_max, absw))
-                         + 4.0 * (n_max + 2) * _EPS)
+                         + 4.0 * (n_max + 2) * EPS)
     return ComplexApprox(prod.real, prod.imag, bound)
 
 
@@ -141,42 +132,21 @@ def _eta_log_tail(n: int, absw: float) -> float:
     return head / ((1.0 - absw) * (1.0 - head))
 
 
-def verify_theta_eta_quotient(z: UpperHalfPoint, tol: float = 1e-12) -> VerificationRecord:
-    """Check theta(z) against eta(z/2 + 1/2)^2 / eta(z + 1).
+def eta_quotient(z: UpperHalfPoint, tol: float = 1e-13) -> ComplexApprox:
+    """eta(z/2 + 1/2)^2 / eta(z + 1), the product form of theta(z).
 
-    Components are evaluated at tol/4; the record stores the modulus of
-    the complex mismatch against zero so its fields stay real.
+    Both eta factors are evaluated at tol; the bound is the worst case of
+    the quotient over the two component balls plus its rounding.
     """
-    _check_tol(tol)
-    part = 0.25 * tol
-    lhs = theta_uhp(z, part)
-    half_point = UpperHalfPoint(0.5 * z.re + 0.5, 0.5 * z.im)
-    shifted = UpperHalfPoint(z.re + 1.0, z.im)
-    top = eta_uhp(half_point, part)
-    bottom = eta_uhp(shifted, part)
-
+    top = eta_uhp(UpperHalfPoint(0.5 * z.re + 0.5, 0.5 * z.im), tol)
+    bottom = eta_uhp(UpperHalfPoint(z.re + 1.0, z.im), tol)
     top_c = top.as_complex()
     bottom_c = bottom.as_complex()
     quotient = top_c * top_c / bottom_c
-    # Worst-case quotient error over the two component balls.
     denom = abs(bottom_c) - bottom.error_bound
     if denom <= 0.0:
         raise ValueError("denominator bound allows zero; tighten tol")
     top_worst = (abs(top_c) + top.error_bound) ** 2 - abs(top_c) ** 2
-    rhs_bound = ((top_worst + abs(quotient) * bottom.error_bound) / denom
-                 + 4.0 * _EPS * (abs(quotient) + 1.0))
-
-    mismatch = abs(lhs.as_complex() - quotient)
-    return make_record(
-        name=quotient_check_name(z),
-        paper_anchor="§3",
-        lhs=mismatch,
-        rhs=0.0,
-        combined_bound=lhs.error_bound + rhs_bound,
-        tolerance=tol,
-    )
-
-
-def _check_tol(tol: float) -> None:
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    bound = ((top_worst + abs(quotient) * bottom.error_bound) / denom
+             + 4.0 * EPS * (abs(quotient) + 1.0))
+    return ComplexApprox(quotient.real, quotient.imag, bound)

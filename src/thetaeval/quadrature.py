@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .approx import ApproxValue, NonConvergence
+from .approx import ApproxValue, NonConvergence, check_tol
 
 __all__ = [
     "ApproxValue",
@@ -43,8 +43,6 @@ __all__ = [
     "f_form_derivative_at_1",
 ]
 
-_SINGULARITY_TAGS = ("smooth", "log-singular", "algebraic")
-
 _U_MAX = 6.0        # grid cutoff; offsets below _Q_MIN are dropped anyway
 _Q_MIN = 1e-280     # keeps every transformed argument inside double range
 _MAX_LEVEL = 11
@@ -53,18 +51,15 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class IntegralSpec:
-    """One integral: integrand, domain, endpoint hints, target tolerance.
+    """One integral: integrand, domain, target tolerance.
 
     domain is (a, b) with finite a; b == math.inf selects the half-line
-    path.  singularities tags the (lower, upper) endpoints with one of
-    "smooth", "log-singular" or "algebraic" (integrable power); the tags
-    document the endpoint behavior the caller is promising and every tag
-    is handled by the same clustered-node rule.
+    path.  Integrable endpoint singularities (log or power type) need no
+    hint: the clustered nodes absorb them.
     """
 
     integrand: Callable[[float], float]
     domain: tuple[float, float]
-    singularities: tuple[str, str] = ("smooth", "smooth")
     target_tol: float = 1e-12
 
     def __post_init__(self):
@@ -73,11 +68,7 @@ class IntegralSpec:
             raise ValueError("lower endpoint must be finite")
         if not (b > a):
             raise ValueError("domain must satisfy a < b")
-        if not (self.target_tol > 0.0):
-            raise ValueError("target_tol must be positive")
-        for tag in self.singularities:
-            if tag not in _SINGULARITY_TAGS:
-                raise ValueError(f"unknown singularity tag {tag!r}")
+        check_tol(self.target_tol, "target_tol")
 
 
 def integrate(spec: IntegralSpec) -> ApproxValue:
@@ -190,7 +181,7 @@ def integral_I(tol: float = 1e-12) -> ApproxValue:
     Split at t = 1: the finite piece carries the log singularity at 0, the
     rest is shifted to the half-line rule.
     """
-    _check_tol(tol)
+    check_tol(tol)
     part_tol = 0.5 * tol
     near = _finite(lambda t: math.log(t) / math.cosh(t), 0.0, 1.0, part_tol)
     far = _halfline(lambda r: math.log1p(r) / math.cosh(1.0 + r), part_tol)
@@ -205,7 +196,7 @@ def gamma_integral(s: float, tol: float = 1e-12) -> ApproxValue:
     """
     if not s > 0.0:
         raise ValueError(f"need s > 0, got {s}")
-    _check_tol(tol)
+    check_tol(tol)
     e = s - 1.0
     return _halfline(lambda t: t ** e * math.exp(-t), tol)
 
@@ -214,7 +205,7 @@ def gammaL_integral(s: float, tol: float = 1e-12) -> ApproxValue:
     """Integral over (0, inf) of t**(s-1) / (2 cosh t), for s > 0."""
     if not s > 0.0:
         raise ValueError(f"need s > 0, got {s}")
-    _check_tol(tol)
+    check_tol(tol)
     e = s - 1.0
     return _halfline(lambda t: t ** e / (2.0 * math.cosh(t)), tol)
 
@@ -230,7 +221,7 @@ def f_form(form, s: float, tol: float = 1e-12) -> ApproxValue:
     a, p0 = _vertex_data(form)
     if not s > 0.5:
         raise ValueError(f"need s > 1/2, got {s}")
-    _check_tol(tol)
+    check_tol(tol)
 
     def transformed(u: float) -> float:
         r = (1.0 - u) / u
@@ -245,7 +236,7 @@ def f_form(form, s: float, tol: float = 1e-12) -> ApproxValue:
 def f_form_derivative_at_1(form, tol: float = 1e-12) -> ApproxValue:
     """Full-line integral of log(p(x)) / p(x) with p(x) = a x^2 + b x + c."""
     a, p0 = _vertex_data(form)
-    _check_tol(tol)
+    check_tol(tol)
 
     def transformed(u: float) -> float:
         r = (1.0 - u) / u
@@ -267,7 +258,3 @@ def _vertex_data(form) -> tuple[float, float]:
         raise ValueError("form must be positive definite")
     return a, c - b * b / (4.0 * a)
 
-
-def _check_tol(tol: float) -> None:
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")

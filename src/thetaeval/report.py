@@ -14,6 +14,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from .approx import check_tol
+
 REPORT_VERSION = "1.0.0"
 
 SUITE_NAMES = (
@@ -79,7 +81,11 @@ def timed_record(name: str, paper_anchor: str, tolerance: float, builder) -> Ver
 
 @dataclass
 class RunConfig:
-    """Knobs for one verification run."""
+    """Knobs for one verification run.
+
+    suites may name a suite more than once and in any order; it is reduced
+    to the canonical order of SUITE_NAMES.
+    """
 
     suites: tuple[str, ...] = SUITE_NAMES
     qseries_order: int = 256          # also the n-range of the two-squares suite
@@ -89,19 +95,22 @@ class RunConfig:
     output_format: str = "json"
 
     def __post_init__(self):
-        for s in self.suites:
-            if s not in SUITE_NAMES:
-                raise ValueError(f"unknown suite {s!r}")
+        unknown = [s for s in self.suites if s not in SUITE_NAMES]
+        if unknown:
+            raise ValueError(f"unknown suite(s) {', '.join(unknown)}; "
+                             f"choose from {', '.join(SUITE_NAMES)}")
+        self.suites = tuple(s for s in SUITE_NAMES if s in self.suites)
         if not (isinstance(self.qseries_order, int) and self.qseries_order >= 16):
             raise ValueError(f"order must be an integer >= 16, got {self.qseries_order!r}")
         for a, b, c in self.forms:
+            if not all(math.isfinite(v) for v in (a, b, c)):
+                raise ValueError(f"form ({a}, {b}, {c}) has a non-finite coefficient")
             if not (a > 0.0 and 4.0 * a * c - b * b > 0.0):
                 raise ValueError(f"form ({a}, {b}, {c}) is not positive definite")
         if self.output_format not in ("json", "markdown"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         for name, tol in self.tol_overrides.items():
-            if not (tol >= 0.0 and math.isfinite(tol)):
-                raise ValueError(f"tolerance override {name}={tol} must be finite and >= 0")
+            check_tol(tol, f"tolerance override {name}", zero_ok=True)
 
     def tolerance(self, name: str, default: float) -> float:
         return self.tol_overrides.get(name, default)

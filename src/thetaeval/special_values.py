@@ -20,22 +20,16 @@ convergent process with an error bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .approx import ApproxValue, NonConvergence
+from .approx import EPS, ApproxValue, NonConvergence
 
 __all__ = [
-    "LaurentAtOne",
     "euler_gamma",
     "zeta",
-    "zeta_2s_minus_1",
-    "zeta_laurent_at_one",
     "L_chi4",
     "L_chi4_prime_at_1",
     "gamma_gauss",
 ]
-
-_EPS = 2.2204460492503131e-16
 
 # (2k, B_{2k} / (2k)!) for the tail corrections, then the first omitted pair.
 _BERNOULLI_TERMS = ((2, (1.0 / 6.0) / 2.0),
@@ -45,19 +39,6 @@ _BERNOULLI_TERMS = ((2, (1.0 / 6.0) / 2.0),
 _BERNOULLI_NEXT = (10, (5.0 / 66.0) / 3628800.0)
 
 _ZETA_N = 64
-
-
-@dataclass(frozen=True)
-class LaurentAtOne:
-    """Leading behavior at s = 1: principal / (s - 1) + constant + O(s - 1)."""
-
-    principal: float
-    constant: float
-
-    def evaluate(self, delta: float) -> float:
-        if delta == 0.0:
-            raise ZeroDivisionError("expansion is singular at delta = 0")
-        return self.principal / delta + self.constant
 
 
 def euler_gamma(tol: float = 1e-13) -> ApproxValue:
@@ -71,7 +52,7 @@ def euler_gamma(tol: float = 1e-13) -> ApproxValue:
     value = (harmonic - math.log(n) - 1.0 / (2.0 * n)
              + 1.0 / (12.0 * n ** 2) - 1.0 / (120.0 * n ** 4)
              + 1.0 / (252.0 * n ** 6))
-    bound = 1.0 / (240.0 * float(n) ** 8) + 8.0 * _EPS
+    bound = 1.0 / (240.0 * float(n) ** 8) + 8.0 * EPS
     if bound > tol:
         raise NonConvergence("euler_gamma cannot certify this tolerance",
                              value=value, error_bound=bound, cost=n)
@@ -98,23 +79,11 @@ def zeta(s: float, tol: float = 1e-13) -> ApproxValue:
         poch *= s + j
         j += 1
     omitted = abs(_BERNOULLI_NEXT[1] * poch * float(n) ** (-s - _BERNOULLI_NEXT[0] + 1.0))
-    bound = 2.0 * omitted + 4.0 * _EPS * abs(value)
+    bound = 2.0 * omitted + 4.0 * EPS * abs(value)
     if bound > tol:
         raise NonConvergence(f"zeta({s}) cannot certify tol={tol:g}",
                              value=value, error_bound=bound, cost=n)
     return ApproxValue(value, bound, n)
-
-
-def zeta_2s_minus_1(s: float, tol: float = 1e-13) -> ApproxValue:
-    """zeta(2s - 1) for s > 1, the companion value in the limit formulas."""
-    if not s > 1.0:
-        raise ValueError(f"need s > 1, got {s}")
-    return zeta(2.0 * s - 1.0, tol)
-
-
-def zeta_laurent_at_one(tol: float = 1e-13) -> LaurentAtOne:
-    """The expansion zeta(1 + d) = 1/d + gamma + O(d)."""
-    return LaurentAtOne(1.0, euler_gamma(tol).value)
 
 
 def _chebyshev_alternating(coefficient, n: int) -> float:
@@ -139,7 +108,7 @@ def _accelerated_pair(coefficient, tol: float, what: str) -> ApproxValue:
     for _ in range(3):
         lo = _chebyshev_alternating(coefficient, n)
         hi = _chebyshev_alternating(coefficient, n + 8)
-        bound = abs(hi - lo) + 8.0 * _EPS * (1.0 + abs(hi))
+        bound = abs(hi - lo) + 8.0 * EPS * (1.0 + abs(hi))
         if bound <= tol:
             return ApproxValue(hi, bound, 2 * n + 8)
         n *= 2
@@ -187,7 +156,7 @@ def gamma_gauss(s: float, tol: float = 1e-9) -> ApproxValue:
         p4 = _gauss_product(s, 4 * n)
         coarse = 2.0 * p2 - p1
         fine = 2.0 * p4 - p2
-        bound = abs(fine - coarse) + 16.0 * _EPS * abs(fine)
+        bound = abs(fine - coarse) + 16.0 * EPS * abs(fine)
         best = ApproxValue(fine, bound, 7 * n)
         if bound <= tol:
             return best

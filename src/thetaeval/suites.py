@@ -1,16 +1,19 @@
 """Verification suites: named groups of checks producing report records.
 
-Each suite function takes the run configuration and returns a list of
+Engines return bounded values; this module turns them into records.  Each
+suite function takes the run configuration and returns a list of
 VerificationRecords sorted by name.  Default tolerances live here, next to
 the checks they gate; any of them can be overridden per record name through
-the configuration.
+the configuration, and an override changes the verdict only, never how a
+value is computed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from .approx import ApproxValue
+from .approx import EPS, ApproxValue, NonConvergence
 from .epstein import BinaryQuadraticForm, epstein_accelerated, epstein_direct
 from .kronecker import (
     kronecker_lhs,
@@ -19,13 +22,7 @@ from .kronecker import (
     target_limit_check,
     theta_at_i_assembly,
 )
-from .modular import (
-    UpperHalfPoint,
-    eta_uhp,
-    quotient_check_name,
-    theta_uhp,
-    verify_theta_eta_quotient,
-)
+from .modular import UpperHalfPoint, eta_quotient, eta_uhp, theta_uhp
 from .number_theory import r_bruteforce, r_divisor
 from .qseries import r_from_theta_squared, theta_qseries, triple_product_qseries
 from .quadrature import (
@@ -45,8 +42,6 @@ from .special_values import (
 )
 
 __all__ = ["SUITES", "run_suites"]
-
-_EPS = 2.2204460492503131e-16
 
 
 def _form_label(form: tuple[float, float, float]) -> str:
@@ -109,7 +104,7 @@ def _suite_integral(config: RunConfig) -> list[VerificationRecord]:
     def reflection_check():
         product = gamma_integral(0.25, 1e-13) * gamma_integral(0.75, 1e-13)
         target = math.pi * math.sqrt(2.0)
-        return product.value, target, product.error_bound + 4.0 * _EPS * target
+        return product.value, target, product.error_bound + 4.0 * EPS * target
 
     records.append(_record(config, "integral/gamma-reflection-quarter", "§1",
                            1e-10, reflection_check))
@@ -121,7 +116,7 @@ def _suite_integral(config: RunConfig) -> list[VerificationRecord]:
         def value_check(q=form):
             got = f_form(q, 1.0, 1e-12)
             target = -2.0 * math.pi / math.sqrt(q.disc)
-            return got.value, target, got.error_bound + 4.0 * _EPS * abs(target)
+            return got.value, target, got.error_bound + 4.0 * EPS * abs(target)
 
         records.append(_record(config, f"integral/f-at-1/{label}", "Prop. 3",
                                1e-10, value_check))
@@ -130,7 +125,7 @@ def _suite_integral(config: RunConfig) -> list[VerificationRecord]:
             got = f_form_derivative_at_1(q, 1e-11)
             target = -(4.0 * math.pi / math.sqrt(q.disc)) * math.log(
                 math.sqrt(q.a / q.disc))
-            return got.value, target, got.error_bound + 4.0 * _EPS * abs(target)
+            return got.value, target, got.error_bound + 4.0 * EPS * abs(target)
 
         records.append(_record(config, f"integral/f-prime-at-1/{label}", "eq. (1)",
                                1e-8, slope_check))
@@ -143,14 +138,14 @@ def _suite_special_values(config: RunConfig) -> list[VerificationRecord]:
 
     def zeta_two():
         got = zeta(2.0, 1e-13)
-        return got.value, math.pi ** 2 / 6.0, got.error_bound + 4.0 * _EPS
+        return got.value, math.pi ** 2 / 6.0, got.error_bound + 4.0 * EPS
 
     records.append(_record(config, "special-values/zeta-at-2", "Prop. 3",
                            1e-12, zeta_two))
 
     def l_one():
         got = L_chi4(1.0, 1e-13)
-        return got.value, math.pi / 4.0, got.error_bound + 4.0 * _EPS
+        return got.value, math.pi / 4.0, got.error_bound + 4.0 * EPS
 
     records.append(_record(config, "special-values/L-at-1", "Lemma 2",
                            1e-12, l_one))
@@ -160,7 +155,7 @@ def _suite_special_values(config: RunConfig) -> list[VerificationRecord]:
         got = zeta(1.0 + delta, 1e-11)
         gamma = euler_gamma(1e-13)
         lhs = got.value - 1.0 / delta
-        bound = got.error_bound + gamma.error_bound + 1e4 * 4.0 * _EPS
+        bound = got.error_bound + gamma.error_bound + 1e4 * 4.0 * EPS
         return lhs, gamma.value, bound + 1e-4
 
     records.append(_record(config, "special-values/zeta-pole-constant", "§3",
@@ -169,7 +164,7 @@ def _suite_special_values(config: RunConfig) -> list[VerificationRecord]:
     def gauss_reflection():
         product = gamma_gauss(0.25, 1e-8) * gamma_gauss(0.75, 1e-8)
         target = math.pi * math.sqrt(2.0)
-        return product.value, target, product.error_bound + 4.0 * _EPS * target
+        return product.value, target, product.error_bound + 4.0 * EPS * target
 
     records.append(_record(config, "special-values/gauss-gamma-reflection", "§1",
                            1e-8, gauss_reflection))
@@ -298,12 +293,27 @@ _QUOTIENT_POINTS = (
 def _suite_theta(config: RunConfig) -> list[VerificationRecord]:
     records = []
 
-    assembly_name = "theta/value-at-i-four-routes"
-    records.append(theta_at_i_assembly(config.tolerance(assembly_name, 1e-10)))
+    def four_routes():
+        # Worst pairwise gap against the summed bounds of the two worst routes.
+        routes = theta_at_i_assembly()
+        worst = max(abs(a.value - b.value) for a, b in itertools.combinations(routes, 2))
+        bounds = sorted(r.error_bound for r in routes)
+        return worst, 0.0, bounds[-1] + bounds[-2]
+
+    records.append(_record(config, "theta/value-at-i-four-routes", "Theorem 1",
+                           1e-10, four_routes))
 
     for z in _QUOTIENT_POINTS:
-        name = quotient_check_name(z)
-        records.append(verify_theta_eta_quotient(z, config.tolerance(name, 1e-12)))
+        def quotient_check(z=z):
+            # Components to a quarter of the default tolerance; the record
+            # compares the modulus of the complex mismatch against zero.
+            series = theta_uhp(z, 0.25e-12)
+            product = eta_quotient(z, 0.25e-12)
+            mismatch = abs(series.as_complex() - product.as_complex())
+            return mismatch, 0.0, series.error_bound + product.error_bound
+
+        records.append(_record(config, f"theta/quotient-identity/z={z.re:g}+{z.im:g}i",
+                               "§3", 1e-12, quotient_check))
 
     def shift_check():
         left = eta_uhp(UpperHalfPoint(1.0, 1.0), 1e-13).magnitude()
@@ -319,7 +329,7 @@ def _suite_theta(config: RunConfig) -> list[VerificationRecord]:
         coeffs = theta_qseries(64).coeffs
         value = math.fsum(c * q ** n for n, c in enumerate(coeffs))
         tail = 3.0 * q ** 65 / (1.0 - q)
-        bound = direct.error_bound + tail + 8.0 * _EPS
+        bound = direct.error_bound + tail + 8.0 * EPS
         return direct.re, value, bound
 
     records.append(_record(config, "theta/series-at-2i-vs-qseries", "Theorem 1",
@@ -339,9 +349,16 @@ SUITES = {
 }
 
 
-def run_suites(config: RunConfig) -> list[VerificationRecord]:
-    """Run the configured suites in canonical order; records sorted within."""
+def run_suites(config: RunConfig) -> tuple[list[VerificationRecord], NonConvergence | None]:
+    """Run the configured suites in order; records sorted within each suite.
+
+    A NonConvergence stops the run: the records of the suites that finished
+    come back with it.  The second item is None when every suite finished.
+    """
     records: list[VerificationRecord] = []
     for suite in config.suites:
-        records.extend(SUITES[suite](config))
-    return records
+        try:
+            records.extend(SUITES[suite](config))
+        except NonConvergence as exc:
+            return records, exc
+    return records, None

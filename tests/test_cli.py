@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from thetaeval.approx import NonConvergence
 from thetaeval.cli import main
 from thetaeval.report import (
     REPORT_VERSION,
@@ -54,11 +55,35 @@ class TestExitCodes:
         assert main(["theta"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_engine_refusal_exits_three(self, capsys):
-        rc = main(["kronecker", "--tol",
-                   "kronecker/scalar-limit-vs-integral=1e-30"])
+    def test_engine_refusal_exits_three(self, capsys, monkeypatch):
+        def stall(config):
+            raise NonConvergence("synthetic stall", value=1.0, error_bound=1.0)
+
+        monkeypatch.setitem(SUITES, "kronecker", stall)
+        rc = main(["special-values", "kronecker"])
         assert rc == 3
-        assert "engine gave up" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "engine gave up: synthetic stall" in captured.err
+        # the suite that finished before the stall is still reported
+        assert "special-values/zeta-at-2" in captured.out
+        assert "7/7 checks passed" in captured.out
+
+    def test_nonfinite_form_is_config_error(self, capsys):
+        assert main(["integral", "--form", "1,0,inf"]) == 2
+        assert "bad configuration" in capsys.readouterr().err
+
+    def test_zero_tolerance_on_engine_built_checks(self, tmp_path, capsys):
+        # An override sets the verdict only; engines keep their own tolerances.
+        names = ("kronecker/scalar-limit-vs-integral", "theta/value-at-i-four-routes")
+        path = tmp_path / "report.json"
+        argv = ["kronecker", "theta", "--json", str(path)]
+        for name in names:
+            argv += ["--tol", f"{name}=0"]
+        assert main(argv) == 0
+        records = {r["name"]: r for r in json.loads(path.read_text())["records"]}
+        for name in names:
+            assert records[name]["tolerance"] == 0.0
+            assert records[name]["pass"] is True
 
     def test_unwritable_report_path_exits_two(self, capsys):
         rc = main(["theta", "--json", "/no-such-directory/report.json"])
@@ -153,13 +178,17 @@ class TestRunBehaviour:
 
     def test_tolerance_override_is_applied(self, tmp_path, capsys):
         path = tmp_path / "report.json"
-        rc = main(["theta", "--tol", "theta/value-at-i-four-routes=1e-6",
-                   "--json", str(path)])
-        assert rc == 0
+        # The second name contains "=": the override splits at the last one.
+        overrides = {"theta/value-at-i-four-routes": 1e-6,
+                     "theta/quotient-identity/z=0+1i": 1e-9}
+        argv = ["theta", "--json", str(path)]
+        for name, tol in overrides.items():
+            argv += ["--tol", f"{name}={tol!r}"]
+        assert main(argv) == 0
         doc = json.loads(path.read_text())
-        rec = next(r for r in doc["records"]
-                   if r["name"] == "theta/value-at-i-four-routes")
-        assert rec["tolerance"] == 1e-6
+        applied = {r["name"]: r["tolerance"] for r in doc["records"]}
+        for name, tol in overrides.items():
+            assert applied[name] == tol
 
 
 class TestRunConfig:
@@ -184,6 +213,8 @@ class TestRunConfig:
     def test_rejects_indefinite_form(self):
         with pytest.raises(ValueError):
             RunConfig(forms=((1.0, 5.0, 1.0),))
+        with pytest.raises(ValueError):
+            RunConfig(forms=((1.0, 0.0, math.inf),))
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):

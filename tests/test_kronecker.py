@@ -14,6 +14,8 @@ from thetaeval import (
     L_chi4,
     L_chi4_prime_at_1,
     NonConvergence,
+    RunConfig,
+    SUITES,
     eta_uhp,
     euler_gamma,
     extrapolate_to_zero,
@@ -176,9 +178,13 @@ class TestTargetLimit:
 
 class TestThetaAssembly:
     def test_record_passes(self):
-        record = theta_at_i_assembly(1e-10)
+        routes = theta_at_i_assembly()
+        assert len(routes) == 4
+        record = next(r for r in SUITES["theta"](RunConfig(suites=("theta",)))
+                      if r.name == "theta/value-at-i-four-routes")
         assert record.passed
         assert record.rhs == 0.0
+        assert record.lhs == max(abs(a.value - b.value) for a in routes for b in routes)
 
     def test_four_routes_pairwise(self):
         theta = theta_uhp(UpperHalfPoint(0.0, 1.0), 1e-13).magnitude()

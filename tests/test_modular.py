@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from thetaeval import (
     ComplexApprox,
+    RunConfig,
+    SUITES,
     UpperHalfPoint,
+    eta_quotient,
     eta_uhp,
     r_bruteforce,
     theta_qseries,
     theta_uhp,
-    verify_theta_eta_quotient,
 )
 
 # scripts/compute_oracles.py: five explicit terms, sixth below 1e-21
@@ -140,37 +142,46 @@ class TestEtaProduct:
             assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
 
+def _quotient_gap(z, tol):
+    """|theta(z) - eta quotient| and the summed bounds, components at tol/4."""
+    series = theta_uhp(z, 0.25 * tol)
+    product = eta_quotient(z, 0.25 * tol)
+    gap = abs(series.as_complex() - product.as_complex())
+    return gap, series.error_bound + product.error_bound
+
+
 @given(re=st.floats(min_value=-2.0, max_value=2.0),
        im=st.floats(min_value=0.5, max_value=3.0))
 @settings(max_examples=30, deadline=None)
 def test_quotient_identity_generic_points(re, im):
-    record = verify_theta_eta_quotient(UpperHalfPoint(re, im), 1e-11)
-    assert record.passed
+    gap, bound = _quotient_gap(UpperHalfPoint(re, im), 1e-11)
+    assert gap <= bound + 1e-11
 
 
 class TestQuotientIdentity:
     @pytest.mark.parametrize("re,im", [(0.0, 1.0), (0.3, 1.7)])
     def test_passes_at_spec_points(self, re, im):
-        record = verify_theta_eta_quotient(UpperHalfPoint(re, im), 1e-12)
-        assert record.passed
-        assert record.rhs == 0.0
+        gap, bound = _quotient_gap(UpperHalfPoint(re, im), 1e-12)
+        assert gap <= bound + 1e-12
 
     def test_purely_imaginary_point(self):
         z = UpperHalfPoint(0.0, 3.0)
-        record = verify_theta_eta_quotient(z, 1e-12)
-        assert record.passed
+        gap, bound = _quotient_gap(z, 1e-12)
+        assert gap <= bound + 1e-12
         # both sides are real and positive on the imaginary axis
         theta = theta_uhp(z, 1e-13)
-        top = eta_uhp(UpperHalfPoint(0.5, 1.5), 1e-13).as_complex()
-        bottom = eta_uhp(UpperHalfPoint(1.0, 3.0), 1e-13).as_complex()
-        quotient = top * top / bottom
+        quotient = eta_quotient(z, 1e-13)
         assert theta.re > 0.0
-        assert quotient.real > 0.0
-        assert abs(quotient.imag) < 1e-12
+        assert quotient.re > 0.0
+        assert abs(quotient.im) < 1e-12
 
     def test_record_name_encodes_point(self):
-        record = verify_theta_eta_quotient(UpperHalfPoint(0.3, 1.7), 1e-12)
-        assert record.name == "theta/quotient-identity/z=0.3+1.7i"
+        records = [r for r in SUITES["theta"](RunConfig(suites=("theta",)))
+                   if r.name.startswith("theta/quotient-identity/")]
+        assert [r.name for r in records] == ["theta/quotient-identity/z=0+1i",
+                                             "theta/quotient-identity/z=0+3i",
+                                             "theta/quotient-identity/z=0.3+1.7i"]
+        assert all(r.passed and r.rhs == 0.0 for r in records)
 
 
 @pytest.mark.parametrize("y", [1.0, 2.0])

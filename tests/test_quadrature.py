@@ -59,8 +59,7 @@ def test_shifted_halfline_lower_endpoint():
 
 
 def test_log_singular_endpoint():
-    r = integrate(IntegralSpec(lambda t: math.log(t), (0.0, 1.0),
-                               singularities=("log-singular", "smooth")))
+    r = integrate(IntegralSpec(lambda t: math.log(t), (0.0, 1.0)))
     assert abs(r.value + 1.0) <= r.error_bound + 1e-13
 
 
@@ -87,10 +86,6 @@ class TestIntegralSpecValidation:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             IntegralSpec(lambda t: t, (0.0, 1.0), target_tol=0.0)
-
-    def test_rejects_unknown_singularity_tag(self):
-        with pytest.raises(ValueError):
-            IntegralSpec(lambda t: t, (0.0, 1.0), singularities=("spiky", "smooth"))
 
 
 class TestIntegralI:

@@ -1,0 +1,41 @@
+"""Smoke tests for the scripts under scripts/.
+
+The scripts import the package by its public names, so an API change that
+breaks one shows up here.  The oracle script must stay independent of the
+engines it checks.
+"""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit_table.py"],
+    ["calibrate_direct_engine.py", "--radius", "32", "--sweep-max", "64"],
+])
+def test_script_runs(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_script_never_imports_the_package():
+    tree = ast.parse((SCRIPTS / "compute_oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert not any(name.split(".")[0] == "thetaeval" for name in imported)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from thetaeval import (
     L_chi4,
     L_chi4_prime_at_1,
-    LaurentAtOne,
     NonConvergence,
     euler_gamma,
     gamma_gauss,
@@ -23,8 +22,6 @@ from thetaeval import (
     gammaL_integral,
     integral_I,
     zeta,
-    zeta_2s_minus_1,
-    zeta_laurent_at_one,
 )
 
 # frozen from scripts/compute_oracles.py (raw sums / Euler transforms)
@@ -62,6 +59,10 @@ class TestZeta:
     def test_at_two(self):
         z = zeta(2.0, 1e-13)
         assert abs(z.value - math.pi ** 2 / 6.0) <= z.error_bound + 1e-15
+
+    def test_at_three_against_oracle(self):
+        z = zeta(3.0, 1e-13)
+        assert abs(z.value - ORACLE_ZETA3) <= z.error_bound + ORACLE_ZETA_BOUND
 
     def test_at_four_against_direct_sum(self):
         z = zeta(4.0, 1e-13)
@@ -107,46 +108,6 @@ def test_zeta_decreasing_above_one(s):
     a = zeta(s, 1e-9)
     b = zeta(s + 0.25, 1e-9)
     assert a.value > b.value
-
-
-class TestZeta2sMinus1:
-    def test_at_three_halves(self):
-        z = zeta_2s_minus_1(1.5, 1e-13)
-        assert abs(z.value - math.pi ** 2 / 6.0) <= z.error_bound + 1e-15
-
-    def test_pole_normalization(self):
-        s = 1.0 + 1e-6
-        delta = s - 1.0
-        z = zeta_2s_minus_1(s, 1e-8)
-        assert abs(2.0 * delta * z.value - 1.0) <= 1e-5
-
-    def test_at_two_is_zeta_three(self):
-        z = zeta_2s_minus_1(2.0, 1e-13)
-        assert abs(z.value - ORACLE_ZETA3) <= z.error_bound + ORACLE_ZETA_BOUND
-
-    def test_rejects_s_below_one(self):
-        with pytest.raises(ValueError):
-            zeta_2s_minus_1(1.0)
-
-
-class TestLaurentAtOne:
-    def test_constant_term_is_gamma(self):
-        expansion = zeta_laurent_at_one(1e-13)
-        assert expansion.principal == 1.0
-        gamma = euler_gamma(1e-13)
-        assert abs(expansion.constant - gamma.value) <= 2.0 * gamma.error_bound
-
-    def test_evaluate_matches_zeta_nearby(self):
-        expansion = zeta_laurent_at_one(1e-13)
-        s = 1.0 + 1e-5
-        delta = s - 1.0
-        z = zeta(s, 1e-10)
-        # next term is -gamma_1 * delta with |gamma_1| < 0.073
-        assert abs(expansion.evaluate(delta) - z.value) <= 1e-5
-
-    def test_evaluate_rejects_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            LaurentAtOne(1.0, 0.5).evaluate(0.0)
 
 
 class TestLChi4:
