@@ -1,8 +1,8 @@
 """Command-line entry point: run verification suites and emit reports.
 
 Exit codes: 0 all checks passed; 1 at least one check failed; 2 bad
-configuration or report IO failure; 3 an engine gave up before reaching its
-tolerance (partial report still written).
+configuration or report IO failure; 3 at least one check's engine gave up or
+failed (every other check still ran and is reported).
 """
 
 from __future__ import annotations
@@ -84,12 +84,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def run(config: RunConfig) -> int:
     """Execute the configured suites; emit reports; return the exit code."""
-    records, stalled = run_suites(config)
+    try:
+        records, stalls = run_suites(config)
+    except ValueError as exc:
+        print(f"bad configuration: {exc}", file=sys.stderr)
+        return 2
     print(render_markdown(records))
     passed = sum(1 for r in records if r.passed)
     print(f"\n{passed}/{len(records)} checks passed")
-    if stalled is not None:
-        print(f"engine gave up: {stalled}", file=sys.stderr)
+    for name, exc in stalls:
+        print(f"engine gave up on {name}: {exc}", file=sys.stderr)
 
     if config.output_path is not None:
         try:
@@ -98,7 +102,7 @@ def run(config: RunConfig) -> int:
             print(f"cannot write report: {exc}", file=sys.stderr)
             return 2
 
-    if stalled is not None:
+    if stalls:
         return 3
     return 0 if passed == len(records) else 1
 

@@ -1,11 +1,15 @@
 """Verification suites: named groups of checks producing report records.
 
-Engines return bounded values; this module turns them into records.  Each
-suite function takes the run configuration and returns a list of
-VerificationRecords sorted by name.  Default tolerances live here, next to
-the checks they gate; any of them can be overridden per record name through
-the configuration, and an override changes the verdict only, never how a
-value is computed.
+Engines return bounded values; this module turns them into records.  A
+suite function takes the run configuration and a `check` callable, and
+declares each of its checks as `check(name, anchor, default_tol, builder)`,
+where builder() returns (lhs, rhs, combined_bound).  `run_suites` supplies
+`check` and builds every record: it looks up the tolerance, times the
+builder, keeps an engine failure to its own check and sorts each suite's
+records by name.  Default tolerances live here, next to the checks they
+gate; any of them can be overridden per record name through the
+configuration, and an override changes the verdict only, never how a value
+is computed.
 """
 
 from __future__ import annotations
@@ -52,23 +56,19 @@ def _s_label(s: float) -> str:
     return format(s, ".17g")
 
 
-def _record(config: RunConfig, name: str, anchor: str, default_tol: float, builder):
-    return timed_record(name, anchor, config.tolerance(name, default_tol), builder)
-
-
-def _suite_triple_product(config: RunConfig) -> list[VerificationRecord]:
+def _suite_triple_product(config: RunConfig, check) -> None:
     order = config.qseries_order
 
-    def check():
+    def theta_vs_product():
         lhs = theta_qseries(order)
         rhs = triple_product_qseries(order)
         gap = max(abs(x - y) for x, y in zip(lhs.coeffs, rhs.coeffs))
         return float(gap), 0.0, 0.0
 
-    return [_record(config, "triple-product/theta-vs-product", "Lemma 1", 0.0, check)]
+    check("triple-product/theta-vs-product", "Lemma 1", 0.0, theta_vs_product)
 
 
-def _suite_two_squares(config: RunConfig) -> list[VerificationRecord]:
+def _suite_two_squares(config: RunConfig, check) -> None:
     order = config.qseries_order
 
     def divisor_vs_bruteforce():
@@ -80,34 +80,25 @@ def _suite_two_squares(config: RunConfig) -> list[VerificationRecord]:
                   for n in range(1, order + 1))
         return float(gap), 0.0, 0.0
 
-    records = [
-        _record(config, "two-squares/bruteforce-vs-divisor", "Lemma 2", 0.0,
-                divisor_vs_bruteforce),
-        _record(config, "two-squares/theta-squared-vs-divisor", "§3", 0.0,
-                theta_square_vs_divisor),
-    ]
-    return sorted(records, key=lambda r: r.name)
+    check("two-squares/bruteforce-vs-divisor", "Lemma 2", 0.0, divisor_vs_bruteforce)
+    check("two-squares/theta-squared-vs-divisor", "§3", 0.0, theta_square_vs_divisor)
 
 
-def _suite_integral(config: RunConfig) -> list[VerificationRecord]:
-    records = []
-
+def _suite_integral(config: RunConfig, check) -> None:
     def exp_i_check():
         lhs = integral_I(1e-12).exp()
         quotient = gamma_integral(0.75, 1e-13) / gamma_integral(0.25, 1e-13)
         rhs = math.sqrt(2.0 * math.pi) * quotient
         return lhs.value, rhs.value, lhs.error_bound + rhs.error_bound
 
-    records.append(_record(config, "integral/exp-I-vs-gamma-quotient", "Lemma 4",
-                           1e-10, exp_i_check))
+    check("integral/exp-I-vs-gamma-quotient", "Lemma 4", 1e-10, exp_i_check)
 
     def reflection_check():
         product = gamma_integral(0.25, 1e-13) * gamma_integral(0.75, 1e-13)
         target = math.pi * math.sqrt(2.0)
         return product.value, target, product.error_bound + 4.0 * EPS * target
 
-    records.append(_record(config, "integral/gamma-reflection-quarter", "§1",
-                           1e-10, reflection_check))
+    check("integral/gamma-reflection-quarter", "§1", 1e-10, reflection_check)
 
     for triple in config.forms:
         form = BinaryQuadraticForm(*triple)
@@ -118,8 +109,7 @@ def _suite_integral(config: RunConfig) -> list[VerificationRecord]:
             target = -2.0 * math.pi / math.sqrt(q.disc)
             return got.value, target, got.error_bound + 4.0 * EPS * abs(target)
 
-        records.append(_record(config, f"integral/f-at-1/{label}", "Prop. 3",
-                               1e-10, value_check))
+        check(f"integral/f-at-1/{label}", "Prop. 3", 1e-10, value_check)
 
         def slope_check(q=form):
             got = f_form_derivative_at_1(q, 1e-11)
@@ -127,28 +117,21 @@ def _suite_integral(config: RunConfig) -> list[VerificationRecord]:
                 math.sqrt(q.a / q.disc))
             return got.value, target, got.error_bound + 4.0 * EPS * abs(target)
 
-        records.append(_record(config, f"integral/f-prime-at-1/{label}", "eq. (1)",
-                               1e-8, slope_check))
-
-    return sorted(records, key=lambda r: r.name)
+        check(f"integral/f-prime-at-1/{label}", "eq. (1)", 1e-8, slope_check)
 
 
-def _suite_special_values(config: RunConfig) -> list[VerificationRecord]:
-    records = []
-
+def _suite_special_values(config: RunConfig, check) -> None:
     def zeta_two():
         got = zeta(2.0, 1e-13)
         return got.value, math.pi ** 2 / 6.0, got.error_bound + 4.0 * EPS
 
-    records.append(_record(config, "special-values/zeta-at-2", "Prop. 3",
-                           1e-12, zeta_two))
+    check("special-values/zeta-at-2", "Prop. 3", 1e-12, zeta_two)
 
     def l_one():
         got = L_chi4(1.0, 1e-13)
         return got.value, math.pi / 4.0, got.error_bound + 4.0 * EPS
 
-    records.append(_record(config, "special-values/L-at-1", "Lemma 2",
-                           1e-12, l_one))
+    check("special-values/L-at-1", "Lemma 2", 1e-12, l_one)
 
     def pole_constant():
         delta = 1e-4
@@ -158,16 +141,14 @@ def _suite_special_values(config: RunConfig) -> list[VerificationRecord]:
         bound = got.error_bound + gamma.error_bound + 1e4 * 4.0 * EPS
         return lhs, gamma.value, bound + 1e-4
 
-    records.append(_record(config, "special-values/zeta-pole-constant", "§3",
-                           1e-3, pole_constant))
+    check("special-values/zeta-pole-constant", "§3", 1e-3, pole_constant)
 
     def gauss_reflection():
         product = gamma_gauss(0.25, 1e-8) * gamma_gauss(0.75, 1e-8)
         target = math.pi * math.sqrt(2.0)
         return product.value, target, product.error_bound + 4.0 * EPS * target
 
-    records.append(_record(config, "special-values/gauss-gamma-reflection", "§1",
-                           1e-8, gauss_reflection))
+    check("special-values/gauss-gamma-reflection", "§1", 1e-8, gauss_reflection)
 
     def product_rule() -> ApproxValue:
         gamma = euler_gamma(1e-13)
@@ -201,12 +182,8 @@ def _suite_special_values(config: RunConfig) -> list[VerificationRecord]:
                 right = g()
                 return left.value, right.value, left.error_bound + right.error_bound
 
-            records.append(_record(
-                config,
-                f"special-values/gammaL-slope/{name_i}-vs-{name_j}",
-                "§3", 1e-6, pair_check))
-
-    return sorted(records, key=lambda r: r.name)
+            check(f"special-values/gammaL-slope/{name_i}-vs-{name_j}",
+                  "§3", 1e-6, pair_check)
 
 
 _DIRICHLET_S = (1.5, 2.0, 3.0, 1.0 + 2.0 ** -10)
@@ -214,8 +191,7 @@ _GRID_S = (1.25, 1.5, 2.0, 3.0)
 _DIRECT_RADIUS = 256
 
 
-def _suite_epstein(config: RunConfig) -> list[VerificationRecord]:
-    records = []
+def _suite_epstein(config: RunConfig, check) -> None:
     unit = BinaryQuadraticForm(1.0, 0.0, 1.0)
 
     for s in _DIRICHLET_S:
@@ -224,9 +200,8 @@ def _suite_epstein(config: RunConfig) -> list[VerificationRecord]:
             target = 4.0 * (zeta(s, 1e-12) * L_chi4(s, 1e-12))
             return got.value, target.value, got.error_bound + target.error_bound
 
-        records.append(_record(config,
-                               f"epstein/accelerated-vs-dirichlet/s={_s_label(s)}",
-                               "Lemma 2", 1e-9, dirichlet_check))
+        check(f"epstein/accelerated-vs-dirichlet/s={_s_label(s)}",
+              "Lemma 2", 1e-9, dirichlet_check)
 
     for triple in config.forms:
         form = BinaryQuadraticForm(*triple)
@@ -237,25 +212,18 @@ def _suite_epstein(config: RunConfig) -> list[VerificationRecord]:
                 fast = epstein_accelerated(q, s, 1e-10)
                 return slow.value, fast.value, slow.error_bound + fast.error_bound
 
-            records.append(_record(
-                config,
-                f"epstein/direct-vs-accelerated/{label}/s={_s_label(s)}",
-                "§3", 0.0, engines_check))
+            check(f"epstein/direct-vs-accelerated/{label}/s={_s_label(s)}",
+                  "§3", 0.0, engines_check)
 
     def unimodular_check():
         left = epstein_accelerated(unit, 1.5, 1e-12)
         right = epstein_accelerated(BinaryQuadraticForm(2.0, -2.0, 1.0), 1.5, 1e-12)
         return left.value, right.value, left.error_bound + right.error_bound
 
-    records.append(_record(config, "epstein/unimodular-equivalence/s=1.5", "§3",
-                           0.0, unimodular_check))
-
-    return sorted(records, key=lambda r: r.name)
+    check("epstein/unimodular-equivalence/s=1.5", "§3", 0.0, unimodular_check)
 
 
-def _suite_kronecker(config: RunConfig) -> list[VerificationRecord]:
-    records = []
-
+def _suite_kronecker(config: RunConfig, check) -> None:
     for triple in config.forms:
         form = BinaryQuadraticForm(*triple)
         label = _form_label(triple)
@@ -265,8 +233,7 @@ def _suite_kronecker(config: RunConfig) -> list[VerificationRecord]:
             right = kronecker_rhs(q, 1e-11)
             return left.value, right.value, left.error_bound + right.error_bound
 
-        records.append(_record(config, f"kronecker/lhs-vs-rhs/{label}", "Prop. 3",
-                               1e-6, limit_check))
+        check(f"kronecker/lhs-vs-rhs/{label}", "Prop. 3", 1e-6, limit_check)
 
         def series_check(q=form):
             left = l1_series(q, 1e-11)
@@ -274,13 +241,14 @@ def _suite_kronecker(config: RunConfig) -> list[VerificationRecord]:
             right = -2.0 * mag.log()
             return left.value, right.value, left.error_bound + right.error_bound
 
-        records.append(_record(config, f"kronecker/l1-vs-eta-log/{label}", "eq. (1)",
-                               1e-10, series_check))
+        check(f"kronecker/l1-vs-eta-log/{label}", "eq. (1)", 1e-10, series_check)
 
-    limit_name = "kronecker/scalar-limit-vs-integral"
-    records.append(target_limit_check(config.tolerance(limit_name, 1e-8)))
+    def scalar_limit_check():
+        # Only the numbers are kept: this check's record carries the tolerance.
+        record = target_limit_check(0.0)
+        return record.lhs, record.rhs, record.combined_bound
 
-    return sorted(records, key=lambda r: r.name)
+    check("kronecker/scalar-limit-vs-integral", "§3", 1e-8, scalar_limit_check)
 
 
 _QUOTIENT_POINTS = (
@@ -290,9 +258,7 @@ _QUOTIENT_POINTS = (
 )
 
 
-def _suite_theta(config: RunConfig) -> list[VerificationRecord]:
-    records = []
-
+def _suite_theta(config: RunConfig, check) -> None:
     def four_routes():
         # Worst pairwise gap against the summed bounds of the two worst routes.
         routes = theta_at_i_assembly()
@@ -300,8 +266,7 @@ def _suite_theta(config: RunConfig) -> list[VerificationRecord]:
         bounds = sorted(r.error_bound for r in routes)
         return worst, 0.0, bounds[-1] + bounds[-2]
 
-    records.append(_record(config, "theta/value-at-i-four-routes", "Theorem 1",
-                           1e-10, four_routes))
+    check("theta/value-at-i-four-routes", "Theorem 1", 1e-10, four_routes)
 
     for z in _QUOTIENT_POINTS:
         def quotient_check(z=z):
@@ -312,15 +277,15 @@ def _suite_theta(config: RunConfig) -> list[VerificationRecord]:
             mismatch = abs(series.as_complex() - product.as_complex())
             return mismatch, 0.0, series.error_bound + product.error_bound
 
-        records.append(_record(config, f"theta/quotient-identity/z={z.re:g}+{z.im:g}i",
-                               "§3", 1e-12, quotient_check))
+        check(f"theta/quotient-identity/z={z.re:g}+{z.im:g}i",
+              "§3", 1e-12, quotient_check)
 
     def shift_check():
         left = eta_uhp(UpperHalfPoint(1.0, 1.0), 1e-13).magnitude()
         right = eta_uhp(UpperHalfPoint(0.0, 1.0), 1e-13).magnitude()
         return left.value, right.value, left.error_bound + right.error_bound
 
-    records.append(_record(config, "theta/eta-shift-modulus", "§3", 0.0, shift_check))
+    check("theta/eta-shift-modulus", "§3", 0.0, shift_check)
 
     def series_vs_qseries():
         z = UpperHalfPoint(0.0, 2.0)
@@ -332,10 +297,7 @@ def _suite_theta(config: RunConfig) -> list[VerificationRecord]:
         bound = direct.error_bound + tail + 8.0 * EPS
         return direct.re, value, bound
 
-    records.append(_record(config, "theta/series-at-2i-vs-qseries", "Theorem 1",
-                           1e-12, series_vs_qseries))
-
-    return sorted(records, key=lambda r: r.name)
+    check("theta/series-at-2i-vs-qseries", "Theorem 1", 1e-12, series_vs_qseries)
 
 
 SUITES = {
@@ -349,16 +311,38 @@ SUITES = {
 }
 
 
-def run_suites(config: RunConfig) -> tuple[list[VerificationRecord], NonConvergence | None]:
-    """Run the configured suites in order; records sorted within each suite.
+def run_suites(
+        config: RunConfig) -> tuple[list[VerificationRecord], list[tuple[str, Exception]]]:
+    """Run the configured suites in order and build every record.
 
-    A NonConvergence stops the run: the records of the suites that finished
-    come back with it.  The second item is None when every suite finished.
+    Records come sorted by name within each suite.  An engine that gives up
+    (NonConvergence) or fails on its input (ArithmeticError, ValueError)
+    ends its own check only: the second item lists each such check's name
+    with the exception, and every other check still runs.  A tolerance
+    override that names no check of the run raises ValueError before any
+    check runs.
     """
+    if config.tol_overrides:
+        names: set[str] = set()
+        for suite in config.suites:
+            SUITES[suite](config, lambda name, *_: names.add(name))
+        unknown = sorted(set(config.tol_overrides) - names)
+        if unknown:
+            raise ValueError(f"tolerance override names no check in this run: "
+                             f"{', '.join(unknown)}")
+
     records: list[VerificationRecord] = []
+    stalls: list[tuple[str, Exception]] = []
     for suite in config.suites:
-        try:
-            records.extend(SUITES[suite](config))
-        except NonConvergence as exc:
-            return records, exc
-    return records, None
+        finished: list[VerificationRecord] = []
+
+        def check(name, anchor, default_tol, builder):
+            tol = config.tolerance(name, default_tol)
+            try:
+                finished.append(timed_record(name, anchor, tol, builder))
+            except (NonConvergence, ArithmeticError, ValueError) as exc:
+                stalls.append((name, exc))
+
+        SUITES[suite](config, check)
+        records.extend(sorted(finished, key=lambda r: r.name))
+    return records, stalls

@@ -49,24 +49,60 @@ class TestExitCodes:
         assert main(["theta", "--order", "15"]) == 2
 
     def test_failing_record_exits_one(self, capsys, monkeypatch):
-        bad = make_record("theta/synthetic-failure", "§3", 1.0, 2.0, 0.0, 0.0)
-        assert not bad.passed
-        monkeypatch.setitem(SUITES, "theta", lambda config: [bad])
+        def sides_differ(config, check):
+            check("theta/synthetic-failure", "§3", 0.0, lambda: (1.0, 2.0, 0.0))
+
+        monkeypatch.setitem(SUITES, "theta", sides_differ)
         assert main(["theta"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_engine_refusal_exits_three(self, capsys, monkeypatch):
-        def stall(config):
+        def stall():
             raise NonConvergence("synthetic stall", value=1.0, error_bound=1.0)
 
-        monkeypatch.setitem(SUITES, "kronecker", stall)
+        def stalling_suite(config, check):
+            check("kronecker/synthetic", "§3", 0.0, stall)
+
+        monkeypatch.setitem(SUITES, "kronecker", stalling_suite)
         rc = main(["special-values", "kronecker"])
         assert rc == 3
         captured = capsys.readouterr()
-        assert "engine gave up: synthetic stall" in captured.err
+        assert "engine gave up on kronecker/synthetic: synthetic stall" in captured.err
         # the suite that finished before the stall is still reported
         assert "special-values/zeta-at-2" in captured.out
         assert "7/7 checks passed" in captured.out
+
+    @pytest.mark.parametrize("argv, kept, stalled", [
+        # a = 1e-300: both form quadratures stall.
+        (["integral", "--form", "1e-300,0,1"],
+         ["integral/exp-I-vs-gamma-quotient", "integral/gamma-reflection-quarter"],
+         ["integral/f-at-1/1e-300,0,1", "integral/f-prime-at-1/1e-300,0,1"]),
+        # c = 1e-320: the form integral overflows.
+        (["integral", "--form", "1,0,1e-320"],
+         ["integral/exp-I-vs-gamma-quotient", "integral/gamma-reflection-quarter"],
+         ["integral/f-at-1/1,0,9.99989e-321", "integral/f-prime-at-1/1,0,9.99989e-321"]),
+        # c = 1e300: the lattice engine divides by zero.
+        (["kronecker", "--form", "1,0,1e300"],
+         ["kronecker/scalar-limit-vs-integral"],
+         ["kronecker/lhs-vs-rhs/1,0,1e+300", "kronecker/l1-vs-eta-log/1,0,1e+300"]),
+    ])
+    def test_engine_failure_keeps_the_checks_around_it(self, argv, kept, stalled, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        for name in kept:
+            assert name in captured.out
+        assert f"{len(kept)}/{len(kept)} checks passed" in captured.out
+        for name in stalled:
+            assert f"engine gave up on {name}: " in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("name", ["no-such-check", "theta/quotient-identity/z=0+i"])
+    def test_unknown_tolerance_name_is_config_error(self, name, capsys):
+        assert main(["theta", "--tol", f"{name}=1e-9"]) == 2
+        captured = capsys.readouterr()
+        assert "bad configuration" in captured.err
+        assert name in captured.err
+        assert captured.out == ""
 
     def test_nonfinite_form_is_config_error(self, capsys):
         assert main(["integral", "--form", "1,0,inf"]) == 2

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from thetaeval import (
     ComplexApprox,
     RunConfig,
-    SUITES,
     UpperHalfPoint,
     eta_quotient,
     eta_uhp,
     r_bruteforce,
+    run_suites,
     theta_qseries,
     theta_uhp,
 )
@@ -176,8 +176,8 @@ class TestQuotientIdentity:
         assert abs(quotient.im) < 1e-12
 
     def test_record_name_encodes_point(self):
-        records = [r for r in SUITES["theta"](RunConfig(suites=("theta",)))
-                   if r.name.startswith("theta/quotient-identity/")]
+        records, _ = run_suites(RunConfig(suites=("theta",)))
+        records = [r for r in records if r.name.startswith("theta/quotient-identity/")]
         assert [r.name for r in records] == ["theta/quotient-identity/z=0+1i",
                                              "theta/quotient-identity/z=0+3i",
                                              "theta/quotient-identity/z=0.3+1.7i"]
