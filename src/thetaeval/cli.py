@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .approx import NonConvergence
 from .report import (
     DEFAULT_FORMS,
     SUITE_NAMES,
@@ -93,7 +94,9 @@ def run(config: RunConfig) -> int:
     passed = sum(1 for r in records if r.passed)
     print(f"\n{passed}/{len(records)} checks passed")
     for name, exc in stalls:
-        print(f"engine gave up on {name}: {exc}", file=sys.stderr)
+        # A stall's message says where it stopped; a fault needs its type too.
+        detail = exc if isinstance(exc, NonConvergence) else f"{type(exc).__name__}: {exc}"
+        print(f"engine gave up on {name}: {detail}", file=sys.stderr)
 
     if config.output_path is not None:
         try:

@@ -3,15 +3,21 @@
 Everything here is exact: coefficients are unbounded Python ints and a
 truncation order fixed at construction.  The two series of interest are the
 square-indicator series (1 + 2q + 2q^4 + 2q^9 + ...) and the product
-(1-q^2)(1+q)^2 (1-q^4)(1+q^3)^2 ..., expanded factor by factor.  A product
-expander stops at the first factor congruent to 1 modulo q^(order+1), since
-later factors cannot touch retained coefficients.
+(1-q^2)(1+q)^2 (1-q^4)(1+q^3)^2 ..., expanded one binomial 1 +- q^k at a time,
+up to the last factor that can touch a retained coefficient, on an int64
+array.  Before each binomial the array turns into Python ints (dtype=object)
+once max|c| >= 2**62; a binomial at most doubles max|c|, so int64 never wraps.
+Wrapping is not acceptable although the final coefficients are 0, 1 and 2:
+arithmetic mod 2**64 proves a congruence, not the equality the product check
+certifies.  Values reach 51 bits at order 4096; orders past about 6000 promote.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -41,12 +47,16 @@ class QSeries:
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Exact Cauchy product truncated to min(a.order, b.order)."""
+    """Exact Cauchy product truncated to min(a.order, b.order); skips zeros."""
     order = min(a.order, b.order)
-    ca, cb = a.coeffs, b.coeffs
-    out = []
-    for k in range(order + 1):
-        out.append(sum(ca[i] * cb[k - i] for i in range(k + 1)))
+    nonzero_b = [(j, c) for j, c in enumerate(b.coeffs[: order + 1]) if c]
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a.coeffs[: order + 1]):
+        if ai:
+            for j, bj in nonzero_b:
+                if i + j > order:
+                    break
+                out[i + j] += ai * bj
     return QSeries(tuple(out))
 
 
@@ -65,16 +75,13 @@ def theta_qseries(order: int) -> QSeries:
 def triple_product_qseries(order: int) -> QSeries:
     """Product over n >= 1 of (1 - q^(2n)) (1 + q^(2n-1))^2, truncated."""
     _check_order(order)
-    out = [0] * (order + 1)
+    out = np.zeros(order + 1, dtype=np.int64)
     out[0] = 1
-    n = 1
-    while 2 * n - 1 <= order:
-        # (1 + q^(2n-1))^2 = 1 + 2 q^(2n-1) + q^(4n-2)
-        _mul_sparse(out, ((2 * n - 1, 2), (4 * n - 2, 1)))
-        if 2 * n <= order:
-            _mul_sparse(out, ((2 * n, -1),))
-        n += 1
-    return QSeries(tuple(out))
+    for n in range(1, (order + 1) // 2 + 1):
+        for k, e in ((2 * n - 1, 1), (2 * n - 1, 1), (2 * n, -1)):
+            if k <= order:
+                out = _times_binomial(out, k, e)
+    return QSeries(tuple(out.tolist()))
 
 
 def r_from_theta_squared(n: int, order: int) -> int:
@@ -85,16 +92,13 @@ def r_from_theta_squared(n: int, order: int) -> int:
     return _theta_squared_coeffs(order)[n]
 
 
-def _mul_sparse(coeffs: list[int], shifts: tuple[tuple[int, int], ...]) -> None:
-    # In-place multiply by 1 + sum of e * q^k over (k, e) in shifts, k >= 1.
-    # Descending index keeps the lower entries untouched until they are read.
-    top = len(coeffs) - 1
-    for j in range(top, 0, -1):
-        acc = coeffs[j]
-        for k, e in shifts:
-            if k <= j:
-                acc += e * coeffs[j - k]
-        coeffs[j] = acc
+def _times_binomial(out: np.ndarray, k: int, e: int) -> np.ndarray:
+    # Times 1 + e q^k (0 < k < out.size, e = +-1), promoted first if it could wrap.
+    if out.dtype != object and max(int(out.max()), -int(out.min())) >= 2**62:
+        out = out.astype(object)
+    # The right-hand side is built before the assignment: it reads old values.
+    out[k:] = out[k:] + e * out[: out.size - k]
+    return out
 
 
 @lru_cache(maxsize=8)

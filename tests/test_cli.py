@@ -72,19 +72,23 @@ class TestExitCodes:
         assert "special-values/zeta-at-2" in captured.out
         assert "7/7 checks passed" in captured.out
 
+    # Each stalled check is (name, exception type named on its line); a
+    # NonConvergence keeps its plain message, so its type is None.
     @pytest.mark.parametrize("argv, kept, stalled", [
         # a = 1e-300: both form quadratures stall.
         (["integral", "--form", "1e-300,0,1"],
          ["integral/exp-I-vs-gamma-quotient", "integral/gamma-reflection-quarter"],
-         ["integral/f-at-1/1e-300,0,1", "integral/f-prime-at-1/1e-300,0,1"]),
+         [("integral/f-at-1/1e-300,0,1", None), ("integral/f-prime-at-1/1e-300,0,1", None)]),
         # c = 1e-320: the form integral overflows.
         (["integral", "--form", "1,0,1e-320"],
          ["integral/exp-I-vs-gamma-quotient", "integral/gamma-reflection-quarter"],
-         ["integral/f-at-1/1,0,9.99989e-321", "integral/f-prime-at-1/1,0,9.99989e-321"]),
+         [("integral/f-at-1/1,0,9.99989e-321", "OverflowError"),
+          ("integral/f-prime-at-1/1,0,9.99989e-321", None)]),
         # c = 1e300: the lattice engine divides by zero.
         (["kronecker", "--form", "1,0,1e300"],
          ["kronecker/scalar-limit-vs-integral"],
-         ["kronecker/lhs-vs-rhs/1,0,1e+300", "kronecker/l1-vs-eta-log/1,0,1e+300"]),
+         [("kronecker/lhs-vs-rhs/1,0,1e+300", "ZeroDivisionError"),
+          ("kronecker/l1-vs-eta-log/1,0,1e+300", "ValueError")]),
     ])
     def test_engine_failure_keeps_the_checks_around_it(self, argv, kept, stalled, capsys):
         assert main(argv) == 3
@@ -92,8 +96,9 @@ class TestExitCodes:
         for name in kept:
             assert name in captured.out
         assert f"{len(kept)}/{len(kept)} checks passed" in captured.out
-        for name in stalled:
-            assert f"engine gave up on {name}: " in captured.err
+        for name, fault in stalled:
+            assert f"engine gave up on {name}: {fault + ': ' if fault else ''}" in captured.err
+        assert "NonConvergence" not in captured.err
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("name", ["no-such-check", "theta/quotient-identity/z=0+i"])
@@ -120,6 +125,10 @@ class TestExitCodes:
         for name in names:
             assert records[name]["tolerance"] == 0.0
             assert records[name]["pass"] is True
+
+    def test_deep_order_runs_in_tier_one(self, capsys):
+        assert main(["triple-product", "two-squares", "--order", "4096"]) == 0
+        assert "3/3 checks passed" in capsys.readouterr().out
 
     def test_unwritable_report_path_exits_two(self, capsys):
         rc = main(["theta", "--json", "/no-such-directory/report.json"])

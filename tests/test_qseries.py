@@ -4,8 +4,9 @@ expansion, and the representation counts read off the squared series.
 Everything in this file is integer-exact; there are no tolerances.
 """
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetaeval import (
@@ -17,6 +18,7 @@ from thetaeval import (
     theta_qseries,
     triple_product_qseries,
 )
+from thetaeval.qseries import _times_binomial
 
 
 class TestThetaQSeries:
@@ -59,6 +61,53 @@ class TestTripleProduct:
     def test_matches_theta_at_any_order(self, order):
         assert triple_product_qseries(order).coeffs == theta_qseries(order).coeffs
 
+    def test_matches_theta_past_the_promotion_point(self):
+        # Intermediate coefficients pass 2**62 near order 6000, so this order
+        # runs partly in int64 and partly in Python ints.
+        coeffs = triple_product_qseries(6000).coeffs
+        assert coeffs == theta_qseries(6000).coeffs
+        assert all(type(c) is int for c in coeffs)
+
+
+def _binomial_reference(coeffs, k, e):
+    return [c + e * coeffs[i - k] if i >= k else c for i, c in enumerate(coeffs)]
+
+
+int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+class TestTimesBinomial:
+    @pytest.mark.parametrize("coeffs, k, e", [
+        ([2**62, 2**62, 0], 1, 1),               # 2**63 would wrap
+        ([-(2**62) - 5, 2**62 + 5], 1, -1),      # 2**63 + 10 would wrap
+        ([-(2**62), -(2**62), -(2**62)], 2, 1),  # exactly at the threshold
+        ([2**63 - 1, 1, 2**63 - 1], 1, 1),
+    ])
+    def test_promotes_before_a_step_that_could_wrap(self, coeffs, k, e):
+        out = _times_binomial(np.array(coeffs, dtype=np.int64), k, e)
+        assert out.dtype == object
+        result = out.tolist()
+        assert result == _binomial_reference(coeffs, k, e)
+        assert all(type(c) is int for c in result)
+
+    def test_stays_int64_below_the_threshold(self):
+        coeffs = [2**62 - 1, 2**62 - 1, -(2**62) + 1]
+        out = _times_binomial(np.array(coeffs, dtype=np.int64), 1, 1)
+        assert out.dtype == np.int64
+        assert out.tolist() == _binomial_reference(coeffs, 1, 1)
+
+    @given(st.lists(int64s, min_size=2, max_size=12), st.data())
+    def test_matches_python_ints(self, coeffs, data):
+        k = data.draw(st.integers(min_value=1, max_value=len(coeffs) - 1))
+        e = data.draw(st.sampled_from((1, -1)))
+        out = _times_binomial(np.array(coeffs, dtype=np.int64), k, e)
+        assert out.tolist() == _binomial_reference(coeffs, k, e)
+
+    def test_keeps_going_in_python_ints(self):
+        coeffs = [2**100, -(2**100), 3]
+        out = _times_binomial(np.array(coeffs, dtype=object), 2, -1)
+        assert out.tolist() == _binomial_reference(coeffs, 2, -1)
+
 
 class TestQsMul:
     def test_difference_of_squares(self):
@@ -90,6 +139,22 @@ class TestQsMul:
 small_series = st.lists(
     st.integers(min_value=-50, max_value=50), min_size=1, max_size=12
 ).map(lambda cs: QSeries(tuple(cs)))
+
+
+sparse_series = st.lists(
+    st.one_of(st.just(0), st.integers(-(10**20), 10**20)),
+    min_size=1, max_size=40,
+).map(lambda cs: QSeries(tuple(cs)))
+
+
+@given(sparse_series, sparse_series)
+@example(QSeries((0,) * 7), QSeries((0,) * 3))
+@example(QSeries((0, 0, 5)), QSeries((0,) * 9 + (1,)))
+def test_qs_mul_matches_naive_cauchy_product(a, b):
+    order = min(a.order, b.order)
+    naive = tuple(sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1))
+                  for k in range(order + 1))
+    assert qs_mul(a, b).coeffs == naive
 
 
 @given(small_series, small_series)
