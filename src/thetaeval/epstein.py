@@ -23,6 +23,14 @@ Q(m, n)^(-s):
   with beta(w) = (4 pi^2 / D) (c w1^2 - b w1 w2 + a w2^2).  This choice
   of lambda makes both exponential decay rates equal.  Truncation tails
   are covered by proven Gaussian bounds.
+
+  Each side runs as one pass over numpy arrays: one point of each +-v
+  pair (Q(-v) = Q(v) exactly), its term, bound and cost doubled, and one
+  continued fraction for all points with x >= max(1, s + 1); the few
+  others take the scalar upper_incomplete_gamma.  Only + - * / and
+  comparisons run in numpy.  exp, log and ** stay in math, whose libm
+  results numpy's vectorized versions can miss in the last bit, so the
+  bits equal those of a point-by-point loop.
 """
 
 from __future__ import annotations
@@ -154,26 +162,43 @@ def _gamma_cached(s: float) -> ApproxValue:
     return gamma_integral(s, 1e-14)
 
 
-def _cf_upper(s: float, x: float) -> tuple[float, int]:
-    # Continued fraction for Gamma(s, x) * exp(x) * x^(-s), modified Lentz.
+def _cf_upper(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Gamma(s, x), its bound and its iteration count for each x >= max(1, s + 1).
+    # Continued fraction for Gamma(s, x) * exp(x) * x^(-s), modified Lentz,
+    # run on the whole array; an element leaves it at the iteration where it
+    # converges, so it sees exactly the IEEE operations of a scalar loop.
     tiny = 1e-300
     b0 = x + 1.0 - s
-    f = b0 if b0 != 0.0 else tiny
+    f = np.where(b0 != 0.0, b0, tiny)
     cc = f
-    dd = 0.0
+    dd = np.zeros_like(x)
+    live = np.arange(len(x))
+    cf = np.empty_like(x)
+    n = np.empty(len(x), dtype=np.int64)
     for i in range(1, 400):
+        if not len(live):
+            break
         an = -i * (i - s)
         bn = b0 + 2.0 * i
         dd = bn + an * dd
-        dd = tiny if dd == 0.0 else dd
+        dd[dd == 0.0] = tiny
         cc = bn + an / cc
-        cc = tiny if cc == 0.0 else cc
+        cc[cc == 0.0] = tiny
         dd = 1.0 / dd
         delta = cc * dd
-        f *= delta
-        if abs(delta - 1.0) < 4.0 * EPS:
-            return 1.0 / f, i
-    raise NonConvergence(f"incomplete gamma fraction stalled at s={s}, x={x}")
+        f = f * delta
+        done = np.abs(delta - 1.0) < 4.0 * EPS
+        if done.any():
+            cf[live[done]] = 1.0 / f[done]
+            n[live[done]] = i
+            keep = ~done
+            live, b0, f, cc, dd = live[keep], b0[keep], f[keep], cc[keep], dd[keep]
+    if len(live):
+        raise NonConvergence(
+            f"incomplete gamma fraction stalled at s={s}, x={float(x[live[0]])}")
+    front = np.array([math.exp(-v + s * math.log(v)) for v in x.tolist()])
+    value = front * cf
+    return value, 16.0 * EPS * np.abs(value) + 1e-306, n
 
 
 def _series_lower(s: float, x: float) -> tuple[float, int]:
@@ -213,10 +238,8 @@ def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
     if not x > 0.0:
         raise ValueError(f"need x > 0, got {x}")
     if x >= max(1.0, s + 1.0):
-        front = math.exp(-x + s * math.log(x))
-        cf, n = _cf_upper(s, x)
-        value = front * cf
-        return ApproxValue(value, 16.0 * EPS * abs(value) + 1e-306, n)
+        value, bound, n = _cf_upper(s, np.array([x], dtype=float))
+        return ApproxValue(float(value[0]), float(bound[0]), int(n[0]))
     if s > 0.0:
         whole = _gamma_cached(s)
         front = math.exp(-x + s * math.log(x))
@@ -240,6 +263,38 @@ def _gaussian_ring_tail(rate: float, prefactor: float, r: int) -> float:
     head = (prefactor / (r + 1.0)) * math.exp(-rate * (r + 1.0) ** 2)
     ratio = math.exp(-rate * (2.0 * r + 3.0))
     return head / (1.0 - ratio)
+
+
+def _pair_representatives(form: BinaryQuadraticForm, r_max: int) -> np.ndarray:
+    # Q at one point of each +-v pair on the rings 1..r_max, ring by ring:
+    # the top row and the inner left column of _ring_arrays(r), 4r points.
+    # Q(-v) = Q(v) holds exactly in floating point.
+    parts = []
+    for r in range(1, r_max + 1):
+        xs, ys = _ring_arrays(r)
+        half = np.r_[0:2 * r + 1, 4 * r + 2:6 * r + 1]
+        parts.append(evaluate(form, (xs[half], ys[half])))
+    return np.concatenate(parts)
+
+
+def _gamma_ring_sums(s: float, x: np.ndarray, weight: np.ndarray,
+                     r_max: int) -> tuple[list[float], list[float], int]:
+    # Ring sums, per-point bounds and cost of weight * Gamma(s, x) over the
+    # points of _pair_representatives, doubled to count each -v too.
+    # fsum is correctly rounded and doubling is exact, so each ring sum
+    # equals the fsum over the full ring.
+    cf_branch = x >= max(1.0, s + 1.0)
+    value = np.empty_like(x)
+    err = np.empty_like(x)
+    cost = np.empty(len(x), dtype=np.int64)
+    value[cf_branch], err[cf_branch], cost[cf_branch] = _cf_upper(s, x[cf_branch])
+    for i in np.flatnonzero(~cf_branch).tolist():
+        g = upper_incomplete_gamma(s, float(x[i]))
+        value[i], err[i], cost[i] = g.value, g.error_bound, g.cost
+    terms = (weight * value).tolist()
+    ring_sums = [2.0 * math.fsum(terms[2 * r * (r - 1):2 * r * (r + 1)])
+                 for r in range(1, r_max + 1)]
+    return ring_sums, (2.0 * (weight * err)).tolist(), 2 * int(cost.sum())
 
 
 def epstein_accelerated(form: BinaryQuadraticForm, s: float,
@@ -272,39 +327,22 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
     primal_pref = 16.0 * lam ** (s - 1.0) / lam_min
     dual_pref = 16.0 * math.pi * lam ** s / (sqrt_d * beta_scale * lam_min)
 
-    cost = 0
-    pieces = []
-    bounds = []
-
     r1 = radius_for(primal_rate, primal_pref)
-    for r in range(1, r1 + 1):
-        xs, ys = _ring_arrays(r)
-        ring = []
-        for x, y in zip(xs, ys):
-            qv = evaluate(form, (x, y))
-            g = upper_incomplete_gamma(s, lam * qv)
-            ring.append(qv ** -s * g.value)
-            bounds.append(qv ** -s * g.error_bound)
-            cost += g.cost
-        pieces.append(math.fsum(ring))
-    bounds.append(_gaussian_ring_tail(primal_rate, primal_pref, r1))
+    q = _pair_representatives(form, r1)
+    weight = np.array([v ** -s for v in q.tolist()])
+    pieces, errs, cost = _gamma_ring_sums(s, lam * q, weight, r1)
+    bounds = [*errs, _gaussian_ring_tail(primal_rate, primal_pref, r1)]
 
     pieces.append((_TWO_PI / sqrt_d) * lam ** (s - 1.0) / (s - 1.0))
     pieces.append(-lam ** s / s)
 
     r2 = radius_for(dual_rate, dual_pref)
-    dual_front = _TWO_PI / sqrt_d
-    for r in range(1, r2 + 1):
-        xs, ys = _ring_arrays(r)
-        ring = []
-        for x, y in zip(xs, ys):
-            beta = beta_scale * evaluate(adj, (x, y))
-            g = upper_incomplete_gamma(1.0 - s, beta / lam)
-            ring.append(dual_front * beta ** (s - 1.0) * g.value)
-            bounds.append(dual_front * beta ** (s - 1.0) * g.error_bound)
-            cost += g.cost
-        pieces.append(math.fsum(ring))
-    bounds.append(_gaussian_ring_tail(dual_rate, dual_pref, r2))
+    beta = beta_scale * _pair_representatives(adj, r2)
+    weight = (_TWO_PI / sqrt_d) * np.array([v ** (s - 1.0) for v in beta.tolist()])
+    dual_sums, errs, dual_cost = _gamma_ring_sums(1.0 - s, beta / lam, weight, r2)
+    pieces += dual_sums
+    bounds += [*errs, _gaussian_ring_tail(dual_rate, dual_pref, r2)]
+    cost += dual_cost
 
     total = math.fsum(pieces)
     total_bound = math.fsum(bounds) + 8.0 * EPS * abs(total)

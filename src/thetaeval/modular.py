@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
-from .approx import EPS, ApproxValue, check_tol
+from .approx import EPS, ApproxValue, NonConvergence, check_tol
 
 __all__ = [
     "UpperHalfPoint",
@@ -105,7 +106,8 @@ def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ComplexApprox:
 
     The product is cut once the remaining log-factors are bounded by rho
     with |value| * (exp(rho) - 1) <= tol; that quantity is the reported
-    error_bound.
+    error_bound.  Raises NonConvergence where |value| underflows below the
+    normal range (Im z beyond about 2700) and a relative bound fails.
     """
     check_tol(tol)
     y = z.im
@@ -121,6 +123,8 @@ def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ComplexApprox:
     prod = cmath.exp(1j * math.pi * zc / 12.0)
     for n in range(1, n_max + 1):
         prod *= 1.0 - cmath.exp(2j * math.pi * n * zc)
+    if abs(prod) < sys.float_info.min:
+        raise NonConvergence(f"eta product underflows at Im z = {y:g}")
     bound = abs(prod) * (math.expm1(_eta_log_tail(n_max, absw))
                          + 4.0 * (n_max + 2) * EPS)
     return ComplexApprox(prod.real, prod.imag, bound)

@@ -28,6 +28,8 @@ from thetaeval import (
     upper_incomplete_gamma,
     zeta,
 )
+from thetaeval.approx import EPS, ApproxValue
+from thetaeval.epstein import _cf_upper, _gaussian_ring_tail
 
 # scripts/compute_oracles.py: Simpson after t = 1 + w^2
 ORACLE_GAMMA_HALF_ONE = 0.27880558528066196
@@ -265,6 +267,106 @@ class TestUpperIncompleteGamma:
     def test_monotone_decreasing_in_x(self):
         values = [upper_incomplete_gamma(0.75, x).value for x in (0.5, 1.0, 2.0, 4.0)]
         assert values == sorted(values, reverse=True)
+
+
+@given(s=st.floats(min_value=-2.0, max_value=4.0),
+       offsets=st.lists(st.one_of(st.floats(min_value=0.0, max_value=50.0),
+                                  st.floats(min_value=1000.0, max_value=9000.0)),
+                        min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_array_fraction_matches_one_element_calls(s, offsets):
+    # Each element stops at its own iteration, so the array kernel must give
+    # bit for bit what one-element calls give, whatever its neighbours.
+    x = np.array([max(1.0, s + 1.0) + d for d in offsets])
+    values, bounds, counts = _cf_upper(s, x)
+    for k, xk in enumerate(x.tolist()):
+        one = _cf_upper(s, np.array([xk]))
+        assert values[k].hex() == one[0][0].hex()
+        assert bounds[k].hex() == one[1][0].hex()
+        assert counts[k] == one[2][0]
+        scalar = upper_incomplete_gamma(s, xk)
+        assert (scalar.value, scalar.error_bound, scalar.cost) == (
+            values[k], bounds[k], counts[k])
+
+
+def test_array_fraction_stall_names_the_first_stalled_x():
+    # nan and inf never converge; the message names the first in array order.
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonConvergence, match=r"stalled at s=1.5, x=nan$"):
+            _cf_upper(1.5, np.array([2.0, math.nan, 3.0, math.inf]))
+
+
+def _ring(r):
+    return [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)
+            if max(abs(x), abs(y)) == r]
+
+
+def _accelerated_point_by_point(form, s, tol):
+    """The accelerated lattice sum with one upper_incomplete_gamma call per
+    lattice point and one fsum per ring, without the final stall check."""
+    sqrt_d = math.sqrt(form.disc)
+    lam = 2.0 * math.pi / sqrt_d
+    gamma_whole = gamma_integral(s, 1e-14)
+    budget = 0.25 * tol * gamma_whole.value
+    lam_min = form.lambda_min
+    adj = form.adjugate()
+    beta_scale = 4.0 * math.pi ** 2 / form.disc
+    primal_rate = lam * lam_min
+    dual_rate = beta_scale * lam_min / lam
+
+    def radius_for(rate, prefactor):
+        r = max(2, math.ceil(math.sqrt(max(2.0 * s, 2.0) / rate)))
+        while _gaussian_ring_tail(rate, prefactor, r) > budget:
+            r += 1
+        return r
+
+    primal_pref = 16.0 * lam ** (s - 1.0) / lam_min
+    dual_pref = 16.0 * math.pi * lam ** s / (sqrt_d * beta_scale * lam_min)
+    pieces, bounds, cost = [], [], 0
+    r1 = radius_for(primal_rate, primal_pref)
+    for r in range(1, r1 + 1):
+        ring = []
+        for v in _ring(r):
+            qv = evaluate(form, (float(v[0]), float(v[1])))
+            g = upper_incomplete_gamma(s, lam * qv)
+            ring.append(qv ** -s * g.value)
+            bounds.append(qv ** -s * g.error_bound)
+            cost += g.cost
+        pieces.append(math.fsum(ring))
+    bounds.append(_gaussian_ring_tail(primal_rate, primal_pref, r1))
+    pieces.append((2.0 * math.pi / sqrt_d) * lam ** (s - 1.0) / (s - 1.0))
+    pieces.append(-lam ** s / s)
+    r2 = radius_for(dual_rate, dual_pref)
+    for r in range(1, r2 + 1):
+        ring = []
+        for w in _ring(r):
+            beta = beta_scale * evaluate(adj, (float(w[0]), float(w[1])))
+            g = upper_incomplete_gamma(1.0 - s, beta / lam)
+            front = 2.0 * math.pi / sqrt_d * beta ** (s - 1.0)
+            ring.append(front * g.value)
+            bounds.append(front * g.error_bound)
+            cost += g.cost
+        pieces.append(math.fsum(ring))
+    bounds.append(_gaussian_ring_tail(dual_rate, dual_pref, r2))
+    total = math.fsum(pieces)
+    total_bound = math.fsum(bounds) + 8.0 * EPS * abs(total)
+    return ApproxValue(total, total_bound, cost) / gamma_whole
+
+
+@pytest.mark.parametrize("coeffs", FOUR_FORMS + [(1.0, 0.53, 1e4)])
+@pytest.mark.parametrize("s", [1.0 + 2.0 ** -10, 1.25, 1.5, 2.0, 3.0])
+def test_accelerated_matches_point_by_point_loop(coeffs, s):
+    # At s = 2 and 3 the dual side takes the E1 and recurrence branches.
+    form = BinaryQuadraticForm(*coeffs)
+    tol = 1e-12
+    try:
+        fast = epstein_accelerated(form, s, tol)
+    except NonConvergence as exc:
+        fast = ApproxValue(exc.value, exc.error_bound, exc.cost)
+    slow = _accelerated_point_by_point(form, s, tol)
+    assert fast.value.hex() == slow.value.hex()
+    assert fast.error_bound.hex() == slow.error_bound.hex()
+    assert fast.cost == slow.cost
 
 
 def _tail_integral(s, x):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from thetaeval import (
     ComplexApprox,
+    NonConvergence,
     RunConfig,
     UpperHalfPoint,
     eta_quotient,
@@ -140,6 +141,24 @@ class TestEtaProduct:
             a = eta_uhp(z, 1e-13).magnitude()
             b = eta_uhp(shifted, 1e-13).magnitude()
             assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
+    @pytest.mark.parametrize("im", [2720.0, 1e150])
+    def test_underflow_is_refused(self, im):
+        # |eta| is about exp(-pi Im z / 12): below the normal range here,
+        # and exactly 0 at 1e150, which a zero bound would certify.
+        with pytest.raises(NonConvergence, match="Im z"):
+            eta_uhp(UpperHalfPoint(0.0, im))
+
+
+@given(im=st.floats(min_value=0.5, max_value=1e300))
+@settings(max_examples=60, deadline=None)
+def test_eta_never_certifies_an_underflowed_value(im):
+    try:
+        r = eta_uhp(UpperHalfPoint(0.0, im))
+    except NonConvergence:
+        return
+    assert r.error_bound > 0.0
+    assert abs(r.as_complex()) > r.error_bound
 
 
 def _quotient_gap(z, tol):
