@@ -3,17 +3,19 @@
 Two experiments:
 
 1. Grid study: on the standard four forms and s in {1.25, 1.5, 2, 3},
-   compare the direct engine at a given radius against the accelerated
-   engine pushed to 1e-12 (treated as truth here; its own bound is
-   orders of magnitude below anything the direct engine can reach).
-   Report err, bound, and err/bound.  Every ratio must stay below 1.
+   compare the direct engine at a given tolerance against the accelerated
+   engine pushed to 1e-12 (treated as truth here; its own bound is orders
+   of magnitude below anything the direct engine is asked for).  Report
+   err, bound, and err/bound.  Every ratio must stay below 1.
 
-2. Radius sweep: fix the unit form at s = 2 and double the radius from
-   64 up.  The truncation tail is removed analytically, so what is left
-   is the rim discrepancy, which should decay like 1/radius^2.  The
-   printed fitted slope makes the decay visible.
+2. Tolerance sweep: fix the unit form at s = 2 and lower the tolerance
+   tenfold at a time from 1e-3.  The engine sums the level set Q <= T for
+   the smallest T whose proven bound meets the tolerance; T is read back
+   as cost sqrt(D) / (2 pi), the points summed over the area per level.
+   The bound falls like T^(1/2 - s) = T^(-1.5); the fitted slope of the
+   true error against T shows how much lower the error sits.
 
-Usage: python scripts/calibrate_direct_engine.py [--radius N] [--sweep-max N]
+Usage: python scripts/calibrate_direct_engine.py [--grid-tol TOL] [--sweep-min TOL]
 """
 
 import argparse
@@ -26,15 +28,15 @@ FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
 S_GRID = (1.25, 1.5, 2.0, 3.0)
 
 
-def grid_study(radius):
-    print(f"grid study, radius {radius}")
+def grid_study(tol):
+    print(f"grid study, tolerance {tol:g}")
     print(f"{'form':>10} {'s':>5} {'err':>10} {'bound':>10} {'ratio':>7}")
     worst = 0.0
     for triple in FORMS:
         form = BinaryQuadraticForm(*triple)
         for s in S_GRID:
             truth = epstein_accelerated(form, s, 1e-12)
-            got = epstein_direct(form, s, radius)
+            got = epstein_direct(form, s, tol)
             err = abs(got.value - truth.value)
             ratio = err / got.error_bound
             worst = max(worst, ratio)
@@ -45,43 +47,50 @@ def grid_study(radius):
     return worst
 
 
-def radius_sweep(max_radius):
+def _slope(rows):
+    # least-squares slope of log y against log x
+    xs = [math.log(x) for x, _ in rows]
+    ys = [math.log(y) for _, y in rows]
+    n = len(xs)
+    xbar, ybar = sum(xs) / n, sum(ys) / n
+    return (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+            / sum((x - xbar) ** 2 for x in xs))
+
+
+def tolerance_sweep(min_tol):
     form = BinaryQuadraticForm(1.0, 0.0, 1.0)
     truth = epstein_accelerated(form, 2.0, 1e-12)
-    print("radius sweep, unit form, s = 2")
-    print(f"{'radius':>7} {'err':>10} {'bound':>10} {'seconds':>8}")
-    rows = []
-    radius = 64
-    while radius <= max_radius:
+    print("tolerance sweep, unit form, s = 2")
+    print(f"{'tol':>8} {'level T':>10} {'err':>10} {'bound':>10} {'ratio':>7} {'seconds':>8}")
+    errs, bounds = [], []
+    tol = 1e-3
+    while tol >= min_tol * (1.0 - 1e-9):
         start = time.perf_counter()
-        got = epstein_direct(form, 2.0, radius)
+        got = epstein_direct(form, 2.0, tol)
         elapsed = time.perf_counter() - start
+        level = got.cost * math.sqrt(form.disc) / (2.0 * math.pi)
         err = abs(got.value - truth.value)
-        rows.append((radius, err))
-        print(f"{radius:>7} {err:>10.2e} {got.error_bound:>10.2e} {elapsed:>8.2f}")
-        radius *= 2
-    # least-squares slope of log err against log radius
-    xs = [math.log(r) for r, _ in rows]
-    ys = [math.log(e) for _, e in rows if e > 0.0]
-    xs = xs[:len(ys)]
-    n = len(xs)
-    if n >= 2:
-        xbar, ybar = sum(xs) / n, sum(ys) / n
-        slope = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-                 / sum((x - xbar) ** 2 for x in xs))
-        print(f"fitted decay exponent: {slope:.2f} (expected near -2)\n")
+        print(f"{tol:>8.0e} {level:>10.4g} {err:>10.2e} {got.error_bound:>10.2e} "
+              f"{err / got.error_bound:>7.3f} {elapsed:>8.2f}")
+        if err > 0.0:
+            errs.append((level, err))
+        bounds.append((level, got.error_bound))
+        tol /= 10.0
+    if len(errs) >= 2:
+        print(f"fitted decay exponent in T: error {_slope(errs):.2f}, "
+              f"bound {_slope(bounds):.2f} (proven -1.5)\n")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--radius", type=int, default=256,
-                        help="grid-study radius (default 256)")
-    parser.add_argument("--sweep-max", type=int, default=2048,
-                        help="largest radius in the sweep (default 2048)")
+    parser.add_argument("--grid-tol", type=float, default=1e-2,
+                        help="grid-study tolerance (default 1e-2)")
+    parser.add_argument("--sweep-min", type=float, default=1e-8,
+                        help="smallest tolerance in the sweep (default 1e-8)")
     args = parser.parse_args()
 
-    worst = grid_study(args.radius)
-    radius_sweep(args.sweep_max)
+    worst = grid_study(args.grid_tol)
+    tolerance_sweep(args.sweep_min)
     if worst >= 1.0:
         raise SystemExit("bound violated somewhere on the grid")
     print("bound held everywhere")

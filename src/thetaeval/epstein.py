@@ -1,15 +1,29 @@
 """Lattice sums of a positive-definite binary quadratic form.
 
 Two independent engines evaluate Z(s) = sum over nonzero integer pairs of
-Q(m, n)^(-s):
+Q(m, n)^(-s), s > 1.  Both walk level sets {v != 0 : Q(v) <= T} with one
+enumerator, _level_set.  It goes row by row in y, takes in each row the
+x-interval that solves the quadratic, keeps one point of each +-v pair
+(Q(-v) = Q(v) exactly, so each term counts twice) and streams blocks of at
+most _BLOCK points.  A level set that would take more than _MAX_POINTS
+candidate points is refused with NonConvergence before any is visited.
 
-* epstein_direct sums max-norm rings out to a radius and replaces the
-  remainder by the area integral of Q^(-s) over the level set Q > T,
-  with T the largest level inscribed in the summed square.  That integral
-  is (2 pi / sqrt D) T^(1-s) / (s-1).  The sum inside the square but
-  outside the level set is then counted twice, which is the dominant
-  error; the reported bound covers it by the mismatch-area estimate plus
-  a ring-discrepancy allowance.  An oracle of moderate accuracy, s > 1.
+Tails are proven through the lattice-point count.  The unit cell of a
+point with Q <= t lies inside Q <= (sqrt t + sqrt(lambda_max / 2))^2, and
+the cells cover Q <= (sqrt t - sqrt(lambda_max / 2))^2, so
+
+    |#{v != 0 : Q(v) <= t} - (2 pi / sqrt D) t| <= alpha sqrt(t) + beta,
+    alpha = (2 pi / sqrt D) sqrt(2 lambda_max),
+    beta = (2 pi / sqrt D) lambda_max / 2 + 1,
+
+with D = 4ac - b^2 and lambda_max the larger eigenvalue of
+[[a, b/2], [b/2, c]].
+
+* epstein_direct sums Q^(-s) over Q <= T exactly and adds the area
+  integral of Q^(-s) over Q > T, (2 pi / sqrt D) T^(1-s) / (s-1).  Abel
+  summation against the count bound proves the error at most
+  alpha T^(1/2-s) (1 + s/(s-1/2)) + 2 beta T^(-s), plus rounding; T is the
+  smallest level at which that meets the tolerance.
 * epstein_accelerated splits the Mellin integral for Gamma(s) Q^(-s) at
   lambda = 2 pi / sqrt D.  The upper part is a lattice sum of incomplete
   gamma values; the lower part, Poisson-summed, becomes the matching sum
@@ -20,17 +34,21 @@ Q(m, n)^(-s):
                     + (2 pi / sqrt D) sum_{w != 0} beta(w)^(s-1)
                                                    Gamma(1-s, beta(w)/lambda)
 
-  with beta(w) = (4 pi^2 / D) (c w1^2 - b w1 w2 + a w2^2).  This choice
-  of lambda makes both exponential decay rates equal.  Truncation tails
-  are covered by proven Gaussian bounds.
+  with beta(w) = (4 pi^2 / D) (c w1^2 - b w1 w2 + a w2^2) = lambda^2 Q'(w).
+  The adjugate form Q' has the same D and eigenvalues, so both sides are
+  summed to one level T under one tail bound.  A term at level t falls
+  with t and is at most lambda^(s-1) e^(-lambda t) / (kappa t), by
+  Gamma(s, x) <= x^(s-1) e^(-x) / kappa for s > 1, x > s - 1 and
+  kappa = 1 - (s-1)/x (taken at x = lambda T), and by
+  Gamma(s, x) <= x^(s-1) e^(-x) for s <= 1.  Summed against the count
+  bound, each side's tail past T is at most that envelope at T times
+  1 + alpha / (lambda sqrt T) + 2 alpha sqrt T + 2 beta.  T is set so the
+  tails stay far below the rounding allowance.
 
-  Each side runs as one pass over numpy arrays: one point of each +-v
-  pair (Q(-v) = Q(v) exactly), its term, bound and cost doubled, and one
-  continued fraction for all points with x >= max(1, s + 1); the few
-  others take the scalar upper_incomplete_gamma.  Only + - * / and
-  comparisons run in numpy.  exp, log and ** stay in math, whose libm
-  results numpy's vectorized versions can miss in the last bit, so the
-  bits equal those of a point-by-point loop.
+  Each block takes one continued fraction for its points with x >= max(1,
+  s + 1), the few others the scalar upper_incomplete_gamma, and one fsum;
+  one more fsum adds the blocks.  The continued fraction keeps exp and log
+  in math, per point, so its values do not depend on the array around them.
 """
 
 from __future__ import annotations
@@ -55,6 +73,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_BLOCK = 4096
+_MAX_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -78,13 +98,6 @@ class BinaryQuadraticForm:
         """The positive quantity 4ac - b^2."""
         return 4.0 * self.a * self.c - self.b * self.b
 
-    @property
-    def lambda_min(self) -> float:
-        """Smallest eigenvalue of the Gram matrix [[a, b/2], [b/2, c]]."""
-        half_trace = 0.5 * (self.a + self.c)
-        radius = 0.5 * math.hypot(self.a - self.c, self.b)
-        return half_trace - radius
-
     def z_point(self) -> UpperHalfPoint:
         """The root (-b + i sqrt(4ac - b^2)) / (2a) of a z^2 + b z + c."""
         return UpperHalfPoint(-self.b / (2.0 * self.a),
@@ -104,61 +117,103 @@ def evaluate(form: BinaryQuadraticForm, v: tuple[float, float]) -> float:
     return form.a * x * x + form.b * x * y + form.c * y * y
 
 
-def _ring_arrays(r: int) -> tuple[np.ndarray, np.ndarray]:
-    # The 8r points with max-norm exactly r, in a fixed deterministic order.
-    side = np.arange(-r, r + 1)
-    inner = np.arange(-r + 1, r)
-    xs = np.concatenate([side, side, np.full(len(inner), -r), np.full(len(inner), r)])
-    ys = np.concatenate([np.full(len(side), r), np.full(len(side), -r), inner, inner])
-    return xs.astype(float), ys.astype(float)
+def _count_bound(form: BinaryQuadraticForm) -> tuple[float, float]:
+    # alpha and beta of the lattice-point count bound (module docstring).
+    area = _TWO_PI / math.sqrt(form.disc)
+    lam_max = 0.5 * (form.a + form.c) + 0.5 * math.hypot(form.a - form.c, form.b)
+    return area * math.sqrt(2.0 * lam_max), area * lam_max / 2.0 + 1.0
 
 
-def _min_on_unit_ring(form: BinaryQuadraticForm) -> float:
-    # Minimum of Q on the max-norm unit sphere; Q scales with the square of
-    # the max-norm, so this converts a square radius into a level.
-    vals = []
-    for (p, q, rr) in ((form.a, form.b, form.c), (form.c, form.b, form.a)):
-        # rr t^2 + q t + p on t in [-1, 1]
-        vals.extend((p + q + rr, p - q + rr))
-        t = -q / (2.0 * rr)
-        if -1.0 < t < 1.0:
-            vals.append(p + q * t + rr * t * t)
-    return min(vals)
+def _smallest_level(bound, target: float) -> float:
+    # Smallest level t, to a relative 1e-9, with bound(t) <= target, for a
+    # bound that decreases in t: double or halve from 1, then bisect.
+    hi = 1.0
+    while bound(hi) > target:
+        hi *= 2.0
+    while hi > 1e-300 and bound(hi / 2.0) <= target:
+        hi /= 2.0
+    lo = hi / 2.0
+    for _ in range(32):
+        mid = math.sqrt(lo * hi)
+        if bound(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
-def epstein_direct(form: BinaryQuadraticForm, s: float, radius: int = 256) -> ApproxValue:
-    """Ring-by-ring lattice sum with an area-integral tail.  Oracle grade.
+def _level_set(form: BinaryQuadraticForm, level: float):
+    """Q(v) for one v of each +-v pair with 0 < Q(v) <= level, in blocks.
 
-    The bound is heuristic: the inscribed-level mismatch term dominates and
-    decays like radius^(2 - 2s), so expect moderate accuracy only.
+    The representatives are the points with y > 0 and those with
+    y = 0 < x.  Row y takes the integers of the x-interval that solves
+    Q(x, y) <= level, widened by one on each side, and keeps those whose
+    value, computed as in evaluate(), is at most level.  Each block holds
+    at most _BLOCK values.  Raises NonConvergence before any work when the
+    candidates could number more than _MAX_POINTS.
+    """
+    a, b, c, disc = form.a, form.b, form.c, form.disc
+    height = math.sqrt(4.0 * a * level / disc)
+    # Half the ellipse's area, its widest row, and five per row.
+    work = math.pi * level / math.sqrt(disc) + 2.0 * math.sqrt(level / a) + 5.0 * height + 10.0
+    if not work <= _MAX_POINTS:
+        raise NonConvergence(
+            f"level set Q <= {level:g} could hold more than {_MAX_POINTS} points")
+    rows = math.floor(height) + 2
+    for y0 in range(0, rows, _BLOCK):
+        y = np.arange(y0, min(y0 + _BLOCK, rows), dtype=float)
+        half = np.sqrt(np.maximum(4.0 * a * level - disc * y * y, 0.0)) / (2.0 * a)
+        mid = -b * y / (2.0 * a)
+        lo = np.floor(mid - half) - 1.0
+        if y0 == 0:
+            lo[0] = 1.0
+        width = np.maximum(np.ceil(mid + half) + 2.0 - lo, 0.0).astype(np.int64)
+        end = np.cumsum(width)
+        for k0 in range(0, int(end[-1]), _BLOCK):
+            k = np.arange(k0, min(k0 + _BLOCK, int(end[-1])))
+            row = np.searchsorted(end, k, side="right")
+            xs = lo[row] + (k - (end[row] - width[row]))
+            ys = y[row]
+            q = a * xs * xs + b * xs * ys + c * ys * ys
+            yield q[q <= level]
+
+
+def epstein_direct(form: BinaryQuadraticForm, s: float, tol: float = 1e-2) -> ApproxValue:
+    """Sum of Q^(-s) over the level set Q <= T plus the area integral past T.
+
+    T is the smallest level whose proven truncation bound (module
+    docstring) is within tol, less a share kept for rounding.  Raises
+    NonConvergence if the bound with rounding still exceeds tol.
     """
     if not s > 1.0:
         raise ValueError(f"need s > 1, got {s}")
-    if not (isinstance(radius, int) and radius >= 8):
-        raise ValueError(f"radius must be an integer >= 8, got {radius!r}")
-    a, b, c = form.a, form.b, form.c
-    ring_sums = []
-    for r in range(1, radius + 1):
-        xs, ys = _ring_arrays(r)
-        q = a * xs * xs + b * xs * ys + c * ys * ys
-        ring_sums.append(float(np.sum(q ** -s)))
-    half_width = radius + 0.5
-    level = _min_on_unit_ring(form) * half_width * half_width
-    sqrt_d = math.sqrt(form.disc)
-    tail = (_TWO_PI / sqrt_d) * level ** (1.0 - s) / (s - 1.0)
-    value = math.fsum(ring_sums) + tail
+    check_tol(tol)
+    alpha, beta = _count_bound(form)
 
-    # Double-counted region: inside the square, outside the level set.
-    mismatch_area = max(0.0, (2.0 * half_width) ** 2 - _TWO_PI * level / sqrt_d)
-    bias = level ** -s * mismatch_area
-    # Sum-versus-integral discrepancy along the boundary ring.
-    discrepancy = 16.0 * s * half_width * (form.lambda_min * radius * radius) ** -s
-    bound = 1.25 * bias + discrepancy + 8.0 * EPS * abs(value)
-    return ApproxValue(value, bound, 4 * radius * (radius + 1))
+    def truncation(t: float) -> float:
+        return alpha * t ** (0.5 - s) * (1.0 + s / (s - 0.5)) + 2.0 * beta * t ** -s
+
+    level = _smallest_level(truncation, (1.0 - 2.0 ** -10) * tol)
+    sums, cost = [], 0
+    for q in _level_set(form, level):
+        sums.append(math.fsum((q ** -s).tolist()))
+        cost += 2 * len(q)
+    tail = (_TWO_PI / math.sqrt(form.disc)) * level ** (1.0 - s) / (s - 1.0)
+    value = 2.0 * math.fsum(sums) + tail
+    bound = truncation(level) + 8.0 * EPS * abs(value)
+    if bound > tol:
+        raise NonConvergence(f"direct lattice sum stalled above tol={tol:g}",
+                             value=value, error_bound=bound, cost=cost)
+    return ApproxValue(value, bound, cost)
 
 
 @lru_cache(maxsize=64)
 def _gamma_cached(s: float) -> ApproxValue:
+    # Gamma(s) = Gamma(s + 1) / s: near s = 0, Gamma(s) ~ 1/s is too large
+    # for an absolute 1e-14.  Rounding s + 1 moves Gamma by less than EPS.
+    if s < 0.5:
+        lifted = gamma_integral(s + 1.0, 1e-14)
+        return ApproxValue(lifted.value / s, (lifted.error_bound + 2.0 * EPS) / s, lifted.cost)
     return gamma_integral(s, 1e-14)
 
 
@@ -257,32 +312,9 @@ def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
     return ApproxValue(value, bound, lifted.cost + 1)
 
 
-def _gaussian_ring_tail(rate: float, prefactor: float, r: int) -> float:
-    # Bound for sum over rings beyond r of (prefactor / r') exp(-rate r'^2):
-    # first omitted ring times the geometric envelope of the rest.
-    head = (prefactor / (r + 1.0)) * math.exp(-rate * (r + 1.0) ** 2)
-    ratio = math.exp(-rate * (2.0 * r + 3.0))
-    return head / (1.0 - ratio)
-
-
-def _pair_representatives(form: BinaryQuadraticForm, r_max: int) -> np.ndarray:
-    # Q at one point of each +-v pair on the rings 1..r_max, ring by ring:
-    # the top row and the inner left column of _ring_arrays(r), 4r points.
-    # Q(-v) = Q(v) holds exactly in floating point.
-    parts = []
-    for r in range(1, r_max + 1):
-        xs, ys = _ring_arrays(r)
-        half = np.r_[0:2 * r + 1, 4 * r + 2:6 * r + 1]
-        parts.append(evaluate(form, (xs[half], ys[half])))
-    return np.concatenate(parts)
-
-
-def _gamma_ring_sums(s: float, x: np.ndarray, weight: np.ndarray,
-                     r_max: int) -> tuple[list[float], list[float], int]:
-    # Ring sums, per-point bounds and cost of weight * Gamma(s, x) over the
-    # points of _pair_representatives, doubled to count each -v too.
-    # fsum is correctly rounded and doubling is exact, so each ring sum
-    # equals the fsum over the full ring.
+def _gamma_block(s: float, x: np.ndarray, weight: np.ndarray) -> tuple[float, float, int]:
+    # Sum of weight * Gamma(s, x) over one block of pair representatives,
+    # its bound and its cost, each doubled to count every -v too.
     cf_branch = x >= max(1.0, s + 1.0)
     value = np.empty_like(x)
     err = np.empty_like(x)
@@ -291,10 +323,8 @@ def _gamma_ring_sums(s: float, x: np.ndarray, weight: np.ndarray,
     for i in np.flatnonzero(~cf_branch).tolist():
         g = upper_incomplete_gamma(s, float(x[i]))
         value[i], err[i], cost[i] = g.value, g.error_bound, g.cost
-    terms = (weight * value).tolist()
-    ring_sums = [2.0 * math.fsum(terms[2 * r * (r - 1):2 * r * (r + 1)])
-                 for r in range(1, r_max + 1)]
-    return ring_sums, (2.0 * (weight * err)).tolist(), 2 * int(cost.sum())
+    return (2.0 * math.fsum((weight * value).tolist()),
+            2.0 * math.fsum((weight * err).tolist()), 2 * int(cost.sum()))
 
 
 def epstein_accelerated(form: BinaryQuadraticForm, s: float,
@@ -303,46 +333,33 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
     if not s > 1.0:
         raise ValueError(f"need s > 1, got {s}")
     check_tol(tol)
-    sqrt_d = math.sqrt(form.disc)
-    lam = _TWO_PI / sqrt_d
+    lam = _TWO_PI / math.sqrt(form.disc)
     gamma_whole = _gamma_cached(s)
-    # Budget in the Gamma(s) Z(s) scale.
-    budget = 0.25 * tol * gamma_whole.value
+    alpha, beta = _count_bound(form)
 
-    lam_min = form.lambda_min
-    adj = form.adjugate()
-    beta_scale = 4.0 * math.pi ** 2 / form.disc
+    def tail(t: float) -> float:
+        # Either side's terms past level t (module docstring).
+        kappa = 1.0 - (s - 1.0) / (lam * t)
+        if kappa < 0.5:
+            return math.inf
+        envelope = lam ** (s - 1.0) * math.exp(-lam * t) / (kappa * t)
+        root = math.sqrt(t)
+        return envelope * (1.0 + alpha / (lam * root) + 2.0 * alpha * root + 2.0 * beta)
 
-    primal_rate = lam * lam_min
-    dual_rate = beta_scale * lam_min / lam  # equals primal_rate by construction
-
-    def radius_for(rate: float, prefactor: float) -> int:
-        r = max(2, math.ceil(math.sqrt(max(2.0 * s, 2.0) / rate)))
-        while _gaussian_ring_tail(rate, prefactor, r) > budget:
-            r += 1
-            if r > 10_000:
-                raise NonConvergence("lattice truncation radius exploded")
-        return r
-
-    primal_pref = 16.0 * lam ** (s - 1.0) / lam_min
-    dual_pref = 16.0 * math.pi * lam ** s / (sqrt_d * beta_scale * lam_min)
-
-    r1 = radius_for(primal_rate, primal_pref)
-    q = _pair_representatives(form, r1)
-    weight = np.array([v ** -s for v in q.tolist()])
-    pieces, errs, cost = _gamma_ring_sums(s, lam * q, weight, r1)
-    bounds = [*errs, _gaussian_ring_tail(primal_rate, primal_pref, r1)]
-
-    pieces.append((_TWO_PI / sqrt_d) * lam ** (s - 1.0) / (s - 1.0))
-    pieces.append(-lam ** s / s)
-
-    r2 = radius_for(dual_rate, dual_pref)
-    beta = beta_scale * _pair_representatives(adj, r2)
-    weight = (_TWO_PI / sqrt_d) * np.array([v ** (s - 1.0) for v in beta.tolist()])
-    dual_sums, errs, dual_cost = _gamma_ring_sums(1.0 - s, beta / lam, weight, r2)
-    pieces += dual_sums
-    bounds += [*errs, _gaussian_ring_tail(dual_rate, dual_pref, r2)]
-    cost += dual_cost
+    # Both tails together stay far below the rounding allowance
+    # 8 EPS |total|: total > lam^s / (s-1) - lam^s / s, as both lattice
+    # sums are positive.
+    level = _smallest_level(tail, EPS * lam ** s / (32.0 * s * (s - 1.0)))
+    pieces = [lam ** s / (s - 1.0), -lam ** s / s]
+    bounds = [2.0 * tail(level)]
+    cost = 0
+    sides = ((form, s, 1.0, -s), (form.adjugate(), 1.0 - s, lam ** (2.0 * s - 1.0), s - 1.0))
+    for side, order, scale, power in sides:
+        for q in _level_set(side, level):
+            value, bound, n = _gamma_block(order, lam * q, scale * q ** power)
+            pieces.append(value)
+            bounds.append(bound)
+            cost += n
 
     total = math.fsum(pieces)
     total_bound = math.fsum(bounds) + 8.0 * EPS * abs(total)

@@ -84,11 +84,11 @@ class TestExitCodes:
          ["integral/exp-I-vs-gamma-quotient", "integral/gamma-reflection-quarter"],
          [("integral/f-at-1/1,0,9.99989e-321", "OverflowError"),
           ("integral/f-prime-at-1/1,0,9.99989e-321", None)]),
-        # c = 1e300: the lattice engine divides by zero, and eta at
-        # z_Q = 1e150 i underflows, which eta_uhp refuses.
+        # c = 1e300: the lattice level set would pass the work cap, and eta
+        # at z_Q = 1e150 i underflows; both engines refuse.
         (["kronecker", "--form", "1,0,1e300"],
          ["kronecker/scalar-limit-vs-integral"],
-         [("kronecker/lhs-vs-rhs/1,0,1e+300", "ZeroDivisionError"),
+         [("kronecker/lhs-vs-rhs/1,0,1e+300", None),
           ("kronecker/l1-vs-eta-log/1,0,1e+300", None)]),
     ])
     def test_engine_failure_keeps_the_checks_around_it(self, argv, kept, stalled, capsys):
@@ -128,14 +128,14 @@ class TestExitCodes:
             assert records[name]["pass"] is True
 
     def test_elongated_form_passes(self, capsys):
-        assert main(["epstein", "kronecker", "--form", "1,0,1e5"]) == 0
+        assert main(["epstein", "kronecker", "--form", "1,0,1e6"]) == 0
         assert "12/12 checks passed" in capsys.readouterr().out
 
     def test_more_elongated_form_stalls_only_the_limit_check(self, capsys):
-        assert main(["epstein", "kronecker", "--form", "1,0,1e6"]) == 3
+        assert main(["epstein", "kronecker", "--form", "1,0,4e6"]) == 3
         captured = capsys.readouterr()
         assert "11/11 checks passed" in captured.out
-        assert "engine gave up on kronecker/lhs-vs-rhs/1,0,1e+06: " in captured.err
+        assert "engine gave up on kronecker/lhs-vs-rhs/1,0,4e+06: " in captured.err
         assert captured.err.count("engine gave up on") == 1
 
     def test_deep_order_runs_in_tier_one(self, capsys):

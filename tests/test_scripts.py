@@ -19,7 +19,7 @@ SCRIPTS = ROOT / "scripts"
 
 @pytest.mark.parametrize("argv", [
     ["limit_table.py"],
-    ["calibrate_direct_engine.py", "--radius", "32", "--sweep-max", "64"],
+    ["calibrate_direct_engine.py", "--grid-tol", "0.1", "--sweep-min", "1e-5"],
 ])
 def test_script_runs(argv):
     env = dict(os.environ)
