@@ -281,17 +281,28 @@ def test_accelerated_tracks_dirichlet_product(s):
     assert abs(fast.value - rhs.value) <= fast.error_bound + rhs.error_bound + 1e-11
 
 
+def _result_or_partial(engine, *args):
+    # The engine's value, or the partial value and bound of its stall.
+    try:
+        return engine(*args)
+    except NonConvergence as exc:
+        return ApproxValue(exc.value, exc.error_bound, exc.cost)
+
+
 @given(sheared_forms, st.floats(min_value=1.1, max_value=4.0),
        st.floats(min_value=0.25, max_value=1.0))
 @settings(max_examples=40, deadline=None)
 def test_direct_bound_holds_against_accelerated(triple, s, depth):
     # The direct tolerance runs from 10^-(s-1) down to 10^-(4 (s-1)) or
-    # 1e-9, which keeps the level set small; the accelerated value is good
-    # to 1e-13 relative.
+    # 1e-9, which keeps the level set small.  Where an engine cannot
+    # certify its tolerance (large values near a degenerate form, or s just
+    # above 2, where the incomplete gamma recurrence divides by 2 - s), its
+    # partial value and bound stand in.
     a, b, c = triple
     form = BinaryQuadraticForm(a, b * 2.0 * math.sqrt(a * c), c)
-    slow = epstein_direct(form, s, max(10.0 ** (-4.0 * depth * (s - 1.0)), 1e-9))
-    fast = epstein_accelerated(form, s, 1e-13 * max(1.0, slow.value))
+    slow = _result_or_partial(
+        epstein_direct, form, s, max(10.0 ** (-4.0 * depth * (s - 1.0)), 1e-9))
+    fast = _result_or_partial(epstein_accelerated, form, s, 1e-13)
     assert abs(slow.value - fast.value) <= slow.error_bound + fast.error_bound
 
 
@@ -449,10 +460,7 @@ def test_accelerated_matches_point_by_point_loop(coeffs, s):
     # At s = 2 and 3 the dual side takes the E1 and recurrence branches.
     form = BinaryQuadraticForm(*coeffs)
     tol = 1e-12
-    try:
-        fast = epstein_accelerated(form, s, tol)
-    except NonConvergence as exc:  # near the pole the bound passes 1e-12
-        fast = ApproxValue(exc.value, exc.error_bound, exc.cost)
+    fast = _result_or_partial(epstein_accelerated, form, s, tol)  # stalls near the pole
     slow = _accelerated_point_by_point(form, s, tol)
     assert abs(fast.value - slow.value) <= fast.error_bound + slow.error_bound
 
