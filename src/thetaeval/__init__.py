@@ -6,7 +6,7 @@ Each engine returns values with explicit error bounds; the CLI assembles
 named checks into machine-readable reports.
 """
 
-from .approx import ApproxValue, NonConvergence
+from .approx import ApproxValue, ExtrapolationTable, NonConvergence, extrapolate_to_zero
 from .epstein import (
     BinaryQuadraticForm,
     epstein_accelerated,
@@ -15,8 +15,6 @@ from .epstein import (
     upper_incomplete_gamma,
 )
 from .kronecker import (
-    ExtrapolationTable,
-    extrapolate_to_zero,
     kronecker_lhs,
     kronecker_lhs_table,
     kronecker_rhs,
@@ -34,13 +32,11 @@ from .modular import (
 from .number_theory import chi4, r_bruteforce, r_divisor
 from .qseries import QSeries, qs_mul, r_from_theta_squared, theta_qseries, triple_product_qseries
 from .quadrature import (
-    IntegralSpec,
     f_form,
     f_form_derivative_at_1,
     gamma_integral,
     gammaL_integral,
     integral_I,
-    integrate,
 )
 from .report import (
     DEFAULT_FORMS,
@@ -90,13 +86,11 @@ __all__ = [
     "r_from_theta_squared",
     "theta_qseries",
     "triple_product_qseries",
-    "IntegralSpec",
     "f_form",
     "f_form_derivative_at_1",
     "gamma_integral",
     "gammaL_integral",
     "integral_I",
-    "integrate",
     "DEFAULT_FORMS",
     "SUITE_NAMES",
     "RunConfig",

@@ -6,6 +6,13 @@ bound alongside the combined value.  Bounds add under addition and are
 propagated through products, quotients, logs, exponentials and square roots
 with the exact worst-case interval estimates (these are as cheap as the
 first-order ones and stay valid for large bounds).
+
+This module also holds the package's one limit driver.  extrapolate_to_zero
+evaluates at 0 the polynomial through values taken at halving abscissae
+(Neville), pushing the nodes' own bounds through the same weights, and
+_limit_at_zero builds such a table from a node function.  The pole-gap
+limits in kronecker.py, the Gauss product for Gamma in special_values.py
+and the central difference in suites.py all take their limits through it.
 """
 
 from __future__ import annotations
@@ -122,3 +129,78 @@ class ApproxValue:
         denom = root + math.sqrt(self.value - self.error_bound)
         bound = self.error_bound / denom if denom > 0.0 else math.sqrt(self.error_bound)
         return ApproxValue(root, bound, self.cost)
+
+
+@dataclass(frozen=True)
+class ExtrapolationTable:
+    """Record of a limit taken along decreasing abscissae: nodes, value, bound."""
+
+    abscissae: tuple[float, ...]
+    values: tuple[float, ...]
+    extrapolated: float
+    error_bound: float
+
+    def __post_init__(self):
+        if len(self.abscissae) < 4:
+            raise ValueError("need at least 4 nodes to extrapolate")
+        if len(self.abscissae) != len(self.values):
+            raise ValueError("abscissae and values must align")
+        for x in self.abscissae:
+            if not (math.isfinite(x) and x > 0.0):
+                raise ValueError(f"abscissae must be positive, got {x}")
+        for lo, hi in zip(self.abscissae[1:], self.abscissae):
+            if not lo < hi:
+                raise ValueError("abscissae must decrease strictly")
+        for v in self.values:
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite node value {v}")
+        if not (math.isfinite(self.extrapolated)
+                and math.isfinite(self.error_bound) and self.error_bound >= 0.0):
+            raise ValueError("bad extrapolation result")
+
+
+def extrapolate_to_zero(abscissae, values, value_bounds=None) -> ExtrapolationTable:
+    """Neville evaluation at 0 of the polynomial through (x_k, y_k).
+
+    The reported bound adds the last diagonal increment (truncation
+    estimate) to the node bounds pushed through the same recurrence with
+    absolute coefficients, which is exact for the error amplification of
+    the linear extrapolation weights.
+    """
+    xs = [float(x) for x in abscissae]
+    t = [float(y) for y in values]
+    n = len(xs)
+    if n < 4 or len(t) != n:
+        raise ValueError("need at least 4 aligned nodes")
+    amp = [0.0] * n if value_bounds is None else [float(b) for b in value_bounds]
+    if len(amp) != n:
+        raise ValueError("value_bounds must align with values")
+    corner_prev = t[0]
+    corner_gap = math.inf
+    for m in range(1, n):
+        for i in range(n - m):
+            denom = xs[i + m] - xs[i]
+            w_hi = xs[i + m] / denom
+            w_lo = -xs[i] / denom
+            t[i] = w_hi * t[i] + w_lo * t[i + 1]
+            amp[i] = abs(w_hi) * amp[i] + abs(w_lo) * amp[i + 1]
+        corner_gap = abs(t[0] - corner_prev)
+        corner_prev = t[0]
+    bound = corner_gap + amp[0] + 8.0 * EPS * (1.0 + abs(t[0]))
+    return ExtrapolationTable(tuple(xs), tuple(float(y) for y in values), t[0], bound)
+
+
+def _limit_at_zero(node, eps0: float, depth: int) -> tuple[ExtrapolationTable, int]:
+    """Extrapolate node(eps) -> ApproxValue from eps = eps0 2^-k, k < depth, to 0.
+
+    Returns the table and the summed cost of the nodes.
+    """
+    xs, vals, bounds, cost = [], [], [], 0
+    for k in range(depth):
+        eps = eps0 * 2.0 ** -k
+        value = node(eps)
+        xs.append(eps)
+        vals.append(value.value)
+        bounds.append(value.error_bound)
+        cost += value.cost
+    return extrapolate_to_zero(xs, vals, bounds), cost

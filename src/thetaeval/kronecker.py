@@ -8,8 +8,9 @@ a matching multiple of the Riemann zeta pole leaves
 
 whose limit at eps = 0 equals (1/2) log(a / D) - 2 log |eta(z_Q)| where z_Q
 is the root of a z^2 + b z + c = 0 in the upper half plane.  This module
-extracts the limit numerically by polynomial extrapolation in eps and
-provides the closed-form right side for comparison.
+extracts the limit numerically by polynomial extrapolation in eps, through
+the driver in approx.py, and provides the closed-form right side for
+comparison.
 
 For Q = (1, 0, 1) the lattice sum factors through Dirichlet series, giving
 the scalar family h(eps) = (2/pi) zeta(1+eps) L(1+eps) - zeta(1+2 eps) whose
@@ -21,9 +22,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .approx import EPS, ApproxValue, NonConvergence, check_tol
+from .approx import (
+    EPS,
+    ApproxValue,
+    ExtrapolationTable,
+    NonConvergence,
+    _limit_at_zero,
+    check_tol,
+)
 from .epstein import BinaryQuadraticForm, epstein_accelerated
 from .modular import UpperHalfPoint, eta_uhp, theta_uhp
 from .quadrature import gamma_integral, integral_I
@@ -31,8 +38,6 @@ from .report import VerificationRecord, timed_record
 from .special_values import L_chi4, zeta
 
 __all__ = [
-    "ExtrapolationTable",
-    "extrapolate_to_zero",
     "kronecker_lhs",
     "kronecker_lhs_table",
     "kronecker_rhs",
@@ -40,81 +45,6 @@ __all__ = [
     "target_limit_check",
     "theta_at_i_assembly",
 ]
-
-
-@dataclass(frozen=True)
-class ExtrapolationTable:
-    """Richardson-style record of a limit taken along decreasing abscissae."""
-
-    abscissae: tuple[float, ...]
-    values: tuple[float, ...]
-    extrapolated: float
-    error_bound: float
-
-    def __post_init__(self):
-        if len(self.abscissae) < 4:
-            raise ValueError("need at least 4 nodes to extrapolate")
-        if len(self.abscissae) != len(self.values):
-            raise ValueError("abscissae and values must align")
-        for x in self.abscissae:
-            if not (math.isfinite(x) and x > 0.0):
-                raise ValueError(f"abscissae must be positive, got {x}")
-        for lo, hi in zip(self.abscissae[1:], self.abscissae):
-            if not lo < hi:
-                raise ValueError("abscissae must decrease strictly")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite node value {v}")
-        if not (math.isfinite(self.extrapolated)
-                and math.isfinite(self.error_bound) and self.error_bound >= 0.0):
-            raise ValueError("bad extrapolation result")
-
-
-def extrapolate_to_zero(abscissae, values, value_bounds=None) -> ExtrapolationTable:
-    """Neville evaluation at 0 of the polynomial through (x_k, y_k).
-
-    The reported bound adds the last diagonal increment (truncation
-    estimate) to the node bounds pushed through the same recurrence with
-    absolute coefficients, which is exact for the error amplification of
-    the linear extrapolation weights.
-    """
-    xs = [float(x) for x in abscissae]
-    t = [float(y) for y in values]
-    n = len(xs)
-    if n < 4 or len(t) != n:
-        raise ValueError("need at least 4 aligned nodes")
-    amp = [0.0] * n if value_bounds is None else [float(b) for b in value_bounds]
-    if len(amp) != n:
-        raise ValueError("value_bounds must align with values")
-    corner_prev = t[0]
-    corner_gap = math.inf
-    for m in range(1, n):
-        for i in range(n - m):
-            denom = xs[i + m] - xs[i]
-            w_hi = xs[i + m] / denom
-            w_lo = -xs[i] / denom
-            t[i] = w_hi * t[i] + w_lo * t[i + 1]
-            amp[i] = abs(w_hi) * amp[i] + abs(w_lo) * amp[i + 1]
-        corner_gap = abs(t[0] - corner_prev)
-        corner_prev = t[0]
-    bound = corner_gap + amp[0] + 8.0 * EPS * (1.0 + abs(t[0]))
-    return ExtrapolationTable(tuple(xs), tuple(float(y) for y in values), t[0], bound)
-
-
-def _limit_at_zero(node, eps0: float, depth: int) -> tuple[ExtrapolationTable, int]:
-    """Extrapolate node(eps) -> ApproxValue from eps = eps0 2^-k, k < depth, to 0.
-
-    Returns the table and the summed cost of the nodes.
-    """
-    xs, vals, bounds, cost = [], [], [], 0
-    for k in range(depth):
-        eps = eps0 * 2.0 ** -k
-        value = node(eps)
-        xs.append(eps)
-        vals.append(value.value)
-        bounds.append(value.error_bound)
-        cost += value.cost
-    return extrapolate_to_zero(xs, vals, bounds), cost
 
 
 def _pole_gap_limit(form: BinaryQuadraticForm, tol: float, eps0: float,

@@ -25,7 +25,6 @@ Two details matter for accuracy near the endpoints:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -34,8 +33,6 @@ from .approx import ApproxValue, NonConvergence, check_tol
 __all__ = [
     "ApproxValue",
     "NonConvergence",
-    "IntegralSpec",
-    "integrate",
     "integral_I",
     "gamma_integral",
     "gammaL_integral",
@@ -47,42 +44,6 @@ _U_MAX = 6.0        # grid cutoff; offsets below _Q_MIN are dropped anyway
 _Q_MIN = 1e-280     # keeps every transformed argument inside double range
 _MAX_LEVEL = 11
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class IntegralSpec:
-    """One integral: integrand, domain, target tolerance.
-
-    domain is (a, b) with finite a; b == math.inf selects the half-line
-    path.  Integrable endpoint singularities (log or power type) need no
-    hint: the clustered nodes absorb them.
-    """
-
-    integrand: Callable[[float], float]
-    domain: tuple[float, float]
-    target_tol: float = 1e-12
-
-    def __post_init__(self):
-        a, b = self.domain
-        if not math.isfinite(a):
-            raise ValueError("lower endpoint must be finite")
-        if not (b > a):
-            raise ValueError("domain must satisfy a < b")
-        check_tol(self.target_tol, "target_tol")
-
-
-def integrate(spec: IntegralSpec) -> ApproxValue:
-    """Evaluate the described integral; error_bound <= target_tol on success.
-
-    Raises NonConvergence when the level budget is exhausted first.
-    """
-    a, b = spec.domain
-    if math.isinf(b):
-        if a == 0.0:
-            return _halfline(spec.integrand, spec.target_tol)
-        f = spec.integrand
-        return _halfline(lambda r: f(a + r), spec.target_tol)
-    return _finite(spec.integrand, a, b, spec.target_tol)
 
 
 @lru_cache(maxsize=32)

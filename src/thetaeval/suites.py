@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .approx import EPS, ApproxValue, NonConvergence
+from .approx import EPS, ApproxValue, NonConvergence, _limit_at_zero
 from .epstein import BinaryQuadraticForm, epstein_accelerated, epstein_direct
 from .kronecker import (
     kronecker_lhs,
@@ -155,14 +155,22 @@ def _suite_special_values(config: RunConfig, check) -> None:
         slope = L_chi4_prime_at_1(1e-11)
         return slope - (math.pi / 4.0) * gamma
 
+    def difference_quotient(x: float) -> ApproxValue:
+        # Symmetric quotient at half-width h = sqrt(x); its defect is even
+        # in h, so a series in x.  1 + h and 1 - h round, so divide by the
+        # width they actually span; EPS |q| covers the quotient's rounding.
+        h = math.sqrt(x)
+        s_hi, s_lo = 1.0 + h, 1.0 - h
+        hi = gammaL_integral(s_hi, 1e-13)
+        lo = gammaL_integral(s_lo, 1e-13)
+        width = s_hi - s_lo
+        q = (hi.value - lo.value) / width
+        bound = (hi.error_bound + lo.error_bound) / width + EPS * abs(q)
+        return ApproxValue(q, bound, hi.cost + lo.cost)
+
     def central_difference() -> ApproxValue:
-        h = 1e-4
-        hi = gammaL_integral(1.0 + h, 1e-13)
-        lo = gammaL_integral(1.0 - h, 1e-13)
-        value = (hi.value - lo.value) / (2.0 * h)
-        # Final term: truncation allowance for the O(h^2) difference defect.
-        bound = (hi.error_bound + lo.error_bound) / (2.0 * h) + 1e-7
-        return ApproxValue(value, bound, hi.cost + lo.cost)
+        table, cost = _limit_at_zero(difference_quotient, 2.0 ** -8, 6)
+        return ApproxValue(table.extrapolated, table.error_bound, cost)
 
     def half_pi_integral() -> ApproxValue:
         return (math.pi / 2.0) * integral_I(1e-12)

@@ -18,22 +18,25 @@ from hypothesis import strategies as st
 
 from thetaeval import (
     BinaryQuadraticForm,
-    IntegralSpec,
     L_chi4,
     NonConvergence,
     epstein_accelerated,
     epstein_direct,
     evaluate,
     gamma_integral,
-    integrate,
     upper_incomplete_gamma,
     zeta,
 )
 from thetaeval.approx import EPS, ApproxValue
 from thetaeval.epstein import _MAX_POINTS, _cf_upper, _count_bound, _level_set
+from thetaeval.quadrature import _finite, _halfline
 
 # scripts/compute_oracles.py: Simpson after t = 1 + w^2
 ORACLE_GAMMA_HALF_ONE = 0.27880558528066196
+# scripts/compute_oracles.py: raw sum of (x^2 + y^2)^-3 over the box of
+# radius 10^4, its truncation and rounding together below 5.02e-14
+ORACLE_UNIT_LATTICE_AT_THREE = 4.6589136156038435
+ORACLE_UNIT_LATTICE_BOUND = 5.02e-14
 
 FOUR_FORMS = [(1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0)]
 
@@ -193,23 +196,11 @@ class TestDirectEngine:
         assert abs(d.value - rhs) <= 1e-8
 
     def test_bruteforce_oracle_at_three(self):
-        # raw no-tail lattice sum to radius 10^4; its own truncation error
-        # is below 4e-16, far inside the engine bound
-        brute = _bruteforce_sum(1.0, 0.0, 1.0, 3.0, 10_000)
+        # raw no-tail lattice sum to radius 10^4, frozen; its own error is
+        # far inside the engine bound
         d = epstein_direct(BinaryQuadraticForm(1.0, 0.0, 1.0), 3.0, 1e-10)
-        assert abs(d.value - brute) <= d.error_bound + 1e-12
-
-
-def _bruteforce_sum(a, b, c, s, radius):
-    y = np.arange(-radius, radius + 1, dtype=float)
-    total = []
-    for x0 in range(-radius, radius + 1, 500):
-        x = np.arange(x0, min(x0 + 500, radius + 1), dtype=float)[:, None]
-        q = a * x * x + b * x * y[None, :] + c * y[None, :] * y[None, :]
-        if x0 <= 0 <= x0 + 499:
-            q[int(0 - x0), radius] = np.inf  # drop the origin
-        total.append(float(np.sum(q ** -s)))
-    return math.fsum(total)
+        assert ORACLE_UNIT_LATTICE_BOUND < 1e-12
+        assert abs(d.value - ORACLE_UNIT_LATTICE_AT_THREE) <= d.error_bound + 1e-12
 
 
 class TestAcceleratedEngine:
@@ -262,6 +253,15 @@ class TestAcceleratedEngine:
         a = epstein_accelerated(form, 2.5, 1e-12)
         b = epstein_accelerated(form, 2.5, 1e-12)
         assert a.value == b.value and a.error_bound == b.error_bound
+
+    @pytest.mark.parametrize("s", [5.8786] + [5.0 + 0.25 * k for k in range(13)])
+    def test_certifies_where_gamma_passes_six(self, s):
+        # Gamma(s) is taken down to s <= 4 by its recurrence before the
+        # quadrature, whose rounding floor passes 1e-14 once Gamma(s) > 21;
+        # s = 5.8786 used to stall there.
+        fast = epstein_accelerated(BinaryQuadraticForm(1.0, 0.0, 1.0), s, 1e-12)
+        rhs = 4.0 * (zeta(s, 1e-13) * L_chi4(s, 1e-13))
+        assert abs(fast.value - rhs.value) <= fast.error_bound + rhs.error_bound
 
     @pytest.mark.parametrize("coeffs", FOUR_FORMS)
     def test_engine_agreement_spot_checks(self, coeffs):
@@ -320,8 +320,7 @@ class TestUpperIncompleteGamma:
     def test_additivity_with_lower_part(self):
         s, x = 1.5, 2.0
         upper = upper_incomplete_gamma(s, x)
-        lower = integrate(IntegralSpec(
-            lambda t: t ** (s - 1.0) * math.exp(-t), (0.0, x)))
+        lower = _finite(lambda t: t ** (s - 1.0) * math.exp(-t), 0.0, x, 1e-12)
         whole = gamma_integral(s, 1e-13)
         gap = abs(upper.value + lower.value - whole.value)
         assert gap <= upper.error_bound + lower.error_bound + whole.error_bound
@@ -466,9 +465,7 @@ def test_accelerated_matches_point_by_point_loop(coeffs, s):
 
 
 def _tail_integral(s, x):
-    return integrate(IntegralSpec(
-        lambda r: (x + r) ** (s - 1.0) * math.exp(-(x + r)), (0.0, math.inf),
-        target_tol=1e-13))
+    return _halfline(lambda r: (x + r) ** (s - 1.0) * math.exp(-(x + r)), 1e-13)
 
 
 def test_dual_split_closed_form_against_quadrature():
@@ -505,8 +502,6 @@ def test_dual_split_closed_form_against_quadrature():
             - x ** s / s + (2.0 * math.pi / root_d) * dual
 
     t0 = 0.4
-    quad = integrate(IntegralSpec(
-        lambda t: t ** (s - 1.0) * (theta_lattice(t) - 1.0), (t0, lam),
-        target_tol=1e-11))
+    quad = _finite(lambda t: t ** (s - 1.0) * (theta_lattice(t) - 1.0), t0, lam, 1e-11)
     closed = g(lam) - g(t0)
     assert abs(quad.value - closed) <= quad.error_bound + 1e-12

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from thetaeval import (
     ApproxValue,
     BinaryQuadraticForm,
-    IntegralSpec,
     NonConvergence,
     eta_uhp,
     f_form,
@@ -23,10 +22,10 @@ from thetaeval import (
     gamma_integral,
     gammaL_integral,
     integral_I,
-    integrate,
     L_chi4,
     UpperHalfPoint,
 )
+from thetaeval.quadrature import _finite, _halfline
 
 # scripts/compute_oracles.py: composite Simpson, 10^6 panels per piece
 ORACLE_I = -0.16580304006210941
@@ -37,55 +36,40 @@ ORACLE_SERIES_BOUND = 5e-15
 
 
 def test_unit_integrand():
-    r = integrate(IntegralSpec(lambda t: 1.0, (0.0, 1.0)))
+    r = _finite(lambda t: 1.0, 0.0, 1.0, 1e-12)
     assert abs(r.value - 1.0) <= r.error_bound
     assert r.error_bound < 1e-12
 
 
 def test_exponential_halfline():
-    r = integrate(IntegralSpec(lambda t: math.exp(-t), (0.0, math.inf)))
+    r = _halfline(lambda t: math.exp(-t), 1e-12)
     assert abs(r.value - 1.0) <= r.error_bound
 
 
 def test_sech_halfline():
     # antiderivative arctan(sinh t) gives pi/2 at infinity
-    r = integrate(IntegralSpec(lambda t: 1.0 / math.cosh(t), (0.0, math.inf)))
+    r = _halfline(lambda t: 1.0 / math.cosh(t), 1e-12)
     assert abs(r.value - 0.5 * math.pi) <= r.error_bound
 
 
 def test_shifted_halfline_lower_endpoint():
-    r = integrate(IntegralSpec(lambda t: math.exp(-t), (2.0, math.inf)))
+    r = _halfline(lambda r: math.exp(-(2.0 + r)), 1e-12)
     assert abs(r.value - math.exp(-2.0)) <= r.error_bound
 
 
 def test_log_singular_endpoint():
-    r = integrate(IntegralSpec(lambda t: math.log(t), (0.0, 1.0)))
+    r = _finite(math.log, 0.0, 1.0, 1e-12)
     assert abs(r.value + 1.0) <= r.error_bound + 1e-13
 
 
 def test_nonconvergence_carries_partial_result():
     # a kink integrand at an interior point defeats the endpoint
     # clustering, so an absurd tolerance must fail loudly
-    spec = IntegralSpec(lambda t: abs(t - 0.337), (0.0, 1.0), target_tol=1e-15)
     with pytest.raises(NonConvergence) as info:
-        integrate(spec)
+        _finite(lambda t: abs(t - 0.337), 0.0, 1.0, 1e-15)
     assert info.value.value is not None
     assert info.value.error_bound > 1e-15
     assert abs(info.value.value - 0.5 * (0.337 ** 2 + 0.663 ** 2)) < 1e-6
-
-
-class TestIntegralSpecValidation:
-    def test_rejects_reversed_domain(self):
-        with pytest.raises(ValueError):
-            IntegralSpec(lambda t: t, (1.0, 0.0))
-
-    def test_rejects_infinite_lower_endpoint(self):
-        with pytest.raises(ValueError):
-            IntegralSpec(lambda t: t, (-math.inf, 0.0))
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            IntegralSpec(lambda t: t, (0.0, 1.0), target_tol=0.0)
 
 
 class TestIntegralI:
@@ -214,9 +198,9 @@ def test_interval_additivity(c0, c1, c2, split):
     def f(t):
         return c0 + c1 * t + c2 * math.sin(3.0 * t)
 
-    whole = integrate(IntegralSpec(f, (0.0, 1.0)))
-    left = integrate(IntegralSpec(f, (0.0, split)))
-    right = integrate(IntegralSpec(f, (split, 1.0)))
+    whole = _finite(f, 0.0, 1.0, 1e-12)
+    left = _finite(f, 0.0, split, 1e-12)
+    right = _finite(f, split, 1.0, 1e-12)
     gap = abs(whole.value - left.value - right.value)
     assert gap <= whole.error_bound + left.error_bound + right.error_bound + 1e-13
 
@@ -240,7 +224,7 @@ def test_cost_counts_evaluations():
         calls += 1
         return math.exp(-t * t)
 
-    r = integrate(IntegralSpec(f, (0.0, 1.0)))
+    r = _finite(f, 0.0, 1.0, 1e-12)
     assert r.cost == calls
 
 

@@ -39,3 +39,26 @@ def test_oracle_script_never_imports_the_package():
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
     assert not any(name.split(".")[0] == "thetaeval" for name in imported)
+
+
+FORBIDDEN_MODULES = {"mpmath", "scipy"}
+FORBIDDEN_MATH = {"gamma", "lgamma", "erf", "erfc"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "thetaeval").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_builds_special_functions_from_definitions(path):
+    # The paper's premise: no special-function library and no libm Gamma
+    # or erf anywhere in the package, so every constant comes from an engine.
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = {alias.name.split(".")[0] for alias in node.names}
+            assert not roots & FORBIDDEN_MODULES
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] not in FORBIDDEN_MODULES
+            if node.module == "math":
+                assert not {alias.name for alias in node.names} & FORBIDDEN_MATH
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert not (node.value.id == "math" and node.attr in FORBIDDEN_MATH), \
+                f"math.{node.attr} at line {node.lineno}"

@@ -23,6 +23,7 @@ from thetaeval import (
     integral_I,
     zeta,
 )
+from thetaeval.approx import EPS
 
 # frozen from scripts/compute_oracles.py (raw sums / Euler transforms)
 ORACLE_GAMMA = 0.57721566490153409
@@ -196,6 +197,29 @@ class TestGammaGauss:
     def test_rejects_nonpositive_s(self):
         with pytest.raises(ValueError):
             gamma_gauss(-0.5)
+
+    def test_refuses_impossible_tolerance(self):
+        with pytest.raises(NonConvergence):
+            gamma_gauss(0.5, 1e-20)
+
+
+@given(s=st.floats(min_value=1e-3, max_value=4.0))
+@settings(max_examples=25, deadline=None)
+def test_gamma_gauss_recurrence_and_quadrature(s):
+    # Gamma(s + 1) = s Gamma(s).  s + 1 <= 5 rounds by at most 2 EPS, which
+    # moves Gamma(s + 1) by under 3 EPS of itself (|psi| < 1.6 on [1, 5]).
+    # The extrapolated bound is an a-posteriori estimate; both identities
+    # test it.
+    here = gamma_gauss(s, 1e-9)
+    up = gamma_gauss(s + 1.0, 1e-9)
+    gap = abs(up.value - s * here.value)
+    assert gap <= up.error_bound + s * here.error_bound + 4.0 * EPS * up.value
+    for point, gauss in ((s, here), (s + 1.0, up)):
+        # Below 1/2 the singular t^(s-1) at 0 defeats the quadrature's own
+        # error estimate; the recurrence carries the check down there.
+        if point >= 0.5:
+            quad = gamma_integral(point, 1e-12)
+            assert abs(gauss.value - quad.value) <= gauss.error_bound + quad.error_bound
 
 
 class TestGammaLProduct:
