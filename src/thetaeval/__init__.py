@@ -6,7 +6,7 @@ Each engine returns values with explicit error bounds; the CLI assembles
 named checks into machine-readable reports.
 """
 
-from .approx import ApproxValue, ExtrapolationTable, NonConvergence, extrapolate_to_zero
+from .approx import ApproxValue, NonConvergence, extrapolate_to_zero
 from .epstein import (
     BinaryQuadraticForm,
     epstein_accelerated,
@@ -16,7 +16,6 @@ from .epstein import (
 )
 from .kronecker import (
     kronecker_lhs,
-    kronecker_lhs_table,
     kronecker_rhs,
     l1_series,
     target_limit_check,
@@ -44,7 +43,6 @@ from .report import (
     RunConfig,
     VerificationRecord,
     emit_report,
-    make_record,
 )
 from .special_values import (
     L_chi4,
@@ -65,10 +63,8 @@ __all__ = [
     "epstein_direct",
     "evaluate",
     "upper_incomplete_gamma",
-    "ExtrapolationTable",
     "extrapolate_to_zero",
     "kronecker_lhs",
-    "kronecker_lhs_table",
     "kronecker_rhs",
     "l1_series",
     "target_limit_check",
@@ -96,7 +92,6 @@ __all__ = [
     "RunConfig",
     "VerificationRecord",
     "emit_report",
-    "make_record",
     "L_chi4",
     "L_chi4_prime_at_1",
     "euler_gamma",

@@ -1,18 +1,22 @@
 """Floating-point results that carry explicit error bounds.
 
-Every numerical engine in this package returns an ApproxValue rather than a
-bare float, so formulas built from several engines can propagate a combined
-bound alongside the combined value.  Bounds add under addition and are
-propagated through products, quotients, logs, exponentials and square roots
-with the exact worst-case interval estimates (these are as cheap as the
-first-order ones and stay valid for large bounds).
+ApproxValue is the one format numbers take between the package's layers:
+every numerical engine returns one rather than a bare float, and each check
+in suites.py hands its two sides to the report as two of them.  Bounds add
+under addition and are propagated through products, quotients, logs,
+exponentials and square roots with the exact worst-case interval estimates
+(these are as cheap as the first-order ones and stay valid for large
+bounds).  An engine certifies its result through ApproxValue.certified,
+which returns the value or raises NonConvergence when the bound misses the
+tolerance.
 
 This module also holds the package's one limit driver.  extrapolate_to_zero
 evaluates at 0 the polynomial through values taken at halving abscissae
 (Neville), pushing the nodes' own bounds through the same weights, and
-_limit_at_zero builds such a table from a node function.  The pole-gap
-limits in kronecker.py, the Gauss product for Gamma in special_values.py
-and the central difference in suites.py all take their limits through it.
+returns the limit as an ApproxValue; _limit_at_zero feeds it from a node
+function and adds up the nodes' cost.  The pole-gap limits in kronecker.py,
+the Gauss product for Gamma in special_values.py and the central
+difference in suites.py all take their limits through it.
 """
 
 from __future__ import annotations
@@ -130,51 +134,36 @@ class ApproxValue:
         bound = self.error_bound / denom if denom > 0.0 else math.sqrt(self.error_bound)
         return ApproxValue(root, bound, self.cost)
 
-
-@dataclass(frozen=True)
-class ExtrapolationTable:
-    """Record of a limit taken along decreasing abscissae: nodes, value, bound."""
-
-    abscissae: tuple[float, ...]
-    values: tuple[float, ...]
-    extrapolated: float
-    error_bound: float
-
-    def __post_init__(self):
-        if len(self.abscissae) < 4:
-            raise ValueError("need at least 4 nodes to extrapolate")
-        if len(self.abscissae) != len(self.values):
-            raise ValueError("abscissae and values must align")
-        for x in self.abscissae:
-            if not (math.isfinite(x) and x > 0.0):
-                raise ValueError(f"abscissae must be positive, got {x}")
-        for lo, hi in zip(self.abscissae[1:], self.abscissae):
-            if not lo < hi:
-                raise ValueError("abscissae must decrease strictly")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite node value {v}")
-        if not (math.isfinite(self.extrapolated)
-                and math.isfinite(self.error_bound) and self.error_bound >= 0.0):
-            raise ValueError("bad extrapolation result")
+    def certified(self, tol: float, what: str) -> "ApproxValue":
+        """This value if its bound meets tol; otherwise raise NonConvergence
+        "WHAT stalled above tol=..." carrying the value, bound and cost."""
+        if self.error_bound > tol:
+            raise NonConvergence(f"{what} stalled above tol={tol:g}", value=self.value,
+                                 error_bound=self.error_bound, cost=self.cost)
+        return self
 
 
-def extrapolate_to_zero(abscissae, values, value_bounds=None) -> ExtrapolationTable:
+def extrapolate_to_zero(abscissae, values, value_bounds=None) -> ApproxValue:
     """Neville evaluation at 0 of the polynomial through (x_k, y_k).
 
-    The reported bound adds the last diagonal increment (truncation
-    estimate) to the node bounds pushed through the same recurrence with
-    absolute coefficients, which is exact for the error amplification of
-    the linear extrapolation weights.
+    The abscissae must be at least four, positive and strictly decreasing,
+    the values finite.  The reported bound adds the last diagonal increment
+    (truncation estimate) to the node bounds pushed through the same
+    recurrence with absolute coefficients, which is exact for the error
+    amplification of the linear extrapolation weights.
     """
     xs = [float(x) for x in abscissae]
     t = [float(y) for y in values]
     n = len(xs)
-    if n < 4 or len(t) != n:
-        raise ValueError("need at least 4 aligned nodes")
     amp = [0.0] * n if value_bounds is None else [float(b) for b in value_bounds]
-    if len(amp) != n:
-        raise ValueError("value_bounds must align with values")
+    if n < 4 or len(t) != n or len(amp) != n:
+        raise ValueError("need at least 4 nodes, with values and bounds aligned")
+    if not all(math.isfinite(x) and x > 0.0 for x in xs):
+        raise ValueError(f"abscissae must be positive and finite, got {xs}")
+    if not all(lo < hi for lo, hi in zip(xs[1:], xs)):
+        raise ValueError("abscissae must decrease strictly")
+    if not all(math.isfinite(y) for y in t):
+        raise ValueError(f"non-finite node value in {t}")
     corner_prev = t[0]
     corner_gap = math.inf
     for m in range(1, n):
@@ -186,21 +175,13 @@ def extrapolate_to_zero(abscissae, values, value_bounds=None) -> ExtrapolationTa
             amp[i] = abs(w_hi) * amp[i] + abs(w_lo) * amp[i + 1]
         corner_gap = abs(t[0] - corner_prev)
         corner_prev = t[0]
-    bound = corner_gap + amp[0] + 8.0 * EPS * (1.0 + abs(t[0]))
-    return ExtrapolationTable(tuple(xs), tuple(float(y) for y in values), t[0], bound)
+    return ApproxValue(t[0], corner_gap + amp[0] + 8.0 * EPS * (1.0 + abs(t[0])))
 
 
-def _limit_at_zero(node, eps0: float, depth: int) -> tuple[ExtrapolationTable, int]:
-    """Extrapolate node(eps) -> ApproxValue from eps = eps0 2^-k, k < depth, to 0.
-
-    Returns the table and the summed cost of the nodes.
-    """
-    xs, vals, bounds, cost = [], [], [], 0
-    for k in range(depth):
-        eps = eps0 * 2.0 ** -k
-        value = node(eps)
-        xs.append(eps)
-        vals.append(value.value)
-        bounds.append(value.error_bound)
-        cost += value.cost
-    return extrapolate_to_zero(xs, vals, bounds), cost
+def _limit_at_zero(node, eps0: float, depth: int) -> ApproxValue:
+    """Extrapolate node(eps) -> ApproxValue from eps = eps0 2^-k, k < depth,
+    to 0; the limit carries the summed cost of the nodes."""
+    xs = [eps0 * 2.0 ** -k for k in range(depth)]
+    nodes = [node(x) for x in xs]
+    limit = extrapolate_to_zero(xs, [v.value for v in nodes], [v.error_bound for v in nodes])
+    return ApproxValue(limit.value, limit.error_bound, sum(v.cost for v in nodes))

@@ -88,7 +88,8 @@ class BinaryQuadraticForm:
     def __post_init__(self):
         for v in (self.a, self.b, self.c):
             if not math.isfinite(v):
-                raise ValueError("coefficients must be finite")
+                raise ValueError(
+                    f"form ({self.a}, {self.b}, {self.c}) has a non-finite coefficient")
         if not (self.a > 0.0 and self.disc > 0.0):
             raise ValueError(
                 f"form ({self.a}, {self.b}, {self.c}) is not positive definite")
@@ -201,10 +202,7 @@ def epstein_direct(form: BinaryQuadraticForm, s: float, tol: float = 1e-2) -> Ap
     tail = (_TWO_PI / math.sqrt(form.disc)) * level ** (1.0 - s) / (s - 1.0)
     value = 2.0 * math.fsum(sums) + tail
     bound = truncation(level) + 8.0 * EPS * abs(value)
-    if bound > tol:
-        raise NonConvergence(f"direct lattice sum stalled above tol={tol:g}",
-                             value=value, error_bound=bound, cost=cost)
-    return ApproxValue(value, bound, cost)
+    return ApproxValue(value, bound, cost).certified(tol, "direct lattice sum")
 
 
 @lru_cache(maxsize=64)
@@ -374,8 +372,4 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
     total = math.fsum(pieces)
     total_bound = math.fsum(bounds) + 8.0 * EPS * abs(total)
     scaled = ApproxValue(total, total_bound, cost) / gamma_whole
-    if scaled.error_bound > tol:
-        raise NonConvergence(
-            f"accelerated lattice sum stalled above tol={tol:g}",
-            value=scaled.value, error_bound=scaled.error_bound, cost=scaled.cost)
-    return scaled
+    return scaled.certified(tol, "accelerated lattice sum")

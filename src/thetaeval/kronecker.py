@@ -7,10 +7,10 @@ a matching multiple of the Riemann zeta pole leaves
     g(eps) = (sqrt(D) / 4 pi) Z(1 + eps) - zeta(1 + 2 eps),
 
 whose limit at eps = 0 equals (1/2) log(a / D) - 2 log |eta(z_Q)| where z_Q
-is the root of a z^2 + b z + c = 0 in the upper half plane.  This module
+is the root of a z^2 + b z + c = 0 in the upper half plane.  kronecker_lhs
 extracts the limit numerically by polynomial extrapolation in eps, through
-the driver in approx.py, and provides the closed-form right side for
-comparison.
+the driver in approx.py, and returns it as an ApproxValue certified to its
+tolerance; kronecker_rhs gives the closed-form right side for comparison.
 
 For Q = (1, 0, 1) the lattice sum factors through Dirichlet series, giving
 the scalar family h(eps) = (2/pi) zeta(1+eps) L(1+eps) - zeta(1+2 eps) whose
@@ -23,14 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .approx import (
-    EPS,
-    ApproxValue,
-    ExtrapolationTable,
-    NonConvergence,
-    _limit_at_zero,
-    check_tol,
-)
+from .approx import EPS, ApproxValue, NonConvergence, _limit_at_zero, check_tol
 from .epstein import BinaryQuadraticForm, epstein_accelerated
 from .modular import UpperHalfPoint, eta_uhp, theta_uhp
 from .quadrature import gamma_integral, integral_I
@@ -39,7 +32,6 @@ from .special_values import L_chi4, zeta
 
 __all__ = [
     "kronecker_lhs",
-    "kronecker_lhs_table",
     "kronecker_rhs",
     "l1_series",
     "target_limit_check",
@@ -47,13 +39,12 @@ __all__ = [
 ]
 
 
-def _pole_gap_limit(form: BinaryQuadraticForm, tol: float, eps0: float,
-                    depth: int) -> tuple[ExtrapolationTable, int]:
+def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8) -> ApproxValue:
+    """Limit of (sqrt(D)/4 pi) Z(1+eps) - zeta(1+2 eps) as eps drops to 0.
+
+    The nodes are eps = 0.1 2^-k, k < 8, each to tol / 64.
+    """
     check_tol(tol)
-    if not 0.0 < eps0 <= 0.5:
-        raise ValueError(f"eps0 must lie in (0, 0.5], got {eps0}")
-    if not (isinstance(depth, int) and 4 <= depth <= 16):
-        raise ValueError(f"depth must be an integer in [4, 16], got {depth!r}")
     node_tol = tol / 64.0
     factor = math.sqrt(form.disc) / (4.0 * math.pi)
 
@@ -63,24 +54,7 @@ def _pole_gap_limit(form: BinaryQuadraticForm, tol: float, eps0: float,
         # 2s - 1, not 1 + 2 eps: the two round differently.
         return factor * z_val - zeta(2.0 * s - 1.0, node_tol / 2.0)
 
-    return _limit_at_zero(node, eps0, depth)
-
-
-def kronecker_lhs_table(form: BinaryQuadraticForm, tol: float = 1e-8,
-                        eps0: float = 0.1, depth: int = 8) -> ExtrapolationTable:
-    """The extrapolation table behind kronecker_lhs, for inspection."""
-    return _pole_gap_limit(form, tol, eps0, depth)[0]
-
-
-def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8,
-                  eps0: float = 0.1, depth: int = 8) -> ApproxValue:
-    """Limit of (sqrt(D)/4 pi) Z(1+eps) - zeta(1+2 eps) as eps drops to 0."""
-    table, cost = _pole_gap_limit(form, tol, eps0, depth)
-    if table.error_bound > tol:
-        raise NonConvergence(
-            f"pole-gap extrapolation stalled above tol={tol:g}",
-            value=table.extrapolated, error_bound=table.error_bound, cost=cost)
-    return ApproxValue(table.extrapolated, table.error_bound, cost)
+    return _limit_at_zero(node, 0.1, 8).certified(tol, "pole-gap extrapolation")
 
 
 def kronecker_rhs(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
@@ -128,9 +102,7 @@ def target_limit_check(tol: float = 1e-8) -> VerificationRecord:
                 - zeta(2.0 * s - 1.0, part))
 
     def check():
-        table, _ = _limit_at_zero(node, 0.1, 8)
-        rhs = integral_I(1e-12)
-        return table.extrapolated, rhs.value, table.error_bound + rhs.error_bound
+        return _limit_at_zero(node, 0.1, 8), integral_I(1e-12)
 
     return timed_record("kronecker/scalar-limit-vs-integral", "§3", tol, check)
 

@@ -55,8 +55,6 @@ def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
     js = range(1, int(_U_MAX / h) + 1, 1 if level == 0 else 2)
     out = []
     for j in js:
-        if level > 0 and j % 2 == 0:
-            continue
         u = j * h
         w = 0.5 * math.pi * math.sinh(u)
         q = 1.0 / (1.0 + math.exp(2.0 * w))
@@ -68,7 +66,7 @@ def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
 
 
 def _drive(node_value: Callable[[float, int], float], scale: float,
-           tol: float, max_level: int) -> ApproxValue:
+           tol: float) -> ApproxValue:
     """Run the doubling trapezoid sum.
 
     node_value(q, side) returns the transformed integrand (including any
@@ -80,7 +78,7 @@ def _drive(node_value: Callable[[float, int], float], scale: float,
     neval = 1
     previous = None
     last_err = math.inf
-    for level in range(0, max_level + 1):
+    for level in range(0, _MAX_LEVEL + 1):
         fresh = 0.0
         for q, w in _level_nodes(level):
             fresh += w * (node_value(q, -1) + node_value(q, +1))
@@ -94,12 +92,11 @@ def _drive(node_value: Callable[[float, int], float], scale: float,
                 return ApproxValue(estimate, max(last_err, floor), neval)
         previous = estimate
     raise NonConvergence(
-        f"quadrature stalled above tol={tol:g} after level {max_level}",
+        f"quadrature stalled above tol={tol:g} after level {_MAX_LEVEL}",
         value=previous, error_bound=last_err, cost=neval)
 
 
-def _finite(f: Callable[[float], float], a: float, b: float,
-            tol: float, max_level: int = _MAX_LEVEL) -> ApproxValue:
+def _finite(f: Callable[[float], float], a: float, b: float, tol: float) -> ApproxValue:
     length = b - a
     half = 0.5 * length
 
@@ -113,11 +110,10 @@ def _finite(f: Callable[[float], float], a: float, b: float,
         y = f(x)
         return y if math.isfinite(y) else 0.0
 
-    return _drive(node_value, half, tol, max_level)
+    return _drive(node_value, half, tol)
 
 
-def _halfline(f: Callable[[float], float], tol: float,
-              max_level: int = _MAX_LEVEL) -> ApproxValue:
+def _halfline(f: Callable[[float], float], tol: float) -> ApproxValue:
     def node_value(q: float, side: int) -> float:
         if side < 0:
             v = q
@@ -133,7 +129,7 @@ def _halfline(f: Callable[[float], float], tol: float,
             return 0.0
         return y / v
 
-    return _drive(node_value, 0.5, tol, max_level)
+    return _drive(node_value, 0.5, tol)
 
 
 def integral_I(tol: float = 1e-12) -> ApproxValue:
@@ -190,8 +186,7 @@ def f_form(form, s: float, tol: float = 1e-12) -> ApproxValue:
         val = p ** -s
         return (val / u) / u
 
-    half = _finite(transformed, 0.0, 1.0, 0.5 * tol)
-    return ApproxValue(-2.0 * half.value, 2.0 * half.error_bound, half.cost)
+    return -2.0 * _finite(transformed, 0.0, 1.0, 0.5 * tol)
 
 
 def f_form_derivative_at_1(form, tol: float = 1e-12) -> ApproxValue:
@@ -207,8 +202,7 @@ def f_form_derivative_at_1(form, tol: float = 1e-12) -> ApproxValue:
         val = math.log(p) / p
         return (val / u) / u
 
-    half = _finite(transformed, 0.0, 1.0, 0.5 * tol)
-    return ApproxValue(2.0 * half.value, 2.0 * half.error_bound, half.cost)
+    return 2.0 * _finite(transformed, 0.0, 1.0, 0.5 * tol)
 
 
 def _vertex_data(form) -> tuple[float, float]:

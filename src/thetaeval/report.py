@@ -1,10 +1,13 @@
 """Verification records, run configuration, and report serialization.
 
-A VerificationRecord is one checked equality.  The pass flag is always
-recomputed from the stored numbers (abs_error <= combined_bound +
-tolerance) so a record cannot disagree with its own fields.  JSON output
-is rendered by hand: fixed key order and 17-significant-digit decimals
-make two runs byte-identical apart from the runtime_ms fields.
+A VerificationRecord is one checked equality.  timed_record builds it from
+a builder that returns the two sides as ApproxValues, and takes the sum of
+their bounds as the combined bound; this is the only place two sides'
+bounds are added.  abs_error and the pass flag (abs_error <= combined_bound
++ tolerance) are computed from the stored numbers, so a record cannot
+disagree with its own fields.  JSON output is rendered by hand: fixed key
+order and 17-significant-digit decimals make two runs byte-identical apart
+from the runtime_ms fields.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .approx import check_tol
+from .epstein import BinaryQuadraticForm
 
 REPORT_VERSION = "1.0.0"
 
@@ -33,50 +37,36 @@ DEFAULT_FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """One checked identity: the two sides, their gap, and the verdict."""
+    """One checked identity: the two sides, their combined bound, and the
+    tolerance; the gap and the verdict are computed from them."""
 
     name: str
     paper_anchor: str
     lhs: float
     rhs: float
-    abs_error: float
     combined_bound: float
     tolerance: float
-    passed: bool
     runtime_ms: int
 
-    def __post_init__(self):
-        if self.abs_error != abs(self.lhs - self.rhs):
-            raise ValueError("abs_error must equal |lhs - rhs|")
-        if self.passed != (self.abs_error <= self.combined_bound + self.tolerance):
-            raise ValueError("pass flag inconsistent with stored numbers")
+    @property
+    def abs_error(self) -> float:
+        return abs(self.lhs - self.rhs)
 
-
-def make_record(name: str, paper_anchor: str, lhs: float, rhs: float,
-                combined_bound: float, tolerance: float,
-                runtime_ms: int = 0) -> VerificationRecord:
-    """Build a record, deriving abs_error and the pass flag."""
-    err = abs(lhs - rhs)
-    return VerificationRecord(
-        name=name,
-        paper_anchor=paper_anchor,
-        lhs=lhs,
-        rhs=rhs,
-        abs_error=err,
-        combined_bound=combined_bound,
-        tolerance=tolerance,
-        passed=err <= combined_bound + tolerance,
-        runtime_ms=runtime_ms,
-    )
+    @property
+    def passed(self) -> bool:
+        return self.abs_error <= self.combined_bound + self.tolerance
 
 
 def timed_record(name: str, paper_anchor: str, tolerance: float, builder) -> VerificationRecord:
-    """Run builder() -> (lhs, rhs, combined_bound) and attach the wall time."""
+    """Run builder() -> (lhs, rhs), two ApproxValues, and attach the wall time.
+
+    The record's combined bound is the sum of the two sides' bounds.
+    """
     start = time.perf_counter()
-    lhs, rhs, combined_bound = builder()
+    lhs, rhs = builder()
     elapsed_ms = int(round(1000.0 * (time.perf_counter() - start)))
-    return make_record(name, paper_anchor, lhs, rhs, combined_bound,
-                       tolerance, elapsed_ms)
+    return VerificationRecord(name, paper_anchor, lhs.value, rhs.value,
+                              lhs.error_bound + rhs.error_bound, tolerance, elapsed_ms)
 
 
 @dataclass
@@ -102,11 +92,8 @@ class RunConfig:
         self.suites = tuple(s for s in SUITE_NAMES if s in self.suites)
         if not (isinstance(self.qseries_order, int) and self.qseries_order >= 16):
             raise ValueError(f"order must be an integer >= 16, got {self.qseries_order!r}")
-        for a, b, c in self.forms:
-            if not all(math.isfinite(v) for v in (a, b, c)):
-                raise ValueError(f"form ({a}, {b}, {c}) has a non-finite coefficient")
-            if not (a > 0.0 and 4.0 * a * c - b * b > 0.0):
-                raise ValueError(f"form ({a}, {b}, {c}) is not positive definite")
+        for triple in self.forms:
+            BinaryQuadraticForm(*triple)
         if self.output_format not in ("json", "markdown"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         for name, tol in self.tol_overrides.items():

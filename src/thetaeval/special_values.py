@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .approx import EPS, ApproxValue, NonConvergence, _limit_at_zero
+from .approx import EPS, ApproxValue, _limit_at_zero
 
 __all__ = [
     "euler_gamma",
@@ -55,10 +55,7 @@ def euler_gamma(tol: float = 1e-13) -> ApproxValue:
              + 1.0 / (12.0 * n ** 2) - 1.0 / (120.0 * n ** 4)
              + 1.0 / (252.0 * n ** 6))
     bound = 1.0 / (240.0 * float(n) ** 8) + 8.0 * EPS
-    if bound > tol:
-        raise NonConvergence("euler_gamma cannot certify this tolerance",
-                             value=value, error_bound=bound, cost=n)
-    return ApproxValue(value, bound, n)
+    return ApproxValue(value, bound, n).certified(tol, "euler_gamma")
 
 
 def zeta(s: float, tol: float = 1e-13) -> ApproxValue:
@@ -82,10 +79,7 @@ def zeta(s: float, tol: float = 1e-13) -> ApproxValue:
         j += 1
     omitted = abs(_BERNOULLI_NEXT[1] * poch * float(n) ** (-s - _BERNOULLI_NEXT[0] + 1.0))
     bound = 2.0 * omitted + 4.0 * EPS * abs(value)
-    if bound > tol:
-        raise NonConvergence(f"zeta({s}) cannot certify tol={tol:g}",
-                             value=value, error_bound=bound, cost=n)
-    return ApproxValue(value, bound, n)
+    return ApproxValue(value, bound, n).certified(tol, f"zeta({s})")
 
 
 def _chebyshev_alternating(coefficient, n: int) -> float:
@@ -110,12 +104,11 @@ def _accelerated_pair(coefficient, tol: float, what: str) -> ApproxValue:
     for _ in range(3):
         lo = _chebyshev_alternating(coefficient, n)
         hi = _chebyshev_alternating(coefficient, n + 8)
-        bound = abs(hi - lo) + 8.0 * EPS * (1.0 + abs(hi))
-        if bound <= tol:
-            return ApproxValue(hi, bound, 2 * n + 8)
+        result = ApproxValue(hi, abs(hi - lo) + 8.0 * EPS * (1.0 + abs(hi)), 2 * n + 8)
+        if result.error_bound <= tol:
+            break
         n *= 2
-    raise NonConvergence(f"{what} stalled above tol={tol:g}",
-                         value=hi, error_bound=bound, cost=2 * n + 8)
+    return result.certified(tol, what)
 
 
 def L_chi4(s: float, tol: float = 1e-13) -> ApproxValue:
@@ -127,10 +120,9 @@ def L_chi4(s: float, tol: float = 1e-13) -> ApproxValue:
 
 def L_chi4_prime_at_1(tol: float = 1e-11) -> ApproxValue:
     """L'(1) = minus the alternating sum of log(2k+1) / (2k+1)."""
-    inner = _accelerated_pair(
+    return -_accelerated_pair(
         lambda k: math.log(2.0 * k + 1.0) / (2.0 * k + 1.0) if k else 0.0,
         tol, "L'(1)")
-    return ApproxValue(-inner.value, inner.error_bound, inner.cost)
 
 
 def gamma_gauss(s: float, tol: float = 1e-9) -> ApproxValue:
@@ -161,9 +153,4 @@ def gamma_gauss(s: float, tol: float = 1e-9) -> ApproxValue:
         spread = 4.0 * s * log_n + 2.0 * s + 2.0 * abs(log_s) + abs(e) + 4.0
         return ApproxValue(p, p * EPS * spread, n)
 
-    table, cost = _limit_at_zero(node, 1.0 / 64.0, 8)
-    if table.error_bound > tol:
-        raise NonConvergence(f"gamma_gauss({s}) stalled above tol={tol:g}",
-                             value=table.extrapolated, error_bound=table.error_bound,
-                             cost=cost)
-    return ApproxValue(table.extrapolated, table.error_bound, cost)
+    return _limit_at_zero(node, 1.0 / 64.0, 8).certified(tol, f"gamma_gauss({s})")

@@ -3,11 +3,14 @@
 Engines return bounded values; this module turns them into records.  A
 suite function takes the run configuration and a `check` callable, and
 declares each of its checks as `check(name, anchor, default_tol, builder)`,
-where builder() returns (lhs, rhs, combined_bound).  `run_suites` supplies
-`check` and builds every record: it looks up the tolerance, times the
-builder, keeps an engine failure to its own check and sorts each suite's
-records by name.  Default tolerances live here, next to the checks they
-gate; any of them can be overridden per record name through the
+where builder() returns the two sides as ApproxValues: a closed-form target
+is ApproxValue(target, rounding), and a gap checked against zero is
+ApproxValue(gap, bound) against an exact zero.  `run_suites` supplies
+`check` and builds every record through report.timed_record, which adds
+the two sides' bounds: it looks up the tolerance, times the builder, keeps
+an engine failure (a non-finite side included) to its own check and sorts
+each suite's records by name.  Default tolerances live here, next to the
+checks they gate; any of them can be overridden per record name through the
 configuration, and an override changes the verdict only, never how a value
 is computed.
 """
@@ -48,6 +51,9 @@ from .special_values import (
 __all__ = ["SUITES", "run_suites"]
 
 
+_ZERO = ApproxValue(0.0, 0.0)
+
+
 def _form_label(form: tuple[float, float, float]) -> str:
     return ",".join(format(v, "g") for v in form)
 
@@ -63,7 +69,7 @@ def _suite_triple_product(config: RunConfig, check) -> None:
         lhs = theta_qseries(order)
         rhs = triple_product_qseries(order)
         gap = max(abs(x - y) for x, y in zip(lhs.coeffs, rhs.coeffs))
-        return float(gap), 0.0, 0.0
+        return ApproxValue(float(gap), 0.0), _ZERO
 
     check("triple-product/theta-vs-product", "Lemma 1", 0.0, theta_vs_product)
 
@@ -73,12 +79,12 @@ def _suite_two_squares(config: RunConfig, check) -> None:
 
     def divisor_vs_bruteforce():
         gap = max(abs(r_divisor(n) - r_bruteforce(n)) for n in range(1, order + 1))
-        return float(gap), 0.0, 0.0
+        return ApproxValue(float(gap), 0.0), _ZERO
 
     def theta_square_vs_divisor():
         gap = max(abs(r_from_theta_squared(n, order) - r_divisor(n))
                   for n in range(1, order + 1))
-        return float(gap), 0.0, 0.0
+        return ApproxValue(float(gap), 0.0), _ZERO
 
     check("two-squares/bruteforce-vs-divisor", "Lemma 2", 0.0, divisor_vs_bruteforce)
     check("two-squares/theta-squared-vs-divisor", "§3", 0.0, theta_square_vs_divisor)
@@ -88,15 +94,14 @@ def _suite_integral(config: RunConfig, check) -> None:
     def exp_i_check():
         lhs = integral_I(1e-12).exp()
         quotient = gamma_integral(0.75, 1e-13) / gamma_integral(0.25, 1e-13)
-        rhs = math.sqrt(2.0 * math.pi) * quotient
-        return lhs.value, rhs.value, lhs.error_bound + rhs.error_bound
+        return lhs, math.sqrt(2.0 * math.pi) * quotient
 
     check("integral/exp-I-vs-gamma-quotient", "Lemma 4", 1e-10, exp_i_check)
 
     def reflection_check():
         product = gamma_integral(0.25, 1e-13) * gamma_integral(0.75, 1e-13)
         target = math.pi * math.sqrt(2.0)
-        return product.value, target, product.error_bound + 4.0 * EPS * target
+        return product, ApproxValue(target, 4.0 * EPS * target)
 
     check("integral/gamma-reflection-quarter", "§1", 1e-10, reflection_check)
 
@@ -107,7 +112,7 @@ def _suite_integral(config: RunConfig, check) -> None:
         def value_check(q=form):
             got = f_form(q, 1.0, 1e-12)
             target = -2.0 * math.pi / math.sqrt(q.disc)
-            return got.value, target, got.error_bound + 4.0 * EPS * abs(target)
+            return got, ApproxValue(target, 4.0 * EPS * abs(target))
 
         check(f"integral/f-at-1/{label}", "Prop. 3", 1e-10, value_check)
 
@@ -115,38 +120,36 @@ def _suite_integral(config: RunConfig, check) -> None:
             got = f_form_derivative_at_1(q, 1e-11)
             target = -(4.0 * math.pi / math.sqrt(q.disc)) * math.log(
                 math.sqrt(q.a / q.disc))
-            return got.value, target, got.error_bound + 4.0 * EPS * abs(target)
+            return got, ApproxValue(target, 4.0 * EPS * abs(target))
 
         check(f"integral/f-prime-at-1/{label}", "eq. (1)", 1e-8, slope_check)
 
 
 def _suite_special_values(config: RunConfig, check) -> None:
     def zeta_two():
-        got = zeta(2.0, 1e-13)
-        return got.value, math.pi ** 2 / 6.0, got.error_bound + 4.0 * EPS
+        return zeta(2.0, 1e-13), ApproxValue(math.pi ** 2 / 6.0, 4.0 * EPS)
 
     check("special-values/zeta-at-2", "Prop. 3", 1e-12, zeta_two)
 
     def l_one():
-        got = L_chi4(1.0, 1e-13)
-        return got.value, math.pi / 4.0, got.error_bound + 4.0 * EPS
+        return L_chi4(1.0, 1e-13), ApproxValue(math.pi / 4.0, 4.0 * EPS)
 
     check("special-values/L-at-1", "Lemma 2", 1e-12, l_one)
 
     def pole_constant():
+        # One delta: 1e4 * 4 EPS covers subtracting 1/delta, and a hand-set
+        # 1e-4 the O(delta) defect.
         delta = 1e-4
         got = zeta(1.0 + delta, 1e-11)
-        gamma = euler_gamma(1e-13)
-        lhs = got.value - 1.0 / delta
-        bound = got.error_bound + gamma.error_bound + 1e4 * 4.0 * EPS
-        return lhs, gamma.value, bound + 1e-4
+        lhs = ApproxValue(got.value - 1.0 / delta, got.error_bound + 1e4 * 4.0 * EPS + 1e-4)
+        return lhs, euler_gamma(1e-13)
 
     check("special-values/zeta-pole-constant", "§3", 1e-3, pole_constant)
 
     def gauss_reflection():
         product = gamma_gauss(0.25, 1e-8) * gamma_gauss(0.75, 1e-8)
         target = math.pi * math.sqrt(2.0)
-        return product.value, target, product.error_bound + 4.0 * EPS * target
+        return product, ApproxValue(target, 4.0 * EPS * target)
 
     check("special-values/gauss-gamma-reflection", "§1", 1e-8, gauss_reflection)
 
@@ -169,8 +172,7 @@ def _suite_special_values(config: RunConfig, check) -> None:
         return ApproxValue(q, bound, hi.cost + lo.cost)
 
     def central_difference() -> ApproxValue:
-        table, cost = _limit_at_zero(difference_quotient, 2.0 ** -8, 6)
-        return ApproxValue(table.extrapolated, table.error_bound, cost)
+        return _limit_at_zero(difference_quotient, 2.0 ** -8, 6)
 
     def half_pi_integral() -> ApproxValue:
         return (math.pi / 2.0) * integral_I(1e-12)
@@ -186,9 +188,7 @@ def _suite_special_values(config: RunConfig, check) -> None:
             name_j, fn_j = routes[j]
 
             def pair_check(f=fn_i, g=fn_j):
-                left = f()
-                right = g()
-                return left.value, right.value, left.error_bound + right.error_bound
+                return f(), g()
 
             check(f"special-values/gammaL-slope/{name_i}-vs-{name_j}",
                   "§3", 1e-6, pair_check)
@@ -207,9 +207,8 @@ def _suite_epstein(config: RunConfig, check) -> None:
 
     for s in _DIRICHLET_S:
         def dirichlet_check(s=s):
-            got = epstein_accelerated(unit, s, 1e-10)
-            target = 4.0 * (zeta(s, 1e-12) * L_chi4(s, 1e-12))
-            return got.value, target.value, got.error_bound + target.error_bound
+            return (epstein_accelerated(unit, s, 1e-10),
+                    4.0 * (zeta(s, 1e-12) * L_chi4(s, 1e-12)))
 
         check(f"epstein/accelerated-vs-dirichlet/s={_s_label(s)}",
               "Lemma 2", 1e-9, dirichlet_check)
@@ -219,17 +218,14 @@ def _suite_epstein(config: RunConfig, check) -> None:
         label = _form_label(triple)
         for s in _GRID_S:
             def engines_check(q=form, s=s):
-                slow = epstein_direct(q, s, _DIRECT_TOL[s])
-                fast = epstein_accelerated(q, s, 1e-10)
-                return slow.value, fast.value, slow.error_bound + fast.error_bound
+                return epstein_direct(q, s, _DIRECT_TOL[s]), epstein_accelerated(q, s, 1e-10)
 
             check(f"epstein/direct-vs-accelerated/{label}/s={_s_label(s)}",
                   "§3", 0.0, engines_check)
 
     def unimodular_check():
-        left = epstein_accelerated(unit, 1.5, 1e-12)
-        right = epstein_accelerated(BinaryQuadraticForm(2.0, -2.0, 1.0), 1.5, 1e-12)
-        return left.value, right.value, left.error_bound + right.error_bound
+        return (epstein_accelerated(unit, 1.5, 1e-12),
+                epstein_accelerated(BinaryQuadraticForm(2.0, -2.0, 1.0), 1.5, 1e-12))
 
     check("epstein/unimodular-equivalence/s=1.5", "§3", 0.0, unimodular_check)
 
@@ -240,24 +236,19 @@ def _suite_kronecker(config: RunConfig, check) -> None:
         label = _form_label(triple)
 
         def limit_check(q=form):
-            left = kronecker_lhs(q, 1e-8)
-            right = kronecker_rhs(q, 1e-11)
-            return left.value, right.value, left.error_bound + right.error_bound
+            return kronecker_lhs(q, 1e-8), kronecker_rhs(q, 1e-11)
 
         check(f"kronecker/lhs-vs-rhs/{label}", "Prop. 3", 1e-6, limit_check)
 
         def series_check(q=form):
-            left = l1_series(q, 1e-11)
-            mag = eta_uhp(q.z_point(), 1e-13).magnitude()
-            right = -2.0 * mag.log()
-            return left.value, right.value, left.error_bound + right.error_bound
+            return l1_series(q, 1e-11), -2.0 * eta_uhp(q.z_point(), 1e-13).magnitude().log()
 
         check(f"kronecker/l1-vs-eta-log/{label}", "eq. (1)", 1e-10, series_check)
 
     def scalar_limit_check():
         # Only the numbers are kept: this check's record carries the tolerance.
         record = target_limit_check(0.0)
-        return record.lhs, record.rhs, record.combined_bound
+        return ApproxValue(record.lhs, record.combined_bound), ApproxValue(record.rhs, 0.0)
 
     check("kronecker/scalar-limit-vs-integral", "§3", 1e-8, scalar_limit_check)
 
@@ -275,7 +266,7 @@ def _suite_theta(config: RunConfig, check) -> None:
         routes = theta_at_i_assembly()
         worst = max(abs(a.value - b.value) for a, b in itertools.combinations(routes, 2))
         bounds = sorted(r.error_bound for r in routes)
-        return worst, 0.0, bounds[-1] + bounds[-2]
+        return ApproxValue(worst, bounds[-1] + bounds[-2]), _ZERO
 
     check("theta/value-at-i-four-routes", "Theorem 1", 1e-10, four_routes)
 
@@ -286,15 +277,14 @@ def _suite_theta(config: RunConfig, check) -> None:
             series = theta_uhp(z, 0.25e-12)
             product = eta_quotient(z, 0.25e-12)
             mismatch = abs(series.as_complex() - product.as_complex())
-            return mismatch, 0.0, series.error_bound + product.error_bound
+            return ApproxValue(mismatch, series.error_bound + product.error_bound), _ZERO
 
         check(f"theta/quotient-identity/z={z.re:g}+{z.im:g}i",
               "§3", 1e-12, quotient_check)
 
     def shift_check():
-        left = eta_uhp(UpperHalfPoint(1.0, 1.0), 1e-13).magnitude()
-        right = eta_uhp(UpperHalfPoint(0.0, 1.0), 1e-13).magnitude()
-        return left.value, right.value, left.error_bound + right.error_bound
+        return (eta_uhp(UpperHalfPoint(1.0, 1.0), 1e-13).magnitude(),
+                eta_uhp(UpperHalfPoint(0.0, 1.0), 1e-13).magnitude())
 
     check("theta/eta-shift-modulus", "§3", 0.0, shift_check)
 
@@ -305,8 +295,7 @@ def _suite_theta(config: RunConfig, check) -> None:
         coeffs = theta_qseries(64).coeffs
         value = math.fsum(c * q ** n for n, c in enumerate(coeffs))
         tail = 3.0 * q ** 65 / (1.0 - q)
-        bound = direct.error_bound + tail + 8.0 * EPS
-        return direct.re, value, bound
+        return ApproxValue(direct.re, direct.error_bound), ApproxValue(value, tail + 8.0 * EPS)
 
     check("theta/series-at-2i-vs-qseries", "Theorem 1", 1e-12, series_vs_qseries)
 

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from thetaeval.approx import NonConvergence
+from thetaeval.approx import ApproxValue
 from thetaeval.cli import main
 from thetaeval.report import (
     REPORT_VERSION,
@@ -14,11 +14,15 @@ from thetaeval.report import (
     RunConfig,
     VerificationRecord,
     emit_report,
-    make_record,
     render_json,
     render_markdown,
+    timed_record,
 )
 from thetaeval.suites import SUITES
+
+
+def _record(lhs, rhs, combined_bound=0.0, name="x", anchor="§1"):
+    return VerificationRecord(name, anchor, lhs, rhs, combined_bound, 0.0, 0)
 
 
 class TestExitCodes:
@@ -50,7 +54,8 @@ class TestExitCodes:
 
     def test_failing_record_exits_one(self, capsys, monkeypatch):
         def sides_differ(config, check):
-            check("theta/synthetic-failure", "§3", 0.0, lambda: (1.0, 2.0, 0.0))
+            check("theta/synthetic-failure", "§3", 0.0,
+                  lambda: (ApproxValue(1.0, 0.0), ApproxValue(2.0, 0.0)))
 
         monkeypatch.setitem(SUITES, "theta", sides_differ)
         assert main(["theta"]) == 1
@@ -58,7 +63,7 @@ class TestExitCodes:
 
     def test_engine_refusal_exits_three(self, capsys, monkeypatch):
         def stall():
-            raise NonConvergence("synthetic stall", value=1.0, error_bound=1.0)
+            return ApproxValue(1.0, 1.0).certified(1e-3, "synthetic"), ApproxValue(1.0, 0.0)
 
         def stalling_suite(config, check):
             check("kronecker/synthetic", "§3", 0.0, stall)
@@ -67,10 +72,31 @@ class TestExitCodes:
         rc = main(["special-values", "kronecker"])
         assert rc == 3
         captured = capsys.readouterr()
-        assert "engine gave up on kronecker/synthetic: synthetic stall" in captured.err
+        assert ("engine gave up on kronecker/synthetic: synthetic stalled above tol=0.001"
+                in captured.err)
         # the suite that finished before the stall is still reported
         assert "special-values/zeta-at-2" in captured.out
         assert "7/7 checks passed" in captured.out
+
+    def test_nonfinite_side_is_a_stall(self, capsys, monkeypatch):
+        # A side that is not finite cannot become an ApproxValue, so the
+        # builder fails like an engine: a stall line, not a traceback.
+        def suite(config, check):
+            check("kronecker/synthetic-inf", "§3", 0.0,
+                  lambda: (ApproxValue(math.inf, 1.0), ApproxValue(1.0, 0.0)))
+            check("kronecker/synthetic-ok", "§3", 0.0,
+                  lambda: (ApproxValue(1.0, 0.0), ApproxValue(1.0, 0.0)))
+
+        monkeypatch.setitem(SUITES, "kronecker", suite)
+        assert main(["special-values", "kronecker"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.count("engine gave up on") == 1
+        assert ("engine gave up on kronecker/synthetic-inf: ValueError: "
+                "value must be finite, got inf") in captured.err
+        assert "kronecker/synthetic-ok" in captured.out
+        assert "special-values/zeta-at-2" in captured.out
+        assert "8/8 checks passed" in captured.out
+        assert "Traceback" not in captured.err
 
     # Each stalled check is (name, exception type named on its line); a
     # NonConvergence keeps its plain message, so its type is None.
@@ -113,6 +139,11 @@ class TestExitCodes:
     def test_nonfinite_form_is_config_error(self, capsys):
         assert main(["integral", "--form", "1,0,inf"]) == 2
         assert "bad configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["1,5,1", "-1,0,-1", "nan,0,1"])
+    def test_indefinite_form_is_config_error(self, form, capsys):
+        assert main(["integral", f"--form={form}"]) == 2
+        assert "bad configuration: form (" in capsys.readouterr().err
 
     def test_zero_tolerance_on_engine_built_checks(self, tmp_path, capsys):
         # An override sets the verdict only; engines keep their own tolerances.
@@ -172,7 +203,7 @@ class TestJsonReport:
         assert texts[0] == texts[1]
 
     def test_floats_survive_the_round_trip(self):
-        rec = make_record("x", "§1", 1.0 / 3.0, math.pi, 4.0, 0.0)
+        rec = _record(1.0 / 3.0, math.pi, 4.0)
         doc = json.loads(render_json([rec]))
         assert doc["records"][0]["lhs"] == 1.0 / 3.0
         assert doc["records"][0]["rhs"] == math.pi
@@ -183,7 +214,7 @@ class TestJsonReport:
         assert doc["records"] == []
 
     def test_emit_report_returns_text_and_writes(self, tmp_path):
-        rec = make_record("x", "§1", 1.0, 1.0, 0.0, 0.0)
+        rec = _record(1.0, 1.0)
         path = tmp_path / "r.json"
         text = emit_report([rec], "json", str(path))
         assert path.read_text() == text
@@ -194,18 +225,17 @@ class TestJsonReport:
             emit_report([], "yaml", None)
 
     def test_nonfinite_values_are_refused(self):
-        # inf - inf gives nan, so the record invariant already refuses it
-        with pytest.raises(ValueError):
-            VerificationRecord(
-                name="x", paper_anchor="§1", lhs=math.inf, rhs=math.inf,
-                abs_error=math.nan, combined_bound=0.0, tolerance=0.0,
-                passed=False, runtime_ms=0)
+        for rec in (_record(math.inf, math.inf), _record(1.0, 1.0, math.nan)):
+            with pytest.raises(ValueError):
+                render_json([rec])
+            with pytest.raises(ValueError):
+                render_markdown([rec])
 
 
 class TestMarkdownReport:
     def test_table_layout(self):
-        good = make_record("a/b", "Lemma 1", 1.0, 1.0, 0.0, 0.0)
-        bad = make_record("c/d", "§3", 1.0, 2.0, 0.0, 0.0)
+        good = _record(1.0, 1.0, name="a/b", anchor="Lemma 1")
+        bad = _record(1.0, 2.0, name="c/d", anchor="§3")
         text = render_markdown([good, bad])
         lines = text.splitlines()
         assert lines[0] == "| Name | Anchor | \\|lhs-rhs\\| | Bound+Tol | Pass |"
@@ -283,19 +313,24 @@ class TestRunConfig:
 
 
 class TestRecordInvariants:
+    # abs_error and passed are computed from the stored numbers, so a
+    # record cannot be built to disagree with them.
     def test_derived_error_must_match(self):
-        with pytest.raises(ValueError):
+        assert _record(1.0, 1.5, 1.0).abs_error == 0.5
+        with pytest.raises(TypeError):
             VerificationRecord(name="x", paper_anchor="§1", lhs=1.0, rhs=1.0,
                                abs_error=0.5, combined_bound=1.0,
-                               tolerance=0.0, passed=True, runtime_ms=0)
+                               tolerance=0.0, runtime_ms=0)
 
     def test_pass_flag_must_match(self):
-        with pytest.raises(ValueError):
-            VerificationRecord(name="x", paper_anchor="§1", lhs=1.0, rhs=2.0,
-                               abs_error=1.0, combined_bound=0.0,
-                               tolerance=0.0, passed=True, runtime_ms=0)
+        assert not _record(1.0, 2.0, 0.0).passed
+        assert _record(1.0, 2.0, 1.0).passed
+        assert VerificationRecord("x", "§1", 1.0, 2.0, 0.5, 0.5, 0).passed
 
-    def test_make_record_is_consistent(self):
-        rec = make_record("x", "§1", 1.0, 1.0 + 1e-12, 1e-10, 0.0)
+    def test_timed_record_sums_side_bounds(self):
+        rec = timed_record("x", "§1", 0.0, lambda: (ApproxValue(1.0, 1e-10),
+                                                     ApproxValue(1.0 + 1e-12, 2e-10)))
+        assert (rec.lhs, rec.rhs) == (1.0, 1.0 + 1e-12)
+        assert rec.combined_bound == 1e-10 + 2e-10
         assert rec.passed
         assert rec.abs_error == abs(1.0 - (1.0 + 1e-12))

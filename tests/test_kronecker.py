@@ -2,7 +2,9 @@
 four-route assembly of the theta constant.
 """
 
+import importlib.util
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from thetaeval import (
     UpperHalfPoint,
     L_chi4,
     L_chi4_prime_at_1,
+    ApproxValue,
     NonConvergence,
     RunConfig,
     eta_uhp,
@@ -21,7 +24,6 @@ from thetaeval import (
     gamma_integral,
     integral_I,
     kronecker_lhs,
-    kronecker_lhs_table,
     kronecker_rhs,
     l1_series,
     run_suites,
@@ -29,8 +31,14 @@ from thetaeval import (
     theta_at_i_assembly,
     theta_uhp,
 )
+from thetaeval.approx import _limit_at_zero
 
 FOUR_FORMS = [(1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0)]
+
+_SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "limit_table.py"
+_spec = importlib.util.spec_from_file_location("limit_table", _SCRIPT)
+limit_table = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(limit_table)
 
 
 class TestExtrapolation:
@@ -41,15 +49,15 @@ class TestExtrapolation:
         def g(e):
             return 3.0 + 2.0 * e - 5.0 * e ** 2 + e ** 3 - 0.5 * e ** 7
 
-        table = extrapolate_to_zero(nodes, [g(e) for e in nodes])
-        assert abs(table.extrapolated - 3.0) <= 1e-12
-        assert abs(table.extrapolated - 3.0) <= table.error_bound
+        limit = extrapolate_to_zero(nodes, [g(e) for e in nodes])
+        assert abs(limit.value - 3.0) <= 1e-12
+        assert abs(limit.value - 3.0) <= limit.error_bound
 
     def test_analytic_function(self):
         nodes = [0.1 * 2.0 ** -k for k in range(8)]
         values = [math.exp(2.0 * e) for e in nodes]
-        table = extrapolate_to_zero(nodes, values)
-        assert abs(table.extrapolated - 1.0) <= table.error_bound
+        limit = extrapolate_to_zero(nodes, values)
+        assert abs(limit.value - 1.0) <= limit.error_bound
 
     def test_node_errors_amplified_into_bound(self):
         nodes = [0.1 * 2.0 ** -k for k in range(8)]
@@ -66,11 +74,31 @@ class TestExtrapolation:
         with pytest.raises(ValueError):
             extrapolate_to_zero([0.1, 0.2, 0.05, 0.025], [1.0] * 4)
 
+    def test_requires_aligned_finite_nodes(self):
+        nodes = [0.4, 0.2, 0.1, 0.05]
+        with pytest.raises(ValueError):
+            extrapolate_to_zero(nodes, [1.0] * 3)
+        with pytest.raises(ValueError):
+            extrapolate_to_zero(nodes, [1.0] * 4, [0.0] * 3)
+        with pytest.raises(ValueError):
+            extrapolate_to_zero(nodes, [1.0, math.inf, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            extrapolate_to_zero([0.4, 0.2, 0.1, 0.0], [1.0] * 4)
+
     def test_table_fields(self):
-        table = kronecker_lhs_table(BinaryQuadraticForm(1.0, 0.0, 1.0), 1e-8)
-        assert len(table.abscissae) == 8
-        assert table.abscissae[0] == 0.1
-        assert all(x > y for x, y in zip(table.abscissae, table.abscissae[1:]))
+        # The driver's limit is an ApproxValue that carries the summed cost
+        # of nodes taken at eps0 2^-k, k < depth.
+        seen = []
+
+        def node(eps):
+            seen.append(eps)
+            return ApproxValue(2.0 + eps, 1e-15, 3)
+
+        limit = _limit_at_zero(node, 0.1, 8)
+        assert seen == [0.1 * 2.0 ** -k for k in range(8)]
+        assert limit.cost == 24
+        assert abs(limit.value - 2.0) <= limit.error_bound
+        assert extrapolate_to_zero(seen, [2.0 + e for e in seen]).cost == 0
 
 
 @given(constant=st.floats(min_value=-5.0, max_value=5.0),
@@ -80,8 +108,8 @@ class TestExtrapolation:
 def test_extrapolation_recovers_quadratic_constant(constant, slope, curve):
     nodes = [0.1 * 2.0 ** -k for k in range(8)]
     values = [constant + slope * e + curve * e * e for e in nodes]
-    table = extrapolate_to_zero(nodes, values)
-    assert abs(table.extrapolated - constant) <= table.error_bound + 1e-11
+    limit = extrapolate_to_zero(nodes, values)
+    assert abs(limit.value - constant) <= limit.error_bound + 1e-11
 
 
 class TestKroneckerLimit:
@@ -104,20 +132,28 @@ class TestKroneckerLimit:
         assert abs(lhs.value - rhs.value) <= lhs.error_bound + rhs.error_bound + 1e-6
 
     def test_self_consistency_under_node_halving(self):
-        # re-extrapolating from eps0/2 must stay inside the first bound
+        # re-extrapolating the script's nodes from eps0/2 must stay inside
+        # the first bound
         form = BinaryQuadraticForm(1.0, 0.0, 2.0)
-        base = kronecker_lhs(form, 1e-8)
-        halved = kronecker_lhs(form, 1e-8, eps0=0.05)
+        _, base = limit_table.pole_gap_limit(form)
+        _, halved = limit_table.pole_gap_limit(form, [0.05 * 2.0 ** -k for k in range(8)])
         assert abs(base.value - halved.value) <= base.error_bound
+
+    @pytest.mark.parametrize("coeffs", FOUR_FORMS)
+    def test_limit_script_matches_engine(self, coeffs):
+        # scripts/limit_table.py builds g(eps) on its own; the two
+        # definitions of the limit may not drift apart by a single bit.
+        form = BinaryQuadraticForm(*coeffs)
+        _, limit = limit_table.pole_gap_limit(form)
+        engine = kronecker_lhs(form, 1e-8)
+        assert limit.value == engine.value
+        assert limit.error_bound == engine.error_bound
 
     def test_rejects_bad_arguments(self):
         form = BinaryQuadraticForm(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            kronecker_lhs(form, -1e-8)
-        with pytest.raises(ValueError):
-            kronecker_lhs(form, 1e-8, eps0=0.7)
-        with pytest.raises(ValueError):
-            kronecker_lhs(form, 1e-8, depth=2)
+        for tol in (-1e-8, 0.0, math.nan):
+            with pytest.raises(ValueError):
+                kronecker_lhs(form, tol)
 
     def test_refuses_impossible_tolerance(self):
         with pytest.raises(NonConvergence):
