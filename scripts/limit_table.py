@@ -4,44 +4,28 @@ For each standard form, print the raw node values
 
     g(eps) = (sqrt(D) / 4 pi) Z(1 + eps) - zeta(2 (1 + eps) - 1)
 
-on the halving ladder eps = 0.1 * 2^-k, k < 8, each computed from
-epstein_accelerated and zeta to the node tolerances kronecker_lhs(form,
-1e-8) uses.  The raw sequence crawls toward the limit at first order in
-eps; extrapolate_to_zero over the same eight nodes lands within ~1e-12 of
-the closed form, and on the same value kronecker_lhs returns.  The last
-column is the honest check: |extrapolated - closed| against the reported
-bound.
+on the halving ladder eps = 0.1 * 2^-k, k < 8, each from pole_gap at the
+node tolerance kronecker_lhs(form, 1e-8) uses.  The raw sequence crawls
+toward the limit at first order in eps; extrapolate_to_zero over the same
+eight nodes lands within ~1e-12 of the closed form, and on the same value
+kronecker_lhs returns.  The last column is the honest check:
+|extrapolated - closed| against the reported bound.
 
 Usage: python scripts/limit_table.py
 """
 
-import math
-
-from thetaeval import (
-    BinaryQuadraticForm,
-    epstein_accelerated,
-    extrapolate_to_zero,
-    kronecker_rhs,
-    zeta,
-)
+from thetaeval import BinaryQuadraticForm, extrapolate_to_zero, kronecker_rhs
+from thetaeval.kronecker import pole_gap
 
 FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
 TOL = 1e-8
 LADDER = tuple(0.1 * 2.0 ** -k for k in range(8))
 
 
-def pole_gap_node(form, eps):
-    """g(eps), to the share of TOL that kronecker_lhs gives each node."""
-    node_tol = TOL / 64.0
-    factor = math.sqrt(form.disc) / (4.0 * math.pi)
-    s = 1.0 + eps
-    z_val = epstein_accelerated(form, s, node_tol / (2.0 * factor))
-    return factor * z_val - zeta(2.0 * s - 1.0, node_tol / 2.0)
-
-
 def pole_gap_limit(form, ladder=LADDER):
-    """The nodes g(eps) over the ladder and their limit at eps = 0."""
-    nodes = [pole_gap_node(form, eps) for eps in ladder]
+    """The nodes g(eps) over the ladder, each to the TOL / 64 kronecker_lhs
+    gives a node, and their limit at eps = 0."""
+    nodes = [pole_gap(form, 1.0 + eps, TOL / 64.0) for eps in ladder]
     limit = extrapolate_to_zero(ladder, [g.value for g in nodes],
                                 [g.error_bound for g in nodes])
     return nodes, limit

@@ -14,9 +14,9 @@ This module also holds the package's one limit driver.  extrapolate_to_zero
 evaluates at 0 the polynomial through values taken at halving abscissae
 (Neville), pushing the nodes' own bounds through the same weights, and
 returns the limit as an ApproxValue; _limit_at_zero feeds it from a node
-function and adds up the nodes' cost.  The pole-gap limits in kronecker.py,
-the Gauss product for Gamma in special_values.py and the central
-difference in suites.py all take their limits through it.
+function and adds up the nodes' cost.  pole_constant is its one ladder at
+the pole s = 1, for the Kronecker limits and Euler's constant; the Gauss
+product for Gamma and the central difference use ladders of their own.
 """
 
 from __future__ import annotations
@@ -185,3 +185,10 @@ def _limit_at_zero(node, eps0: float, depth: int) -> ApproxValue:
     nodes = [node(x) for x in xs]
     limit = extrapolate_to_zero(xs, [v.value for v in nodes], [v.error_bound for v in nodes])
     return ApproxValue(limit.value, limit.error_bound, sum(v.cost for v in nodes))
+
+
+def pole_constant(regular) -> ApproxValue:
+    """Limit at s = 1 of regular(s) -> ApproxValue, from s = 1 + 0.1 2^-k,
+    k < 8.  A regular part that subtracts 1/(s - 1) must form s - 1 from the
+    s it is given (exact for s in [1, 2]), not from eps: 1 + eps rounds."""
+    return _limit_at_zero(lambda eps: regular(1.0 + eps), 0.1, 8)

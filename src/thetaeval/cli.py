@@ -57,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
         "suites", nargs="*", metavar="suite",
         help=f"suites to run (default: all, cheapest first); one of: {', '.join(SUITE_NAMES)}")
     parser.add_argument(
-        "--order", type=int, default=256, metavar="N",
-        help="q-series truncation order and two-squares range (default 256)")
+        "--order", type=int, default=RunConfig.qseries_order, metavar="N",
+        help="q-series truncation order and two-squares range (default %(default)s)")
     parser.add_argument(
         "--form", type=_parse_form, action="append", metavar="a,b,c",
         help="quadratic form coefficients; repeatable (default: the four standard forms)")

@@ -79,7 +79,7 @@ _MAX_POINTS = 10_000_000
 
 @dataclass(frozen=True)
 class BinaryQuadraticForm:
-    """a x^2 + b x y + c y^2 with a > 0 and positive discriminant 4ac - b^2."""
+    """a x^2 + b x y + c y^2 with a > 0 and 4ac - b^2 a finite positive double."""
 
     a: float
     b: float
@@ -90,9 +90,12 @@ class BinaryQuadraticForm:
             if not math.isfinite(v):
                 raise ValueError(
                     f"form ({self.a}, {self.b}, {self.c}) has a non-finite coefficient")
-        if not (self.a > 0.0 and self.disc > 0.0):
-            raise ValueError(
-                f"form ({self.a}, {self.b}, {self.c}) is not positive definite")
+        if not (self.a > 0.0 and 0.0 < self.disc < math.inf):
+            what = "is not positive definite"
+            (na, da), (nb, db), (nc, dc) = (v.as_integer_ratio() for v in (self.a, self.b, self.c))
+            if self.a > 0.0 and 4 * na * nc * db * db > nb * nb * da * dc:  # 4ac > b^2, exactly
+                what = f"has discriminant 4ac - b^2 = {self.disc}, not a finite positive double"
+            raise ValueError(f"form ({self.a}, {self.b}, {self.c}) {what}")
 
     @property
     def disc(self) -> float:

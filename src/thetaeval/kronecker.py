@@ -7,15 +7,15 @@ a matching multiple of the Riemann zeta pole leaves
     g(eps) = (sqrt(D) / 4 pi) Z(1 + eps) - zeta(1 + 2 eps),
 
 whose limit at eps = 0 equals (1/2) log(a / D) - 2 log |eta(z_Q)| where z_Q
-is the root of a z^2 + b z + c = 0 in the upper half plane.  kronecker_lhs
-extracts the limit numerically by polynomial extrapolation in eps, through
-the driver in approx.py, and returns it as an ApproxValue certified to its
+is the root of a z^2 + b z + c = 0 in the upper half plane.  pole_gap is
+that regular part at one s; kronecker_lhs takes its limit at s = 1 through
+approx.pole_constant and returns it as an ApproxValue certified to its
 tolerance; kronecker_rhs gives the closed-form right side for comparison.
 
 For Q = (1, 0, 1) the lattice sum factors through Dirichlet series, giving
 the scalar family h(eps) = (2/pi) zeta(1+eps) L(1+eps) - zeta(1+2 eps) whose
-limit is the logarithmic cosh integral; that cross-check and the four-route
-assembly of the theta value at z = i live here too.
+limit is the logarithmic cosh integral; scalar_limit_sides gives both as
+one check's two sides.  The four routes to theta at z = i live here too.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .approx import EPS, ApproxValue, NonConvergence, _limit_at_zero, check_tol
+from .approx import EPS, ApproxValue, NonConvergence, check_tol, pole_constant
 from .epstein import BinaryQuadraticForm, epstein_accelerated
 from .modular import UpperHalfPoint, eta_uhp, theta_uhp
 from .quadrature import gamma_integral, integral_I
@@ -34,27 +34,25 @@ __all__ = [
     "kronecker_lhs",
     "kronecker_rhs",
     "l1_series",
+    "pole_gap",
+    "scalar_limit_sides",
     "target_limit_check",
     "theta_at_i_assembly",
 ]
 
 
-def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8) -> ApproxValue:
-    """Limit of (sqrt(D)/4 pi) Z(1+eps) - zeta(1+2 eps) as eps drops to 0.
-
-    The nodes are eps = 0.1 2^-k, k < 8, each to tol / 64.
-    """
-    check_tol(tol)
-    node_tol = tol / 64.0
+def pole_gap(form: BinaryQuadraticForm, s: float, node_tol: float) -> ApproxValue:
+    """(sqrt(D)/4 pi) Z(s) - zeta(2s - 1), each term to node_tol / 2."""
     factor = math.sqrt(form.disc) / (4.0 * math.pi)
+    z_val = epstein_accelerated(form, s, node_tol / (2.0 * factor))
+    return factor * z_val - zeta(2.0 * s - 1.0, node_tol / 2.0)
 
-    def node(eps: float) -> ApproxValue:
-        s = 1.0 + eps
-        z_val = epstein_accelerated(form, s, node_tol / (2.0 * factor))
-        # 2s - 1, not 1 + 2 eps: the two round differently.
-        return factor * z_val - zeta(2.0 * s - 1.0, node_tol / 2.0)
 
-    return _limit_at_zero(node, 0.1, 8).certified(tol, "pole-gap extrapolation")
+def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8) -> ApproxValue:
+    """Limit of pole_gap at s = 1, its nodes each to tol / 64."""
+    check_tol(tol)
+    return pole_constant(lambda s: pole_gap(form, s, tol / 64.0)).certified(
+        tol, "pole-gap extrapolation")
 
 
 def kronecker_rhs(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
@@ -86,25 +84,22 @@ def l1_series(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
     return ApproxValue(value, bound, k)
 
 
-def target_limit_check(tol: float = 1e-8) -> VerificationRecord:
-    """Extrapolated (2/pi) zeta(s) L(s) - zeta(2s - 1) at s = 1 versus the
-    logarithmic cosh integral.
-
-    tol (>= 0) is the record's tolerance only; the nodes are always
-    evaluated to the same fixed tolerance.
-    """
-    check_tol(tol, zero_ok=True)
+def scalar_limit_sides() -> tuple[ApproxValue, ApproxValue]:
+    """(2/pi) zeta(s) L(s) - zeta(2s - 1) at s = 1, through pole_constant,
+    and the logarithmic cosh integral; each node term to a fixed 3.9e-11."""
     part = 1e-8 / 64.0 / 4.0
 
-    def node(eps: float) -> ApproxValue:
-        s = 1.0 + eps
+    def regular(s: float) -> ApproxValue:
         return ((2.0 / math.pi) * (zeta(s, part) * L_chi4(s, part))
                 - zeta(2.0 * s - 1.0, part))
 
-    def check():
-        return _limit_at_zero(node, 0.1, 8), integral_I(1e-12)
+    return pole_constant(regular), integral_I(1e-12)
 
-    return timed_record("kronecker/scalar-limit-vs-integral", "§3", tol, check)
+
+def target_limit_check(tol: float = 1e-8) -> VerificationRecord:
+    """The record of scalar_limit_sides; tol (>= 0) sets the verdict only."""
+    check_tol(tol, zero_ok=True)
+    return timed_record("kronecker/scalar-limit-vs-integral", "§3", tol, scalar_limit_sides)
 
 
 def theta_at_i_assembly() -> tuple[ApproxValue, ...]:

@@ -2,16 +2,16 @@
 
 Engines return bounded values; this module turns them into records.  A
 suite function takes the run configuration and a `check` callable, and
-declares each of its checks as `check(name, anchor, default_tol, builder)`,
-where builder() returns the two sides as ApproxValues: a closed-form target
-is ApproxValue(target, rounding), and a gap checked against zero is
-ApproxValue(gap, bound) against an exact zero.  `run_suites` supplies
-`check` and builds every record through report.timed_record, which adds
-the two sides' bounds: it looks up the tolerance, times the builder, keeps
-an engine failure (a non-finite side included) to its own check and sorts
-each suite's records by name.  Default tolerances live here, next to the
-checks they gate; any of them can be overridden per record name through the
-configuration, and an override changes the verdict only, never how a value
+declares each check as `check(name, anchor, default_tol, builder)`, where
+builder() returns the two sides as ApproxValues (kronecker's
+scalar_limit_sides is one): a closed-form target is ApproxValue(target,
+rounding), a gap checked against zero is ApproxValue(gap, bound) against an
+exact zero.  `run_suites` supplies `check` and builds every record through
+report.timed_record, which adds the two sides' bounds: it looks up the
+tolerance, times the builder, keeps an engine failure (a non-finite side
+included) to its own check and sorts each suite's records by name.  Default
+tolerances live here, next to the checks they gate; an override per record
+name through the configuration changes the verdict only, never how a value
 is computed.
 """
 
@@ -20,13 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 
-from .approx import EPS, ApproxValue, NonConvergence, _limit_at_zero
+from .approx import EPS, ApproxValue, NonConvergence, _limit_at_zero, pole_constant
 from .epstein import BinaryQuadraticForm, epstein_accelerated, epstein_direct
 from .kronecker import (
     kronecker_lhs,
     kronecker_rhs,
     l1_series,
-    target_limit_check,
+    scalar_limit_sides,
     theta_at_i_assembly,
 )
 from .modular import UpperHalfPoint, eta_quotient, eta_uhp, theta_uhp
@@ -136,15 +136,15 @@ def _suite_special_values(config: RunConfig, check) -> None:
 
     check("special-values/L-at-1", "Lemma 2", 1e-12, l_one)
 
-    def pole_constant():
-        # One delta: 1e4 * 4 EPS covers subtracting 1/delta, and a hand-set
-        # 1e-4 the O(delta) defect.
-        delta = 1e-4
-        got = zeta(1.0 + delta, 1e-11)
-        lhs = ApproxValue(got.value - 1.0 / delta, got.error_bound + 1e4 * 4.0 * EPS + 1e-4)
-        return lhs, euler_gamma(1e-13)
+    def zeta_regular(s: float) -> ApproxValue:
+        # s - 1 is exact for s in [1, 2]; EPS / d covers rounding 1 / d.
+        d = s - 1.0
+        return zeta(s, 1e-11) - ApproxValue(1.0 / d, EPS / d)
 
-    check("special-values/zeta-pole-constant", "§3", 1e-3, pole_constant)
+    def pole_check():
+        return pole_constant(zeta_regular), euler_gamma(1e-13)
+
+    check("special-values/zeta-pole-constant", "§3", 1e-3, pole_check)
 
     def gauss_reflection():
         product = gamma_gauss(0.25, 1e-8) * gamma_gauss(0.75, 1e-8)
@@ -245,12 +245,7 @@ def _suite_kronecker(config: RunConfig, check) -> None:
 
         check(f"kronecker/l1-vs-eta-log/{label}", "eq. (1)", 1e-10, series_check)
 
-    def scalar_limit_check():
-        # Only the numbers are kept: this check's record carries the tolerance.
-        record = target_limit_check(0.0)
-        return ApproxValue(record.lhs, record.combined_bound), ApproxValue(record.rhs, 0.0)
-
-    check("kronecker/scalar-limit-vs-integral", "§3", 1e-8, scalar_limit_check)
+    check("kronecker/scalar-limit-vs-integral", "§3", 1e-8, scalar_limit_sides)
 
 
 _QUOTIENT_POINTS = (

@@ -3,11 +3,12 @@
 import json
 import math
 import re
+import warnings
 
 import pytest
 
 from thetaeval.approx import ApproxValue
-from thetaeval.cli import main
+from thetaeval.cli import build_parser, main
 from thetaeval.report import (
     REPORT_VERSION,
     SUITE_NAMES,
@@ -144,6 +145,17 @@ class TestExitCodes:
     def test_indefinite_form_is_config_error(self, form, capsys):
         assert main(["integral", f"--form={form}"]) == 2
         assert "bad configuration: form (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["1e200,0,1e200", "1e-200,0,1e-200"])
+    def test_discriminant_outside_double_range_is_config_error(self, form, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["epstein", "kronecker", "integral", "--form", form]) == 2
+        captured = capsys.readouterr()
+        assert "bad configuration: form (" in captured.err
+        assert "discriminant" in captured.err
+        assert "engine gave up" not in captured.err
+        assert caught == []
 
     def test_zero_tolerance_on_engine_built_checks(self, tmp_path, capsys):
         # An override sets the verdict only; engines keep their own tolerances.
@@ -284,6 +296,11 @@ class TestRunConfig:
         assert config.suites == SUITE_NAMES
         assert config.qseries_order == 256
         assert config.tolerance("anything", 1e-8) == 1e-8
+
+    def test_cli_order_default_is_the_config_default(self):
+        parser = build_parser()
+        assert parser.parse_args([]).order == RunConfig().qseries_order
+        assert f"(default {RunConfig().qseries_order})" in " ".join(parser.format_help().split())
 
     def test_override_lookup(self):
         config = RunConfig(tol_overrides={"a/b": 1e-4})

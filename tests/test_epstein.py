@@ -51,8 +51,16 @@ class TestFormType:
             BinaryQuadraticForm(-1.0, 0.0, -1.0)
 
     def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not positive definite"):
             BinaryQuadraticForm(1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("triple", [(1e200, 0.0, 1e200), (1e-200, 0.0, 1e-200),
+                                        (1e200, 1e200, 1e200)])
+    def test_rejects_discriminant_outside_double_range(self, triple):
+        # Positive definite, but 4ac - b^2 overflows, underflows or is inf - inf.
+        with pytest.raises(ValueError, match="discriminant 4ac - b\\^2 = (inf|0.0|nan), "
+                                             "not a finite positive double"):
+            BinaryQuadraticForm(*triple)
 
     def test_discriminant(self):
         assert BinaryQuadraticForm(2.0, -2.0, 1.0).disc == 4.0

@@ -31,7 +31,8 @@ from thetaeval import (
     theta_at_i_assembly,
     theta_uhp,
 )
-from thetaeval.approx import _limit_at_zero
+from thetaeval.approx import _limit_at_zero, pole_constant
+from thetaeval.kronecker import scalar_limit_sides
 
 FOUR_FORMS = [(1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0)]
 
@@ -99,6 +100,19 @@ class TestExtrapolation:
         assert limit.cost == 24
         assert abs(limit.value - 2.0) <= limit.error_bound
         assert extrapolate_to_zero(seen, [2.0 + e for e in seen]).cost == 0
+
+    def test_pole_constant_ladder(self):
+        # The one ladder at the pole: s = 1 + 0.1 2^-k, k < 8, costs summed.
+        seen = []
+
+        def regular(s):
+            seen.append(s)
+            return ApproxValue(0.5 + (s - 1.0), 1e-15, 5)
+
+        limit = pole_constant(regular)
+        assert seen == [1.0 + 0.1 * 2.0 ** -k for k in range(8)]
+        assert limit.cost == 40
+        assert abs(limit.value - 0.5) <= limit.error_bound
 
 
 @given(constant=st.floats(min_value=-5.0, max_value=5.0),
@@ -197,6 +211,20 @@ class TestTargetLimit:
         record = target_limit_check(1e-8)
         assert record.passed
         assert record.tolerance == 1e-8
+
+    def test_suite_record_carries_both_sides(self):
+        # The suite hands scalar_limit_sides to its runner; its record has
+        # the same numbers as target_limit_check's, the integral's bound
+        # counted once.
+        lhs, rhs = scalar_limit_sides()
+        record = target_limit_check(1e-8)
+        records, _ = run_suites(RunConfig(suites=("kronecker",), forms=()))
+        (suite_record,) = records
+        assert suite_record.name == record.name
+        assert (suite_record.lhs, suite_record.rhs) == (record.lhs, record.rhs) == (
+            lhs.value, rhs.value)
+        assert suite_record.combined_bound == record.combined_bound == (
+            lhs.error_bound + rhs.error_bound)
 
     def test_limit_equals_eta_logarithm(self):
         record = target_limit_check(1e-8)

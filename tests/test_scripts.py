@@ -2,7 +2,7 @@
 
 The scripts import the package by its public names, so an API change that
 breaks one shows up here.  The oracle script must stay independent of the
-engines it checks.
+engines it checks, and the package keeps record building in one place.
 """
 
 import ast
@@ -62,3 +62,36 @@ def test_package_builds_special_functions_from_definitions(path):
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             assert not (node.value.id == "math" and node.attr in FORBIDDEN_MATH), \
                 f"math.{node.attr} at line {node.lineno}"
+
+
+def _call_sites(names):
+    # (module, enclosing top-level function) of every call to one of names
+    # in the package, keyed by the called name.
+    sites = {name: set() for name in names}
+
+    def visit(node, module, outer):
+        for child in ast.iter_child_nodes(node):
+            here = outer
+            if outer is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                here = child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in sites:
+                    sites[called].add((module, here))
+            visit(child, module, here)
+
+    for path in sorted((ROOT / "src" / "thetaeval").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return sites
+
+
+def test_records_are_built_in_one_place():
+    # Every record comes from report.timed_record; only the runner and the
+    # record-returning target_limit_check call it, and no suite builder
+    # goes through a record to get its two sides.
+    sites = _call_sites(("VerificationRecord", "timed_record", "target_limit_check"))
+    assert sites["VerificationRecord"] == {("report", "timed_record")}
+    assert sites["timed_record"] == {("suites", "run_suites"),
+                                     ("kronecker", "target_limit_check")}
+    assert not any(module == "suites" for module, _ in sites["target_limit_check"])

@@ -23,7 +23,7 @@ from thetaeval import (
     integral_I,
     zeta,
 )
-from thetaeval.approx import EPS
+from thetaeval.approx import EPS, ApproxValue, _limit_at_zero, pole_constant
 
 # frozen from scripts/compute_oracles.py (raw sums / Euler transforms)
 ORACLE_GAMMA = 0.57721566490153409
@@ -101,6 +101,28 @@ class TestZeta:
         # certifiable in doubles; the engine must say so, not lie
         with pytest.raises(NonConvergence):
             zeta(1.0 + 1e-6, 1e-12)
+
+
+def zeta_regular(s):
+    # zeta(s) - 1/(s - 1) with s - 1 formed from the rounded s, as the
+    # special-values suite forms it.
+    d = s - 1.0
+    return zeta(s, 1e-11) - ApproxValue(1.0 / d, EPS / d)
+
+
+def test_pole_constant_of_zeta_is_euler_gamma():
+    limit = pole_constant(zeta_regular)
+    assert abs(limit.value - ORACLE_GAMMA) <= limit.error_bound + ORACLE_GAMMA_BOUND
+    assert limit.error_bound < 1e-10
+
+
+@given(eps0=st.floats(min_value=0.05, max_value=0.3), depth=st.integers(6, 8))
+@settings(max_examples=40, deadline=None)
+def test_pole_ladders_land_within_their_bound(eps0, depth):
+    # Any halving ladder from eps0, not only pole_constant's, must bound its
+    # own error: the limit of zeta(s) - 1/(s - 1) at s = 1 is Euler's constant.
+    limit = _limit_at_zero(lambda eps: zeta_regular(1.0 + eps), eps0, depth)
+    assert abs(limit.value - ORACLE_GAMMA) <= limit.error_bound + ORACLE_GAMMA_BOUND
 
 
 @given(s=st.floats(min_value=1.01, max_value=30.0))
