@@ -22,7 +22,6 @@ from .kronecker import (
     theta_at_i_assembly,
 )
 from .modular import (
-    ComplexApprox,
     UpperHalfPoint,
     eta_quotient,
     eta_uhp,
@@ -69,7 +68,6 @@ __all__ = [
     "l1_series",
     "target_limit_check",
     "theta_at_i_assembly",
-    "ComplexApprox",
     "UpperHalfPoint",
     "eta_quotient",
     "eta_uhp",

@@ -2,13 +2,15 @@
 
 ApproxValue is the one format numbers take between the package's layers:
 every numerical engine returns one rather than a bare float, and each check
-in suites.py hands its two sides to the report as two of them.  Bounds add
-under addition and are propagated through products, quotients, logs,
-exponentials and square roots with the exact worst-case interval estimates
-(these are as cheap as the first-order ones and stay valid for large
-bounds).  An engine certifies its result through ApproxValue.certified,
-which returns the value or raises NonConvergence when the bound misses the
-tolerance.
+in suites.py hands its two sides to the report as two of them.  A value
+may be complex (theta and eta on the upper half plane), with one bound on
+the modulus of its error.  Bounds add under addition and are propagated
+through products, quotients, logs, exponentials and square roots with the
+exact worst-case interval estimates (these are as cheap as the first-order
+ones and stay valid for large bounds); the ones for products and quotients
+use only moduli, so they hold for complex values too.  An engine certifies
+its result through ApproxValue.certified, which returns the value or raises
+NonConvergence when the bound misses the tolerance.
 
 This module also holds the package's one limit driver.  extrapolate_to_zero
 evaluates at 0 the polynomial through values taken at halving abscissae
@@ -21,6 +23,7 @@ product for Gamma and the central difference use ladders of their own.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -56,16 +59,17 @@ class NonConvergence(RuntimeError):
 class ApproxValue:
     """A value, a bound on its absolute error, and the work it cost.
 
-    cost counts primitive evaluations (integrand calls, lattice points,
-    series terms); it is additive under the arithmetic below.
+    The value is real or complex; the bound covers the modulus of the
+    error.  cost counts primitive evaluations (integrand calls, lattice
+    points, series terms); it is additive under the arithmetic below.
     """
 
-    value: float
+    value: float | complex
     error_bound: float
     cost: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
+        if not cmath.isfinite(self.value):
             raise ValueError(f"value must be finite, got {self.value}")
         if not (math.isfinite(self.error_bound) and self.error_bound >= 0.0):
             raise ValueError(
@@ -112,6 +116,10 @@ class ApproxValue:
                                self.cost + other.cost)
         c = float(other)
         return ApproxValue(self.value / c, self.error_bound / abs(c), self.cost)
+
+    def magnitude(self) -> "ApproxValue":
+        # | |z'| - |z| | <= |z' - z|, so the same bound covers the modulus.
+        return ApproxValue(abs(self.value), self.error_bound, self.cost)
 
     def log(self) -> "ApproxValue":
         # Worst case over [value - bound, value + bound]; needs the interval

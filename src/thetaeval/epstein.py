@@ -210,11 +210,6 @@ def epstein_direct(form: BinaryQuadraticForm, s: float, tol: float = 1e-2) -> Ap
 
 @lru_cache(maxsize=64)
 def _gamma_cached(s: float) -> ApproxValue:
-    # Gamma(s) = Gamma(s + 1) / s: near s = 0, Gamma(s) ~ 1/s is too large
-    # for an absolute 1e-14.  Rounding s + 1 moves Gamma by less than EPS.
-    if s < 0.5:
-        lifted = gamma_integral(s + 1.0, 1e-14)
-        return ApproxValue(lifted.value / s, (lifted.error_bound + 2.0 * EPS) / s, lifted.cost)
     # Gamma(s) = (s - 1) Gamma(s - 1): past s = 4, Gamma(s) > 6 brings the
     # quadrature's rounding floor up to 1e-14.  Each s - 1 is exact; each
     # product rounds by EPS/2 of the running value.
@@ -223,9 +218,8 @@ def _gamma_cached(s: float) -> ApproxValue:
         s -= 1.0
         factor *= s
         steps += 1
-    base = gamma_integral(s, 1e-14)
-    value = factor * base.value
-    return ApproxValue(value, factor * base.error_bound + steps * EPS * value, base.cost)
+    scaled = factor * gamma_integral(s, 1e-14)
+    return scaled + ApproxValue(0.0, steps * EPS * scaled.value)
 
 
 def _cf_upper(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,7 +2,9 @@
 
 Both functions are entire in their summands and decay geometrically, so
 the truncation index is chosen up front from an explicit tail bound and
-that bound is what the result reports.  No modular transformation is used
+that bound is what the result reports.  Each returns an ApproxValue with a
+complex value and one bound on the modulus of its error; eta_quotient is
+ApproxValue arithmetic on two of them.  No modular transformation is used
 anywhere; values come straight from the defining series and product.
 """
 
@@ -17,7 +19,6 @@ from .approx import EPS, ApproxValue, NonConvergence, check_tol
 
 __all__ = [
     "UpperHalfPoint",
-    "ComplexApprox",
     "theta_uhp",
     "eta_uhp",
     "eta_quotient",
@@ -38,32 +39,6 @@ class UpperHalfPoint:
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "UpperHalfPoint":
-        return cls(z.real, z.imag)
-
-
-@dataclass(frozen=True)
-class ComplexApprox:
-    """A complex value with one bound on the modulus of its total error."""
-
-    re: float
-    im: float
-    error_bound: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError("value must be finite")
-        if not (math.isfinite(self.error_bound) and self.error_bound >= 0.0):
-            raise ValueError("error bound must be finite and non-negative")
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    def magnitude(self) -> ApproxValue:
-        # | |z'| - |z| | <= |z' - z|, so the same bound covers the modulus.
-        return ApproxValue(math.hypot(self.re, self.im), self.error_bound, 0)
-
 
 def _theta_tail(n: int, y: float) -> float:
     # Geometric bound for twice the sum of exp(-pi k^2 y) over k >= n.
@@ -79,7 +54,7 @@ def _theta_terms(z: UpperHalfPoint, tol: float) -> int:
     return n
 
 
-def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ComplexApprox:
+def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     """Sum over all integers n of exp(i pi n^2 z), truncated at a certified tail.
 
     The partial sum runs over |n| <= N with N the smallest index whose
@@ -97,11 +72,11 @@ def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ComplexApprox:
         ims.append(term.imag)
     # Tail plus a per-term roundoff floor; fsum itself is exact.
     roundoff = 2.0 * EPS * math.fsum(abs(t) for t in res)
-    return ComplexApprox(math.fsum(res), math.fsum(ims),
-                         _theta_tail(n_max + 1, z.im) + roundoff)
+    return ApproxValue(complex(math.fsum(res), math.fsum(ims)),
+                       _theta_tail(n_max + 1, z.im) + roundoff)
 
 
-def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ComplexApprox:
+def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     """exp(i pi z / 12) times the product over n >= 1 of (1 - exp(2 pi i n z)).
 
     The product is cut once the remaining log-factors are bounded by rho
@@ -127,7 +102,7 @@ def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ComplexApprox:
         raise NonConvergence(f"eta product underflows at Im z = {y:g}")
     bound = abs(prod) * (math.expm1(_eta_log_tail(n_max, absw))
                          + 4.0 * (n_max + 2) * EPS)
-    return ComplexApprox(prod.real, prod.imag, bound)
+    return ApproxValue(prod, bound)
 
 
 def _eta_log_tail(n: int, absw: float) -> float:
@@ -136,21 +111,14 @@ def _eta_log_tail(n: int, absw: float) -> float:
     return head / ((1.0 - absw) * (1.0 - head))
 
 
-def eta_quotient(z: UpperHalfPoint, tol: float = 1e-13) -> ComplexApprox:
+def eta_quotient(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     """eta(z/2 + 1/2)^2 / eta(z + 1), the product form of theta(z).
 
-    Both eta factors are evaluated at tol; the bound is the worst case of
-    the quotient over the two component balls plus its rounding.
+    Both eta factors are evaluated at tol and the quotient's bound is
+    ApproxValue's, plus 4 EPS (|q| + 1) for rounding the complex square and
+    quotient.  Raises ValueError where the denominator's bound allows zero.
     """
     top = eta_uhp(UpperHalfPoint(0.5 * z.re + 0.5, 0.5 * z.im), tol)
     bottom = eta_uhp(UpperHalfPoint(z.re + 1.0, z.im), tol)
-    top_c = top.as_complex()
-    bottom_c = bottom.as_complex()
-    quotient = top_c * top_c / bottom_c
-    denom = abs(bottom_c) - bottom.error_bound
-    if denom <= 0.0:
-        raise ValueError("denominator bound allows zero; tighten tol")
-    top_worst = (abs(top_c) + top.error_bound) ** 2 - abs(top_c) ** 2
-    bound = ((top_worst + abs(quotient) * bottom.error_bound) / denom
-             + 4.0 * EPS * (abs(quotient) + 1.0))
-    return ComplexApprox(quotient.real, quotient.imag, bound)
+    quotient = top * top / bottom
+    return quotient + ApproxValue(0.0, 4.0 * EPS * (abs(quotient.value) + 1.0))

@@ -28,7 +28,7 @@ import math
 from functools import lru_cache
 from typing import Callable
 
-from .approx import ApproxValue, NonConvergence, check_tol
+from .approx import EPS, ApproxValue, NonConvergence, check_tol
 
 __all__ = [
     "ApproxValue",
@@ -148,12 +148,17 @@ def integral_I(tol: float = 1e-12) -> ApproxValue:
 def gamma_integral(s: float, tol: float = 1e-12) -> ApproxValue:
     """Integral over (0, inf) of t**(s-1) * exp(-t), for s > 0.
 
-    For 0 < s < 1 the origin carries an integrable power singularity; the
-    clustered nodes of the half-line rule absorb it.
+    For 1/2 <= s < 1 the origin carries an integrable power singularity; the
+    clustered nodes of the half-line rule absorb it.  Below 1/2 it is too
+    steep for the rule's error estimate and Gamma(s) ~ 1/s, so the value is
+    Gamma(s + 1) / s with Gamma(s + 1) to s tol; rounding s + 1 and the
+    quotient move it by less than 2 EPS / s.
     """
     if not s > 0.0:
         raise ValueError(f"need s > 0, got {s}")
     check_tol(tol)
+    if s < 0.5:
+        return (gamma_integral(s + 1.0, s * tol) + ApproxValue(0.0, 2.0 * EPS)) / s
     e = s - 1.0
     return _halfline(lambda t: t ** e * math.exp(-t), tol)
 

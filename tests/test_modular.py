@@ -5,11 +5,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetaeval import (
-    ComplexApprox,
+    ApproxValue,
     NonConvergence,
     RunConfig,
     UpperHalfPoint,
@@ -38,32 +38,68 @@ class TestUpperHalfPoint:
         with pytest.raises(ValueError):
             UpperHalfPoint(math.nan, 1.0)
 
-    def test_complex_round_trip(self):
-        z = UpperHalfPoint(0.25, 1.75)
-        assert UpperHalfPoint.from_complex(z.as_complex()) == z
-
 
 class TestComplexApprox:
+    """ApproxValue with a complex value."""
+
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
-            ComplexApprox(1.0, 0.0, -1e-10)
+            ApproxValue(1.0 + 0.0j, -1e-10)
+
+    @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                       complex(math.inf, 1.0), complex(1.0, -math.inf)])
+    def test_rejects_non_finite_part(self, value):
+        with pytest.raises(ValueError):
+            ApproxValue(value, 1e-10)
 
     def test_magnitude_carries_bound(self):
-        c = ComplexApprox(3.0, 4.0, 1e-8)
-        m = c.magnitude()
+        m = ApproxValue(3.0 + 4.0j, 1e-8, 17).magnitude()
         assert m.value == 5.0
         assert m.error_bound == 1e-8
+        assert m.cost == 17
+
+
+_part = st.floats(min_value=-4.0, max_value=4.0, allow_subnormal=False)
+_radius = st.floats(min_value=0.0, max_value=0.5)
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_turn = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+
+
+@given(xr=_part, xi=_part, yr=_part, yi=_part, dx=_radius, dy=_radius,
+       fx=_unit, fy=_unit, ax=_turn, ay=_turn)
+@example(xr=1.0, xi=0.0, yr=0.7, yi=0.0, dx=0.5, dy=0.5, fx=1.0, fy=1.0, ax=0.0, ay=0.0)
+@settings(max_examples=200, deadline=None)
+def test_complex_products_and_quotients_stay_in_bound(xr, xi, yr, yi, dx, dy,
+                                                       fx, fy, ax, ay):
+    # Points sampled inside both balls: their product and quotient lie within
+    # the bound propagated from the centres.  Offsets are turned relative to
+    # the centres, so at turn 0 and full radius px moves away from 0 and py
+    # toward it, where the quotient's bound is attained.  The 1e-11 covers
+    # rounding the sampled points, which may leave a ball by an ulp; a
+    # quotient is checked where that ulp cannot matter, |centre| - radius > 0.1.
+    x, y = ApproxValue(complex(xr, xi), dx), ApproxValue(complex(yr, yi), dy)
+    px = x.value + fx * dx * cmath.exp(1j * (cmath.phase(x.value) + ax))
+    py = y.value - fy * dy * cmath.exp(1j * (cmath.phase(y.value) + ay))
+    product = x * y
+    assert abs(px * py - product.value) <= product.error_bound + 1e-11
+    margin = abs(y.value) - dy
+    if margin <= 0.0:
+        with pytest.raises(ValueError):
+            x / y
+    elif margin > 0.1:
+        quotient = x / y
+        assert abs(px / py - quotient.value) <= quotient.error_bound + 1e-11
 
 
 class TestThetaSeries:
     def test_value_at_i(self):
         r = theta_uhp(UpperHalfPoint(0.0, 1.0), 1e-15)
-        assert abs(r.re - ORACLE_THETA_I) <= r.error_bound + 1e-15
+        assert abs(r.value.real - ORACLE_THETA_I) <= r.error_bound + 1e-15
 
     def test_real_and_positive_at_i(self):
         r = theta_uhp(UpperHalfPoint(0.0, 1.0), 1e-15)
-        assert r.re > 1.0
-        assert abs(r.im) <= r.error_bound
+        assert r.value.real > 1.0
+        assert abs(r.value.imag) <= r.error_bound
 
     def test_at_2i_against_qseries(self):
         # the series in q = exp(-2 pi) evaluated from exact coefficients
@@ -72,13 +108,13 @@ class TestThetaSeries:
         series = theta_qseries(10)
         expected = math.fsum(c * q ** n for n, c in enumerate(series.coeffs))
         tail = 3.0 * q ** 11 / (1.0 - q)
-        assert abs(r.re - expected) <= r.error_bound + tail
+        assert abs(r.value.real - expected) <= r.error_bound + tail
 
     def test_period_two(self):
         for re, im in ((0.3, 0.9), (-1.2, 2.4), (0.0, 0.51)):
             a = theta_uhp(UpperHalfPoint(re, im), 1e-13)
             b = theta_uhp(UpperHalfPoint(re + 2.0, im), 1e-13)
-            gap = abs(a.as_complex() - b.as_complex())
+            gap = abs(a.value - b.value)
             assert gap <= a.error_bound + b.error_bound
 
     def test_tail_bound_sound_on_random_points(self):
@@ -90,7 +126,7 @@ class TestThetaSeries:
             base = theta_uhp(z, 1e-9)
             n_base = _theta_terms_used(z, 1e-9)
             refined = _theta_partial_sum(z, n_base + 3)
-            assert abs(refined - base.as_complex()) <= base.error_bound
+            assert abs(refined - base.value) <= base.error_bound
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
@@ -118,13 +154,13 @@ def _theta_partial_sum(z, n_terms):
 class TestEtaProduct:
     def test_real_positive_at_i(self):
         r = eta_uhp(UpperHalfPoint(0.0, 1.0), 1e-15)
-        assert r.re > 0.0
-        assert abs(r.im) <= r.error_bound
+        assert r.value.real > 0.0
+        assert abs(r.value.imag) <= r.error_bound
 
     def test_sqrt2_eta_equals_theta_at_i(self):
         eta = eta_uhp(UpperHalfPoint(0.0, 1.0), 1e-15)
         theta = theta_uhp(UpperHalfPoint(0.0, 1.0), 1e-15)
-        gap = abs(math.sqrt(2.0) * eta.magnitude().value - theta.re)
+        gap = abs(math.sqrt(2.0) * eta.magnitude().value - theta.value.real)
         assert gap <= 2.0 * eta.error_bound + theta.error_bound + 1e-15
 
     def test_half_point_modulus_ratio_is_sqrt2(self):
@@ -158,14 +194,14 @@ def test_eta_never_certifies_an_underflowed_value(im):
     except NonConvergence:
         return
     assert r.error_bound > 0.0
-    assert abs(r.as_complex()) > r.error_bound
+    assert abs(r.value) > r.error_bound
 
 
 def _quotient_gap(z, tol):
     """|theta(z) - eta quotient| and the summed bounds, components at tol/4."""
     series = theta_uhp(z, 0.25 * tol)
     product = eta_quotient(z, 0.25 * tol)
-    gap = abs(series.as_complex() - product.as_complex())
+    gap = abs(series.value - product.value)
     return gap, series.error_bound + product.error_bound
 
 
@@ -190,9 +226,9 @@ class TestQuotientIdentity:
         # both sides are real and positive on the imaginary axis
         theta = theta_uhp(z, 1e-13)
         quotient = eta_quotient(z, 1e-13)
-        assert theta.re > 0.0
-        assert quotient.re > 0.0
-        assert abs(quotient.im) < 1e-12
+        assert theta.value.real > 0.0
+        assert quotient.value.real > 0.0
+        assert abs(quotient.value.imag) < 1e-12
 
     def test_record_name_encodes_point(self):
         records, _ = run_suites(RunConfig(suites=("theta",)))
@@ -211,6 +247,6 @@ def test_theta_squared_generating_function(y):
     # r(n) <= 4 sqrt(2 n) + 4 gives a crude but sufficient tail bound
     tail = math.fsum((4.0 * math.sqrt(2.0 * n) + 4.0) * q ** n for n in range(40, 80))
     theta = theta_uhp(UpperHalfPoint(0.0, y), 1e-15)
-    square = theta.re * theta.re
-    square_bound = 2.0 * abs(theta.re) * theta.error_bound + theta.error_bound ** 2
+    square = theta.value.real * theta.value.real
+    square_bound = 2.0 * abs(theta.value.real) * theta.error_bound + theta.error_bound ** 2
     assert abs(partial - square) <= tail + square_bound + 1e-14

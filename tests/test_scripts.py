@@ -2,7 +2,8 @@
 
 The scripts import the package by its public names, so an API change that
 breaks one shows up here.  The oracle script must stay independent of the
-engines it checks, and the package keeps record building in one place.
+engines it checks, and the package keeps record building in one place and
+one bounded-value type.
 """
 
 import ast
@@ -95,3 +96,16 @@ def test_records_are_built_in_one_place():
     assert sites["timed_record"] == {("suites", "run_suites"),
                                      ("kronecker", "target_limit_check")}
     assert not any(module == "suites" for module, _ in sites["target_limit_check"])
+
+
+def test_one_bounded_value_type():
+    # ApproxValue, complex values included, is the one type that carries a
+    # bound: no other class in the package declares an error_bound field.
+    declared = set()
+    for path in sorted((ROOT / "src" / "thetaeval").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                declared |= {(path.stem, node.name) for stmt in node.body
+                             if isinstance(stmt, ast.AnnAssign)
+                             and getattr(stmt.target, "id", None) == "error_bound"}
+    assert declared == {("approx", "ApproxValue")}
