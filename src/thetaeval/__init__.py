@@ -27,7 +27,7 @@ from .modular import (
     eta_uhp,
     theta_uhp,
 )
-from .number_theory import chi4, r_bruteforce, r_divisor
+from .number_theory import chi4, r_bruteforce, r_bruteforce_table, r_divisor, r_divisor_table
 from .qseries import QSeries, qs_mul, r_from_theta_squared, theta_qseries, triple_product_qseries
 from .quadrature import (
     f_form,
@@ -74,7 +74,9 @@ __all__ = [
     "theta_uhp",
     "chi4",
     "r_bruteforce",
+    "r_bruteforce_table",
     "r_divisor",
+    "r_divisor_table",
     "QSeries",
     "qs_mul",
     "r_from_theta_squared",

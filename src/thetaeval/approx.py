@@ -7,8 +7,10 @@ may be complex (theta and eta on the upper half plane), with one bound on
 the modulus of its error.  Bounds add under addition and are propagated
 through products, quotients, logs, exponentials and square roots with the
 exact worst-case interval estimates (these are as cheap as the first-order
-ones and stay valid for large bounds); the ones for products and quotients
-use only moduli, so they hold for complex values too.  An engine certifies
+ones and stay valid for large bounds); the ones for sums, products and
+quotients use only moduli, so they hold for complex values and complex
+scalar operands too.  Logs, exponentials and square roots take real values
+only and refuse a complex one with ValueError.  An engine certifies
 its result through ApproxValue.certified, which returns the value or raises
 NonConvergence when the bound misses the tolerance.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 EPS = 2.2204460492503131e-16    # spacing of doubles at 1.0
@@ -75,37 +78,37 @@ class ApproxValue:
             raise ValueError(
                 f"error bound must be finite and non-negative, got {self.error_bound}")
 
-    def __add__(self, other: "ApproxValue | float") -> "ApproxValue":
+    def __add__(self, other: "ApproxValue | complex") -> "ApproxValue":
         if isinstance(other, ApproxValue):
             return ApproxValue(self.value + other.value,
                                self.error_bound + other.error_bound,
                                self.cost + other.cost)
-        return ApproxValue(self.value + float(other), self.error_bound, self.cost)
+        return ApproxValue(self.value + _scalar(other), self.error_bound, self.cost)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ApproxValue":
         return ApproxValue(-self.value, self.error_bound, self.cost)
 
-    def __sub__(self, other: "ApproxValue | float") -> "ApproxValue":
-        return self + (-other if isinstance(other, ApproxValue) else -float(other))
+    def __sub__(self, other: "ApproxValue | complex") -> "ApproxValue":
+        return self + (-other if isinstance(other, ApproxValue) else -_scalar(other))
 
-    def __rsub__(self, other: float) -> "ApproxValue":
-        return (-self) + float(other)
+    def __rsub__(self, other: complex) -> "ApproxValue":
+        return (-self) + _scalar(other)
 
-    def __mul__(self, other: "ApproxValue | float") -> "ApproxValue":
+    def __mul__(self, other: "ApproxValue | complex") -> "ApproxValue":
         if isinstance(other, ApproxValue):
             bound = (abs(self.value) * other.error_bound
                      + abs(other.value) * self.error_bound
                      + self.error_bound * other.error_bound)
             return ApproxValue(self.value * other.value, bound,
                                self.cost + other.cost)
-        c = float(other)
+        c = _scalar(other)
         return ApproxValue(self.value * c, abs(c) * self.error_bound, self.cost)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "ApproxValue | float") -> "ApproxValue":
+    def __truediv__(self, other: "ApproxValue | complex") -> "ApproxValue":
         if isinstance(other, ApproxValue):
             margin = abs(other.value) - other.error_bound
             if margin <= 0.0:
@@ -114,7 +117,7 @@ class ApproxValue:
                      + abs(self.value) * other.error_bound) / (abs(other.value) * margin)
             return ApproxValue(self.value / other.value, bound,
                                self.cost + other.cost)
-        c = float(other)
+        c = _scalar(other)
         return ApproxValue(self.value / c, self.error_bound / abs(c), self.cost)
 
     def magnitude(self) -> "ApproxValue":
@@ -124,23 +127,31 @@ class ApproxValue:
     def log(self) -> "ApproxValue":
         # Worst case over [value - bound, value + bound]; needs the interval
         # to stay positive.
+        self._require_real("log")
         if self.value - self.error_bound <= 0.0:
             raise ValueError("log bound propagation needs value - bound > 0")
         bound = -math.log1p(-self.error_bound / self.value)
         return ApproxValue(math.log(self.value), bound, self.cost)
 
     def exp(self) -> "ApproxValue":
+        self._require_real("exp")
         return ApproxValue(math.exp(self.value),
                            math.exp(self.value) * math.expm1(self.error_bound),
                            self.cost)
 
     def sqrt(self) -> "ApproxValue":
+        self._require_real("sqrt")
         if self.value - self.error_bound < 0.0:
             raise ValueError("sqrt bound propagation needs value - bound >= 0")
         root = math.sqrt(self.value)
         denom = root + math.sqrt(self.value - self.error_bound)
         bound = self.error_bound / denom if denom > 0.0 else math.sqrt(self.error_bound)
         return ApproxValue(root, bound, self.cost)
+
+    def _require_real(self, operation: str) -> None:
+        if isinstance(self.value, complex):
+            raise ValueError(f"{operation} of a complex value is not supported, "
+                             f"got {self.value}")
 
     def certified(self, tol: float, what: str) -> "ApproxValue":
         """This value if its bound meets tol; otherwise raise NonConvergence
@@ -149,6 +160,14 @@ class ApproxValue:
             raise NonConvergence(f"{what} stalled above tol={tol:g}", value=self.value,
                                  error_bound=self.error_bound, cost=self.cost)
         return self
+
+
+def _scalar(c: complex) -> complex:
+    # A complex operand stays complex (numpy's complex64 too, whose imaginary
+    # part float() would drop); anything else becomes a float.
+    if isinstance(c, numbers.Complex) and not isinstance(c, numbers.Real):
+        return complex(c)
+    return float(c)
 
 
 def extrapolate_to_zero(abscissae, values, value_bounds=None) -> ApproxValue:

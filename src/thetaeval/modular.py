@@ -3,7 +3,8 @@
 Both functions are entire in their summands and decay geometrically, so
 the truncation index is chosen up front from an explicit tail bound and
 that bound is what the result reports.  Each returns an ApproxValue with a
-complex value and one bound on the modulus of its error; eta_quotient is
+complex value, one bound on the modulus of its error and, as cost, the
+number of series terms or product factors it took; eta_quotient is
 ApproxValue arithmetic on two of them.  No modular transformation is used
 anywhere; values come straight from the defining series and product.
 """
@@ -59,7 +60,7 @@ def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
 
     The partial sum runs over |n| <= N with N the smallest index whose
     geometric tail bound drops below tol; that bound is the reported
-    error_bound.
+    error_bound, and N is the cost.
     """
     check_tol(tol)
     n_max = _theta_terms(z, tol)
@@ -73,7 +74,7 @@ def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     # Tail plus a per-term roundoff floor; fsum itself is exact.
     roundoff = 2.0 * EPS * math.fsum(abs(t) for t in res)
     return ApproxValue(complex(math.fsum(res), math.fsum(ims)),
-                       _theta_tail(n_max + 1, z.im) + roundoff)
+                       _theta_tail(n_max + 1, z.im) + roundoff, n_max)
 
 
 def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
@@ -81,8 +82,9 @@ def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
 
     The product is cut once the remaining log-factors are bounded by rho
     with |value| * (exp(rho) - 1) <= tol; that quantity is the reported
-    error_bound.  Raises NonConvergence where |value| underflows below the
-    normal range (Im z beyond about 2700) and a relative bound fails.
+    error_bound, and the number of factors taken is the cost.  Raises
+    NonConvergence where |value| underflows below the normal range (Im z
+    beyond about 2700) and a relative bound fails.
     """
     check_tol(tol)
     y = z.im
@@ -102,7 +104,7 @@ def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
         raise NonConvergence(f"eta product underflows at Im z = {y:g}")
     bound = abs(prod) * (math.expm1(_eta_log_tail(n_max, absw))
                          + 4.0 * (n_max + 2) * EPS)
-    return ApproxValue(prod, bound)
+    return ApproxValue(prod, bound, n_max)
 
 
 def _eta_log_tail(n: int, absw: float) -> float:

@@ -5,11 +5,14 @@ truncation order fixed at construction.  The two series of interest are the
 square-indicator series (1 + 2q + 2q^4 + 2q^9 + ...) and the product
 (1-q^2)(1+q)^2 (1-q^4)(1+q^3)^2 ..., expanded one binomial 1 +- q^k at a time,
 up to the last factor that can touch a retained coefficient, on an int64
-array.  Before each binomial the array turns into Python ints (dtype=object)
-once max|c| >= 2**62; a binomial at most doubles max|c|, so int64 never wraps.
-Wrapping is not acceptable although the final coefficients are 0, 1 and 2:
-arithmetic mod 2**64 proves a congruence, not the equality the product check
-certifies.  Values reach 51 bits at order 4096; orders past about 6000 promote.
+array.  A binomial at most doubles max|c|, so after an exact max M the next
+63 - M.bit_length() binomials provably stay below 2**63; the array is
+scanned for its max again only once that budget is spent, and turns into
+Python ints (dtype=object) when the scan finds M >= 2**62.  So int64 never
+wraps.  Wrapping is not acceptable although the final coefficients are 0, 1
+and 2: arithmetic mod 2**64 proves a congruence, not the equality the
+product check certifies.  Values reach 51 bits at order 4096; orders past
+about 6000 promote.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .number_theory import _check_order
 
 
 @dataclass(frozen=True)
@@ -77,10 +82,11 @@ def triple_product_qseries(order: int) -> QSeries:
     _check_order(order)
     out = np.zeros(order + 1, dtype=np.int64)
     out[0] = 1
+    budget = 0
     for n in range(1, (order + 1) // 2 + 1):
         for k, e in ((2 * n - 1, 1), (2 * n - 1, 1), (2 * n, -1)):
             if k <= order:
-                out = _times_binomial(out, k, e)
+                out, budget = _times_binomial(out, k, e, budget)
     return QSeries(tuple(out.tolist()))
 
 
@@ -92,13 +98,24 @@ def r_from_theta_squared(n: int, order: int) -> int:
     return _theta_squared_coeffs(order)[n]
 
 
-def _times_binomial(out: np.ndarray, k: int, e: int) -> np.ndarray:
-    # Times 1 + e q^k (0 < k < out.size, e = +-1), promoted first if it could wrap.
-    if out.dtype != object and max(int(out.max()), -int(out.min())) >= 2**62:
-        out = out.astype(object)
-    # The right-hand side is built before the assignment: it reads old values.
-    out[k:] = out[k:] + e * out[: out.size - k]
-    return out
+def _times_binomial(out: np.ndarray, k: int, e: int,
+                    budget: int = 0) -> tuple[np.ndarray, int]:
+    """Times 1 + e q^k (0 < k < out.size, e = +-1), in place on the returned array.
+
+    budget is how many binomials an int64 array is still proven to take
+    without wrapping; at 0 or below the max is taken again, and the array
+    promoted if that max could reach 2**63 in this step.  Returns the
+    array and the budget left after this step.
+    """
+    if out.dtype != object and budget <= 0:
+        top = max(int(out.max()), -int(out.min()))
+        budget = 63 - top.bit_length()
+        if budget <= 0:
+            out = out.astype(object)
+    # numpy buffers overlapping operands, so the step reads old values.
+    step = np.add if e > 0 else np.subtract
+    step(out[k:], out[: out.size - k], out=out[k:])
+    return out, budget - 1
 
 
 @lru_cache(maxsize=8)
@@ -106,7 +123,3 @@ def _theta_squared_coeffs(order: int) -> tuple[int, ...]:
     t = theta_qseries(order)
     return qs_mul(t, t).coeffs
 
-
-def _check_order(order: int) -> None:
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise ValueError(f"order must be a non-negative integer, got {order!r}")

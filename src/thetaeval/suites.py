@@ -32,8 +32,8 @@ from .kronecker import (
     theta_at_i_assembly,
 )
 from .modular import UpperHalfPoint, eta_quotient, eta_uhp, theta_uhp
-from .number_theory import r_bruteforce, r_divisor
-from .qseries import r_from_theta_squared, theta_qseries, triple_product_qseries
+from .number_theory import r_bruteforce_table, r_divisor_table
+from .qseries import _theta_squared_coeffs, theta_qseries, triple_product_qseries
 from .quadrature import (
     f_form,
     f_form_derivative_at_1,
@@ -64,29 +64,31 @@ def _s_label(s: float) -> str:
     return format(s, ".17g")
 
 
+def _exact_gap(lhs, rhs) -> tuple[ApproxValue, ApproxValue]:
+    # Largest |lhs[n] - rhs[n]| over two sequences of Python ints, against 0.
+    gap = max(abs(x - y) for x, y in zip(lhs, rhs, strict=True))
+    return ApproxValue(float(gap), 0.0), _ZERO
+
+
 def _suite_triple_product(config: RunConfig, check) -> None:
     order = config.qseries_order
 
     def theta_vs_product():
-        lhs = theta_qseries(order)
-        rhs = triple_product_qseries(order)
-        gap = max(abs(x - y) for x, y in zip(lhs.coeffs, rhs.coeffs))
-        return ApproxValue(float(gap), 0.0), _ZERO
+        return _exact_gap(theta_qseries(order).coeffs, triple_product_qseries(order).coeffs)
 
     check("triple-product/theta-vs-product", "Lemma 1", 0.0, theta_vs_product)
 
 
 def _suite_two_squares(config: RunConfig, check) -> None:
+    # r(n) for n = 1..order, each side a whole table.
     order = config.qseries_order
 
     def divisor_vs_bruteforce():
-        gap = max(abs(r_divisor(n) - r_bruteforce(n)) for n in range(1, order + 1))
-        return ApproxValue(float(gap), 0.0), _ZERO
+        return _exact_gap(r_divisor_table(order).tolist()[1:],
+                          r_bruteforce_table(order).tolist()[1:])
 
     def theta_square_vs_divisor():
-        gap = max(abs(r_from_theta_squared(n, order) - r_divisor(n))
-                  for n in range(1, order + 1))
-        return ApproxValue(float(gap), 0.0), _ZERO
+        return _exact_gap(_theta_squared_coeffs(order)[1:], r_divisor_table(order).tolist()[1:])
 
     check("two-squares/bruteforce-vs-divisor", "Lemma 2", 0.0, divisor_vs_bruteforce)
     check("two-squares/theta-squared-vs-divisor", "§3", 0.0, theta_square_vs_divisor)

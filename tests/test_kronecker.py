@@ -188,6 +188,15 @@ class TestKroneckerRhs:
         assert abs(r.value - math.log(0.5 / eta.value ** 2)) <= r.error_bound + 1e-13
 
 
+    def test_cost_is_the_eta_factor_count(self):
+        # Forms (1, 0, c) have Im z_Q = sqrt(c): closer to the real line the
+        # eta product takes more factors, and the right side inherits them.
+        costs = [kronecker_rhs(BinaryQuadraticForm(1.0, 0.0, c)).cost
+                 for c in (9.0, 1.0, 0.09, 0.0025)]
+        assert costs[0] > 0
+        assert costs == sorted(set(costs))
+
+
 class TestL1Series:
     @pytest.mark.parametrize("coeffs", FOUR_FORMS)
     def test_equals_minus_log_eta_squared(self, coeffs):

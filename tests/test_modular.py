@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -91,6 +92,45 @@ def test_complex_products_and_quotients_stay_in_bound(xr, xi, yr, yi, dx, dy,
         assert abs(px / py - quotient.value) <= quotient.error_bound + 1e-11
 
 
+class TestComplexScalars:
+    """Complex scalar operands go through + - * /; log, exp and sqrt refuse
+    a complex value with ValueError rather than TypeError."""
+
+    X = ApproxValue(1.0 + 1.0j, 1e-3, 5)
+
+    @pytest.mark.parametrize("op, expected, bound", [
+        (lambda x: x + 1j, 1.0 + 2.0j, 1e-3),
+        (lambda x: 1j + x, 1.0 + 2.0j, 1e-3),
+        (lambda x: x - 1j, 1.0 + 0.0j, 1e-3),
+        (lambda x: 2j - x, -1.0 + 1.0j, 1e-3),
+        (lambda x: x * 1j, -1.0 + 1.0j, 1e-3),
+        (lambda x: 2j * x, -2.0 + 2.0j, 2e-3),
+        (lambda x: x / 2j, 0.5 - 0.5j, 0.5e-3),
+    ], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "div"])
+    def test_arithmetic(self, op, expected, bound):
+        result = op(self.X)
+        assert result.value == expected
+        assert result.error_bound == bound
+        assert result.cost == 5
+
+    @pytest.mark.parametrize("operation", ["log", "exp", "sqrt"])
+    def test_transcendentals_refuse_complex_values(self, operation):
+        with pytest.raises(ValueError, match=operation):
+            getattr(self.X, operation)()
+
+    def test_numpy_complex_keeps_its_imaginary_part(self):
+        result = self.X * np.complex64(2j)
+        assert type(result.value) is complex
+        assert result.value == -2.0 + 2.0j
+        assert result.error_bound == 2e-3
+
+    def test_real_scalars_stay_real(self):
+        result = (ApproxValue(2.0, 1e-3) + 1) * 3 / 2 - 0.5
+        assert type(result.value) is float
+        assert result.value == 4.0
+        assert result.error_bound == 1e-3 * 3 / 2
+
+
 class TestThetaSeries:
     def test_value_at_i(self):
         r = theta_uhp(UpperHalfPoint(0.0, 1.0), 1e-15)
@@ -149,6 +189,13 @@ def _theta_partial_sum(z, n_terms):
     zc = z.as_complex()
     return 1.0 + 2.0 * sum(cmath.exp(1j * math.pi * n * n * zc)
                            for n in range(1, n_terms + 1))
+
+
+@pytest.mark.parametrize("engine", [theta_uhp, eta_uhp], ids=lambda f: f.__name__)
+def test_cost_counts_terms_and_grows_toward_the_real_line(engine):
+    costs = [engine(UpperHalfPoint(0.1, y), 1e-13).cost for y in (3.0, 1.0, 0.3, 0.05)]
+    assert costs[0] > 0
+    assert costs == sorted(set(costs))
 
 
 class TestEtaProduct:

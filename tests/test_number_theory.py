@@ -1,10 +1,12 @@
 """The character mod 4 and the two ways of counting two-square representations."""
 
+from functools import lru_cache
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaeval import chi4, r_bruteforce, r_divisor
+from thetaeval import chi4, r_bruteforce, r_bruteforce_table, r_divisor, r_divisor_table
 
 
 class TestChi4:
@@ -57,6 +59,7 @@ class TestBruteForceCount:
 
     def test_matches_exhaustive_pair_enumeration(self):
         # independent quadratic-time count over a small box
+        table = r_bruteforce_table(199)
         for n in range(1, 200):
             count = sum(
                 1
@@ -65,6 +68,7 @@ class TestBruteForceCount:
                 if x * x + y * y == n
             )
             assert r_bruteforce(n) == count
+            assert table[n] == count
 
 
 class TestDivisorCount:
@@ -96,3 +100,38 @@ def test_divisor_equals_bruteforce(n):
 def test_count_is_multiple_of_four(n):
     # (x, y) -> (-y, x) acts freely on representations of n >= 1
     assert r_bruteforce(n) % 4 == 0
+
+
+@lru_cache(maxsize=None)
+def _scalar_counts() -> list[int]:
+    # r(0..3000) from the per-n functions, which must agree.
+    counts = [r_divisor(n) for n in range(1, 3001)]
+    assert counts == [r_bruteforce(n) for n in range(1, 3001)]
+    return [1] + counts
+
+
+@pytest.mark.parametrize("table", [r_bruteforce_table, r_divisor_table],
+                         ids=lambda f: f.__name__)
+class TestTables:
+    def test_equals_the_scalar_count_up_to_2000(self, table):
+        result = table(2000)
+        assert result.dtype == "int64"
+        assert result.tolist() == _scalar_counts()[:2001]
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 24, 25, 26])
+    def test_small_orders_and_squares(self, table, order):
+        # The bincount box and the divisor split both turn at isqrt(order).
+        assert table(order).tolist() == _scalar_counts()[: order + 1]
+
+    @pytest.mark.parametrize("order", [-1, 2.0, True, None])
+    def test_rejects_bad_orders(self, table, order):
+        with pytest.raises(ValueError):
+            table(order)
+
+
+@given(st.integers(min_value=16, max_value=3000))
+@settings(max_examples=40, deadline=None)
+def test_tables_equal_scalar_counts_at_any_order(order):
+    expected = _scalar_counts()[: order + 1]
+    assert r_bruteforce_table(order).tolist() == expected
+    assert r_divisor_table(order).tolist() == expected

@@ -56,6 +56,12 @@ class TestTripleProduct:
     def test_order_200_matches_theta(self):
         assert triple_product_qseries(200).coeffs == theta_qseries(200).coeffs
 
+    def test_order_4096_matches_theta(self):
+        # The deepest order whose steps all stay in int64 under the budget.
+        coeffs = triple_product_qseries(4096).coeffs
+        assert coeffs == theta_qseries(4096).coeffs
+        assert all(type(c) is int for c in coeffs)
+
     @given(st.integers(min_value=0, max_value=128))
     @settings(max_examples=25, deadline=None)
     def test_matches_theta_at_any_order(self, order):
@@ -84,7 +90,7 @@ class TestTimesBinomial:
         ([2**63 - 1, 1, 2**63 - 1], 1, 1),
     ])
     def test_promotes_before_a_step_that_could_wrap(self, coeffs, k, e):
-        out = _times_binomial(np.array(coeffs, dtype=np.int64), k, e)
+        out, _ = _times_binomial(np.array(coeffs, dtype=np.int64), k, e)
         assert out.dtype == object
         result = out.tolist()
         assert result == _binomial_reference(coeffs, k, e)
@@ -92,7 +98,7 @@ class TestTimesBinomial:
 
     def test_stays_int64_below_the_threshold(self):
         coeffs = [2**62 - 1, 2**62 - 1, -(2**62) + 1]
-        out = _times_binomial(np.array(coeffs, dtype=np.int64), 1, 1)
+        out, _ = _times_binomial(np.array(coeffs, dtype=np.int64), 1, 1)
         assert out.dtype == np.int64
         assert out.tolist() == _binomial_reference(coeffs, 1, 1)
 
@@ -100,13 +106,63 @@ class TestTimesBinomial:
     def test_matches_python_ints(self, coeffs, data):
         k = data.draw(st.integers(min_value=1, max_value=len(coeffs) - 1))
         e = data.draw(st.sampled_from((1, -1)))
-        out = _times_binomial(np.array(coeffs, dtype=np.int64), k, e)
+        out, _ = _times_binomial(np.array(coeffs, dtype=np.int64), k, e)
         assert out.tolist() == _binomial_reference(coeffs, k, e)
 
     def test_keeps_going_in_python_ints(self):
         coeffs = [2**100, -(2**100), 3]
-        out = _times_binomial(np.array(coeffs, dtype=object), 2, -1)
+        out, _ = _times_binomial(np.array(coeffs, dtype=object), 2, -1)
         assert out.tolist() == _binomial_reference(coeffs, 2, -1)
+
+
+class TestOverflowBudget:
+    """After an exact max M the next 63 - M.bit_length() binomials are
+    proven not to wrap; the max is taken again only when they are spent."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 33, 60, 61, 62])
+    def test_budget_after_a_measured_step(self, bits):
+        # The measured step itself spends one of the 63 - bits steps.
+        coeffs = [2**bits - 1, 0, 0]
+        out, budget = _times_binomial(np.array(coeffs, dtype=np.int64), 1, 1)
+        assert out.dtype == np.int64
+        assert budget == 62 - bits
+        assert out.tolist() == _binomial_reference(coeffs, 1, 1)
+
+    @pytest.mark.parametrize("top", [2**62, 2**63 - 1])
+    def test_sixty_three_bits_promote_at_once(self, top):
+        out, _ = _times_binomial(np.array([top, -5, 3], dtype=np.int64), 1, -1)
+        assert out.dtype == object
+        assert out.tolist() == _binomial_reference([top, -5, 3], 1, -1)
+
+    def test_an_unspent_budget_skips_the_scan(self):
+        # A budget the caller still holds is trusted: no promotion here,
+        # although a fresh scan would promote.
+        out, budget = _times_binomial(np.array([2**62, 0], dtype=np.int64), 1, -1, 1)
+        assert out.dtype == np.int64
+        assert budget == 0
+
+    @pytest.mark.parametrize("bits", [61, 62, 63])
+    def test_doubling_chain_promotes_before_it_could_wrap(self, bits):
+        # (1 + q) on a constant array doubles its max each step.  The max
+        # starts at bits - 4 bits and sits at exactly `bits` bits after four
+        # steps, reaching 2**62 only after several; a budget off by one
+        # (62 - bit_length, spent at exactly 0) misses a scan at 62 bits
+        # and lets a later step wrap.
+        start = (2**bits - 1) >> 4
+        coeffs = [start] * 16
+        out, budget = np.array(coeffs, dtype=np.int64), 0
+        for step in range(10):
+            before = max(abs(c) for c in out.tolist())
+            was_int64 = out.dtype == np.int64
+            out, budget = _times_binomial(out, 1, 1, budget)
+            coeffs = _binomial_reference(coeffs, 1, 1)
+            assert out.tolist() == coeffs, f"step {step}"
+            if step == 3:
+                assert max(coeffs).bit_length() == bits
+            if was_int64 and before >= 2**62:
+                assert out.dtype == object, f"int64 step from {before} at step {step}"
+        assert out.dtype == object
+        assert all(type(c) is int for c in out.tolist())
 
 
 class TestQsMul:

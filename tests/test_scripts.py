@@ -2,8 +2,8 @@
 
 The scripts import the package by its public names, so an API change that
 breaks one shows up here.  The oracle script must stay independent of the
-engines it checks, and the package keeps record building in one place and
-one bounded-value type.
+engines it checks, and the package keeps record building in one place,
+one bounded-value type and two independent two-squares routes.
 """
 
 import ast
@@ -109,3 +109,63 @@ def test_one_bounded_value_type():
                              if isinstance(stmt, ast.AnnAssign)
                              and getattr(stmt.target, "id", None) == "error_bound"}
     assert declared == {("approx", "ApproxValue")}
+
+
+PACKAGE = ROOT / "src" / "thetaeval"
+TWO_SQUARES_ROUTES = {"r_divisor_table", "r_bruteforce_table"}
+
+
+def _called_names(node):
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            names.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return names
+
+
+def _reachable(functions, start):
+    # Every name called from start, following calls into the module's own
+    # top-level functions.
+    seen, todo = set(), [start]
+    while todo:
+        for name in _called_names(functions[todo.pop()]) - seen:
+            seen.add(name)
+            if name in functions:
+                todo.append(name)
+    return seen
+
+
+def test_two_squares_routes_stay_independent():
+    # r(n) by divisors and r(n) by counting points must stay two computations:
+    # a check of one against the other proves nothing if either calls the
+    # other, or if the suite compares one route with itself.
+    tree = ast.parse((PACKAGE / "number_theory.py").read_text())
+    for node in ast.walk(tree):
+        # number_theory imports nothing from the package, qseries included
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] != "thetaeval"
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "thetaeval" for alias in node.names)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    divisor = _reachable(functions, "r_divisor_table")
+    search = _reachable(functions, "r_bruteforce_table")
+    assert "chi4" in divisor
+    assert not divisor & {"r_bruteforce_table", "r_bruteforce", "bincount"}
+    assert not search & {"chi4", "r_divisor_table", "r_divisor"}
+    # The one piece of the module both reach is the argument check.
+    assert divisor & search & set(functions) <= {"_check_order"}
+
+    suite = next(node for node in ast.parse((PACKAGE / "suites.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_suite_two_squares")
+    builders = {node.name: node for node in ast.walk(suite) if isinstance(node, ast.FunctionDef)}
+    declared = next(node for node in ast.walk(suite)
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check"
+                    and getattr(node.args[0], "value", None)
+                    == "two-squares/bruteforce-vs-divisor")
+    builder = builders[declared.args[3].id]
+    returned = [node.value for node in ast.walk(builder) if isinstance(node, ast.Return)]
+    assert len(returned) == 1 and isinstance(returned[0], ast.Call)
+    lhs, rhs = returned[0].args[:2]
+    assert {frozenset(_called_names(side) & TWO_SQUARES_ROUTES) for side in (lhs, rhs)} \
+        == {frozenset({"r_divisor_table"}), frozenset({"r_bruteforce_table"})}
