@@ -45,10 +45,10 @@ with D = 4ac - b^2 and lambda_max the larger eigenvalue of
   1 + alpha / (lambda sqrt T) + 2 alpha sqrt T + 2 beta.  T is set so the
   tails stay far below the rounding allowance.
 
-  Each block takes one continued fraction for its points with x >= max(1,
-  s + 1), the few others the scalar upper_incomplete_gamma, and one fsum;
-  one more fsum adds the blocks.  The continued fraction keeps exp and log
-  in math, per point, so its values do not depend on the array around them.
+  Each point's Gamma(s, x) is one call of the scalar
+  upper_incomplete_gamma, in Python floats with exp and log from math:
+  the continued fraction runs per point until that point converges, and
+  each block adds its terms with one fsum; one more fsum adds the blocks.
 """
 
 from __future__ import annotations
@@ -189,8 +189,8 @@ def epstein_direct(form: BinaryQuadraticForm, s: float, tol: float = 1e-2) -> Ap
     docstring) is within tol, less a share kept for rounding.  Raises
     NonConvergence if the bound with rounding still exceeds tol.
     """
-    if not s > 1.0:
-        raise ValueError(f"need s > 1, got {s}")
+    if not 1.0 < s < math.inf:
+        raise ValueError(f"need a finite s > 1, got {s}")
     check_tol(tol)
     alpha, beta = _count_bound(form)
 
@@ -213,6 +213,8 @@ def _gamma_cached(s: float) -> ApproxValue:
     # Gamma(s) = (s - 1) Gamma(s - 1): past s = 4, Gamma(s) > 6 brings the
     # quadrature's rounding floor up to 1e-14.  Each s - 1 is exact; each
     # product rounds by EPS/2 of the running value.
+    if not s <= 171.0:
+        raise ValueError(f"need s <= 171, as Gamma(s) overflows past 171.62; got s={s}")
     factor, steps = 1.0, 0
     while s > 4.0:
         s -= 1.0
@@ -222,43 +224,26 @@ def _gamma_cached(s: float) -> ApproxValue:
     return scaled + ApproxValue(0.0, steps * EPS * scaled.value)
 
 
-def _cf_upper(s: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Gamma(s, x), its bound and its iteration count for each x >= max(1, s + 1).
-    # Continued fraction for Gamma(s, x) * exp(x) * x^(-s), modified Lentz,
-    # run on the whole array; an element leaves it at the iteration where it
-    # converges, so it sees exactly the IEEE operations of a scalar loop.
+def _cf_upper(s: float, x: float) -> tuple[float, float, int]:
+    # Gamma(s, x), its bound and its iteration count for x >= max(1, s + 1):
+    # continued fraction for Gamma(s, x) * exp(x) * x^(-s), modified Lentz
+    # (v or tiny takes tiny for a zero v).
     tiny = 1e-300
     b0 = x + 1.0 - s
-    f = np.where(b0 != 0.0, b0, tiny)
-    cc = f
-    dd = np.zeros_like(x)
-    live = np.arange(len(x))
-    cf = np.empty_like(x)
-    n = np.empty(len(x), dtype=np.int64)
+    f = b0 or tiny
+    cc, dd = f, 0.0
     for i in range(1, 400):
-        if not len(live):
-            break
         an = -i * (i - s)
         bn = b0 + 2.0 * i
-        dd = bn + an * dd
-        dd[dd == 0.0] = tiny
-        cc = bn + an / cc
-        cc[cc == 0.0] = tiny
+        dd = bn + an * dd or tiny
+        cc = bn + an / cc or tiny
         dd = 1.0 / dd
         delta = cc * dd
         f = f * delta
-        done = np.abs(delta - 1.0) < 4.0 * EPS
-        if done.any():
-            cf[live[done]] = 1.0 / f[done]
-            n[live[done]] = i
-            keep = ~done
-            live, b0, f, cc, dd = live[keep], b0[keep], f[keep], cc[keep], dd[keep]
-    if len(live):
-        raise NonConvergence(
-            f"incomplete gamma fraction stalled at s={s}, x={float(x[live[0]])}")
-    front = np.array([math.exp(-v + s * math.log(v)) for v in x.tolist()])
-    value = front * cf
-    return value, 16.0 * EPS * np.abs(value) + 1e-306, n
+        if abs(delta - 1.0) < 4.0 * EPS:
+            value = math.exp(-x + s * math.log(x)) * (1.0 / f)
+            return value, 16.0 * EPS * abs(value) + 1e-306, i
+    raise NonConvergence(f"incomplete gamma fraction stalled at s={s}, x={x}")
 
 
 def _series_lower(s: float, x: float) -> tuple[float, int]:
@@ -293,50 +278,58 @@ def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
 
     Continued fraction for large x, series complement for small x with
     positive s, and the recurrence Gamma(s, x) = (Gamma(s+1, x)
-    - x^s exp(-x)) / s to lift a non-positive s into range.
+    - x^s exp(-x)) / s to lift a negative s into range, one step per unit
+    of order.  Raises ValueError for a non-finite s, for s > 171 on the
+    series branch and for s < -10^5 on the lift, whose x^s may also leave
+    the double range (OverflowError).
     """
+    if not math.isfinite(s):
+        raise ValueError(f"need a finite order s, got {s}")
     if not x > 0.0:
         raise ValueError(f"need x > 0, got {x}")
     if x >= max(1.0, s + 1.0):
-        value, bound, n = _cf_upper(s, np.array([x], dtype=float))
-        return ApproxValue(float(value[0]), float(bound[0]), int(n[0]))
-    if s > 0.0:
+        return ApproxValue(*_cf_upper(s, x))
+    if s < -1e5:
+        raise ValueError(f"order s={s} needs more than 10^5 recurrence steps")
+    orders = []
+    while s < 0.0:
+        orders.append(s)
+        s += 1.0
+    if s == 0.0:
+        e1 = _e1_series(x)
+        value, bound, cost = e1.value, e1.error_bound, e1.cost
+    else:
         whole = _gamma_cached(s)
-        front = math.exp(-x + s * math.log(x))
         series, n = _series_lower(s, x)
-        lower = front * series
+        lower = math.exp(-x + s * math.log(x)) * series
         value = whole.value - lower
         bound = whole.error_bound + 8.0 * EPS * (abs(lower) + abs(value))
-        return ApproxValue(value, bound, n + whole.cost)
-    if s == 0.0:
-        return _e1_series(x)
-    lifted = upper_incomplete_gamma(s + 1.0, x)
-    front = math.exp(-x + s * math.log(x))
-    value = (lifted.value - front) / s
-    bound = (lifted.error_bound + 4.0 * EPS * front) / abs(s) + 4.0 * EPS * abs(value)
-    return ApproxValue(value, bound, lifted.cost + 1)
+        cost = n + whole.cost
+    for s in reversed(orders):
+        front = math.exp(-x + s * math.log(x))
+        value = (value - front) / s
+        bound = (bound + 4.0 * EPS * front) / abs(s) + 4.0 * EPS * abs(value)
+        cost += 1
+    return ApproxValue(value, bound, cost)
 
 
 def _gamma_block(s: float, x: np.ndarray, weight: np.ndarray) -> tuple[float, float, int]:
     # Sum of weight * Gamma(s, x) over one block of pair representatives,
     # its bound and its cost, each doubled to count every -v too.
-    cf_branch = x >= max(1.0, s + 1.0)
-    value = np.empty_like(x)
-    err = np.empty_like(x)
-    cost = np.empty(len(x), dtype=np.int64)
-    value[cf_branch], err[cf_branch], cost[cf_branch] = _cf_upper(s, x[cf_branch])
-    for i in np.flatnonzero(~cf_branch).tolist():
-        g = upper_incomplete_gamma(s, float(x[i]))
-        value[i], err[i], cost[i] = g.value, g.error_bound, g.cost
-    return (2.0 * math.fsum((weight * value).tolist()),
-            2.0 * math.fsum((weight * err).tolist()), 2 * int(cost.sum()))
+    values, errs, cost = [], [], 0
+    for v, w in zip(x.tolist(), weight.tolist()):
+        g = upper_incomplete_gamma(s, v)
+        values.append(w * g.value)
+        errs.append(w * g.error_bound)
+        cost += g.cost
+    return 2.0 * math.fsum(values), 2.0 * math.fsum(errs), 2 * cost
 
 
 def epstein_accelerated(form: BinaryQuadraticForm, s: float,
                         tol: float = 1e-12) -> ApproxValue:
     """Incomplete-gamma accelerated value of the lattice sum, s > 1."""
-    if not s > 1.0:
-        raise ValueError(f"need s > 1, got {s}")
+    if not 1.0 < s < math.inf:
+        raise ValueError(f"need a finite s > 1, got {s}")
     check_tol(tol)
     lam = _TWO_PI / math.sqrt(form.disc)
     gamma_whole = _gamma_cached(s)

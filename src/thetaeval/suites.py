@@ -19,6 +19,7 @@ is computed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -80,15 +81,19 @@ def _suite_triple_product(config: RunConfig, check) -> None:
 
 
 def _suite_two_squares(config: RunConfig, check) -> None:
-    # r(n) for n = 1..order, each side a whole table.
+    # r(n) for n = 1..order, each side a whole table; the divisor table is
+    # built by whichever check runs first and shared as a tuple.
     order = config.qseries_order
 
+    @functools.cache
+    def divisor() -> tuple[int, ...]:
+        return tuple(r_divisor_table(order).tolist()[1:])
+
     def divisor_vs_bruteforce():
-        return _exact_gap(r_divisor_table(order).tolist()[1:],
-                          r_bruteforce_table(order).tolist()[1:])
+        return _exact_gap(divisor(), r_bruteforce_table(order).tolist()[1:])
 
     def theta_square_vs_divisor():
-        return _exact_gap(_theta_squared_coeffs(order)[1:], r_divisor_table(order).tolist()[1:])
+        return _exact_gap(_theta_squared_coeffs(order)[1:], divisor())
 
     check("two-squares/bruteforce-vs-divisor", "Lemma 2", 0.0, divisor_vs_bruteforce)
     check("two-squares/theta-squared-vs-divisor", "§3", 0.0, theta_square_vs_divisor)

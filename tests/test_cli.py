@@ -9,6 +9,7 @@ import pytest
 
 from thetaeval.approx import ApproxValue
 from thetaeval.cli import build_parser, main
+from thetaeval.number_theory import r_divisor_table
 from thetaeval.report import (
     REPORT_VERSION,
     SUITE_NAMES,
@@ -268,6 +269,19 @@ class TestRunBehaviour:
         a = json.loads(single.read_text())
         b = json.loads(doubled.read_text())
         assert a["summary"]["total"] == b["summary"]["total"]
+
+    def test_two_squares_builds_its_divisor_table_once(self, monkeypatch, capsys):
+        import thetaeval.suites as suites
+        calls = []
+
+        def counted(order):
+            calls.append(order)
+            return r_divisor_table(order)
+
+        monkeypatch.setattr(suites, "r_divisor_table", counted)
+        for _ in range(2):
+            assert main(["two-squares", "--order", "64"]) == 0
+        assert calls == [64, 64]
 
     def test_records_sorted_by_name(self, tmp_path, capsys):
         path = tmp_path / "report.json"

@@ -366,31 +366,120 @@ class TestUpperIncompleteGamma:
         assert values == sorted(values, reverse=True)
 
 
-@given(s=st.floats(min_value=-2.0, max_value=4.0),
-       offsets=st.lists(st.one_of(st.floats(min_value=0.0, max_value=50.0),
-                                  st.floats(min_value=1000.0, max_value=9000.0)),
-                        min_size=1, max_size=40))
-@settings(max_examples=60, deadline=None)
-def test_array_fraction_matches_one_element_calls(s, offsets):
-    # Each element stops at its own iteration, so the array kernel must give
-    # bit for bit what one-element calls give, whatever its neighbours.
-    x = np.array([max(1.0, s + 1.0) + d for d in offsets])
-    values, bounds, counts = _cf_upper(s, x)
-    for k, xk in enumerate(x.tolist()):
-        one = _cf_upper(s, np.array([xk]))
-        assert values[k].hex() == one[0][0].hex()
-        assert bounds[k].hex() == one[1][0].hex()
-        assert counts[k] == one[2][0]
-        scalar = upper_incomplete_gamma(s, xk)
-        assert (scalar.value, scalar.error_bound, scalar.cost) == (
-            values[k], bounds[k], counts[k])
+_T = 2.0 ** -10
+# (s, x, value.hex(), error_bound.hex(), cost) of upper_incomplete_gamma,
+# recorded from the array continued fraction and the recursive lift that
+# the scalar kernel and the lift loop replaced: the rows guard bit
+# identity only (the quadrature oracles above guard the values).
+# Continued fraction (x >= max(1, s + 1)), series complement, E1, lift.
+GAMMA_PINS = [
+(1.5, 3.0, '0x1.9524bc3c75cb3p-4', '0x1.9524bc3c75cb3p-52', 29),
+    (1.5, 2.5, '0x1.37cf8187b688ap-3', '0x1.37cf8187b688ap-51', 33),
+    (1.5, 40.0, '0x1.f5c3f94ebc270p-56', '0x1.f5c3f94ebc270p-104', 6),
+    (1.5, 10000.0, '0x0.0p+0', '0x1.6789e3750f791p-1017', 2),
+    (2.0, 3.0, '0x1.97db0ccceb0b0p-3', '0x1.97db0ccceb0b0p-51', 2),
+    (3.0, 4.0, '0x1.e7a2b4b36030bp-2', '0x1.e7a2b4b36030bp-50', 3),
+    (3.0, 60.0, '0x1.3b3538fcb97e0p-75', '0x1.3b3538fcb97e0p-123', 3),
+    (0.5, 1.0, '0x1.1d7f361ae3ec0p-2', '0x1.c2dfc48da77b5p-48', 116),
+    (-0.5, 1.0, '0x1.6cd8b51fac1c3p-3', '0x1.6cd8b51fac1c3p-51', 85),
+    (-0.5, 1000.0, '0x0.0p+0', '0x1.6789e3750f791p-1017', 3),
+    (-_T, 1.0, '0x1.c11a49495dad2p-3', '0x1.c11a49495dad2p-51', 82),
+    (-_T, 1.0 + _T, '0x1.c05e1daa6ba74p-3', '0x1.c05e1daa6ba74p-51', 82),
+    (-1.0, 1.5, '0x1.8f3a4e9fe2cbcp-5', '0x1.8f3a4e9fe2cbcp-53', 60),
+    (-2.0, 1.0, '0x1.c14c5d3bf8f66p-4', '0x1.c14c5d3bf8f66p-52', 83),
+    (-2.0, 30.0, '0x1.d22e91717cc25p-59', '0x1.d22e91717cc25p-107', 9),
+    (1.5, 0.5, '0x1.6b910e20f7e0dp-1', '0x1.5d3309e24d9c6p-49', 208),
+    (1.5, 2.4375, '0x1.48d8468bf3b98p-3', '0x1.5d3309e24d9c6p-49', 217),
+    (2.0, 0.01, '0x1.fff97d6bdf829p-1', '0x1.81b423ab4e6bdp-49', 200),
+    (3.0, 3.9375, '0x1.faaf722f48794p-2', '0x1.61471ac07ad0dp-48', 221),
+    (0.03125, 0.3, '0x1.ca0c34f617180p-1', '0x1.bc37ab2ba00e1p-44', 207),
+    (0.5, 0.99, '0x1.214adcccf8b6cp-2', '0x1.c2dfc48da77b5p-48', 116),
+    (0.0, 0.5, '0x1.1e9aa50574b81p-1', '0x1.a06f148b74efap-49', 16),
+    (0.0, 0.999, '0x1.c20d6e981b013p-3', '0x1.1c50ff05cbb93p-49', 20),
+    (-0.5, 0.5, '0x1.2e6f1748e562cp-1', '0x1.065628404dfc5p-46', 113),
+    (-1.0, 0.25, '0x1.0913ec416c67ep+1', '0x1.33bfdac6e43acp-47', 15),
+    (-2.0, 0.7, '0x1.5b08b037f98a8p-2', '0x1.5de697cf0a265p-49', 20),
+    (-2.0, 0.999, '0x1.c2cee2efcdc8dp-4', '0x1.a9f59dfbc1cc7p-50', 22),
+    (-_T, 0.99, '0x1.c8b67e3d1b800p-3', '0x1.b17999035ecdfp-39', 212),
+    (-1.5, 0.001, '0x1.4873bfa8bd0a3p+14', '0x1.497a2607c5a24p-35', 104),
+    (-1.0, 0.9990234375, '0x1.30db0af2f40aap-3', '0x1.5e8be18efd2aep-49', 21),
+]
+
+# (form, s, value.hex(), error_bound.hex(), cost) of epstein_accelerated at
+# tol 1e-12, recorded as GAMMA_PINS were.
+ACCELERATED_PINS = [
+    ((1.0, 0.0, 1.0), 1.25, '0x1.e7a05770a6dc1p+3', '0x1.86ad3d9bd841ep-45', 1077),
+    ((1.0, 0.0, 1.0), 1.5, '0x1.21136dc7ab5cap+3', '0x1.e9051d9d0180cp-46', 1085),
+    ((1.0, 0.0, 1.0), 2.0, '0x1.81b749d8676b8p+2', '0x1.69b1595f4c229p-46', 765),
+    ((1.0, 0.0, 1.0), 3.0, '0x1.2a2ba4037a169p+2', '0x1.9f6a312af15c0p-46', 1773),
+    ((2.0, -2.0, 1.0), 1.25, '0x1.e7a05770a6dc1p+3', '0x1.86ad3d9bb584fp-45', 1077),
+    ((2.0, -2.0, 1.0), 1.5, '0x1.21136dc7ab5cap+3', '0x1.e9051d9ce79dbp-46', 1085),
+    ((2.0, -2.0, 1.0), 2.0, '0x1.81b749d8676b8p+2', '0x1.69b1595f599d8p-46', 765),
+    ((2.0, -2.0, 1.0), 3.0, '0x1.2a2ba4037a169p+2', '0x1.9f6a312ae4c50p-46', 1773),
+    ((1.0, 0.0, 2.0), 1.25, '0x1.442164114ad59p+3', '0x1.323898b3e68dcp-45', 1441),
+    ((1.0, 0.0, 2.0), 1.5, '0x1.6c8d76f466d85p+2', '0x1.8e38f2ec1d693p-46', 1445),
+    ((1.0, 0.0, 2.0), 2.0, '0x1.c05ce5df76ff8p+1', '0x1.1f79040727992p-46', 1253),
+    ((1.0, 0.0, 2.0), 3.0, '0x1.3c41ee5d79ac6p+1', '0x1.b4b1728eab257p-47', 1313),
+    ((1.0, 1.0, 1.0), 1.25, '0x1.21ec5745a3c8fp+4', '0x1.ccdcd3b680275p-45', 1075),
+    ((1.0, 1.0, 1.0), 1.5, '0x1.6117f7b5f8d40p+3', '0x1.257dbde7ccd6bp-45', 1087),
+    ((1.0, 1.0, 1.0), 2.0, '0x1.ed836964610e0p+2', '0x1.bdd510f9ca0adp-46', 757),
+    ((1.0, 1.0, 1.0), 3.0, '0x1.980e718024badp+2', '0x1.2549f1f226219p-45', 2113),
+    ((1.0, 0.53, 10000.0), 1.25, '0x1.5905f7222bceap+1', '0x1.269416f56d42cp-46', 7433),
+    ((1.0, 0.53, 10000.0), 1.5, '0x1.33cf8fd4874c7p+1', '0x1.ec7788aff335ap-47', 6489),
+    ((1.0, 0.53, 10000.0), 2.0, '0x1.1513425a46794p+1', '0x1.a237a913067a8p-47', 5405),
+    ((1.0, 0.53, 10000.0), 3.0, '0x1.0470984c8f760p+1', '0x1.67692f6a29626p-47', 6399),
+]
 
 
-def test_array_fraction_stall_names_the_first_stalled_x():
-    # nan and inf never converge; the message names the first in array order.
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NonConvergence, match=r"stalled at s=1.5, x=nan$"):
-            _cf_upper(1.5, np.array([2.0, math.nan, 3.0, math.inf]))
+@pytest.mark.parametrize("s, x, value, bound, cost", GAMMA_PINS)
+def test_incomplete_gamma_pinned_bits(s, x, value, bound, cost):
+    g = upper_incomplete_gamma(s, x)
+    assert (g.value.hex(), g.error_bound.hex(), g.cost) == (value, bound, cost)
+
+
+@pytest.mark.parametrize("coeffs, s, value, bound, cost", ACCELERATED_PINS)
+def test_accelerated_pinned_bits(coeffs, s, value, bound, cost):
+    r = epstein_accelerated(BinaryQuadraticForm(*coeffs), s, 1e-12)
+    assert (r.value.hex(), r.error_bound.hex(), r.cost) == (value, bound, cost)
+
+
+def test_continued_fraction_stall_names_its_point():
+    with pytest.raises(NonConvergence, match=r"stalled at s=1.5, x=nan$"):
+        _cf_upper(1.5, math.nan)
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_incomplete_gamma_refuses_non_finite_order(s):
+    with pytest.raises(ValueError, match="finite order"):
+        upper_incomplete_gamma(s, 2.0 if s > 0 else 0.5)
+
+
+@pytest.mark.parametrize("engine", [epstein_direct, epstein_accelerated])
+@pytest.mark.parametrize("s", [math.inf, math.nan])
+def test_engines_refuse_non_finite_order(engine, s):
+    with pytest.raises(ValueError, match="finite s > 1"):
+        engine(BinaryQuadraticForm(1.0, 0.0, 1.0), s)
+
+
+def test_incomplete_gamma_refuses_orders_past_gamma_overflow():
+    # The series complement needs Gamma(s), which overflows past s = 171.62;
+    # before the check, reducing s = 1e300 by one never ended.
+    with pytest.raises(ValueError, match="need s <= 171"):
+        upper_incomplete_gamma(1e300, 2.0)
+    with pytest.raises(ValueError, match="need s <= 171"):
+        epstein_accelerated(BinaryQuadraticForm(1.0, 0.0, 1.0), 200.0)
+
+
+def test_deep_negative_order_lift_ends():
+    # One recurrence step per unit of order, in a loop: 0.5^-5000.5 leaves
+    # the double range, near x = 1 the lift ends in a value, and an order
+    # whose lift would never end is refused.
+    with pytest.raises(OverflowError):
+        upper_incomplete_gamma(-5000.5, 0.5)
+    deep = upper_incomplete_gamma(-5000.5, 0.9999)
+    assert deep.cost > 5000 and 0.0 < deep.error_bound < 1e-12 * deep.value
+    with pytest.raises(ValueError, match=r"10\^5 recurrence steps"):
+        upper_incomplete_gamma(-1e300, 0.5)
 
 
 def _ring(r):

@@ -7,6 +7,7 @@ one bounded-value type and two independent two-squares routes.
 """
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -125,14 +126,14 @@ def _called_names(node):
 
 
 def _reachable(functions, start):
-    # Every name called from start, following calls into the module's own
-    # top-level functions.
+    # Every name called from the node start, following calls into the
+    # functions of the dict functions (name -> node).
     seen, todo = set(), [start]
     while todo:
-        for name in _called_names(functions[todo.pop()]) - seen:
+        for name in _called_names(todo.pop()) - seen:
             seen.add(name)
             if name in functions:
-                todo.append(name)
+                todo.append(functions[name])
     return seen
 
 
@@ -148,8 +149,8 @@ def test_two_squares_routes_stay_independent():
         elif isinstance(node, ast.Import):
             assert not any(alias.name.split(".")[0] == "thetaeval" for alias in node.names)
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    divisor = _reachable(functions, "r_divisor_table")
-    search = _reachable(functions, "r_bruteforce_table")
+    divisor = _reachable(functions, functions["r_divisor_table"])
+    search = _reachable(functions, functions["r_bruteforce_table"])
     assert "chi4" in divisor
     assert not divisor & {"r_bruteforce_table", "r_bruteforce", "bincount"}
     assert not search & {"chi4", "r_divisor_table", "r_divisor"}
@@ -167,5 +168,52 @@ def test_two_squares_routes_stay_independent():
     returned = [node.value for node in ast.walk(builder) if isinstance(node, ast.Return)]
     assert len(returned) == 1 and isinstance(returned[0], ast.Call)
     lhs, rhs = returned[0].args[:2]
-    assert {frozenset(_called_names(side) & TWO_SQUARES_ROUTES) for side in (lhs, rhs)} \
+    # A side may reach its route through a helper of the suite's own.
+    assert {frozenset(_reachable(builders, side) & TWO_SQUARES_ROUTES) for side in (lhs, rhs)} \
         == {frozenset({"r_divisor_table"}), frozenset({"r_bruteforce_table"})}
+
+
+def _report(records, version="1.0.0"):
+    passed = sum(1 for r in records if r["pass"])
+    return {"version": version, "records": records,
+            "summary": {"total": len(records), "passed": passed,
+                        "failed": len(records) - passed}}
+
+
+def _record(name, lhs, runtime_ms, passed=True):
+    return {"name": name, "paper_anchor": "Lemma 1", "lhs": lhs, "rhs": 1.0,
+            "abs_error": abs(lhs - 1.0), "combined_bound": 1e-15,
+            "tolerance": 1e-12, "pass": passed, "runtime_ms": runtime_ms}
+
+
+def _compare(tmp_path, a, b):
+    paths = []
+    for label, report in (("a", a), ("b", b)):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(report))
+        paths.append(str(path))
+    return subprocess.run([sys.executable, str(SCRIPTS / "compare_reports.py"), *paths],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_compare_reports_masks_only_runtime(tmp_path):
+    a = _report([_record("x/one", 1.0, 3), _record("x/two", 1.0, 5)])
+    b = _report([_record("x/one", 1.0, 40), _record("x/two", 1.0, 0)])
+    proc = _compare(tmp_path, a, b)
+    assert (proc.returncode, proc.stdout) == (0, "")
+
+
+def test_compare_reports_names_each_difference(tmp_path):
+    a = _report([_record("x/one", 1.0, 3), _record("x/two", 1.0, 5),
+                 _record("x/gone", 1.0, 1)])
+    b = _report([_record("x/one", 1.0 + 2.0 ** -52, 3), _record("x/two", 1.0, 5, False),
+                 _record("x/new", 1.0, 1)])
+    proc = _compare(tmp_path, a, b)
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert "x/one: lhs 1.0 != 1.0000000000000002" in lines
+    assert "x/one: abs_error 0.0 != 2.220446049250313e-16" in lines
+    assert "x/two: pass True != False" in lines
+    assert "x/gone: only in A" in lines and "x/new: only in B" in lines
+    assert any(line.startswith("summary: ") for line in lines)
+    assert not any("runtime_ms" in line for line in lines)
