@@ -305,10 +305,10 @@ def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
         value = whole.value - lower
         bound = whole.error_bound + 8.0 * EPS * (abs(lower) + abs(value))
         cost = n + whole.cost
-    for s in reversed(orders):
-        front = math.exp(-x + s * math.log(x))
-        value = (value - front) / s
-        bound = (bound + 4.0 * EPS * front) / abs(s) + 4.0 * EPS * abs(value)
+    for order in reversed(orders):
+        front = math.exp(-x + order * math.log(x))
+        value = (value - front) / order
+        bound = (bound + 4.0 * EPS * front) / abs(order) + 4.0 * EPS * abs(value)
         cost += 1
     return ApproxValue(value, bound, cost)
 
