@@ -271,14 +271,13 @@ class TestRunBehaviour:
         assert a["summary"]["total"] == b["summary"]["total"]
 
     def test_two_squares_builds_its_divisor_table_once(self, monkeypatch, capsys):
-        import thetaeval.suites as suites
         calls = []
 
         def counted(order):
             calls.append(order)
             return r_divisor_table(order)
 
-        monkeypatch.setattr(suites, "r_divisor_table", counted)
+        monkeypatch.setattr("thetaeval.suites.r_divisor_table", counted)
         for _ in range(2):
             assert main(["two-squares", "--order", "64"]) == 0
         assert calls == [64, 64]

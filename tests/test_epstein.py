@@ -368,12 +368,12 @@ class TestUpperIncompleteGamma:
 
 _T = 2.0 ** -10
 # (s, x, value.hex(), error_bound.hex(), cost) of upper_incomplete_gamma,
-# recorded from the array continued fraction and the recursive lift that
-# the scalar kernel and the lift loop replaced: the rows guard bit
-# identity only (the quadrature oracles above guard the values).
-# Continued fraction (x >= max(1, s + 1)), series complement, E1, lift.
+# recorded before the continued fraction became a per-point float loop and
+# the lift a loop: the rows guard bit identity only (the quadrature oracles
+# above guard the values).  Rows by branch: continued fraction
+# (x >= max(1, s + 1)), series complement, E1, lift.
 GAMMA_PINS = [
-(1.5, 3.0, '0x1.9524bc3c75cb3p-4', '0x1.9524bc3c75cb3p-52', 29),
+    (1.5, 3.0, '0x1.9524bc3c75cb3p-4', '0x1.9524bc3c75cb3p-52', 29),
     (1.5, 2.5, '0x1.37cf8187b688ap-3', '0x1.37cf8187b688ap-51', 33),
     (1.5, 40.0, '0x1.f5c3f94ebc270p-56', '0x1.f5c3f94ebc270p-104', 6),
     (1.5, 10000.0, '0x0.0p+0', '0x1.6789e3750f791p-1017', 2),
