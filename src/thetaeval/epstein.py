@@ -45,15 +45,27 @@ with D = 4ac - b^2 and lambda_max the larger eigenvalue of
   1 + alpha / (lambda sqrt T) + 2 alpha sqrt T + 2 beta.  T is set so the
   tails stay far below the rounding allowance.
 
-  Each point's Gamma(s, x) is one call of the scalar
-  upper_incomplete_gamma, in Python floats with exp and log from math:
-  the continued fraction runs per point until that point converges, and
-  each block adds its terms with one fsum; one more fsum adds the blocks.
+  Each point's Gamma(s, x) is one call of the float kernel behind
+  upper_incomplete_gamma, with exp and log from math: the continued
+  fraction runs per point until that point converges.  Each side adds its
+  terms with one fsum (sides past _BLOCK points, one per block of _BLOCK,
+  so the lists stay bounded), and one more fsum adds the sides.
+
+  Neither the level nor the points nor the bound depend on tol, and the
+  Kronecker ladder and the cross-checks take each form's sum at a dozen
+  nearby s.  So epstein_accelerated certifies one cached uncertified sum
+  per (form, float(s)), and the level sets come from a side cache: per
+  form, the sorted Q values of the highest level asked so far, from which
+  a lower level takes the prefix Q <= level.  _level_set runs again only
+  when the level rises.  Both caches are bounded; the direct engine never
+  uses them and streams its blocks.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,6 +87,13 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _BLOCK = 4096
 _MAX_POINTS = 10_000_000
+# The side cache holds the level sets of this many forms, each of at most
+# this many values (8 bytes each).
+_HELD_FORMS = 32
+_HELD_POINTS = 1 << 16
+# A form's level set is taken this far past the level asked, which covers
+# the rise in level from s = 1.25 to s = 3 (about 7%).
+_HEADROOM = 1.125
 
 
 @dataclass(frozen=True)
@@ -212,9 +231,14 @@ def epstein_direct(form: BinaryQuadraticForm, s: float, tol: float = 1e-2) -> Ap
 def _gamma_cached(s: float) -> ApproxValue:
     # Gamma(s) = (s - 1) Gamma(s - 1): past s = 4, Gamma(s) > 6 brings the
     # quadrature's rounding floor up to 1e-14.  Each s - 1 is exact; each
-    # product rounds by EPS/2 of the running value.
+    # product rounds by EPS/2 of the running value.  Below 1/2, Gamma(s) =
+    # Gamma(s + 1) / s with Gamma(s + 1) to 1e-14 and 2 EPS for rounding
+    # s + 1 and the quotient: gamma_integral's own lift would ask the
+    # quadrature for s 1e-14, below its rounding floor.
     if not s <= 171.0:
         raise ValueError(f"need s <= 171, as Gamma(s) overflows past 171.62; got s={s}")
+    if s < 0.5:
+        return (_gamma_cached(s + 1.0) + ApproxValue(0.0, 2.0 * EPS)) / s
     factor, steps = 1.0, 0
     while s > 4.0:
         s -= 1.0
@@ -258,8 +282,9 @@ def _series_lower(s: float, x: float) -> tuple[float, int]:
     raise NonConvergence(f"incomplete gamma series stalled at s={s}, x={x}")
 
 
-def _e1_series(x: float) -> ApproxValue:
-    # Gamma(0, x) = -gamma - log x + sum_{k >= 1} -(-x)^k / (k k!), x < 1.
+def _e1_series(x: float) -> tuple[float, float, int]:
+    # Gamma(0, x) = -gamma - log x + sum_{k >= 1} -(-x)^k / (k k!), x < 1,
+    # its bound and its term count.
     g = euler_gamma(1e-13)
     term = 1.0
     contribs = [-g.value, -math.log(x)]
@@ -269,8 +294,37 @@ def _e1_series(x: float) -> ApproxValue:
         if abs(term) < 1e-18:
             value = math.fsum(contribs)
             bound = g.error_bound + 4.0 * EPS * (abs(value) + abs(math.log(x)))
-            return ApproxValue(value, bound, k)
+            return value, bound, k
     raise NonConvergence(f"exponential integral series stalled at x={x}")
+
+
+def _incomplete_gamma(s: float, x: float) -> tuple[float, float, int]:
+    # Gamma(s, x), its bound and its cost for a finite s and x > 0, in
+    # floats: the body of upper_incomplete_gamma, which the lattice blocks
+    # call directly.
+    if x >= max(1.0, s + 1.0):
+        return _cf_upper(s, x)
+    if s < -1e5:
+        raise ValueError(f"order s={s} needs more than 10^5 recurrence steps")
+    orders = []
+    while s < 0.0:
+        orders.append(s)
+        s += 1.0
+    if s == 0.0:
+        value, bound, cost = _e1_series(x)
+    else:
+        whole = _gamma_cached(s)
+        series, n = _series_lower(s, x)
+        lower = math.exp(-x + s * math.log(x)) * series
+        value = whole.value - lower
+        bound = whole.error_bound + 8.0 * EPS * (abs(lower) + abs(value))
+        cost = n + whole.cost
+    for order in reversed(orders):
+        front = math.exp(-x + order * math.log(x))
+        value = (value - front) / order
+        bound = (bound + 4.0 * EPS * front) / abs(order) + 4.0 * EPS * abs(value)
+        cost += 1
+    return value, bound, cost
 
 
 def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
@@ -287,30 +341,7 @@ def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
         raise ValueError(f"need a finite order s, got {s}")
     if not x > 0.0:
         raise ValueError(f"need x > 0, got {x}")
-    if x >= max(1.0, s + 1.0):
-        return ApproxValue(*_cf_upper(s, x))
-    if s < -1e5:
-        raise ValueError(f"order s={s} needs more than 10^5 recurrence steps")
-    orders = []
-    while s < 0.0:
-        orders.append(s)
-        s += 1.0
-    if s == 0.0:
-        e1 = _e1_series(x)
-        value, bound, cost = e1.value, e1.error_bound, e1.cost
-    else:
-        whole = _gamma_cached(s)
-        series, n = _series_lower(s, x)
-        lower = math.exp(-x + s * math.log(x)) * series
-        value = whole.value - lower
-        bound = whole.error_bound + 8.0 * EPS * (abs(lower) + abs(value))
-        cost = n + whole.cost
-    for order in reversed(orders):
-        front = math.exp(-x + order * math.log(x))
-        value = (value - front) / order
-        bound = (bound + 4.0 * EPS * front) / abs(order) + 4.0 * EPS * abs(value)
-        cost += 1
-    return ApproxValue(value, bound, cost)
+    return ApproxValue(*_incomplete_gamma(s, x))
 
 
 def _gamma_block(s: float, x: np.ndarray, weight: np.ndarray) -> tuple[float, float, int]:
@@ -318,11 +349,46 @@ def _gamma_block(s: float, x: np.ndarray, weight: np.ndarray) -> tuple[float, fl
     # its bound and its cost, each doubled to count every -v too.
     values, errs, cost = [], [], 0
     for v, w in zip(x.tolist(), weight.tolist()):
-        g = upper_incomplete_gamma(s, v)
-        values.append(w * g.value)
-        errs.append(w * g.error_bound)
-        cost += g.cost
+        value, bound, n = _incomplete_gamma(s, v)
+        values.append(w * value)
+        errs.append(w * bound)
+        cost += n
     return 2.0 * math.fsum(values), 2.0 * math.fsum(errs), 2 * cost
+
+
+# Side cache: side form -> (level, sorted read-only Q values of its level
+# set), least recently used first.
+_level_sets: OrderedDict[BinaryQuadraticForm, tuple[float, np.ndarray]] = OrderedDict()
+_level_sets_lock = threading.Lock()
+
+
+def _side_values(side: BinaryQuadraticForm, level: float) -> np.ndarray:
+    """The values of _level_set(side, level), sorted, through the side cache.
+
+    Each Q(v) is computed the same way at any level, so the values at a
+    level below the one held are its prefix Q <= level.  The cache holds
+    the last _HELD_FORMS forms, none past _HELD_POINTS values, and its
+    arrays are read-only, as every caller sees the same one.
+    """
+    with _level_sets_lock:
+        held = _level_sets.get(side)
+        if held is None or held[0] < level:
+            reach = _HEADROOM * level
+            try:
+                blocks = list(_level_set(side, reach))
+            except NonConvergence:  # only the headroom passes _MAX_POINTS
+                reach, blocks = level, list(_level_set(side, level))
+            q = np.sort(np.concatenate([*blocks, np.empty(0)]))
+            q.flags.writeable = False
+            held = (reach, q)
+            if q.size <= _HELD_POINTS:
+                _level_sets[side] = held
+        if side in _level_sets:
+            _level_sets.move_to_end(side)
+            if len(_level_sets) > _HELD_FORMS:
+                _level_sets.popitem(last=False)
+    q = held[1]
+    return q[:np.searchsorted(q, level, side="right")]
 
 
 def epstein_accelerated(form: BinaryQuadraticForm, s: float,
@@ -331,6 +397,13 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
     if not 1.0 < s < math.inf:
         raise ValueError(f"need a finite s > 1, got {s}")
     check_tol(tol)
+    # s = 2 and s = 2.0 share a cache entry, so both take the float path.
+    return _accelerated_sum(form, float(s)).certified(tol, "accelerated lattice sum")
+
+
+@lru_cache(maxsize=256)
+def _accelerated_sum(form: BinaryQuadraticForm, s: float) -> ApproxValue:
+    # The uncertified sum: its level, points and bound do not depend on tol.
     lam = _TWO_PI / math.sqrt(form.disc)
     gamma_whole = _gamma_cached(s)
     alpha, beta = _count_bound(form)
@@ -353,13 +426,14 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
     cost = 0
     sides = ((form, s, 1.0, -s), (form.adjugate(), 1.0 - s, lam ** (2.0 * s - 1.0), s - 1.0))
     for side, order, scale, power in sides:
-        for q in _level_set(side, level):
-            value, bound, n = _gamma_block(order, lam * q, scale * q ** power)
+        q = _side_values(side, level)
+        for k in range(0, q.size, _BLOCK):
+            block = q[k:k + _BLOCK]
+            value, bound, n = _gamma_block(order, lam * block, scale * block ** power)
             pieces.append(value)
             bounds.append(bound)
             cost += n
 
     total = math.fsum(pieces)
     total_bound = math.fsum(bounds) + 8.0 * EPS * abs(total)
-    scaled = ApproxValue(total, total_bound, cost) / gamma_whole
-    return scaled.certified(tol, "accelerated lattice sum")
+    return ApproxValue(total, total_bound, cost) / gamma_whole

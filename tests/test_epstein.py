@@ -27,6 +27,7 @@ from thetaeval import (
     upper_incomplete_gamma,
     zeta,
 )
+from thetaeval import epstein
 from thetaeval.approx import EPS, ApproxValue
 from thetaeval.epstein import _MAX_POINTS, _cf_upper, _count_bound, _level_set
 from thetaeval.quadrature import _finite, _halfline
@@ -361,6 +362,13 @@ class TestUpperIncompleteGamma:
         quad = _tail_integral(s, 0.99)
         assert abs(r.value - quad.value) <= r.error_bound + quad.error_bound
 
+    def test_order_just_above_zero_away_from_one(self):
+        # The series complement needs Gamma(2^-10), which used to be asked of
+        # the quadrature below its rounding floor and stalled.
+        r = upper_incomplete_gamma(2.0 ** -10, 0.3)
+        quad = _tail_integral(2.0 ** -10, 0.3)
+        assert abs(r.value - quad.value) <= r.error_bound + quad.error_bound
+
     def test_monotone_decreasing_in_x(self):
         values = [upper_incomplete_gamma(0.75, x).value for x in (0.5, 1.0, 2.0, 4.0)]
         assert values == sorted(values, reverse=True)
@@ -441,6 +449,113 @@ def test_incomplete_gamma_pinned_bits(s, x, value, bound, cost):
 def test_accelerated_pinned_bits(coeffs, s, value, bound, cost):
     r = epstein_accelerated(BinaryQuadraticForm(*coeffs), s, 1e-12)
     assert (r.value.hex(), r.error_bound.hex(), r.cost) == (value, bound, cost)
+
+
+def _bits(r):
+    return r.value.hex(), r.error_bound.hex(), r.cost
+
+
+@pytest.fixture
+def fresh_caches():
+    # The accelerated engine's sum and side caches, emptied before and after
+    # a test, so that it sees no entry from before and leaves none computed
+    # under a patch.
+    epstein._accelerated_sum.cache_clear()
+    epstein._level_sets.clear()
+    yield
+    epstein._accelerated_sum.cache_clear()
+    epstein._level_sets.clear()
+
+
+class TestAcceleratedCaches:
+    def test_cached_sum_still_refuses_a_tighter_tolerance(self, fresh_caches):
+        form = BinaryQuadraticForm(1.0, 0.0, 2.0)
+        loose = epstein_accelerated(form, 1.5, 1e-10)
+        with pytest.raises(NonConvergence, match="accelerated lattice sum stalled") as stall:
+            epstein_accelerated(form, 1.5, loose.error_bound / 2.0)
+        assert (stall.value.value, stall.value.error_bound, stall.value.cost) \
+            == (loose.value, loose.error_bound, loose.cost)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "fresh"])
+    def test_pins_hold_in_any_call_order(self, fresh_caches, order):
+        # Ascending s raises the level (a side enumerated again), descending s
+        # lowers it (a prefix of the held values), fresh caches do neither.
+        pins = sorted(ACCELERATED_PINS, key=lambda pin: pin[1], reverse=order == "descending")
+        for coeffs, s, value, bound, cost in pins:
+            if order == "fresh":
+                epstein._accelerated_sum.cache_clear()
+                epstein._level_sets.clear()
+            r = epstein_accelerated(BinaryQuadraticForm(*coeffs), s, 1e-12)
+            assert _bits(r) == (value, bound, cost)
+
+    def test_level_set_runs_once_per_side_until_the_level_rises(self, fresh_caches,
+                                                                  monkeypatch):
+        # For this form the level rises with s, so falling s and every tol
+        # reuse the first enumeration; s = 50 passes it and takes one more.
+        enumerated = []
+        real = epstein._level_set
+
+        def counted(form, level):
+            enumerated.append(form)
+            return real(form, level)
+
+        monkeypatch.setattr(epstein, "_level_set", counted)
+        form = BinaryQuadraticForm(1.0, 0.53, 1e4)
+        for s in (3.0, 2.0, 1.5, 1.25, 1.0 + 2.0 ** -4, 1.0 + 2.0 ** -10):
+            for tol in (1e-10, 1e-12):
+                _result_or_partial(epstein_accelerated, form, s, tol)
+        assert enumerated == [form, form.adjugate()]
+        epstein_accelerated(form, 50.0, 1e-10)
+        assert enumerated == [form, form.adjugate()] * 2
+
+    def test_caches_stay_bounded(self, fresh_caches):
+        for k in range(200):
+            form = BinaryQuadraticForm(1.0, 0.0, 1.0 + k / 64.0)
+            for s in (1.5, 2.0):
+                epstein_accelerated(form, s, 1e-10)
+        assert len(epstein._level_sets) == epstein._HELD_FORMS
+        info = epstein._accelerated_sum.cache_info()
+        assert info.currsize == info.maxsize < 400
+        level, held = next(iter(epstein._level_sets.values()))
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0.0
+
+    def test_side_cache_holds_no_large_level_set(self, fresh_caches, monkeypatch):
+        monkeypatch.setattr(epstein, "_HELD_POINTS", 10)
+        unit = BinaryQuadraticForm(1.0, 0.0, 1.0)
+        assert epstein._side_values(unit, 100.0).size > 10
+        assert unit not in epstein._level_sets
+
+    def test_side_cache_takes_the_level_where_only_its_headroom_passes_the_cap(
+            self, fresh_caches, monkeypatch):
+        # Q <= 100 on the unit form is within a cap of 250 candidates and
+        # Q <= 112.5 is not: the level set is summed, as before the cache.
+        monkeypatch.setattr(epstein, "_MAX_POINTS", 250)
+        unit = BinaryQuadraticForm(1.0, 0.0, 1.0)
+        with pytest.raises(NonConvergence):
+            next(_level_set(unit, epstein._HEADROOM * 100.0))
+        want = np.sort(np.concatenate(list(_level_set(unit, 100.0))))
+        assert epstein._side_values(unit, 100.0).tolist() == want.tolist()
+        assert epstein._level_sets[unit][0] == 100.0
+
+    def test_integer_and_float_orders_give_the_same_bits(self, fresh_caches):
+        form = BinaryQuadraticForm(1.0, 0.53, 1e4)
+        pinned = next(pin[2:] for pin in ACCELERATED_PINS if pin[:2] == ((1.0, 0.53, 1e4), 2.0))
+        assert _bits(epstein_accelerated(form, 2, 1e-12)) == pinned
+        epstein._accelerated_sum.cache_clear()
+        epstein._level_sets.clear()
+        assert _bits(epstein_accelerated(form, 2, 1e-12)) == pinned
+        assert _bits(epstein_accelerated(form, 2.0, 1e-12)) == pinned
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 0.0, 100.0), (1.5, 0.0, 100.0), (1.0, 0.53, 1e4)])
+def test_accelerated_certifies_just_below_two(coeffs):
+    # The dual side lifts order -1 + 2^-10 to 2^-10, and Gamma(2^-10) used to
+    # be asked of the quadrature below its rounding floor.
+    form = BinaryQuadraticForm(*coeffs)
+    fast = epstein_accelerated(form, 2.0 - 2.0 ** -10, 1e-10)
+    slow = epstein_direct(form, 2.0 - 2.0 ** -10, 1e-5)
+    assert abs(fast.value - slow.value) <= fast.error_bound + slow.error_bound
 
 
 def test_continued_fraction_stall_names_its_point():

@@ -173,6 +173,29 @@ def test_two_squares_routes_stay_independent():
         == {frozenset({"r_divisor_table"}), frozenset({"r_bruteforce_table"})}
 
 
+GRID_BUILDERS = {"arange", "meshgrid", "mgrid", "ogrid", "indices"}
+
+
+def test_one_lattice_enumerator_and_a_direct_engine_without_caches():
+    # epstein._level_set alone lays out lattice points; the other integer
+    # grid of the package is the two-squares point count, which must stay
+    # its own route.  Both lattice engines reach points only through it,
+    # and the direct engine never reaches the accelerated engine's caches.
+    sites = _call_sites(GRID_BUILDERS | {"_level_set"})
+    builders = set().union(*(sites[name] for name in GRID_BUILDERS))
+    assert builders == {("epstein", "_level_set"), ("number_theory", "r_bruteforce_table")}
+    assert sites["_level_set"] == {("epstein", "epstein_direct"), ("epstein", "_side_values")}
+
+    tree = ast.parse((PACKAGE / "epstein.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached = _reachable(functions, functions["epstein_direct"])
+    assert "_level_set" in reached
+    assert not reached & {"_side_values", "_accelerated_sum", "epstein_accelerated"}
+    for name in reached & set(functions) | {"epstein_direct"}:
+        assert not {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)} \
+            & {"_level_sets", "_level_sets_lock", "_accelerated_sum", "_side_values"}, name
+
+
 def _report(records):
     passed = sum(1 for r in records if r["pass"])
     return {"version": "1.0.0", "records": records,
