@@ -516,7 +516,7 @@ class TestAcceleratedCaches:
         assert len(epstein._level_sets) == epstein._HELD_FORMS
         info = epstein._accelerated_sum.cache_info()
         assert info.currsize == info.maxsize < 400
-        level, held = next(iter(epstein._level_sets.values()))
+        _, held = next(iter(epstein._level_sets.values()))
         with pytest.raises(ValueError, match="read-only"):
             held[0] = 0.0
 
@@ -544,8 +544,8 @@ class TestAcceleratedCaches:
         assert _bits(epstein_accelerated(form, 2, 1e-12)) == pinned
         epstein._accelerated_sum.cache_clear()
         epstein._level_sets.clear()
-        assert _bits(epstein_accelerated(form, 2, 1e-12)) == pinned
         assert _bits(epstein_accelerated(form, 2.0, 1e-12)) == pinned
+        assert _bits(epstein_accelerated(form, 2, 1e-12)) == pinned  # the 2.0 entry
 
 
 @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 100.0), (1.5, 0.0, 100.0), (1.0, 0.53, 1e4)])
