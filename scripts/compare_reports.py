@@ -7,7 +7,7 @@ must agree too.  Each difference is printed on its own line, as the record
 name and the field with its value in A and in B.
 
 Exit code: 0 when the reports agree, 1 when they differ, 2 when a report
-cannot be read.
+cannot be read or repeats a record name.
 
 Usage: python scripts/compare_reports.py A.json B.json
 """
@@ -19,9 +19,18 @@ MASKED = frozenset({"runtime_ms"})
 
 
 def load(path):
-    """The report at path, every number kept as its text."""
+    """The report at path, every number kept as its text.
+
+    Raises ValueError when a record name appears twice, as records are
+    matched by name.
+    """
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_float=str, parse_int=str, parse_constant=str)
+        report = json.load(fh, parse_float=str, parse_int=str, parse_constant=str)
+    names = [r["name"] for r in report.get("records", [])]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"{path} repeats the record name {', '.join(repeated)}")
+    return report
 
 
 def differences(a, b):

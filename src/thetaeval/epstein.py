@@ -35,9 +35,11 @@ with D = 4ac - b^2 and lambda_max the larger eigenvalue of
                                                    Gamma(1-s, beta(w)/lambda)
 
   with beta(w) = (4 pi^2 / D) (c w1^2 - b w1 w2 + a w2^2) = lambda^2 Q'(w).
-  The adjugate form Q' has the same D and eigenvalues, so both sides are
-  summed to one level T under one tail bound.  A term at level t falls
-  with t and is at most lambda^(s-1) e^(-lambda t) / (kappa t), by
+  The adjugate form Q' is Q turned a quarter turn, Q'(w1, w2) = Q(w2, -w1),
+  a bijection of the +-pairs of nonzero integer points, so the dual sum runs
+  over the very values Q(v) of the primal sum: one level set feeds both
+  sides, summed to one level T under one tail bound.  A term at level t
+  falls with t and is at most lambda^(s-1) e^(-lambda t) / (kappa t), by
   Gamma(s, x) <= x^(s-1) e^(-x) / kappa for s > 1, x > s - 1 and
   kappa = 1 - (s-1)/x (taken at x = lambda T), and by
   Gamma(s, x) <= x^(s-1) e^(-x) for s <= 1.  Summed against the count
@@ -47,25 +49,19 @@ with D = 4ac - b^2 and lambda_max the larger eigenvalue of
 
   Each point's Gamma(s, x) is one call of the float kernel behind
   upper_incomplete_gamma, with exp and log from math: the continued
-  fraction runs per point until that point converges.  Each side adds its
-  terms with one fsum (sides past _BLOCK points, one per block of _BLOCK,
-  so the lists stay bounded), and one more fsum adds the sides.
+  fraction runs per point until that point converges.  Each block of the
+  level set adds its terms with one fsum per side, and one more fsum adds
+  the blocks' sums.
 
   Neither the level nor the points nor the bound depend on tol, and the
   Kronecker ladder and the cross-checks take each form's sum at a dozen
   nearby s.  So epstein_accelerated certifies one cached uncertified sum
-  per (form, float(s)), and the level sets come from a side cache: per
-  form, the sorted Q values of the highest level asked so far, from which
-  a lower level takes the prefix Q <= level.  _level_set runs again only
-  when the level rises.  Both caches are bounded; the direct engine never
-  uses them and streams its blocks.
+  per (form, float(s)); the cache is bounded.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,13 +83,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _BLOCK = 4096
 _MAX_POINTS = 10_000_000
-# The side cache holds the level sets of this many forms, each of at most
-# this many values (8 bytes each).
-_HELD_FORMS = 32
-_HELD_POINTS = 1 << 16
-# A form's level set is taken this far past the level asked, which covers
-# the rise in level from s = 1.25 to s = 3 (about 7%).
-_HEADROOM = 1.125
+_EULER_GAMMA = euler_gamma(1e-13)
 
 
 @dataclass(frozen=True)
@@ -127,7 +117,9 @@ class BinaryQuadraticForm:
                               math.sqrt(self.disc) / (2.0 * self.a))
 
     def adjugate(self) -> "BinaryQuadraticForm":
-        """The form (c, -b, a), which generates the dual lattice sum."""
+        """The form (c, -b, a) of the dual lattice sum, which is this form
+        turned a quarter turn: Q'(w1, w2) = Q(w2, -w1).
+        """
         return BinaryQuadraticForm(self.c, -self.b, self.a)
 
     def __call__(self, x: float, y: float) -> float:
@@ -285,15 +277,14 @@ def _series_lower(s: float, x: float) -> tuple[float, int]:
 def _e1_series(x: float) -> tuple[float, float, int]:
     # Gamma(0, x) = -gamma - log x + sum_{k >= 1} -(-x)^k / (k k!), x < 1,
     # its bound and its term count.
-    g = euler_gamma(1e-13)
     term = 1.0
-    contribs = [-g.value, -math.log(x)]
+    contribs = [-_EULER_GAMMA.value, -math.log(x)]
     for k in range(1, 200):
         term *= -x / k
         contribs.append(-term / k)
         if abs(term) < 1e-18:
             value = math.fsum(contribs)
-            bound = g.error_bound + 4.0 * EPS * (abs(value) + abs(math.log(x)))
+            bound = _EULER_GAMMA.error_bound + 4.0 * EPS * (abs(value) + abs(math.log(x)))
             return value, bound, k
     raise NonConvergence(f"exponential integral series stalled at x={x}")
 
@@ -356,41 +347,6 @@ def _gamma_block(s: float, x: np.ndarray, weight: np.ndarray) -> tuple[float, fl
     return 2.0 * math.fsum(values), 2.0 * math.fsum(errs), 2 * cost
 
 
-# Side cache: side form -> (level, sorted read-only Q values of its level
-# set), least recently used first.
-_level_sets: OrderedDict[BinaryQuadraticForm, tuple[float, np.ndarray]] = OrderedDict()
-_level_sets_lock = threading.Lock()
-
-
-def _side_values(side: BinaryQuadraticForm, level: float) -> np.ndarray:
-    """The values of _level_set(side, level), sorted, through the side cache.
-
-    Each Q(v) is computed the same way at any level, so the values at a
-    level below the one held are its prefix Q <= level.  The cache holds
-    the last _HELD_FORMS forms, none past _HELD_POINTS values, and its
-    arrays are read-only, as every caller sees the same one.
-    """
-    with _level_sets_lock:
-        held = _level_sets.get(side)
-        if held is None or held[0] < level:
-            reach = _HEADROOM * level
-            try:
-                blocks = list(_level_set(side, reach))
-            except NonConvergence:  # only the headroom passes _MAX_POINTS
-                reach, blocks = level, list(_level_set(side, level))
-            q = np.sort(np.concatenate([*blocks, np.empty(0)]))
-            q.flags.writeable = False
-            held = (reach, q)
-            if q.size <= _HELD_POINTS:
-                _level_sets[side] = held
-        if side in _level_sets:
-            _level_sets.move_to_end(side)
-            if len(_level_sets) > _HELD_FORMS:
-                _level_sets.popitem(last=False)
-    q = held[1]
-    return q[:np.searchsorted(q, level, side="right")]
-
-
 def epstein_accelerated(form: BinaryQuadraticForm, s: float,
                         tol: float = 1e-12) -> ApproxValue:
     """Incomplete-gamma accelerated value of the lattice sum, s > 1."""
@@ -424,12 +380,10 @@ def _accelerated_sum(form: BinaryQuadraticForm, s: float) -> ApproxValue:
     pieces = [lam ** s / (s - 1.0), -lam ** s / s]
     bounds = [2.0 * tail(level)]
     cost = 0
-    sides = ((form, s, 1.0, -s), (form.adjugate(), 1.0 - s, lam ** (2.0 * s - 1.0), s - 1.0))
-    for side, order, scale, power in sides:
-        q = _side_values(side, level)
-        for k in range(0, q.size, _BLOCK):
-            block = q[k:k + _BLOCK]
-            value, bound, n = _gamma_block(order, lam * block, scale * block ** power)
+    for q in _level_set(form, level):
+        # The primal side, then the dual side over the same values.
+        for order, weight in ((s, q ** -s), (1.0 - s, lam ** (2.0 * s - 1.0) * q ** (s - 1.0))):
+            value, bound, n = _gamma_block(order, lam * q, weight)
             pieces.append(value)
             bounds.append(bound)
             cost += n

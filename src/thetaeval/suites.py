@@ -316,10 +316,15 @@ def run_suites(
     Records come sorted by name within each suite.  An engine that gives up
     (NonConvergence) or fails on its input (ArithmeticError, ValueError)
     ends its own check only: the second item lists each such check's name
-    with the exception, and every other check still runs.  A tolerance
-    override that names no check of the run raises ValueError before any
-    check runs.
+    with the exception, and every other check still runs.  Two forms with
+    one label in record names, and a tolerance override that names no check
+    of the run, raise ValueError before any check runs.
     """
+    labels = [_form_label(triple) for triple in config.forms]
+    shared = sorted({label for label in labels if labels.count(label) > 1})
+    if shared:
+        raise ValueError(f"forms share the record label {', '.join(shared)}; "
+                         f"labels keep 6 significant digits")
     if config.tol_overrides:
         names: set[str] = set()
         for suite in config.suites:

@@ -138,6 +138,19 @@ class TestExitCodes:
         assert name in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("forms, label", [(("1,0,1.0000001", "1,0,1"), "1,0,1"),
+                                              (("2,1,3", "2,1,3"), "2,1,3")])
+    def test_forms_sharing_a_label_are_config_error(self, forms, label, capsys):
+        # Their records would share names, and an override would gate both.
+        argv = ["epstein", "kronecker", "--tol", f"kronecker/lhs-vs-rhs/{label}=0"]
+        for form in forms:
+            argv += ["--form", form]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "bad configuration" in captured.err
+        assert label in captured.err
+        assert captured.out == ""
+
     def test_nonfinite_form_is_config_error(self, capsys):
         assert main(["integral", "--form", "1,0,inf"]) == 2
         assert "bad configuration" in capsys.readouterr().err

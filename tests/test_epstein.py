@@ -152,6 +152,22 @@ def test_level_set_matches_box_filter(triple, shear, x, y):
     assert want.tolist() == np.repeat(got, 2).tolist()
 
 
+integer_forms = st.tuples(st.integers(1, 20), st.integers(-20, 20), st.integers(1, 20)) \
+    .filter(lambda abc: 4 * abc[0] * abc[2] > abc[1] ** 2)
+
+
+@given(integer_forms, st.integers(min_value=1, max_value=400))
+@settings(max_examples=200, deadline=None)
+def test_adjugate_level_set_takes_the_same_values(triple, level):
+    # Q'(w1, w2) = Q(w2, -w1), so the accelerated engine's dual side may sum
+    # over the form's own level set.  Integer forms give exact values, and
+    # integer levels put lattice points on the boundary.
+    form = BinaryQuadraticForm(*map(float, triple))
+    values = [np.sort(np.concatenate([*_level_set(q, float(level)), np.empty(0)])).tolist()
+              for q in (form, form.adjugate())]
+    assert values[0] == values[1]
+
+
 def test_level_set_streams_bounded_blocks():
     # A long row (c = 1e8) and many short ones (a = 1e4) both split into blocks.
     for coeffs, level in (((1.0, 0.3, 1e8), 1e8), ((1e4, 0.3, 1.0), 1e7)):
@@ -457,14 +473,12 @@ def _bits(r):
 
 @pytest.fixture
 def fresh_caches():
-    # The accelerated engine's sum and side caches, emptied before and after
-    # a test, so that it sees no entry from before and leaves none computed
-    # under a patch.
+    # The accelerated engine's sum cache, emptied before and after a test,
+    # so that it sees no entry from before and leaves none computed under a
+    # patch.
     epstein._accelerated_sum.cache_clear()
-    epstein._level_sets.clear()
     yield
     epstein._accelerated_sum.cache_clear()
-    epstein._level_sets.clear()
 
 
 class TestAcceleratedCaches:
@@ -478,20 +492,16 @@ class TestAcceleratedCaches:
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "fresh"])
     def test_pins_hold_in_any_call_order(self, fresh_caches, order):
-        # Ascending s raises the level (a side enumerated again), descending s
-        # lowers it (a prefix of the held values), fresh caches do neither.
         pins = sorted(ACCELERATED_PINS, key=lambda pin: pin[1], reverse=order == "descending")
         for coeffs, s, value, bound, cost in pins:
             if order == "fresh":
                 epstein._accelerated_sum.cache_clear()
-                epstein._level_sets.clear()
             r = epstein_accelerated(BinaryQuadraticForm(*coeffs), s, 1e-12)
             assert _bits(r) == (value, bound, cost)
 
-    def test_level_set_runs_once_per_side_until_the_level_rises(self, fresh_caches,
-                                                                  monkeypatch):
-        # For this form the level rises with s, so falling s and every tol
-        # reuse the first enumeration; s = 50 passes it and takes one more.
+    def test_level_set_runs_once_per_uncached_sum(self, fresh_caches, monkeypatch):
+        # Both sides sum over the form's own level set, never the adjugate's,
+        # and a (form, s) asked again at another tol is not enumerated again.
         enumerated = []
         real = epstein._level_set
 
@@ -501,51 +511,48 @@ class TestAcceleratedCaches:
 
         monkeypatch.setattr(epstein, "_level_set", counted)
         form = BinaryQuadraticForm(1.0, 0.53, 1e4)
-        for s in (3.0, 2.0, 1.5, 1.25, 1.0 + 2.0 ** -4, 1.0 + 2.0 ** -10):
+        orders = (3.0, 2.0, 1.5, 1.25, 1.0 + 2.0 ** -4, 1.0 + 2.0 ** -10)
+        for s in orders:
             for tol in (1e-10, 1e-12):
                 _result_or_partial(epstein_accelerated, form, s, tol)
-        assert enumerated == [form, form.adjugate()]
-        epstein_accelerated(form, 50.0, 1e-10)
-        assert enumerated == [form, form.adjugate()] * 2
+        assert enumerated == [form] * len(orders)
 
     def test_caches_stay_bounded(self, fresh_caches):
         for k in range(200):
             form = BinaryQuadraticForm(1.0, 0.0, 1.0 + k / 64.0)
             for s in (1.5, 2.0):
                 epstein_accelerated(form, s, 1e-10)
-        assert len(epstein._level_sets) == epstein._HELD_FORMS
         info = epstein._accelerated_sum.cache_info()
         assert info.currsize == info.maxsize < 400
-        _, held = next(iter(epstein._level_sets.values()))
-        with pytest.raises(ValueError, match="read-only"):
-            held[0] = 0.0
-
-    def test_side_cache_holds_no_large_level_set(self, fresh_caches, monkeypatch):
-        monkeypatch.setattr(epstein, "_HELD_POINTS", 10)
-        unit = BinaryQuadraticForm(1.0, 0.0, 1.0)
-        assert epstein._side_values(unit, 100.0).size > 10
-        assert unit not in epstein._level_sets
-
-    def test_side_cache_takes_the_level_where_only_its_headroom_passes_the_cap(
-            self, fresh_caches, monkeypatch):
-        # Q <= 100 on the unit form is within a cap of 250 candidates and
-        # Q <= 112.5 is not: the level set is summed, as before the cache.
-        monkeypatch.setattr(epstein, "_MAX_POINTS", 250)
-        unit = BinaryQuadraticForm(1.0, 0.0, 1.0)
-        with pytest.raises(NonConvergence):
-            next(_level_set(unit, epstein._HEADROOM * 100.0))
-        want = np.sort(np.concatenate(list(_level_set(unit, 100.0))))
-        assert epstein._side_values(unit, 100.0).tolist() == want.tolist()
-        assert epstein._level_sets[unit][0] == 100.0
 
     def test_integer_and_float_orders_give_the_same_bits(self, fresh_caches):
         form = BinaryQuadraticForm(1.0, 0.53, 1e4)
         pinned = next(pin[2:] for pin in ACCELERATED_PINS if pin[:2] == ((1.0, 0.53, 1e4), 2.0))
         assert _bits(epstein_accelerated(form, 2, 1e-12)) == pinned
         epstein._accelerated_sum.cache_clear()
-        epstein._level_sets.clear()
         assert _bits(epstein_accelerated(form, 2.0, 1e-12)) == pinned
         assert _bits(epstein_accelerated(form, 2, 1e-12)) == pinned  # the 2.0 entry
+
+    def test_integer_order_sum_takes_euler_gamma_from_the_module(self, fresh_caches,
+                                                                 monkeypatch):
+        # At s = 2 the dual side lifts order -1 to the E1 branch, which reads
+        # Euler's constant computed once at import instead of per point.
+        calls = {"_e1_series": 0, "euler_gamma": 0}
+
+        def counted(name):
+            real = getattr(epstein, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(epstein, name, counted(name))
+        pinned = next(pin[2:] for pin in ACCELERATED_PINS if pin[:2] == ((1.0, 0.53, 1e4), 2.0))
+        assert _bits(epstein_accelerated(BinaryQuadraticForm(1.0, 0.53, 1e4), 2, 1e-12)) \
+            == pinned
+        assert calls["_e1_series"] > 0 and calls["euler_gamma"] == 0
 
 
 @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 100.0), (1.5, 0.0, 100.0), (1.0, 0.53, 1e4)])

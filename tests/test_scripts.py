@@ -180,20 +180,20 @@ def test_one_lattice_enumerator_and_a_direct_engine_without_caches():
     # epstein._level_set alone lays out lattice points; the other integer
     # grid of the package is the two-squares point count, which must stay
     # its own route.  Both lattice engines reach points only through it,
-    # and the direct engine never reaches the accelerated engine's caches.
+    # and the direct engine never reaches the accelerated engine's cache.
     sites = _call_sites(GRID_BUILDERS | {"_level_set"})
     builders = set().union(*(sites[name] for name in GRID_BUILDERS))
     assert builders == {("epstein", "_level_set"), ("number_theory", "r_bruteforce_table")}
-    assert sites["_level_set"] == {("epstein", "epstein_direct"), ("epstein", "_side_values")}
+    assert sites["_level_set"] == {("epstein", "epstein_direct"), ("epstein", "_accelerated_sum")}
 
     tree = ast.parse((PACKAGE / "epstein.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     reached = _reachable(functions, functions["epstein_direct"])
     assert "_level_set" in reached
-    assert not reached & {"_side_values", "_accelerated_sum", "epstein_accelerated"}
+    assert not reached & {"_accelerated_sum", "epstein_accelerated"}
     for name in reached & set(functions) | {"epstein_direct"}:
-        assert not {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)} \
-            & {"_level_sets", "_level_sets_lock", "_accelerated_sum", "_side_values"}, name
+        assert "_accelerated_sum" not in {
+            node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}, name
 
 
 def _report(records):
@@ -240,3 +240,15 @@ def test_compare_reports_names_each_difference(tmp_path):
     assert "x/gone: only in A" in lines and "x/new: only in B" in lines
     assert any(line.startswith("summary: ") for line in lines)
     assert not any("runtime_ms" in line for line in lines)
+
+
+def test_compare_reports_refuses_a_repeated_record_name(tmp_path):
+    # Records are matched by name, so a repeated one would compare only its
+    # last copy.
+    a = _report([_record("x/one", 1.0, 3), _record("x/one", 1.5, 3)])
+    b = _report([_record("x/one", 1.0, 3)])
+    for first, second in ((a, b), (b, a)):
+        proc = _compare(tmp_path, first, second)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "cannot read report" in proc.stderr and "x/one" in proc.stderr
