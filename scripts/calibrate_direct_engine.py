@@ -22,9 +22,8 @@ import argparse
 import math
 import time
 
-from thetaeval import BinaryQuadraticForm, epstein_accelerated, epstein_direct
+from thetaeval import DEFAULT_FORMS, BinaryQuadraticForm, epstein_accelerated, epstein_direct
 
-FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
 S_GRID = (1.25, 1.5, 2.0, 3.0)
 
 
@@ -32,7 +31,7 @@ def grid_study(tol):
     print(f"grid study, tolerance {tol:g}")
     print(f"{'form':>10} {'s':>5} {'err':>10} {'bound':>10} {'ratio':>7}")
     worst = 0.0
-    for triple in FORMS:
+    for triple in DEFAULT_FORMS:
         form = BinaryQuadraticForm(*triple)
         for s in S_GRID:
             truth = epstein_accelerated(form, s, 1e-12)

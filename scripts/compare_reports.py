@@ -7,7 +7,8 @@ must agree too.  Each difference is printed on its own line, as the record
 name and the field with its value in A and in B.
 
 Exit code: 0 when the reports agree, 1 when they differ, 2 when a report
-cannot be read or repeats a record name.
+cannot be read, is not an object whose records each carry a name, or
+repeats a record name.
 
 Usage: python scripts/compare_reports.py A.json B.json
 """
@@ -21,12 +22,19 @@ MASKED = frozenset({"runtime_ms"})
 def load(path):
     """The report at path, every number kept as its text.
 
-    Raises ValueError when a record name appears twice, as records are
-    matched by name.
+    Raises ValueError when the report is not an object holding a list of
+    records, when a record is not an object with a string name, or when a
+    record name appears twice, as records are matched by name.
     """
     with open(path, encoding="utf-8") as fh:
         report = json.load(fh, parse_float=str, parse_int=str, parse_constant=str)
-    names = [r["name"] for r in report.get("records", [])]
+    records = report.get("records", []) if isinstance(report, dict) else None
+    if not isinstance(records, list):
+        raise ValueError(f"{path} is not a report object with a list of records")
+    for index, record in enumerate(records):
+        if not (isinstance(record, dict) and isinstance(record.get("name"), str)):
+            raise ValueError(f"{path}: record {index} is not an object with a name")
+    names = [r["name"] for r in records]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"{path} repeats the record name {', '.join(repeated)}")

@@ -4,48 +4,71 @@ For each standard form, print the raw node values
 
     g(eps) = (sqrt(D) / 4 pi) Z(1 + eps) - zeta(2 (1 + eps) - 1)
 
-on the halving ladder eps = 0.1 * 2^-k, k < 8, each from pole_gap at the
-node tolerance kronecker_lhs(form, 1e-8) uses.  The raw sequence crawls
-toward the limit at first order in eps; extrapolate_to_zero over the same
-eight nodes lands within ~1e-12 of the closed form, and on the same value
-kronecker_lhs returns.  The last column is the honest check:
-|extrapolated - closed| against the reported bound.
+on the ladder of approx.pole_constant, eps = 0.1 * 2^-k, k < 8, each from
+pole_gap at the node tolerance kronecker_lhs(form, 1e-8) uses.  The nodes
+are recorded by the node function pole_constant itself evaluates, so the
+table shows the ladder kronecker_lhs extrapolates, not a copy of it.  The
+raw sequence crawls toward the limit at first order in eps; the
+extrapolated limit lands within ~1e-12 of the closed form, and is checked
+to equal the value kronecker_lhs returns.  The last column is the honest
+check: |extrapolated - closed| against the reported bound.
+
+Exit code: 0, or 1 when a limit differs from kronecker_lhs.
 
 Usage: python scripts/limit_table.py
 """
 
-from thetaeval import BinaryQuadraticForm, extrapolate_to_zero, kronecker_rhs
+import sys
+
+from thetaeval import DEFAULT_FORMS, BinaryQuadraticForm, kronecker_lhs, kronecker_rhs
+from thetaeval.approx import _limit_at_zero, pole_constant
 from thetaeval.kronecker import pole_gap
 
-FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
 TOL = 1e-8
-LADDER = tuple(0.1 * 2.0 ** -k for k in range(8))
 
 
-def pole_gap_limit(form, ladder=LADDER):
-    """The nodes g(eps) over the ladder, each to the TOL / 64 kronecker_lhs
-    gives a node, and their limit at eps = 0."""
-    nodes = [pole_gap(form, 1.0 + eps, TOL / 64.0) for eps in ladder]
-    limit = extrapolate_to_zero(ladder, [g.value for g in nodes],
-                                [g.error_bound for g in nodes])
-    return nodes, limit
+def pole_gap_limit(form, ladder=None):
+    """The nodes (eps, g(eps)), each to the TOL / 64 kronecker_lhs gives a
+    node, and their limit at eps = 0.
+
+    The nodes are pole_constant's unless ladder, a halving ladder
+    eps0 2^-k, k < n, replaces them (to test the limit under node halving).
+    """
+    nodes = []
+
+    def node(s):
+        g = pole_gap(form, s, TOL / 64.0)
+        nodes.append((s - 1.0, g))
+        return g
+
+    if ladder is None:
+        return nodes, pole_constant(node)
+    if list(ladder) != [ladder[0] * 2.0 ** -k for k in range(len(ladder))]:
+        raise ValueError(f"ladder must halve from its first node, got {ladder}")
+    return nodes, _limit_at_zero(lambda eps: node(1.0 + eps), ladder[0], len(ladder))
 
 
 def main():
-    for triple in FORMS:
+    differ = 0
+    for triple in DEFAULT_FORMS:
         form = BinaryQuadraticForm(*triple)
         nodes, limit = pole_gap_limit(form)
+        engine = kronecker_lhs(form, TOL)
         closed = kronecker_rhs(form, 1e-13)
         label = ",".join(f"{c:g}" for c in triple)
         print(f"form ({label}), closed value {closed.value:.15f}")
-        for eps, g in zip(LADDER, nodes):
+        for eps, g in nodes:
             print(f"  eps {eps:<10.6g} node {g.value:.15f} "
                   f"(off by {abs(g.value - closed.value):.2e})")
+        same = engine.value == limit.value
+        differ += not same
         err = abs(limit.value - closed.value)
         print(f"  extrapolated {limit.value:.15f}")
+        print(f"  kronecker_lhs {engine.value:.15f} {'same' if same else 'DIFFERS'}")
         print(f"  true error {err:.2e} vs reported bound {limit.error_bound:.2e} "
               f"{'OK' if err <= limit.error_bound else 'VIOLATED'}\n")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -36,13 +36,7 @@ from .quadrature import (
     gammaL_integral,
     integral_I,
 )
-from .report import (
-    DEFAULT_FORMS,
-    SUITE_NAMES,
-    RunConfig,
-    VerificationRecord,
-    emit_report,
-)
+from .report import VerificationRecord, emit_report
 from .special_values import (
     L_chi4,
     L_chi4_prime_at_1,
@@ -50,7 +44,7 @@ from .special_values import (
     gamma_gauss,
     zeta,
 )
-from .suites import SUITES, run_suites
+from .suites import DEFAULT_FORMS, SUITE_NAMES, SUITES, RunConfig, run_suites
 
 __version__ = "0.1.0"
 

@@ -31,8 +31,6 @@ from typing import Callable
 from .approx import EPS, ApproxValue, NonConvergence, check_tol
 
 __all__ = [
-    "ApproxValue",
-    "NonConvergence",
     "integral_I",
     "gamma_integral",
     "gammaL_integral",
@@ -152,13 +150,20 @@ def gamma_integral(s: float, tol: float = 1e-12) -> ApproxValue:
     clustered nodes of the half-line rule absorb it.  Below 1/2 it is too
     steep for the rule's error estimate and Gamma(s) ~ 1/s, so the value is
     Gamma(s + 1) / s with Gamma(s + 1) to s tol; rounding s + 1 and the
-    quotient move it by less than 2 EPS / s.
+    quotient move it by less than 2 EPS / s.  A stall of the lift is reported
+    against s and the caller's tol.
     """
     if not s > 0.0:
         raise ValueError(f"need s > 0, got {s}")
     check_tol(tol)
     if s < 0.5:
-        return (gamma_integral(s + 1.0, s * tol) + ApproxValue(0.0, 2.0 * EPS)) / s
+        try:
+            lifted = gamma_integral(s + 1.0, s * tol)
+        except NonConvergence as exc:
+            raise NonConvergence(f"gamma_integral stalled at s={s:g} above tol={tol:g}",
+                                 exc.value / s, (exc.error_bound + 2.0 * EPS) / s,
+                                 exc.cost) from exc
+        return (lifted + ApproxValue(0.0, 2.0 * EPS)) / s
     e = s - 1.0
     return _halfline(lambda t: t ** e * math.exp(-t), tol)
 

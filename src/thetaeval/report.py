@@ -1,4 +1,4 @@
-"""Verification records, run configuration, and report serialization.
+"""Verification records, their timing, and report serialization.
 
 A VerificationRecord is one checked equality.  timed_record builds it from
 a builder that returns the two sides as ApproxValues, and takes the sum of
@@ -7,7 +7,7 @@ bounds are added.  abs_error and the pass flag (abs_error <= combined_bound
 + tolerance) are computed from the stored numbers, so a record cannot
 disagree with its own fields.  JSON output is rendered by hand: fixed key
 order and 17-significant-digit decimals make two runs byte-identical apart
-from the runtime_ms fields.
+from the runtime_ms fields.  It imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -15,24 +15,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
-
-from .approx import check_tol
-from .epstein import BinaryQuadraticForm
+from dataclasses import dataclass
 
 REPORT_VERSION = "1.0.0"
-
-SUITE_NAMES = (
-    "triple-product",
-    "two-squares",
-    "integral",
-    "special-values",
-    "epstein",
-    "kronecker",
-    "theta",
-)
-
-DEFAULT_FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -67,40 +52,6 @@ def timed_record(name: str, paper_anchor: str, tolerance: float, builder) -> Ver
     elapsed_ms = int(round(1000.0 * (time.perf_counter() - start)))
     return VerificationRecord(name, paper_anchor, lhs.value, rhs.value,
                               lhs.error_bound + rhs.error_bound, tolerance, elapsed_ms)
-
-
-@dataclass
-class RunConfig:
-    """Knobs for one verification run.
-
-    suites may name a suite more than once and in any order; it is reduced
-    to the canonical order of SUITE_NAMES.
-    """
-
-    suites: tuple[str, ...] = SUITE_NAMES
-    qseries_order: int = 256          # also the n-range of the two-squares suite
-    forms: tuple[tuple[float, float, float], ...] = DEFAULT_FORMS
-    tol_overrides: dict[str, float] = field(default_factory=dict)
-    output_path: str | None = None
-    output_format: str = "json"
-
-    def __post_init__(self):
-        unknown = [s for s in self.suites if s not in SUITE_NAMES]
-        if unknown:
-            raise ValueError(f"unknown suite(s) {', '.join(unknown)}; "
-                             f"choose from {', '.join(SUITE_NAMES)}")
-        self.suites = tuple(s for s in SUITE_NAMES if s in self.suites)
-        if not (isinstance(self.qseries_order, int) and self.qseries_order >= 16):
-            raise ValueError(f"order must be an integer >= 16, got {self.qseries_order!r}")
-        for triple in self.forms:
-            BinaryQuadraticForm(*triple)
-        if self.output_format not in ("json", "markdown"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        for name, tol in self.tol_overrides.items():
-            check_tol(tol, f"tolerance override {name}", zero_ok=True)
-
-    def tolerance(self, name: str, default: float) -> float:
-        return self.tol_overrides.get(name, default)
 
 
 def _float_text(x: float) -> str:

@@ -14,7 +14,9 @@ tolerance, times the builder, keeps an engine failure (a non-finite side
 included) to its own check and sorts each suite's records by name.  Default
 tolerances live here, next to the checks they gate; an override per record
 name through the configuration changes the verdict only, never how a value
-is computed.
+is computed.  RunConfig lives here too, with SUITE_NAMES, the key order of
+SUITES: building a RunConfig makes every configuration check once, form
+labels and override names included, so run_suites only runs checks.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass, field
 
-from .approx import EPS, ApproxValue, NonConvergence, _limit_at_zero, pole_constant
+from .approx import (EPS, ApproxValue, NonConvergence, _limit_at_zero, check_tol,
+                     pole_constant)
 from .epstein import BinaryQuadraticForm, epstein_accelerated, epstein_direct
 from .kronecker import (
     kronecker_lhs,
@@ -42,7 +46,7 @@ from .quadrature import (
     gammaL_integral,
     integral_I,
 )
-from .report import RunConfig, VerificationRecord, timed_record
+from .report import VerificationRecord, timed_record
 from .special_values import (
     L_chi4,
     L_chi4_prime_at_1,
@@ -51,7 +55,7 @@ from .special_values import (
     zeta,
 )
 
-__all__ = ["SUITES", "run_suites"]
+__all__ = ["DEFAULT_FORMS", "SUITE_NAMES", "SUITES", "RunConfig", "run_suites"]
 
 
 _ZERO = ApproxValue(0.0, 0.0)
@@ -308,6 +312,57 @@ SUITES = {
     "theta": _suite_theta,
 }
 
+SUITE_NAMES = tuple(SUITES)
+
+DEFAULT_FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
+
+
+@dataclass
+class RunConfig:
+    """Knobs for one verification run, all checked when it is built.
+
+    suites may name a suite more than once and in any order; it is reduced
+    to the canonical order of SUITE_NAMES.
+    """
+
+    suites: tuple[str, ...] = SUITE_NAMES
+    qseries_order: int = 256          # also the n-range of the two-squares suite
+    forms: tuple[tuple[float, float, float], ...] = DEFAULT_FORMS
+    tol_overrides: dict[str, float] = field(default_factory=dict)
+    output_path: str | None = None
+    output_format: str = "json"
+
+    def __post_init__(self):
+        unknown = [s for s in self.suites if s not in SUITE_NAMES]
+        if unknown:
+            raise ValueError(f"unknown suite(s) {', '.join(unknown)}; "
+                             f"choose from {', '.join(SUITE_NAMES)}")
+        self.suites = tuple(s for s in SUITE_NAMES if s in self.suites)
+        if not (isinstance(self.qseries_order, int) and self.qseries_order >= 16):
+            raise ValueError(f"order must be an integer >= 16, got {self.qseries_order!r}")
+        for triple in self.forms:
+            BinaryQuadraticForm(*triple)
+        if self.output_format not in ("json", "markdown"):
+            raise ValueError(f"unknown output format {self.output_format!r}")
+        for name, tol in self.tol_overrides.items():
+            check_tol(tol, f"tolerance override {name}", zero_ok=True)
+        labels = [_form_label(triple) for triple in self.forms]
+        shared = sorted({label for label in labels if labels.count(label) > 1})
+        if shared:
+            raise ValueError(f"forms share the record label {', '.join(shared)}; "
+                             f"labels keep 6 significant digits")
+        if self.tol_overrides:
+            names: set[str] = set()
+            for suite in self.suites:
+                SUITES[suite](self, lambda name, *_: names.add(name))
+            unknown = sorted(set(self.tol_overrides) - names)
+            if unknown:
+                raise ValueError(f"tolerance override names no check in this run: "
+                                 f"{', '.join(unknown)}")
+
+    def tolerance(self, name: str, default: float) -> float:
+        return self.tol_overrides.get(name, default)
+
 
 def run_suites(
         config: RunConfig) -> tuple[list[VerificationRecord], list[tuple[str, Exception]]]:
@@ -316,24 +371,8 @@ def run_suites(
     Records come sorted by name within each suite.  An engine that gives up
     (NonConvergence) or fails on its input (ArithmeticError, ValueError)
     ends its own check only: the second item lists each such check's name
-    with the exception, and every other check still runs.  Two forms with
-    one label in record names, and a tolerance override that names no check
-    of the run, raise ValueError before any check runs.
+    with the exception, and every other check still runs.
     """
-    labels = [_form_label(triple) for triple in config.forms]
-    shared = sorted({label for label in labels if labels.count(label) > 1})
-    if shared:
-        raise ValueError(f"forms share the record label {', '.join(shared)}; "
-                         f"labels keep 6 significant digits")
-    if config.tol_overrides:
-        names: set[str] = set()
-        for suite in config.suites:
-            SUITES[suite](config, lambda name, *_: names.add(name))
-        unknown = sorted(set(config.tol_overrides) - names)
-        if unknown:
-            raise ValueError(f"tolerance override names no check in this run: "
-                             f"{', '.join(unknown)}")
-
     records: list[VerificationRecord] = []
     stalls: list[tuple[str, Exception]] = []
     for suite in config.suites:

@@ -12,15 +12,13 @@ from thetaeval.cli import build_parser, main
 from thetaeval.number_theory import r_divisor_table
 from thetaeval.report import (
     REPORT_VERSION,
-    SUITE_NAMES,
-    RunConfig,
     VerificationRecord,
     emit_report,
     render_json,
     render_markdown,
     timed_record,
 )
-from thetaeval.suites import SUITES
+from thetaeval.suites import SUITE_NAMES, SUITES, RunConfig
 
 
 def _record(lhs, rhs, combined_bound=0.0, name="x", anchor="§1"):
@@ -329,8 +327,8 @@ class TestRunConfig:
         assert f"(default {RunConfig().qseries_order})" in " ".join(parser.format_help().split())
 
     def test_override_lookup(self):
-        config = RunConfig(tol_overrides={"a/b": 1e-4})
-        assert config.tolerance("a/b", 1e-8) == 1e-4
+        config = RunConfig(tol_overrides={"theta/eta-shift-modulus": 1e-4})
+        assert config.tolerance("theta/eta-shift-modulus", 1e-8) == 1e-4
 
     def test_rejects_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -353,6 +351,18 @@ class TestRunConfig:
     def test_rejects_bad_format(self):
         with pytest.raises(ValueError):
             RunConfig(output_format="yaml")
+
+    def test_rejects_forms_sharing_a_label(self):
+        # Both forms would label their records "1,0,1".
+        with pytest.raises(ValueError, match="share the record label 1,0,1"):
+            RunConfig(forms=((1.0, 0.0, 1.0), (1.0, 0.0, 1.0000001)))
+
+    # The second name is a check of the theta suite, not of the run's.
+    @pytest.mark.parametrize("suites, name", [(SUITE_NAMES, "theta/no-such-check"),
+                                              (("integral",), "theta/eta-shift-modulus")])
+    def test_rejects_override_naming_no_check_of_its_suites(self, suites, name):
+        with pytest.raises(ValueError, match="names no check in this run"):
+            RunConfig(suites=suites, tol_overrides={name: 1e-4})
 
 
 class TestRecordInvariants:

@@ -121,6 +121,18 @@ class TestGammaIntegral:
         right = gamma_integral(s, 1e-13) * s
         assert abs(left.value - right.value) <= left.error_bound + right.error_bound + 1e-14
 
+    def test_lift_stall_names_the_callers_request(self):
+        # Gamma(2^-10) ~ 1023 has an ulp near 1.1e-13, so no double meets
+        # 1e-14.  The stall names s and the caller's tol, not the s * tol the
+        # lift asks of Gamma(s + 1), and carries the partial Gamma(s).
+        with pytest.raises(NonConvergence) as info:
+            gamma_integral(2.0 ** -10, 1e-14)
+        message = str(info.value)
+        assert "gamma_integral" in message and "s=0.000976562" in message
+        assert "tol=1e-14" in message and "9.76562e-18" not in message
+        assert abs(info.value.value - 1023.4237) < 1e-3
+        assert info.value.error_bound > 1e-14
+
     def test_rejects_nonpositive_s(self):
         with pytest.raises(ValueError):
             gamma_integral(0.0)

@@ -196,6 +196,32 @@ def test_one_lattice_enumerator_and_a_direct_engine_without_caches():
             node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}, name
 
 
+def test_one_owner_of_a_run_configuration():
+    # report.py renders records and imports nothing from the package; the
+    # suite list is spelled once, as the keys of suites.SUITES; and
+    # run_suites only runs checks, as RunConfig refuses a bad configuration
+    # when it is built.
+    report = ast.parse((PACKAGE / "report.py").read_text())
+    assert not [node.module for node in ast.walk(report)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").split(".")[0] == "thetaeval")]
+
+    suites = ast.parse((PACKAGE / "suites.py").read_text())
+    table = next(node.value for node in suites.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["SUITES"])
+    names = {key.value for key in table.keys}
+    assert len(names) == 7
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                spelled = {elt.value for elt in node.elts if isinstance(elt, ast.Constant)}
+                assert len(spelled & names) < 2, f"{path.name} line {node.lineno}"
+
+    runner = next(node for node in suites.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "run_suites")
+    assert not [node for node in ast.walk(runner) if isinstance(node, ast.Raise)]
+
+
 def _report(records):
     passed = sum(1 for r in records if r["pass"])
     return {"version": "1.0.0", "records": records,
@@ -252,3 +278,18 @@ def test_compare_reports_refuses_a_repeated_record_name(tmp_path):
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "cannot read report" in proc.stderr and "x/one" in proc.stderr
+
+
+@pytest.mark.parametrize("report, problem", [
+    ([], "not a report object"),
+    ({"records": [{"paper_anchor": "Lemma 1"}]}, "record 0 is not an object"),
+    ({"records": [_record("x/one", 1.0, 3), "x/two"]}, "record 1 is not an object"),
+], ids=["list-report", "record-without-name", "record-not-an-object"])
+def test_compare_reports_refuses_a_malformed_report(tmp_path, report, problem):
+    good = _report([_record("x/one", 1.0, 3)])
+    for first, second in ((report, good), (good, report)):
+        proc = _compare(tmp_path, first, second)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "cannot read report" in proc.stderr and problem in proc.stderr
+        assert "Traceback" not in proc.stderr
