@@ -3,7 +3,8 @@
 The scripts import the package by its public names, so an API change that
 breaks one shows up here.  The oracle script must stay independent of the
 engines it checks, and the package keeps record building in one place,
-one bounded-value type and two independent two-squares routes.
+one bounded-value type, two independent two-squares routes and one owner
+of a run's configuration.
 """
 
 import ast
@@ -210,7 +211,7 @@ def test_one_owner_of_a_run_configuration():
     table = next(node.value for node in suites.body if isinstance(node, ast.Assign)
                  and [getattr(t, "id", None) for t in node.targets] == ["SUITES"])
     names = {key.value for key in table.keys}
-    assert len(names) == 7
+    assert "theta" in names
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
