@@ -11,7 +11,6 @@ from .epstein import (
     BinaryQuadraticForm,
     epstein_accelerated,
     epstein_direct,
-    evaluate,
     upper_incomplete_gamma,
 )
 from .kronecker import (
@@ -54,7 +53,6 @@ __all__ = [
     "BinaryQuadraticForm",
     "epstein_accelerated",
     "epstein_direct",
-    "evaluate",
     "upper_incomplete_gamma",
     "extrapolate_to_zero",
     "kronecker_lhs",

@@ -21,6 +21,8 @@ returns the limit as an ApproxValue; _limit_at_zero feeds it from a node
 function and adds up the nodes' cost.  pole_constant is its one ladder at
 the pole s = 1, for the Kronecker limits and Euler's constant; the Gauss
 product for Gamma and the central difference use ladders of their own.
+terms_needed is the one truncation search, for the theta and eta series:
+the smallest index whose proven tail bound meets a target.
 """
 
 from __future__ import annotations
@@ -160,6 +162,17 @@ class ApproxValue:
             raise NonConvergence(f"{what} stalled above tol={tol:g}", value=self.value,
                                  error_bound=self.error_bound, cost=self.cost)
         return self
+
+
+def terms_needed(tail, target: float, what: str, first: int = 1, limit: int = 1_000_000) -> int:
+    """The smallest n >= first with tail(n) <= target, for a tail bound that
+    falls in n; raises NonConvergence once n would pass limit."""
+    n = first
+    while tail(n) > target:
+        n += 1
+        if n > limit:
+            raise NonConvergence(f"{what} needs more than {limit} terms to reach tail {target:g}")
+    return n
 
 
 def _scalar(c: complex) -> complex:

@@ -52,11 +52,6 @@ with D = 4ac - b^2 and lambda_max the larger eigenvalue of
   fraction runs per point until that point converges.  Each block of the
   level set adds its terms with one fsum per side, and one more fsum adds
   the blocks' sums.
-
-  Neither the level nor the points nor the bound depend on tol, and the
-  Kronecker ladder and the cross-checks take each form's sum at a dozen
-  nearby s.  So epstein_accelerated certifies one cached uncertified sum
-  per (form, float(s)); the cache is bounded.
 """
 
 from __future__ import annotations
@@ -74,7 +69,6 @@ from .special_values import euler_gamma
 
 __all__ = [
     "BinaryQuadraticForm",
-    "evaluate",
     "epstein_direct",
     "epstein_accelerated",
     "upper_incomplete_gamma",
@@ -116,20 +110,8 @@ class BinaryQuadraticForm:
         return UpperHalfPoint(-self.b / (2.0 * self.a),
                               math.sqrt(self.disc) / (2.0 * self.a))
 
-    def adjugate(self) -> "BinaryQuadraticForm":
-        """The form (c, -b, a) of the dual lattice sum, which is this form
-        turned a quarter turn: Q'(w1, w2) = Q(w2, -w1).
-        """
-        return BinaryQuadraticForm(self.c, -self.b, self.a)
-
     def __call__(self, x: float, y: float) -> float:
-        return evaluate(self, (x, y))
-
-
-def evaluate(form: BinaryQuadraticForm, v: tuple[float, float]) -> float:
-    """Q(v) for a pair v = (x, y)."""
-    x, y = v
-    return form.a * x * x + form.b * x * y + form.c * y * y
+        return self.a * x * x + self.b * x * y + self.c * y * y
 
 
 def _count_bound(form: BinaryQuadraticForm) -> tuple[float, float]:
@@ -163,9 +145,9 @@ def _level_set(form: BinaryQuadraticForm, level: float):
     The representatives are the points with y > 0 and those with
     y = 0 < x.  Row y takes the integers of the x-interval that solves
     Q(x, y) <= level, widened by one on each side, and keeps those whose
-    value, computed as in evaluate(), is at most level.  Each block holds
-    at most _BLOCK values.  Raises NonConvergence before any work when the
-    candidates could number more than _MAX_POINTS.
+    value, computed as BinaryQuadraticForm.__call__ does, is at most level.
+    Each block holds at most _BLOCK values.  Raises NonConvergence before
+    any work when the candidates could number more than _MAX_POINTS.
     """
     a, b, c, disc = form.a, form.b, form.c, form.disc
     height = math.sqrt(4.0 * a * level / disc)
@@ -353,13 +335,7 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
     if not 1.0 < s < math.inf:
         raise ValueError(f"need a finite s > 1, got {s}")
     check_tol(tol)
-    # s = 2 and s = 2.0 share a cache entry, so both take the float path.
-    return _accelerated_sum(form, float(s)).certified(tol, "accelerated lattice sum")
-
-
-@lru_cache(maxsize=256)
-def _accelerated_sum(form: BinaryQuadraticForm, s: float) -> ApproxValue:
-    # The uncertified sum: its level, points and bound do not depend on tol.
+    s = float(s)  # s = 2 and s = 2.0 take the same float path
     lam = _TWO_PI / math.sqrt(form.disc)
     gamma_whole = _gamma_cached(s)
     alpha, beta = _count_bound(form)
@@ -390,4 +366,5 @@ def _accelerated_sum(form: BinaryQuadraticForm, s: float) -> ApproxValue:
 
     total = math.fsum(pieces)
     total_bound = math.fsum(bounds) + 8.0 * EPS * abs(total)
-    return ApproxValue(total, total_bound, cost) / gamma_whole
+    return (ApproxValue(total, total_bound, cost) / gamma_whole).certified(
+        tol, "accelerated lattice sum")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .approx import EPS, ApproxValue, NonConvergence, check_tol, pole_constant
+from .approx import EPS, ApproxValue, check_tol, pole_constant, terms_needed
 from .epstein import BinaryQuadraticForm, epstein_accelerated
 from .modular import UpperHalfPoint, eta_uhp, theta_uhp
 from .quadrature import gamma_integral, integral_I
@@ -68,19 +68,17 @@ def l1_series(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
     check_tol(tol)
     z = form.z_point().as_complex()
     rho = math.exp(-2.0 * math.pi * z.imag)
+
+    def tail(k: int) -> float:
+        return 4.0 * rho ** k / (1.0 - rho)
+
+    k = terms_needed(tail, tol / 2.0, f"eta log series at Im z = {z.imag:g}",
+                     first=2, limit=200_000)
     terms = [math.pi * z.imag / 6.0]
-    k = 0
-    while True:
-        k += 1
-        tail = 4.0 * rho ** (k) / (1.0 - rho)
-        if tail <= tol / 2.0 and k > 1:
-            break
-        if k > 200_000:
-            raise NonConvergence("eta log series stalled; point too close to the real line")
-        w = 1.0 - cmath.exp(2.0 * math.pi * k * 1j * z)
-        terms.append(-2.0 * math.log(abs(w)))
+    terms += [-2.0 * math.log(abs(1.0 - cmath.exp(2.0 * math.pi * n * 1j * z)))
+              for n in range(1, k)]
     value = math.fsum(terms)
-    bound = tail + 4.0 * EPS * math.fsum(abs(t) for t in terms)
+    bound = tail(k) + 4.0 * EPS * math.fsum(abs(t) for t in terms)
     return ApproxValue(value, bound, k)
 
 

@@ -1,12 +1,12 @@
 """Theta and eta on the upper half-plane, with certified truncation tails.
 
 Both functions are entire in their summands and decay geometrically, so
-the truncation index is chosen up front from an explicit tail bound and
-that bound is what the result reports.  Each returns an ApproxValue with a
-complex value, one bound on the modulus of its error and, as cost, the
-number of series terms or product factors it took; eta_quotient is
-ApproxValue arithmetic on two of them.  No modular transformation is used
-anywhere; values come straight from the defining series and product.
+approx.terms_needed picks the truncation index up front from an explicit
+tail bound, and that bound is what the result reports.  Each returns an
+ApproxValue with a complex value, one bound on the modulus of its error
+and, as cost, the number of series terms or product factors it took;
+eta_quotient is ApproxValue arithmetic on two of them.  No modular
+transformation is used: values come from the defining series and product.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .approx import EPS, ApproxValue, NonConvergence, check_tol
+from .approx import EPS, ApproxValue, NonConvergence, check_tol, terms_needed
 
 __all__ = [
     "UpperHalfPoint",
@@ -46,24 +46,16 @@ def _theta_tail(n: int, y: float) -> float:
     return 2.0 * math.exp(-math.pi * n * n * y) / -math.expm1(-math.pi * (2 * n + 1) * y)
 
 
-def _theta_terms(z: UpperHalfPoint, tol: float) -> int:
-    n = 1
-    while _theta_tail(n, z.im) > tol:
-        n += 1
-        if n > 1_000_000:
-            raise ValueError("tolerance unreachable for this imaginary part")
-    return n
-
-
 def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     """Sum over all integers n of exp(i pi n^2 z), truncated at a certified tail.
 
     The partial sum runs over |n| <= N with N the smallest index whose
     geometric tail bound drops below tol; that bound is the reported
-    error_bound, and N is the cost.
+    error_bound and N the cost.  Past N = 10^6 it raises NonConvergence.
     """
     check_tol(tol)
-    n_max = _theta_terms(z, tol)
+    n_max = terms_needed(lambda n: _theta_tail(n, z.im), tol,
+                         f"theta series at Im z = {z.im:g}")
     zc = z.as_complex()
     res = [1.0]
     ims = [0.0]
@@ -83,19 +75,16 @@ def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     The product is cut once the remaining log-factors are bounded by rho
     with |value| * (exp(rho) - 1) <= tol; that quantity is the reported
     error_bound, and the number of factors taken is the cost.  Raises
-    NonConvergence where |value| underflows below the normal range (Im z
-    beyond about 2700) and a relative bound fails.
+    NonConvergence past 10^6 factors, and where |value| underflows below
+    the normal range (Im z beyond about 2700) and a relative bound fails.
     """
     check_tol(tol)
     y = z.im
     absw = math.exp(-2.0 * math.pi * y)
     # Crude a-priori modulus bound, enough to pick the cut.
     mod_cap = math.exp(-math.pi * y / 12.0) * math.exp(absw / (1.0 - absw))
-    n_max = 1
-    while mod_cap * math.expm1(_eta_log_tail(n_max, absw)) > 0.5 * tol:
-        n_max += 1
-        if n_max > 1_000_000:
-            raise ValueError("tolerance unreachable for this imaginary part")
+    n_max = terms_needed(lambda n: mod_cap * math.expm1(_eta_log_tail(n, absw)),
+                         0.5 * tol, f"eta product at Im z = {y:g}")
     zc = z.as_complex()
     prod = cmath.exp(1j * math.pi * zc / 12.0)
     for n in range(1, n_max + 1):

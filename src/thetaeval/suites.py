@@ -24,7 +24,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .approx import (EPS, ApproxValue, NonConvergence, _limit_at_zero, check_tol,
                      pole_constant)
@@ -317,18 +319,18 @@ SUITE_NAMES = tuple(SUITES)
 DEFAULT_FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Knobs for one verification run, all checked when it is built.
 
     suites may name a suite more than once and in any order; it is reduced
-    to the canonical order of SUITE_NAMES.
+    to the canonical order of SUITE_NAMES; a built config is read-only.
     """
 
     suites: tuple[str, ...] = SUITE_NAMES
     qseries_order: int = 256          # also the n-range of the two-squares suite
     forms: tuple[tuple[float, float, float], ...] = DEFAULT_FORMS
-    tol_overrides: dict[str, float] = field(default_factory=dict)
+    tol_overrides: Mapping[str, float] = field(default_factory=dict)
     output_path: str | None = None
     output_format: str = "json"
 
@@ -337,7 +339,9 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown suite(s) {', '.join(unknown)}; "
                              f"choose from {', '.join(SUITE_NAMES)}")
-        self.suites = tuple(s for s in SUITE_NAMES if s in self.suites)
+        object.__setattr__(self, "suites", tuple(s for s in SUITE_NAMES if s in self.suites))
+        object.__setattr__(self, "tol_overrides", MappingProxyType(dict(self.tol_overrides)))
+        object.__setattr__(self, "forms", tuple(tuple(triple) for triple in self.forms))
         if not (isinstance(self.qseries_order, int) and self.qseries_order >= 16):
             raise ValueError(f"order must be an integer >= 16, got {self.qseries_order!r}")
         for triple in self.forms:

@@ -1,5 +1,6 @@
 """Exit codes, report serialization, and run configuration."""
 
+import dataclasses
 import json
 import math
 import re
@@ -356,6 +357,20 @@ class TestRunConfig:
         # Both forms would label their records "1,0,1".
         with pytest.raises(ValueError, match="share the record label 1,0,1"):
             RunConfig(forms=((1.0, 0.0, 1.0), (1.0, 0.0, 1.0000001)))
+
+    def test_a_built_config_cannot_change(self):
+        # Its checks ran when it was built, so no field may move after:
+        # an order below the minimum or an override naming no check.
+        overrides = {"theta/eta-shift-modulus": 1e-4}
+        config = RunConfig(suites=("theta",), tol_overrides=overrides)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.qseries_order = 8
+        with pytest.raises(TypeError):
+            config.tol_overrides["no-such-check"] = 1.0
+        overrides["no-such-check"] = 1.0  # the caller's dict was copied
+        assert dict(config.tol_overrides) == {"theta/eta-shift-modulus": 1e-4}
+        assert config.qseries_order == 256
+        assert RunConfig(forms=[[1.0, 0.0, 1.0]]).forms == ((1.0, 0.0, 1.0),)
 
     # The second name is a check of the theta suite, not of the run's.
     @pytest.mark.parametrize("suites, name", [(SUITE_NAMES, "theta/no-such-check"),

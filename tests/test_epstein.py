@@ -22,7 +22,6 @@ from thetaeval import (
     NonConvergence,
     epstein_accelerated,
     epstein_direct,
-    evaluate,
     gamma_integral,
     upper_incomplete_gamma,
     zeta,
@@ -68,8 +67,8 @@ class TestFormType:
         assert BinaryQuadraticForm(1.0, 0.0, 2.0).disc == 8.0
 
     def test_evaluate_examples(self):
-        assert evaluate(BinaryQuadraticForm(1.0, 0.0, 1.0), (3.0, 4.0)) == 25.0
-        assert evaluate(BinaryQuadraticForm(2.0, -2.0, 1.0), (1.0, 1.0)) == 1.0
+        assert BinaryQuadraticForm(1.0, 0.0, 1.0)(3.0, 4.0) == 25.0
+        assert BinaryQuadraticForm(2.0, -2.0, 1.0)(1.0, 1.0) == 1.0
 
     def test_unimodular_change_of_variable(self):
         # (x, y) -> (x, x - y) carries the skew form onto the unit form
@@ -90,9 +89,14 @@ class TestFormType:
             assert abs(form.a * (2.0 * z.real) + form.b) < 1e-12
 
     def test_adjugate_swaps_outer_and_flips_middle(self):
-        adj = BinaryQuadraticForm(2.0, -2.0, 1.0).adjugate()
-        assert (adj.a, adj.b, adj.c) == (1.0, 2.0, 2.0)
-        assert adj.disc == 4.0
+        # The dual form (c, -b, a) is the form turned a quarter turn,
+        # Q'(w1, w2) = Q(w2, -w1), with the same discriminant.
+        form = BinaryQuadraticForm(2.0, -2.0, 1.0)
+        adj = BinaryQuadraticForm(form.c, -form.b, form.a)
+        assert adj.disc == form.disc == 4.0
+        for w1 in range(-5, 6):
+            for w2 in range(-5, 6):
+                assert adj(w1, w2) == form(w2, -w1)
 
 
 form_triples = st.tuples(
@@ -144,7 +148,7 @@ def test_level_set_matches_box_filter(triple, shear, x, y):
     a, b, c = triple
     form = BinaryQuadraticForm(a, b * 2.0 * math.sqrt(a * c), c)
     assume((x, y) != (0, 0))
-    level = evaluate(form, (float(x), float(y)))
+    level = form(float(x), float(y))
     level *= 1.0 if shear < 0.5 else shear
     assume(16.0 * level * math.sqrt(a * c) / form.disc <= 2e6)  # box size
     got = np.sort(np.concatenate([*_level_set(form, level), np.empty(0)]))
@@ -164,7 +168,7 @@ def test_adjugate_level_set_takes_the_same_values(triple, level):
     # integer levels put lattice points on the boundary.
     form = BinaryQuadraticForm(*map(float, triple))
     values = [np.sort(np.concatenate([*_level_set(q, float(level)), np.empty(0)])).tolist()
-              for q in (form, form.adjugate())]
+              for q in (form, BinaryQuadraticForm(form.c, -form.b, form.a))]
     assert values[0] == values[1]
 
 
@@ -471,18 +475,13 @@ def _bits(r):
     return r.value.hex(), r.error_bound.hex(), r.cost
 
 
-@pytest.fixture
-def fresh_caches():
-    # The accelerated engine's sum cache, emptied before and after a test,
-    # so that it sees no entry from before and leaves none computed under a
-    # patch.
-    epstein._accelerated_sum.cache_clear()
-    yield
-    epstein._accelerated_sum.cache_clear()
-
-
 class TestAcceleratedCaches:
-    def test_cached_sum_still_refuses_a_tighter_tolerance(self, fresh_caches):
+    # The accelerated sum is taken afresh on every call, so its bits may not
+    # depend on what ran before it.
+
+    def test_cached_sum_still_refuses_a_tighter_tolerance(self):
+        # A bound that meets one tolerance is refused at half of it, with
+        # the same value, bound and cost carried by the stall.
         form = BinaryQuadraticForm(1.0, 0.0, 2.0)
         loose = epstein_accelerated(form, 1.5, 1e-10)
         with pytest.raises(NonConvergence, match="accelerated lattice sum stalled") as stall:
@@ -491,17 +490,18 @@ class TestAcceleratedCaches:
             == (loose.value, loose.error_bound, loose.cost)
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "fresh"])
-    def test_pins_hold_in_any_call_order(self, fresh_caches, order):
+    def test_pins_hold_in_any_call_order(self, order):
+        # "fresh" computes each pin's Gamma(s) anew as well.
         pins = sorted(ACCELERATED_PINS, key=lambda pin: pin[1], reverse=order == "descending")
         for coeffs, s, value, bound, cost in pins:
             if order == "fresh":
-                epstein._accelerated_sum.cache_clear()
+                epstein._gamma_cached.cache_clear()
             r = epstein_accelerated(BinaryQuadraticForm(*coeffs), s, 1e-12)
             assert _bits(r) == (value, bound, cost)
 
-    def test_level_set_runs_once_per_uncached_sum(self, fresh_caches, monkeypatch):
-        # Both sides sum over the form's own level set, never the adjugate's,
-        # and a (form, s) asked again at another tol is not enumerated again.
+    def test_level_set_runs_once_per_uncached_sum(self, monkeypatch):
+        # Both sides sum over the form's own level set, never the dual
+        # form's: one enumeration per call, whatever the tol.
         enumerated = []
         real = epstein._level_set
 
@@ -515,26 +515,15 @@ class TestAcceleratedCaches:
         for s in orders:
             for tol in (1e-10, 1e-12):
                 _result_or_partial(epstein_accelerated, form, s, tol)
-        assert enumerated == [form] * len(orders)
+        assert enumerated == [form] * (2 * len(orders))
 
-    def test_caches_stay_bounded(self, fresh_caches):
-        for k in range(200):
-            form = BinaryQuadraticForm(1.0, 0.0, 1.0 + k / 64.0)
-            for s in (1.5, 2.0):
-                epstein_accelerated(form, s, 1e-10)
-        info = epstein._accelerated_sum.cache_info()
-        assert info.currsize == info.maxsize < 400
-
-    def test_integer_and_float_orders_give_the_same_bits(self, fresh_caches):
+    def test_integer_and_float_orders_give_the_same_bits(self):
         form = BinaryQuadraticForm(1.0, 0.53, 1e4)
         pinned = next(pin[2:] for pin in ACCELERATED_PINS if pin[:2] == ((1.0, 0.53, 1e4), 2.0))
         assert _bits(epstein_accelerated(form, 2, 1e-12)) == pinned
-        epstein._accelerated_sum.cache_clear()
         assert _bits(epstein_accelerated(form, 2.0, 1e-12)) == pinned
-        assert _bits(epstein_accelerated(form, 2, 1e-12)) == pinned  # the 2.0 entry
 
-    def test_integer_order_sum_takes_euler_gamma_from_the_module(self, fresh_caches,
-                                                                 monkeypatch):
+    def test_integer_order_sum_takes_euler_gamma_from_the_module(self, monkeypatch):
         # At s = 2 the dual side lifts order -1 to the E1 branch, which reads
         # Euler's constant computed once at import instead of per point.
         calls = {"_e1_series": 0, "euler_gamma": 0}
@@ -628,7 +617,7 @@ def _accelerated_point_by_point(form, s, tol):
     budget = 0.25 * tol * gamma_whole.value
     # smallest eigenvalue of the Gram matrix, without cancellation
     lam_min = form.disc / (2.0 * (form.a + form.c + math.hypot(form.a - form.c, form.b)))
-    adj = form.adjugate()
+    adj = BinaryQuadraticForm(form.c, -form.b, form.a)
     beta_scale = 4.0 * math.pi ** 2 / form.disc
     primal_rate = lam * lam_min
     dual_rate = beta_scale * lam_min / lam
@@ -646,7 +635,7 @@ def _accelerated_point_by_point(form, s, tol):
     for r in range(1, r1 + 1):
         ring = []
         for v in _ring(r):
-            qv = evaluate(form, (float(v[0]), float(v[1])))
+            qv = form(float(v[0]), float(v[1]))
             g = upper_incomplete_gamma(s, lam * qv)
             ring.append(qv ** -s * g.value)
             bounds.append(qv ** -s * g.error_bound)
@@ -659,7 +648,7 @@ def _accelerated_point_by_point(form, s, tol):
     for r in range(1, r2 + 1):
         ring = []
         for w in _ring(r):
-            beta = beta_scale * evaluate(adj, (float(w[0]), float(w[1])))
+            beta = beta_scale * adj(float(w[0]), float(w[1]))
             g = upper_incomplete_gamma(1.0 - s, beta / lam)
             front = 2.0 * math.pi / sqrt_d * beta ** (s - 1.0)
             ring.append(front * g.value)
@@ -699,7 +688,7 @@ def test_dual_split_closed_form_against_quadrature():
     root_d = math.sqrt(form.disc)
     lam = 2.0 * math.pi / root_d
     beta_scale = 4.0 * math.pi ** 2 / form.disc
-    adj = form.adjugate()
+    adj = BinaryQuadraticForm(form.c, -form.b, form.a)
 
     def theta_lattice(t):
         # radius chosen so the dropped terms are below exp(-50); here

@@ -214,6 +214,13 @@ class TestL1Series:
         lead = math.pi * math.sqrt(form.disc) / (12.0 * form.a)
         assert abs(series.value - lead) <= 1e-6
 
+    def test_term_cap_stalls_near_the_real_line(self):
+        # Im z = 1e-6 would need about 4e6 terms; the cap of 200,000 stops
+        # the search before any term is taken.
+        with pytest.raises(NonConvergence, match=r"^eta log series at Im z = 1e-06 needs "
+                                                 r"more than 200000 terms"):
+            l1_series(BinaryQuadraticForm(1.0, 0.0, 1e-12), 1e-13)
+
 
 class TestTargetLimit:
     def test_passes_at_spec_tolerance(self):

@@ -21,6 +21,7 @@ from thetaeval import (
     theta_qseries,
     theta_uhp,
 )
+from thetaeval.approx import terms_needed
 
 # scripts/compute_oracles.py: five explicit terms, sixth below 1e-21
 ORACLE_THETA_I = 1.086434811213308
@@ -231,6 +232,28 @@ class TestEtaProduct:
         # and exactly 0 at 1e150, which a zero bound would certify.
         with pytest.raises(NonConvergence, match="Im z"):
             eta_uhp(UpperHalfPoint(0.0, im))
+
+
+class TestTermsNeeded:
+    # The one truncation search behind theta, eta and the eta log series.
+
+    def test_starts_at_first(self):
+        assert terms_needed(lambda n: 0.0, 1e-13, "sum") == 1
+        assert terms_needed(lambda n: 0.0, 1e-13, "sum", first=2) == 2
+
+    def test_a_tail_equal_to_the_target_meets_it(self):
+        assert terms_needed(lambda n: 2.0 ** -n, 2.0 ** -10, "sum") == 10
+        assert terms_needed(lambda n: 2.0 ** -n, 2.0 ** -10 * (1.0 - 2.0 ** -52), "sum") == 11
+
+    def test_limit_is_the_last_index_taken(self):
+        def tail(n):
+            return 0.0 if n >= 5 else 1.0
+
+        assert terms_needed(tail, 0.5, "sum", limit=5) == 5
+        with pytest.raises(NonConvergence,
+                           match=r"^eta product at Im z = 0.001 needs more than 4 terms "
+                                 r"to reach tail 0.5$"):
+            terms_needed(tail, 0.5, "eta product at Im z = 0.001", limit=4)
 
 
 @given(im=st.floats(min_value=0.5, max_value=1e300))

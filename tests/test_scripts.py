@@ -181,20 +181,39 @@ def test_one_lattice_enumerator_and_a_direct_engine_without_caches():
     # epstein._level_set alone lays out lattice points; the other integer
     # grid of the package is the two-squares point count, which must stay
     # its own route.  Both lattice engines reach points only through it,
-    # and the direct engine never reaches the accelerated engine's cache.
+    # the direct engine never reaches the accelerated engine, and nothing
+    # it reaches is cached.
     sites = _call_sites(GRID_BUILDERS | {"_level_set"})
     builders = set().union(*(sites[name] for name in GRID_BUILDERS))
     assert builders == {("epstein", "_level_set"), ("number_theory", "r_bruteforce_table")}
-    assert sites["_level_set"] == {("epstein", "epstein_direct"), ("epstein", "_accelerated_sum")}
+    assert sites["_level_set"] == {("epstein", "epstein_direct"),
+                                   ("epstein", "epstein_accelerated")}
 
-    tree = ast.parse((PACKAGE / "epstein.py").read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    functions = _functions("epstein.py")
     reached = _reachable(functions, functions["epstein_direct"])
-    assert "_level_set" in reached
-    assert not reached & {"_accelerated_sum", "epstein_accelerated"}
+    assert "_level_set" in reached and "epstein_accelerated" not in reached
     for name in reached & set(functions) | {"epstein_direct"}:
-        assert "_accelerated_sum" not in {
+        assert "epstein_accelerated" not in {
             node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}, name
+        assert not functions[name].decorator_list, name
+
+
+def _functions(module):
+    # The top-level functions of one module of the package, by name.
+    tree = ast.parse((PACKAGE / module).read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_one_entry_per_computation():
+    # The accelerated sum is taken on each call, with no cache around it,
+    # and theta, eta and the eta log series pick their truncation through
+    # the one search, approx.terms_needed, with no loop of their own.
+    assert not _functions("epstein.py")["epstein_accelerated"].decorator_list
+    for module, name in (("modular.py", "theta_uhp"), ("modular.py", "eta_uhp"),
+                         ("kronecker.py", "l1_series")):
+        engine = _functions(module)[name]
+        assert not [node for node in ast.walk(engine) if isinstance(node, ast.While)], name
+        assert "terms_needed" in _called_names(engine), name
 
 
 def test_one_owner_of_a_run_configuration():
