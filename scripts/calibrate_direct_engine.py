@@ -22,7 +22,7 @@ import argparse
 import math
 import time
 
-from thetaeval import DEFAULT_FORMS, BinaryQuadraticForm, epstein_accelerated, epstein_direct
+from thetaeval import BinaryQuadraticForm, RunConfig, epstein_accelerated, epstein_direct
 
 S_GRID = (1.25, 1.5, 2.0, 3.0)
 
@@ -31,16 +31,14 @@ def grid_study(tol):
     print(f"grid study, tolerance {tol:g}")
     print(f"{'form':>10} {'s':>5} {'err':>10} {'bound':>10} {'ratio':>7}")
     worst = 0.0
-    for triple in DEFAULT_FORMS:
-        form = BinaryQuadraticForm(*triple)
+    for form in RunConfig().forms:
         for s in S_GRID:
             truth = epstein_accelerated(form, s, 1e-12)
             got = epstein_direct(form, s, tol)
             err = abs(got.value - truth.value)
             ratio = err / got.error_bound
             worst = max(worst, ratio)
-            label = ",".join(f"{c:g}" for c in triple)
-            print(f"{label:>10} {s:>5g} {err:>10.2e} "
+            print(f"{form.label:>10} {s:>5g} {err:>10.2e} "
                   f"{got.error_bound:>10.2e} {ratio:>7.3f}")
     print(f"worst err/bound ratio: {worst:.3f}\n")
     return worst

@@ -20,20 +20,16 @@ Usage: python scripts/limit_table.py
 
 import sys
 
-from thetaeval import DEFAULT_FORMS, BinaryQuadraticForm, kronecker_lhs, kronecker_rhs
-from thetaeval.approx import _limit_at_zero, pole_constant
+from thetaeval import RunConfig, kronecker_lhs, kronecker_rhs
+from thetaeval.approx import pole_constant
 from thetaeval.kronecker import pole_gap
 
 TOL = 1e-8
 
 
-def pole_gap_limit(form, ladder=None):
-    """The nodes (eps, g(eps)), each to the TOL / 64 kronecker_lhs gives a
-    node, and their limit at eps = 0.
-
-    The nodes are pole_constant's unless ladder, a halving ladder
-    eps0 2^-k, k < n, replaces them (to test the limit under node halving).
-    """
+def pole_gap_limit(form):
+    """The nodes (eps, g(eps)) of pole_constant's ladder, each to the
+    TOL / 64 kronecker_lhs gives a node, and their limit at eps = 0."""
     nodes = []
 
     def node(s):
@@ -41,22 +37,16 @@ def pole_gap_limit(form, ladder=None):
         nodes.append((s - 1.0, g))
         return g
 
-    if ladder is None:
-        return nodes, pole_constant(node)
-    if list(ladder) != [ladder[0] * 2.0 ** -k for k in range(len(ladder))]:
-        raise ValueError(f"ladder must halve from its first node, got {ladder}")
-    return nodes, _limit_at_zero(lambda eps: node(1.0 + eps), ladder[0], len(ladder))
+    return nodes, pole_constant(node)
 
 
 def main():
     differ = 0
-    for triple in DEFAULT_FORMS:
-        form = BinaryQuadraticForm(*triple)
+    for form in RunConfig().forms:
         nodes, limit = pole_gap_limit(form)
         engine = kronecker_lhs(form, TOL)
         closed = kronecker_rhs(form, 1e-13)
-        label = ",".join(f"{c:g}" for c in triple)
-        print(f"form ({label}), closed value {closed.value:.15f}")
+        print(f"form ({form.label}), closed value {closed.value:.15f}")
         for eps, g in nodes:
             print(f"  eps {eps:<10.6g} node {g.value:.15f} "
                   f"(off by {abs(g.value - closed.value):.2e})")

@@ -6,7 +6,7 @@ Each engine returns values with explicit error bounds; the CLI assembles
 named checks into machine-readable reports.
 """
 
-from .approx import ApproxValue, NonConvergence, extrapolate_to_zero
+from .approx import ApproxValue, NonConvergence
 from .epstein import (
     BinaryQuadraticForm,
     epstein_accelerated,
@@ -54,7 +54,6 @@ __all__ = [
     "epstein_accelerated",
     "epstein_direct",
     "upper_incomplete_gamma",
-    "extrapolate_to_zero",
     "kronecker_lhs",
     "kronecker_rhs",
     "l1_series",

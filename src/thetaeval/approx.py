@@ -14,13 +14,13 @@ only and refuse a complex one with ValueError.  An engine certifies
 its result through ApproxValue.certified, which returns the value or raises
 NonConvergence when the bound misses the tolerance.
 
-This module also holds the package's one limit driver.  extrapolate_to_zero
-evaluates at 0 the polynomial through values taken at halving abscissae
-(Neville), pushing the nodes' own bounds through the same weights, and
-returns the limit as an ApproxValue; _limit_at_zero feeds it from a node
-function and adds up the nodes' cost.  pole_constant is its one ladder at
-the pole s = 1, for the Kronecker limits and Euler's constant; the Gauss
-product for Gamma and the central difference use ladders of their own.
+This module also holds the package's one limit driver.  limit_at_zero
+takes a node function at halving abscissae, evaluates at 0 the polynomial
+through its values (Neville), pushes the nodes' own bounds through the same
+weights, and returns the limit with the nodes' summed cost.  pole_constant
+is its one ladder at the pole s = 1, for the Kronecker limits and Euler's
+constant; the Gauss product for Gamma and the central difference use
+ladders of their own.
 terms_needed is the one truncation search, for the theta and eta series:
 the smallest index whose proven tail bound meets a target.
 """
@@ -183,31 +183,24 @@ def _scalar(c: complex) -> complex:
     return float(c)
 
 
-def extrapolate_to_zero(abscissae, values, value_bounds=None) -> ApproxValue:
-    """Neville evaluation at 0 of the polynomial through (x_k, y_k).
-
-    The abscissae must be at least four, positive and strictly decreasing,
-    the values finite.  The reported bound adds the last diagonal increment
-    (truncation estimate) to the node bounds pushed through the same
-    recurrence with absolute coefficients, which is exact for the error
-    amplification of the linear extrapolation weights.
+def limit_at_zero(node, eps0: float, depth: int) -> ApproxValue:
+    """Limit at 0 of node(eps) -> ApproxValue: the Neville value at 0 of the
+    polynomial through the nodes at eps = eps0 2^-k, k < depth (at least 4,
+    all above 0), carrying their summed cost.  The bound adds the last
+    diagonal increment (truncation estimate) to the node bounds pushed
+    through the same recurrence with absolute coefficients, which is exact
+    for the error amplification of the linear extrapolation weights.
     """
-    xs = [float(x) for x in abscissae]
-    t = [float(y) for y in values]
-    n = len(xs)
-    amp = [0.0] * n if value_bounds is None else [float(b) for b in value_bounds]
-    if n < 4 or len(t) != n or len(amp) != n:
-        raise ValueError("need at least 4 nodes, with values and bounds aligned")
-    if not all(math.isfinite(x) and x > 0.0 for x in xs):
-        raise ValueError(f"abscissae must be positive and finite, got {xs}")
-    if not all(lo < hi for lo, hi in zip(xs[1:], xs)):
-        raise ValueError("abscissae must decrease strictly")
-    if not all(math.isfinite(y) for y in t):
-        raise ValueError(f"non-finite node value in {t}")
+    xs = [eps0 * 2.0 ** -k for k in range(depth)]
+    if not (depth >= 4 and math.isfinite(eps0) and xs[-1] > 0.0):
+        raise ValueError(f"need depth >= 4 and nodes eps0 2^-k above 0, got {eps0}, {depth}")
+    nodes = [node(x) for x in xs]
+    t = [float(v.value) for v in nodes]
+    amp = [v.error_bound for v in nodes]
     corner_prev = t[0]
     corner_gap = math.inf
-    for m in range(1, n):
-        for i in range(n - m):
+    for m in range(1, depth):
+        for i in range(depth - m):
             denom = xs[i + m] - xs[i]
             w_hi = xs[i + m] / denom
             w_lo = -xs[i] / denom
@@ -215,20 +208,12 @@ def extrapolate_to_zero(abscissae, values, value_bounds=None) -> ApproxValue:
             amp[i] = abs(w_hi) * amp[i] + abs(w_lo) * amp[i + 1]
         corner_gap = abs(t[0] - corner_prev)
         corner_prev = t[0]
-    return ApproxValue(t[0], corner_gap + amp[0] + 8.0 * EPS * (1.0 + abs(t[0])))
-
-
-def _limit_at_zero(node, eps0: float, depth: int) -> ApproxValue:
-    """Extrapolate node(eps) -> ApproxValue from eps = eps0 2^-k, k < depth,
-    to 0; the limit carries the summed cost of the nodes."""
-    xs = [eps0 * 2.0 ** -k for k in range(depth)]
-    nodes = [node(x) for x in xs]
-    limit = extrapolate_to_zero(xs, [v.value for v in nodes], [v.error_bound for v in nodes])
-    return ApproxValue(limit.value, limit.error_bound, sum(v.cost for v in nodes))
+    return ApproxValue(t[0], corner_gap + amp[0] + 8.0 * EPS * (1.0 + abs(t[0])),
+                       sum(v.cost for v in nodes))
 
 
 def pole_constant(regular) -> ApproxValue:
     """Limit at s = 1 of regular(s) -> ApproxValue, from s = 1 + 0.1 2^-k,
     k < 8.  A regular part that subtracts 1/(s - 1) must form s - 1 from the
     s it is given (exact for s in [1, 2]), not from eps: 1 + eps rounds."""
-    return _limit_at_zero(lambda eps: regular(1.0 + eps), 0.1, 8)
+    return limit_at_zero(lambda eps: regular(1.0 + eps), 0.1, 8)

@@ -105,6 +105,11 @@ class BinaryQuadraticForm:
         """The positive quantity 4ac - b^2."""
         return 4.0 * self.a * self.c - self.b * self.b
 
+    @property
+    def label(self) -> str:
+        """The form's name in record names: a, b, c in format "g", joined by commas."""
+        return ",".join(format(v, "g") for v in (self.a, self.b, self.c))
+
     def z_point(self) -> UpperHalfPoint:
         """The root (-b + i sqrt(4ac - b^2)) / (2a) of a z^2 + b z + c."""
         return UpperHalfPoint(-self.b / (2.0 * self.a),

@@ -178,48 +178,32 @@ def gammaL_integral(s: float, tol: float = 1e-12) -> ApproxValue:
 
 
 def f_form(form, s: float, tol: float = 1e-12) -> ApproxValue:
-    """Minus the full-line integral of (a x^2 + b x + c) ** (-s), for s > 1/2.
-
-    The parabola is split at its minimum x0 = -b/(2a); each half-line is
-    the same even integral in r = |x - x0|, mapped onto (0, 1) by
-    r = (1 - u)/u so that the algebraic decay in r becomes an integrable
-    endpoint power at u = 0.
-    """
-    a, p0 = _vertex_data(form)
+    """Minus the full-line integral of (a x^2 + b x + c) ** (-s), for s > 1/2."""
     if not s > 0.5:
         raise ValueError(f"need s > 1/2, got {s}")
-    check_tol(tol)
-
-    def transformed(u: float) -> float:
-        r = (1.0 - u) / u
-        p = a * r * r + p0
-        val = p ** -s
-        return (val / u) / u
-
-    return -2.0 * _finite(transformed, 0.0, 1.0, 0.5 * tol)
+    return -_vertex_integral(form, lambda p: p ** -s, tol)
 
 
 def f_form_derivative_at_1(form, tol: float = 1e-12) -> ApproxValue:
     """Full-line integral of log(p(x)) / p(x) with p(x) = a x^2 + b x + c."""
-    a, p0 = _vertex_data(form)
-    check_tol(tol)
-
-    def transformed(u: float) -> float:
-        r = (1.0 - u) / u
-        p = a * r * r + p0
-        if math.isinf(p):
-            return 0.0
-        val = math.log(p) / p
-        return (val / u) / u
-
-    return 2.0 * _finite(transformed, 0.0, 1.0, 0.5 * tol)
+    return _vertex_integral(form, lambda p: math.log(p) / p if p < math.inf else 0.0, tol)
 
 
-def _vertex_data(form) -> tuple[float, float]:
-    # Accepts any object with fields a, b, c describing a positive-definite
-    # binary quadratic; returns (a, value at the vertex of a x^2 + b x + c).
+def _vertex_integral(form, g: Callable[[float], float], tol: float) -> ApproxValue:
+    """Full-line integral of g(a x^2 + b x + c), for any object whose fields
+    a, b, c make a positive-definite form.  The parabola is split at its
+    minimum x0 = -b/(2a); each half-line is the same even integral in
+    r = |x - x0|, mapped onto (0, 1) by r = (1 - u)/u so that the algebraic
+    decay in r becomes an integrable endpoint power at u = 0.
+    """
     a, b, c = float(form.a), float(form.b), float(form.c)
     if not (a > 0.0 and 4.0 * a * c - b * b > 0.0):
         raise ValueError("form must be positive definite")
-    return a, c - b * b / (4.0 * a)
+    check_tol(tol)
+    p0 = c - b * b / (4.0 * a)
 
+    def transformed(u: float) -> float:
+        r = (1.0 - u) / u
+        return (g(a * r * r + p0) / u) / u
+
+    return 2.0 * _finite(transformed, 0.0, 1.0, 0.5 * tol)

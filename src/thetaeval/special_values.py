@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .approx import EPS, ApproxValue, _limit_at_zero
+from .approx import EPS, ApproxValue, limit_at_zero
 
 __all__ = [
     "euler_gamma",
@@ -37,8 +37,8 @@ __all__ = [
 _BERNOULLI_TERMS = ((2, (1.0 / 6.0) / 2.0),
                     (4, (-1.0 / 30.0) / 24.0),
                     (6, (1.0 / 42.0) / 720.0),
-                    (8, (-1.0 / 30.0) / 40320.0))
-_BERNOULLI_NEXT = (10, (5.0 / 66.0) / 3628800.0)
+                    (8, (-1.0 / 30.0) / 40320.0),
+                    (10, (5.0 / 66.0) / 3628800.0))
 
 _ZETA_N = 64
 
@@ -73,11 +73,8 @@ def zeta(s: float, tol: float = 1e-13) -> ApproxValue:
             poch *= s + j
             j += 1
         pieces.append(coeff * poch * float(n) ** (-s - two_k + 1.0))
+    omitted = abs(pieces.pop())
     value = math.fsum(pieces)
-    while j < _BERNOULLI_NEXT[0] - 1:
-        poch *= s + j
-        j += 1
-    omitted = abs(_BERNOULLI_NEXT[1] * poch * float(n) ** (-s - _BERNOULLI_NEXT[0] + 1.0))
     bound = 2.0 * omitted + 4.0 * EPS * abs(value)
     return ApproxValue(value, bound, n).certified(tol, f"zeta({s})")
 
@@ -139,7 +136,7 @@ def gamma_gauss(s: float, tol: float = 1e-9) -> ApproxValue:
     and the two subtractions by u (s log n + |log s| + |E|).  With 2u for
     exp, P_n is within P_n EPS (4 s log n + 2s + 2 |log s| + |E| + 4) of
     its exact value, the slack covering second-order terms; that bound is
-    the node's value_bounds entry.
+    the node's error bound.
     """
     if not s > 0.0:
         raise ValueError(f"need s > 0, got {s}")
@@ -153,4 +150,4 @@ def gamma_gauss(s: float, tol: float = 1e-9) -> ApproxValue:
         spread = 4.0 * s * log_n + 2.0 * s + 2.0 * abs(log_s) + abs(e) + 4.0
         return ApproxValue(p, p * EPS * spread, n)
 
-    return _limit_at_zero(node, 1.0 / 64.0, 8).certified(tol, f"gamma_gauss({s})")
+    return limit_at_zero(node, 1.0 / 64.0, 8).certified(tol, f"gamma_gauss({s})")

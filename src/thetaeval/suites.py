@@ -28,8 +28,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .approx import (EPS, ApproxValue, NonConvergence, _limit_at_zero, check_tol,
-                     pole_constant)
+from .approx import EPS, ApproxValue, NonConvergence, check_tol, limit_at_zero, pole_constant
 from .epstein import BinaryQuadraticForm, epstein_accelerated, epstein_direct
 from .kronecker import (
     kronecker_lhs,
@@ -61,10 +60,6 @@ __all__ = ["DEFAULT_FORMS", "SUITE_NAMES", "SUITES", "RunConfig", "run_suites"]
 
 
 _ZERO = ApproxValue(0.0, 0.0)
-
-
-def _form_label(form: tuple[float, float, float]) -> str:
-    return ",".join(format(v, "g") for v in form)
 
 
 def _s_label(s: float) -> str:
@@ -120,16 +115,13 @@ def _suite_integral(config: RunConfig, check) -> None:
 
     check("integral/gamma-reflection-quarter", "§1", 1e-10, reflection_check)
 
-    for triple in config.forms:
-        form = BinaryQuadraticForm(*triple)
-        label = _form_label(triple)
-
+    for form in config.forms:
         def value_check(q=form):
             got = f_form(q, 1.0, 1e-12)
             target = -2.0 * math.pi / math.sqrt(q.disc)
             return got, ApproxValue(target, 4.0 * EPS * abs(target))
 
-        check(f"integral/f-at-1/{label}", "Prop. 3", 1e-10, value_check)
+        check(f"integral/f-at-1/{form.label}", "Prop. 3", 1e-10, value_check)
 
         def slope_check(q=form):
             got = f_form_derivative_at_1(q, 1e-11)
@@ -137,7 +129,7 @@ def _suite_integral(config: RunConfig, check) -> None:
                 math.sqrt(q.a / q.disc))
             return got, ApproxValue(target, 4.0 * EPS * abs(target))
 
-        check(f"integral/f-prime-at-1/{label}", "eq. (1)", 1e-8, slope_check)
+        check(f"integral/f-prime-at-1/{form.label}", "eq. (1)", 1e-8, slope_check)
 
 
 def _suite_special_values(config: RunConfig, check) -> None:
@@ -168,6 +160,8 @@ def _suite_special_values(config: RunConfig, check) -> None:
 
     check("special-values/gauss-gamma-reflection", "§1", 1e-8, gauss_reflection)
 
+    # Each route runs once for its two pairs; a stall is not cached, so it ends both.
+    @functools.cache
     def product_rule() -> ApproxValue:
         gamma = euler_gamma(1e-13)
         slope = L_chi4_prime_at_1(1e-11)
@@ -182,9 +176,11 @@ def _suite_special_values(config: RunConfig, check) -> None:
         q = (gammaL_integral(s_hi, 1e-13) - gammaL_integral(s_lo, 1e-13)) / (s_hi - s_lo)
         return q + ApproxValue(0.0, EPS * abs(q.value))
 
+    @functools.cache
     def central_difference() -> ApproxValue:
-        return _limit_at_zero(difference_quotient, 2.0 ** -8, 6)
+        return limit_at_zero(difference_quotient, 2.0 ** -8, 6)
 
+    @functools.cache
     def half_pi_integral() -> ApproxValue:
         return (math.pi / 2.0) * integral_I(1e-12)
 
@@ -216,45 +212,45 @@ _DIRECT_TOL = {1.25: 5e-2, 1.5: 3e-3, 2.0: 1e-5, 3.0: 2e-10}
 def _suite_epstein(config: RunConfig, check) -> None:
     unit = BinaryQuadraticForm(1.0, 0.0, 1.0)
 
+    # One accelerated sum per (form, s) for every check: it does not depend on tol.
+    @functools.cache
+    def accelerated(q: BinaryQuadraticForm, s: float) -> ApproxValue:
+        return epstein_accelerated(q, s, 1e-10)
+
     for s in _DIRICHLET_S:
         def dirichlet_check(s=s):
-            return (epstein_accelerated(unit, s, 1e-10),
+            return (accelerated(unit, s),
                     4.0 * (zeta(s, 1e-12) * L_chi4(s, 1e-12)))
 
         check(f"epstein/accelerated-vs-dirichlet/s={_s_label(s)}",
               "Lemma 2", 1e-9, dirichlet_check)
 
-    for triple in config.forms:
-        form = BinaryQuadraticForm(*triple)
-        label = _form_label(triple)
+    for form in config.forms:
         for s in _GRID_S:
             def engines_check(q=form, s=s):
-                return epstein_direct(q, s, _DIRECT_TOL[s]), epstein_accelerated(q, s, 1e-10)
+                return epstein_direct(q, s, _DIRECT_TOL[s]), accelerated(q, s)
 
-            check(f"epstein/direct-vs-accelerated/{label}/s={_s_label(s)}",
+            check(f"epstein/direct-vs-accelerated/{form.label}/s={_s_label(s)}",
                   "§3", 0.0, engines_check)
 
     def unimodular_check():
-        return (epstein_accelerated(unit, 1.5, 1e-12),
-                epstein_accelerated(BinaryQuadraticForm(2.0, -2.0, 1.0), 1.5, 1e-12))
+        return tuple(accelerated(q, 1.5).certified(1e-12, "accelerated lattice sum")
+                     for q in (unit, BinaryQuadraticForm(2.0, -2.0, 1.0)))
 
     check("epstein/unimodular-equivalence/s=1.5", "§3", 0.0, unimodular_check)
 
 
 def _suite_kronecker(config: RunConfig, check) -> None:
-    for triple in config.forms:
-        form = BinaryQuadraticForm(*triple)
-        label = _form_label(triple)
-
+    for form in config.forms:
         def limit_check(q=form):
             return kronecker_lhs(q, 1e-8), kronecker_rhs(q, 1e-11)
 
-        check(f"kronecker/lhs-vs-rhs/{label}", "Prop. 3", 1e-6, limit_check)
+        check(f"kronecker/lhs-vs-rhs/{form.label}", "Prop. 3", 1e-6, limit_check)
 
         def series_check(q=form):
             return l1_series(q, 1e-11), -2.0 * eta_uhp(q.z_point(), 1e-13).magnitude().log()
 
-        check(f"kronecker/l1-vs-eta-log/{label}", "eq. (1)", 1e-10, series_check)
+        check(f"kronecker/l1-vs-eta-log/{form.label}", "eq. (1)", 1e-10, series_check)
 
     check("kronecker/scalar-limit-vs-integral", "§3", 1e-8, scalar_limit_sides)
 
@@ -324,12 +320,13 @@ class RunConfig:
     """Knobs for one verification run, all checked when it is built.
 
     suites may name a suite more than once and in any order; it is reduced
-    to the canonical order of SUITE_NAMES; a built config is read-only.
+    to the canonical order of SUITE_NAMES; forms, (a, b, c) triples or
+    forms, become BinaryQuadraticForms; a built config is read-only.
     """
 
     suites: tuple[str, ...] = SUITE_NAMES
     qseries_order: int = 256          # also the n-range of the two-squares suite
-    forms: tuple[tuple[float, float, float], ...] = DEFAULT_FORMS
+    forms: tuple[BinaryQuadraticForm, ...] = DEFAULT_FORMS
     tol_overrides: Mapping[str, float] = field(default_factory=dict)
     output_path: str | None = None
     output_format: str = "json"
@@ -341,16 +338,15 @@ class RunConfig:
                              f"choose from {', '.join(SUITE_NAMES)}")
         object.__setattr__(self, "suites", tuple(s for s in SUITE_NAMES if s in self.suites))
         object.__setattr__(self, "tol_overrides", MappingProxyType(dict(self.tol_overrides)))
-        object.__setattr__(self, "forms", tuple(tuple(triple) for triple in self.forms))
         if not (isinstance(self.qseries_order, int) and self.qseries_order >= 16):
             raise ValueError(f"order must be an integer >= 16, got {self.qseries_order!r}")
-        for triple in self.forms:
-            BinaryQuadraticForm(*triple)
+        object.__setattr__(self, "forms", tuple(
+            f if isinstance(f, BinaryQuadraticForm) else BinaryQuadraticForm(*f) for f in self.forms))
         if self.output_format not in ("json", "markdown"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         for name, tol in self.tol_overrides.items():
             check_tol(tol, f"tolerance override {name}", zero_ok=True)
-        labels = [_form_label(triple) for triple in self.forms]
+        labels = [form.label for form in self.forms]
         shared = sorted({label for label in labels if labels.count(label) > 1})
         if shared:
             raise ValueError(f"forms share the record label {', '.join(shared)}; "

@@ -10,6 +10,7 @@ import pytest
 
 from thetaeval.approx import ApproxValue
 from thetaeval.cli import build_parser, main
+from thetaeval.epstein import BinaryQuadraticForm, epstein_accelerated
 from thetaeval.number_theory import r_divisor_table
 from thetaeval.report import (
     REPORT_VERSION,
@@ -19,6 +20,7 @@ from thetaeval.report import (
     render_markdown,
     timed_record,
 )
+from thetaeval import suites
 from thetaeval.suites import SUITE_NAMES, SUITES, RunConfig
 
 
@@ -198,6 +200,24 @@ class TestExitCodes:
         assert main(["triple-product", "two-squares", "--order", "4096"]) == 0
         assert "3/3 checks passed" in capsys.readouterr().out
 
+    # ROADMAP's failure table for `verify epstein kronecker --form F`; each
+    # row that stalls today is a strict xfail, so a fix has to flip it.
+    @pytest.mark.parametrize("form", [
+        "1,0,1", "2,-2,1", "1,0,1e6", "1.5,0,100",
+        *(pytest.param(form, marks=pytest.mark.xfail(strict=True, reason=reason))
+          for form, reason in (
+              ("1,0,1e-6", "level sets over 10^7 points, pole-gap stall, eta overflow"),
+              ("1e150,0,1e150", "the pole-gap extrapolation stalls"),
+              ("1e-150,0,1e-150", "level sets over 10^7 points, accelerated stall"),
+              ("3,1,1e8", "accelerated stall in lhs-vs-rhs, eta underflow"),
+              ("1,0,2e6", "accelerated stall in lhs-vs-rhs"),
+              ("1,0,1e12", "accelerated stall in lhs-vs-rhs, eta log series"),
+              ("1,0.3,1e12", "accelerated stall in lhs-vs-rhs, eta log series"))),
+    ])
+    def test_failure_table_row_passes(self, form, capsys):
+        assert main(["epstein", "kronecker", "--form", form]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unwritable_report_path_exits_two(self, capsys):
         rc = main(["theta", "--json", "/no-such-directory/report.json"])
         assert rc == 2
@@ -294,6 +314,30 @@ class TestRunBehaviour:
             assert main(["two-squares", "--order", "64"]) == 0
         assert calls == [64, 64]
 
+    def test_each_lattice_sum_and_slope_route_runs_once(self, monkeypatch, capsys):
+        # The epstein suite asks for 17 distinct (form, s) sums on the default
+        # forms, some of them from more than one check; the special-values
+        # suite compares three gammaL-slope routes in three pairs.
+        sums = []
+
+        def counted_sum(form, s, tol):
+            sums.append((form, s, tol))
+            return epstein_accelerated(form, s, tol)
+
+        monkeypatch.setattr("thetaeval.suites.epstein_accelerated", counted_sum)
+        assert main(["epstein"]) == 0
+        assert len(sums) == len(set(sums)) == 17
+
+        routes = []
+        for name in ("L_chi4_prime_at_1", "limit_at_zero", "integral_I"):
+            def counted_route(*args, _name=name, _route=getattr(suites, name)):
+                routes.append(_name)
+                return _route(*args)
+
+            monkeypatch.setattr(suites, name, counted_route)
+        assert main(["special-values"]) == 0
+        assert sorted(routes) == ["L_chi4_prime_at_1", "integral_I", "limit_at_zero"]
+
     def test_records_sorted_by_name(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         assert main(["kronecker", "--json", str(path)]) == 0
@@ -370,7 +414,9 @@ class TestRunConfig:
         overrides["no-such-check"] = 1.0  # the caller's dict was copied
         assert dict(config.tol_overrides) == {"theta/eta-shift-modulus": 1e-4}
         assert config.qseries_order == 256
-        assert RunConfig(forms=[[1.0, 0.0, 1.0]]).forms == ((1.0, 0.0, 1.0),)
+        assert RunConfig(forms=[[1.0, 0.0, 1.0]]).forms == (BinaryQuadraticForm(1.0, 0.0, 1.0),)
+        # A changed copy is a new config, built from the built forms.
+        assert dataclasses.replace(config, qseries_order=512).forms == config.forms
 
     # The second name is a check of the theta suite, not of the run's.
     @pytest.mark.parametrize("suites, name", [(SUITE_NAMES, "theta/no-such-check"),

@@ -20,7 +20,6 @@ from thetaeval import (
     RunConfig,
     eta_uhp,
     euler_gamma,
-    extrapolate_to_zero,
     gamma_integral,
     integral_I,
     kronecker_lhs,
@@ -31,8 +30,8 @@ from thetaeval import (
     theta_at_i_assembly,
     theta_uhp,
 )
-from thetaeval.approx import _limit_at_zero, pole_constant
-from thetaeval.kronecker import scalar_limit_sides
+from thetaeval.approx import limit_at_zero, pole_constant
+from thetaeval.kronecker import pole_gap, scalar_limit_sides
 
 FOUR_FORMS = [(1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0)]
 
@@ -42,49 +41,46 @@ limit_table = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(limit_table)
 
 
+def exact(g):
+    # A node function whose values carry no bound of their own.
+    return lambda e: ApproxValue(g(e), 0.0)
+
+
 class TestExtrapolation:
     def test_reproduces_polynomial_exactly(self):
         # Neville on n nodes is exact for degree n-1
-        nodes = [0.1 * 2.0 ** -k for k in range(8)]
-
         def g(e):
             return 3.0 + 2.0 * e - 5.0 * e ** 2 + e ** 3 - 0.5 * e ** 7
 
-        limit = extrapolate_to_zero(nodes, [g(e) for e in nodes])
+        limit = limit_at_zero(exact(g), 0.1, 8)
         assert abs(limit.value - 3.0) <= 1e-12
         assert abs(limit.value - 3.0) <= limit.error_bound
 
     def test_analytic_function(self):
-        nodes = [0.1 * 2.0 ** -k for k in range(8)]
-        values = [math.exp(2.0 * e) for e in nodes]
-        limit = extrapolate_to_zero(nodes, values)
+        limit = limit_at_zero(exact(lambda e: math.exp(2.0 * e)), 0.1, 8)
         assert abs(limit.value - 1.0) <= limit.error_bound
 
     def test_node_errors_amplified_into_bound(self):
-        nodes = [0.1 * 2.0 ** -k for k in range(8)]
-        values = [1.0 + e for e in nodes]
-        tight = extrapolate_to_zero(nodes, values)
-        loose = extrapolate_to_zero(nodes, values, [1e-9] * 8)
+        tight = limit_at_zero(exact(lambda e: 1.0 + e), 0.1, 8)
+        loose = limit_at_zero(lambda e: ApproxValue(1.0 + e, 1e-9), 0.1, 8)
         assert loose.error_bound > tight.error_bound + 1e-9
 
     def test_requires_four_nodes(self):
         with pytest.raises(ValueError):
-            extrapolate_to_zero([0.4, 0.2, 0.1], [1.0, 1.0, 1.0])
-
-    def test_requires_decreasing_nodes(self):
-        with pytest.raises(ValueError):
-            extrapolate_to_zero([0.1, 0.2, 0.05, 0.025], [1.0] * 4)
+            limit_at_zero(exact(lambda e: 1.0), 0.4, 3)
 
     def test_requires_aligned_finite_nodes(self):
-        nodes = [0.4, 0.2, 0.1, 0.05]
-        with pytest.raises(ValueError):
-            extrapolate_to_zero(nodes, [1.0] * 3)
-        with pytest.raises(ValueError):
-            extrapolate_to_zero(nodes, [1.0] * 4, [0.0] * 3)
-        with pytest.raises(ValueError):
-            extrapolate_to_zero(nodes, [1.0, math.inf, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            extrapolate_to_zero([0.4, 0.2, 0.1, 0.0], [1.0] * 4)
+        # The driver lays out its own ladder, so what it refuses is a ladder
+        # that does not stay finite and above 0: depth 3, eps0 not finite
+        # and positive, or a last node that underflows to 0.  No node is
+        # taken before the refusal.
+        def node(e):
+            raise AssertionError("node taken before the ladder was checked")
+
+        for eps0, depth in ((0.4, 3), (0.0, 8), (-0.1, 8), (math.inf, 8), (math.nan, 8),
+                            (1e-300, 100)):
+            with pytest.raises(ValueError, match="need depth >= 4"):
+                limit_at_zero(node, eps0, depth)
 
     def test_table_fields(self):
         # The driver's limit is an ApproxValue that carries the summed cost
@@ -95,11 +91,10 @@ class TestExtrapolation:
             seen.append(eps)
             return ApproxValue(2.0 + eps, 1e-15, 3)
 
-        limit = _limit_at_zero(node, 0.1, 8)
+        limit = limit_at_zero(node, 0.1, 8)
         assert seen == [0.1 * 2.0 ** -k for k in range(8)]
         assert limit.cost == 24
         assert abs(limit.value - 2.0) <= limit.error_bound
-        assert extrapolate_to_zero(seen, [2.0 + e for e in seen]).cost == 0
 
     def test_pole_constant_ladder(self):
         # The one ladder at the pole: s = 1 + 0.1 2^-k, k < 8, costs summed.
@@ -120,9 +115,7 @@ class TestExtrapolation:
        curve=st.floats(min_value=-2.0, max_value=2.0))
 @settings(max_examples=40)
 def test_extrapolation_recovers_quadratic_constant(constant, slope, curve):
-    nodes = [0.1 * 2.0 ** -k for k in range(8)]
-    values = [constant + slope * e + curve * e * e for e in nodes]
-    limit = extrapolate_to_zero(nodes, values)
+    limit = limit_at_zero(exact(lambda e: constant + slope * e + curve * e * e), 0.1, 8)
     assert abs(limit.value - constant) <= limit.error_bound + 1e-11
 
 
@@ -150,7 +143,7 @@ class TestKroneckerLimit:
         # the first bound
         form = BinaryQuadraticForm(1.0, 0.0, 2.0)
         _, base = limit_table.pole_gap_limit(form)
-        _, halved = limit_table.pole_gap_limit(form, [0.05 * 2.0 ** -k for k in range(8)])
+        halved = limit_at_zero(lambda e: pole_gap(form, 1 + e, 1e-8 / 64), 0.05, 8)
         assert abs(base.value - halved.value) <= base.error_bound
 
     @pytest.mark.parametrize("coeffs", FOUR_FORMS)

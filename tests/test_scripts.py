@@ -215,6 +215,28 @@ def test_one_entry_per_computation():
         assert not [node for node in ast.walk(engine) if isinstance(node, ast.While)], name
         assert "terms_needed" in _called_names(engine), name
 
+    # approx.limit_at_zero is the one limit driver: no second entry remains.
+    defined = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "limit_at_zero" in defined
+    assert not defined & {"extrapolate_to_zero", "_limit_at_zero"}
+
+    # Both form integrals go through the one vertex split and map.
+    quadrature = _functions("quadrature.py")
+    for name in ("f_form", "f_form_derivative_at_1"):
+        assert "_vertex_integral" in _called_names(quadrature[name]), name
+        assert not [node for node in ast.walk(quadrature[name])
+                    if isinstance(node, ast.FunctionDef) and node is not quadrature[name]], name
+
+    # RunConfig builds each form once; a suite builds only its own literal forms.
+    for name, suite in _functions("suites.py").items():
+        for node in ast.walk(suite):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) \
+                    == "BinaryQuadraticForm":
+                assert all(isinstance(arg, (ast.Constant, ast.UnaryOp)) for arg in node.args), \
+                    f"{name} line {node.lineno}"
+
 
 def test_one_owner_of_a_run_configuration():
     # report.py renders records and imports nothing from the package; the

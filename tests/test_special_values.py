@@ -23,7 +23,7 @@ from thetaeval import (
     integral_I,
     zeta,
 )
-from thetaeval.approx import EPS, ApproxValue, _limit_at_zero, pole_constant
+from thetaeval.approx import EPS, ApproxValue, limit_at_zero, pole_constant
 
 # frozen from scripts/compute_oracles.py (raw sums / Euler transforms)
 ORACLE_GAMMA = 0.57721566490153409
@@ -121,7 +121,7 @@ def test_pole_constant_of_zeta_is_euler_gamma():
 def test_pole_ladders_land_within_their_bound(eps0, depth):
     # Any halving ladder from eps0, not only pole_constant's, must bound its
     # own error: the limit of zeta(s) - 1/(s - 1) at s = 1 is Euler's constant.
-    limit = _limit_at_zero(lambda eps: zeta_regular(1.0 + eps), eps0, depth)
+    limit = limit_at_zero(lambda eps: zeta_regular(1.0 + eps), eps0, depth)
     assert abs(limit.value - ORACLE_GAMMA) <= limit.error_bound + ORACLE_GAMMA_BOUND
 
 
