@@ -32,6 +32,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+__all__ = ["ApproxValue", "NonConvergence"]
+
 EPS = 2.2204460492503131e-16    # spacing of doubles at 1.0
 
 

@@ -1,5 +1,8 @@
 """Command-line entry point: run verification suites and emit reports.
 
+main builds a RunConfig from the arguments (a bad one exits 2 here), runs
+the suites, prints the markdown table, and hands `--json PATH` or
+`--markdown PATH` to report.emit_report, which writes the report file.
 Exit codes: 0 all checks passed; 1 at least one check failed; 2 bad
 configuration or report IO failure; 3 at least one check's engine gave up or
 failed (every other check still ran and is reported).
@@ -14,7 +17,7 @@ from .approx import NonConvergence
 from .report import emit_report, render_markdown
 from .suites import DEFAULT_FORMS, SUITE_NAMES, RunConfig, run_suites
 
-__all__ = ["build_parser", "run", "main"]
+__all__ = ["build_parser", "main"]
 
 
 def _parse_form(text: str) -> tuple[float, float, float]:
@@ -66,19 +69,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        suites=tuple(args.suites) or SUITE_NAMES,
-        qseries_order=args.order,
-        forms=tuple(args.form) if args.form else DEFAULT_FORMS,
-        tol_overrides=dict(args.tol) if args.tol else {},
-        output_path=args.json or args.markdown,
-        output_format="json" if args.json else "markdown",
-    )
+def main(argv=None) -> int:
+    """Run the suites the arguments name; print and write reports; return the exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        config = RunConfig(
+            suites=tuple(args.suites) or SUITE_NAMES,
+            qseries_order=args.order,
+            forms=tuple(args.form) if args.form else DEFAULT_FORMS,
+            tol_overrides=dict(args.tol) if args.tol else {},
+        )
+    except ValueError as exc:
+        print(f"bad configuration: {exc}", file=sys.stderr)
+        return 2
 
-
-def run(config: RunConfig) -> int:
-    """Execute the configured suites; emit reports; return the exit code."""
     records, stalls = run_suites(config)
     print(render_markdown(records))
     passed = sum(1 for r in records if r.passed)
@@ -88,9 +92,10 @@ def run(config: RunConfig) -> int:
         detail = exc if isinstance(exc, NonConvergence) else f"{type(exc).__name__}: {exc}"
         print(f"engine gave up on {name}: {detail}", file=sys.stderr)
 
-    if config.output_path is not None:
+    path = args.json or args.markdown
+    if path is not None:
         try:
-            emit_report(records, config.output_format, config.output_path)
+            emit_report(records, "json" if args.json else "markdown", path)
         except OSError as exc:
             print(f"cannot write report: {exc}", file=sys.stderr)
             return 2
@@ -98,17 +103,6 @@ def run(config: RunConfig) -> int:
     if stalls:
         return 3
     return 0 if passed == len(records) else 1
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
-        return 2
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -34,8 +34,6 @@ __all__ = [
     "kronecker_lhs",
     "kronecker_rhs",
     "l1_series",
-    "pole_gap",
-    "scalar_limit_sides",
     "target_limit_check",
     "theta_at_i_assembly",
 ]

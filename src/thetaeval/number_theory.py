@@ -22,6 +22,8 @@ from math import isqrt
 
 import numpy as np
 
+__all__ = ["chi4", "r_bruteforce", "r_bruteforce_table", "r_divisor", "r_divisor_table"]
+
 
 def chi4(n: int) -> int:
     """The nontrivial character mod 4: 0 on evens, +1 when n = 1 (mod 4), -1 when n = 3 (mod 4)."""

@@ -18,11 +18,12 @@ about 6000 promote.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .number_theory import _check_order
+
+__all__ = ["QSeries", "qs_mul", "r_from_theta_squared", "theta_qseries", "triple_product_qseries"]
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ def r_from_theta_squared(n: int, order: int) -> int:
     _check_order(order)
     if not 0 <= n <= order:
         raise ValueError(f"need 0 <= n <= order, got n={n}, order={order}")
-    return _theta_squared_coeffs(order)[n]
+    theta = theta_qseries(order)
+    return qs_mul(theta, theta).coeffs[n]
 
 
 def _times_binomial(out: np.ndarray, k: int, e: int,
@@ -116,10 +118,4 @@ def _times_binomial(out: np.ndarray, k: int, e: int,
     step = np.add if e > 0 else np.subtract
     step(out[k:], out[: out.size - k], out=out[k:])
     return out, budget - 1
-
-
-@lru_cache(maxsize=8)
-def _theta_squared_coeffs(order: int) -> tuple[int, ...]:
-    t = theta_qseries(order)
-    return qs_mul(t, t).coeffs
 

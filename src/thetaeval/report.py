@@ -17,6 +17,8 @@ import math
 import time
 from dataclasses import dataclass
 
+__all__ = ["VerificationRecord", "emit_report"]
+
 REPORT_VERSION = "1.0.0"
 
 

@@ -15,8 +15,10 @@ included) to its own check and sorts each suite's records by name.  Default
 tolerances live here, next to the checks they gate; an override per record
 name through the configuration changes the verdict only, never how a value
 is computed.  RunConfig lives here too, with SUITE_NAMES, the key order of
-SUITES: building a RunConfig makes every configuration check once, form
-labels and override names included, so run_suites only runs checks.
+SUITES.  It holds only what run_suites reads (suites, order, forms and
+tolerance overrides; the report file is the CLI's), and building it makes
+every configuration check once, form labels and override names included,
+so run_suites only runs checks.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .kronecker import (
 )
 from .modular import UpperHalfPoint, eta_quotient, eta_uhp, theta_uhp
 from .number_theory import r_bruteforce_table, r_divisor_table
-from .qseries import _theta_squared_coeffs, theta_qseries, triple_product_qseries
+from .qseries import qs_mul, theta_qseries, triple_product_qseries
 from .quadrature import (
     f_form,
     f_form_derivative_at_1,
@@ -94,7 +96,8 @@ def _suite_two_squares(config: RunConfig, check) -> None:
         return _exact_gap(divisor(), r_bruteforce_table(order).tolist()[1:])
 
     def theta_square_vs_divisor():
-        return _exact_gap(_theta_squared_coeffs(order)[1:], divisor())
+        theta = theta_qseries(order)
+        return _exact_gap(qs_mul(theta, theta).coeffs[1:], divisor())
 
     check("two-squares/bruteforce-vs-divisor", "Lemma 2", 0.0, divisor_vs_bruteforce)
     check("two-squares/theta-squared-vs-divisor", "§3", 0.0, theta_square_vs_divisor)
@@ -189,16 +192,12 @@ def _suite_special_values(config: RunConfig, check) -> None:
         ("central-difference", central_difference),
         ("half-pi-integral", half_pi_integral),
     )
-    for i in range(len(routes)):
-        for j in range(i + 1, len(routes)):
-            name_i, fn_i = routes[i]
-            name_j, fn_j = routes[j]
+    for (name_f, f), (name_g, g) in itertools.combinations(routes, 2):
+        def pair_check(f=f, g=g):
+            return f(), g()
 
-            def pair_check(f=fn_i, g=fn_j):
-                return f(), g()
-
-            check(f"special-values/gammaL-slope/{name_i}-vs-{name_j}",
-                  "§3", 1e-6, pair_check)
+        check(f"special-values/gammaL-slope/{name_f}-vs-{name_g}",
+              "§3", 1e-6, pair_check)
 
 
 _DIRICHLET_S = (1.5, 2.0, 3.0, 1.0 + 2.0 ** -10)
@@ -317,7 +316,7 @@ DEFAULT_FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs for one verification run, all checked when it is built.
+    """What run_suites reads for one run, all checked when it is built.
 
     suites may name a suite more than once and in any order; it is reduced
     to the canonical order of SUITE_NAMES; forms, (a, b, c) triples or
@@ -328,8 +327,6 @@ class RunConfig:
     qseries_order: int = 256          # also the n-range of the two-squares suite
     forms: tuple[BinaryQuadraticForm, ...] = DEFAULT_FORMS
     tol_overrides: Mapping[str, float] = field(default_factory=dict)
-    output_path: str | None = None
-    output_format: str = "json"
 
     def __post_init__(self):
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
@@ -342,8 +339,6 @@ class RunConfig:
             raise ValueError(f"order must be an integer >= 16, got {self.qseries_order!r}")
         object.__setattr__(self, "forms", tuple(
             f if isinstance(f, BinaryQuadraticForm) else BinaryQuadraticForm(*f) for f in self.forms))
-        if self.output_format not in ("json", "markdown"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
         for name, tol in self.tol_overrides.items():
             check_tol(tol, f"tolerance override {name}", zero_ok=True)
         labels = [form.label for form in self.forms]

@@ -219,9 +219,19 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_unwritable_report_path_exits_two(self, capsys):
-        rc = main(["theta", "--json", "/no-such-directory/report.json"])
-        assert rc == 2
-        assert "cannot write report" in capsys.readouterr().err
+        for option in ("--json", "--markdown"):
+            rc = main(["theta", option, "/no-such-directory/report"])
+            assert rc == 2
+            assert "cannot write report" in capsys.readouterr().err
+
+    def test_one_report_file_per_run(self, tmp_path, capsys):
+        # --json and --markdown exclude each other: a usage error, no file written.
+        json_path, markdown_path = tmp_path / "r.json", tmp_path / "r.md"
+        with pytest.raises(SystemExit) as exc:
+            main(["theta", "--json", str(json_path), "--markdown", str(markdown_path)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not json_path.exists() and not markdown_path.exists()
 
 
 class TestJsonReport:
@@ -392,10 +402,6 @@ class TestRunConfig:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             RunConfig(tol_overrides={"a": -1.0})
-
-    def test_rejects_bad_format(self):
-        with pytest.raises(ValueError):
-            RunConfig(output_format="yaml")
 
     def test_rejects_forms_sharing_a_label(self):
         # Both forms would label their records "1,0,1".

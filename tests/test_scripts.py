@@ -3,11 +3,13 @@
 The scripts import the package by its public names, so an API change that
 breaks one shows up here.  The oracle script must stay independent of the
 engines it checks, and the package keeps record building in one place,
-one bounded-value type, two independent two-squares routes and one owner
-of a run's configuration.
+one bounded-value type, two independent two-squares routes, one owner
+of a run's configuration and one declaration per public name.
 """
 
 import ast
+import dataclasses
+import importlib
 import json
 import os
 import pathlib
@@ -262,6 +264,59 @@ def test_one_owner_of_a_run_configuration():
     runner = next(node for node in suites.body
                   if isinstance(node, ast.FunctionDef) and node.name == "run_suites")
     assert not [node for node in ast.walk(runner) if isinstance(node, ast.Raise)]
+
+
+PUBLIC_NAMES = sorted([
+    "ApproxValue", "BinaryQuadraticForm", "DEFAULT_FORMS", "L_chi4", "L_chi4_prime_at_1",
+    "NonConvergence", "QSeries", "RunConfig", "SUITES", "SUITE_NAMES", "UpperHalfPoint",
+    "VerificationRecord", "__version__", "chi4", "emit_report", "epstein_accelerated",
+    "epstein_direct", "eta_quotient", "eta_uhp", "euler_gamma", "f_form",
+    "f_form_derivative_at_1", "gammaL_integral", "gamma_gauss", "gamma_integral", "integral_I",
+    "kronecker_lhs", "kronecker_rhs", "l1_series", "qs_mul", "r_bruteforce",
+    "r_bruteforce_table", "r_divisor", "r_divisor_table", "r_from_theta_squared", "run_suites",
+    "target_limit_check", "theta_at_i_assembly", "theta_qseries", "theta_uhp",
+    "triple_product_qseries", "upper_incomplete_gamma", "zeta",
+])
+
+
+def test_one_declaration_per_public_name():
+    # Each module's __all__ declares its public names once; the package
+    # re-exports every module but the CLI, spells no name itself, and its
+    # __all__ is their union.  The report file is the CLI's business, so
+    # RunConfig holds only what run_suites reads.
+    package = importlib.import_module("thetaeval")
+    homes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("__init__", "cli"):
+            continue
+        module = importlib.import_module(f"thetaeval.{path.stem}")
+        for name in module.__all__:
+            assert name not in homes, f"{name} in {homes.get(name)} and {path.stem}"
+            homes[name] = module
+    assert len(package.__all__) == len(set(package.__all__))
+    assert set(package.__all__) == set(homes) | {"__version__"}
+    for name, module in homes.items():
+        obj = getattr(module, name)
+        assert getattr(package, name) is obj, name
+        assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+    assert sorted(package.__all__) == PUBLIC_NAMES
+
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    spelled = {node.value for node in ast.walk(init)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not spelled & set(PUBLIC_NAMES) - {"__version__"}
+    assert not [node.lineno for node in ast.walk(init)
+                if isinstance(node, (ast.List, ast.Tuple, ast.Set))
+                and any(isinstance(elt, ast.Constant) for elt in node.elts)]
+
+    cli = importlib.import_module("thetaeval.cli")
+    assert [f.name for f in dataclasses.fields(homes["RunConfig"].RunConfig)] \
+        == ["suites", "qseries_order", "forms", "tol_overrides"]
+    assert cli.__all__ == ["build_parser", "main"] and not hasattr(cli, "run")
+    raised = {(path.stem, node.name) for path in PACKAGE.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef) and "unknown output format" in ast.unparse(node)}
+    assert raised == {("report", "emit_report")}
 
 
 def _report(records):
