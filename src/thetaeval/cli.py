@@ -11,6 +11,7 @@ failed (every other check still ran and is reported).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .approx import NonConvergence
@@ -83,6 +84,9 @@ def main(argv=None) -> int:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2
 
+    # The engines call no BLAS routine, so OpenBLAS need not start a thread pool
+    # when an engine loads numpy; a user's own setting wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     records, stalls = run_suites(config)
     print(render_markdown(records))
     passed = sum(1 for r in records if r.passed)
@@ -92,10 +96,10 @@ def main(argv=None) -> int:
         detail = exc if isinstance(exc, NonConvergence) else f"{type(exc).__name__}: {exc}"
         print(f"engine gave up on {name}: {detail}", file=sys.stderr)
 
-    path = args.json or args.markdown
+    path = args.json if args.json is not None else args.markdown
     if path is not None:
         try:
-            emit_report(records, "json" if args.json else "markdown", path)
+            emit_report(records, "json" if args.json is not None else "markdown", path)
         except OSError as exc:
             print(f"cannot write report: {exc}", file=sys.stderr)
             return 2

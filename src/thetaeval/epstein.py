@@ -60,8 +60,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .approx import EPS, ApproxValue, NonConvergence, check_tol
 from .modular import UpperHalfPoint
 from .quadrature import gamma_integral
@@ -154,6 +152,7 @@ def _level_set(form: BinaryQuadraticForm, level: float):
     Each block holds at most _BLOCK values.  Raises NonConvergence before
     any work when the candidates could number more than _MAX_POINTS.
     """
+    import numpy as np
     a, b, c, disc = form.a, form.b, form.c, form.disc
     height = math.sqrt(4.0 * a * level / disc)
     # Half the ellipse's area, its widest row, and five per row.
@@ -322,7 +321,7 @@ def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
     return ApproxValue(*_incomplete_gamma(s, x))
 
 
-def _gamma_block(s: float, x: np.ndarray, weight: np.ndarray) -> tuple[float, float, int]:
+def _gamma_block(s: float, x, weight) -> tuple[float, float, int]:
     # Sum of weight * Gamma(s, x) over one block of pair representatives,
     # its bound and its cost, each doubled to count every -v too.
     values, errs, cost = [], [], 0

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from math import isqrt
 
-import numpy as np
-
 __all__ = ["chi4", "r_bruteforce", "r_bruteforce_table", "r_divisor", "r_divisor_table"]
 
 
@@ -66,13 +64,14 @@ def r_divisor(n: int) -> int:
     return 4 * total
 
 
-def r_bruteforce_table(order: int) -> np.ndarray:
+def r_bruteforce_table(order: int):
     """r(0..order) as an int64 array, by counting lattice points.
 
     Rotation by a quarter turn maps each nonzero point onto exactly one
     point with x >= 1 and y >= 0, so r(n) is 4 times the number of those
     with x^2 + y^2 = n.
     """
+    import numpy as np
     _check_order(order)
     squares = np.arange(isqrt(order) + 1, dtype=np.int64) ** 2
     norms = (squares[1:, None] + squares[None, :]).ravel()
@@ -81,13 +80,14 @@ def r_bruteforce_table(order: int) -> np.ndarray:
     return table
 
 
-def r_divisor_table(order: int) -> np.ndarray:
+def r_divisor_table(order: int):
     """r(0..order) as an int64 array, by sieving chi4 over divisors.
 
     Each pair d m <= order adds chi4(d) to entry d m.  With s = isqrt(order)
     a pair has d <= s or m <= s, never both past s, so the pairs go one d at
     a time up to s, then one m at a time for d > s: 2 s slices in all.
     """
+    import numpy as np
     _check_order(order)
     s = isqrt(order)
     chars = np.array([chi4(d) for d in range(order + 1)], dtype=np.int64)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .number_theory import _check_order
 
 __all__ = ["QSeries", "qs_mul", "r_from_theta_squared", "theta_qseries", "triple_product_qseries"]
@@ -80,6 +78,7 @@ def theta_qseries(order: int) -> QSeries:
 
 def triple_product_qseries(order: int) -> QSeries:
     """Product over n >= 1 of (1 - q^(2n)) (1 + q^(2n-1))^2, truncated."""
+    import numpy as np
     _check_order(order)
     out = np.zeros(order + 1, dtype=np.int64)
     out[0] = 1
@@ -92,16 +91,19 @@ def triple_product_qseries(order: int) -> QSeries:
 
 
 def r_from_theta_squared(n: int, order: int) -> int:
-    """Representation count r(n): coefficient of q**n in the squared series."""
+    """Representation count r(n): coefficient of q**n in the squared series.
+
+    Only that coefficient is formed, as the sum of theta_j theta_(n-j) over
+    the nonzero theta_j, j <= n.
+    """
     _check_order(order)
     if not 0 <= n <= order:
         raise ValueError(f"need 0 <= n <= order, got n={n}, order={order}")
-    theta = theta_qseries(order)
-    return qs_mul(theta, theta).coeffs[n]
+    theta = theta_qseries(n).coeffs
+    return sum(c * theta[n - j] for j, c in enumerate(theta) if c)
 
 
-def _times_binomial(out: np.ndarray, k: int, e: int,
-                    budget: int = 0) -> tuple[np.ndarray, int]:
+def _times_binomial(out, k: int, e: int, budget: int = 0):
     """Times 1 + e q^k (0 < k < out.size, e = +-1), in place on the returned array.
 
     budget is how many binomials an int64 array is still proven to take
@@ -115,7 +117,9 @@ def _times_binomial(out: np.ndarray, k: int, e: int,
         if budget <= 0:
             out = out.astype(object)
     # numpy buffers overlapping operands, so the step reads old values.
-    step = np.add if e > 0 else np.subtract
-    step(out[k:], out[: out.size - k], out=out[k:])
+    if e > 0:
+        out[k:] += out[: out.size - k]
+    else:
+        out[k:] -= out[: out.size - k]
     return out, budget - 1
 

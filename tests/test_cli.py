@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import warnings
 
@@ -223,6 +224,26 @@ class TestExitCodes:
             rc = main(["theta", option, "/no-such-directory/report"])
             assert rc == 2
             assert "cannot write report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--json", "--markdown"])
+    def test_empty_report_path_exits_two(self, option, capsys):
+        assert main(["theta", option, ""]) == 2
+        assert "cannot write report" in capsys.readouterr().err
+
+    def test_one_blas_thread_unless_the_user_chose(self, monkeypatch, capsys):
+        # Set before any suite runs, so numpy, loaded by an engine, sees it.
+        seen = []
+
+        def record_setting(config):
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            return [], []
+
+        monkeypatch.setattr("thetaeval.cli.run_suites", record_setting)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main(["theta"]) == 0
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        assert main(["theta"]) == 0
+        assert seen == ["1", "4"]
 
     def test_one_report_file_per_run(self, tmp_path, capsys):
         # --json and --markdown exclude each other: a usage error, no file written.

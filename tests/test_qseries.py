@@ -238,8 +238,14 @@ class TestRFromThetaSquared:
         assert r_from_theta_squared(25, 32) == 12
 
     def test_rejects_index_beyond_order(self):
-        with pytest.raises(ValueError):
-            r_from_theta_squared(33, 32)
+        for n in (33, -1):
+            with pytest.raises(ValueError):
+                r_from_theta_squared(n, 32)
+
+    def test_equals_the_full_square_up_to_512(self):
+        theta = theta_qseries(512)
+        square = qs_mul(theta, theta).coeffs
+        assert [r_from_theta_squared(n, 512) for n in range(513)] == list(square)
 
     def test_agrees_with_integer_counts_up_to_512(self):
         order = 512

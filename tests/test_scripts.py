@@ -4,7 +4,8 @@ The scripts import the package by its public names, so an API change that
 breaks one shows up here.  The oracle script must stay independent of the
 engines it checks, and the package keeps record building in one place,
 one bounded-value type, two independent two-squares routes, one owner
-of a run's configuration and one declaration per public name.
+of a run's configuration and one declaration per public name, and loads
+numpy only inside the engines that use it.
 """
 
 import ast
@@ -27,12 +28,17 @@ SCRIPTS = ROOT / "scripts"
     ["calibrate_direct_engine.py", "--grid-tol", "0.1", "--sweep-min", "1e-5"],
 ])
 def test_script_runs(argv):
+    proc = _run_with_package([str(SCRIPTS / argv[0]), *argv[1:]])
+    assert proc.returncode == 0, proc.stderr
+
+
+def _run_with_package(args):
+    # A fresh interpreter that imports the package from this tree's src/.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_oracle_script_never_imports_the_package():
@@ -390,3 +396,27 @@ def test_compare_reports_refuses_a_malformed_report(tmp_path, report, problem):
         assert proc.stdout == ""
         assert "cannot read report" in proc.stderr and problem in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_no_module_of_the_package_imports_numpy_at_module_level():
+    # numpy loads only inside the engines that use it, so the CLI and the
+    # scalar suites start without it.  Only a function body defers a statement.
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = list(ast.parse(path.read_text()).body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "numpy" for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "numpy", path.name
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_cli_and_scalar_suites_never_load_numpy():
+    proc = _run_with_package(["-c", "import sys, thetaeval.cli\n"
+                                    "assert 'numpy' not in sys.modules, 'import'\n"
+                                    "assert thetaeval.cli.main(['theta']) == 0\n"
+                                    "assert 'numpy' not in sys.modules, 'verify theta'\n"])
+    assert proc.returncode == 0, proc.stderr
