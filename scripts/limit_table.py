@@ -5,10 +5,10 @@ For each standard form, print the raw node values
     g(eps) = (sqrt(D) / 4 pi) Z(1 + eps) - zeta(2 (1 + eps) - 1)
 
 on the ladder of approx.pole_constant, eps = 0.1 * 2^-k, k < 8, each from
-pole_gap at the node tolerance kronecker_lhs(form, 1e-8) uses.  The nodes
-are recorded by the node function pole_constant itself evaluates, so the
-table shows the ladder kronecker_lhs extrapolates, not a copy of it.  The
-raw sequence crawls toward the limit at first order in eps; the
+pole_gap at the limit's own tolerance 1e-8, as in kronecker_lhs(form, 1e-8).
+The nodes are recorded by the node function pole_constant itself evaluates,
+so the table shows the ladder kronecker_lhs extrapolates, not a copy of it.
+The raw sequence crawls toward the limit at first order in eps; the
 extrapolated limit lands within ~1e-12 of the closed form, and is checked
 to equal the value kronecker_lhs returns.  The last column is the honest
 check: |extrapolated - closed| against the reported bound.
@@ -29,11 +29,11 @@ TOL = 1e-8
 
 def pole_gap_limit(form):
     """The nodes (eps, g(eps)) of pole_constant's ladder, each to the
-    TOL / 64 kronecker_lhs gives a node, and their limit at eps = 0."""
+    TOL kronecker_lhs gives a node, and their limit at eps = 0."""
     nodes = []
 
     def node(s):
-        g = pole_gap(form, s, TOL / 64.0)
+        g = pole_gap(form, s, TOL)
         nodes.append((s - 1.0, g))
         return g
 

@@ -209,14 +209,12 @@ def epstein_direct(form: BinaryQuadraticForm, s: float, tol: float = 1e-2) -> Ap
 def _gamma_cached(s: float) -> ApproxValue:
     # Gamma(s) = (s - 1) Gamma(s - 1): past s = 4, Gamma(s) > 6 brings the
     # quadrature's rounding floor up to 1e-14.  Each s - 1 is exact; each
-    # product rounds by EPS/2 of the running value.  Below 1/2, Gamma(s) =
-    # Gamma(s + 1) / s with Gamma(s + 1) to 1e-14 and 2 EPS for rounding
-    # s + 1 and the quotient: gamma_integral's own lift would ask the
-    # quadrature for s 1e-14, below its rounding floor.
+    # product rounds by EPS/2 of the running value.  Below 1/2,
+    # gamma_integral's own lift asks Gamma(s + 1) for s tol = 1e-14.
     if not s <= 171.0:
         raise ValueError(f"need s <= 171, as Gamma(s) overflows past 171.62; got s={s}")
     if s < 0.5:
-        return (_gamma_cached(s + 1.0) + ApproxValue(0.0, 2.0 * EPS)) / s
+        return gamma_integral(s, 1e-14 / s)
     factor, steps = 1.0, 0
     while s > 4.0:
         s -= 1.0

@@ -39,17 +39,18 @@ __all__ = [
 ]
 
 
-def pole_gap(form: BinaryQuadraticForm, s: float, node_tol: float) -> ApproxValue:
-    """(sqrt(D)/4 pi) Z(s) - zeta(2s - 1), each term to node_tol / 2."""
+def pole_gap(form: BinaryQuadraticForm, s: float, tol: float) -> ApproxValue:
+    """(sqrt(D)/4 pi) Z(s) - zeta(2s - 1), each term to tol."""
     factor = math.sqrt(form.disc) / (4.0 * math.pi)
-    z_val = epstein_accelerated(form, s, node_tol / (2.0 * factor))
-    return factor * z_val - zeta(2.0 * s - 1.0, node_tol / 2.0)
+    z_val = epstein_accelerated(form, s, tol / factor)
+    return factor * z_val - zeta(2.0 * s - 1.0, tol)
 
 
 def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8) -> ApproxValue:
-    """Limit of pole_gap at s = 1, its nodes each to tol / 64."""
+    """Limit of pole_gap at s = 1, each node to tol: the finest node weighs
+    about 3.44 in the limit's bound, so a smaller node share only stalls first."""
     check_tol(tol)
-    return pole_constant(lambda s: pole_gap(form, s, tol / 64.0)).certified(
+    return pole_constant(lambda s: pole_gap(form, s, tol)).certified(
         tol, "pole-gap extrapolation")
 
 
@@ -83,7 +84,7 @@ def l1_series(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
 def scalar_limit_sides() -> tuple[ApproxValue, ApproxValue]:
     """(2/pi) zeta(s) L(s) - zeta(2s - 1) at s = 1, through pole_constant,
     and the logarithmic cosh integral; each node term to a fixed 3.9e-11."""
-    part = 1e-8 / 64.0 / 4.0
+    part = 3.90625e-11
 
     def regular(s: float) -> ApproxValue:
         return ((2.0 / math.pi) * (zeta(s, part) * L_chi4(s, part))

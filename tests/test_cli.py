@@ -190,12 +190,17 @@ class TestExitCodes:
         assert main(["epstein", "kronecker", "--form", "1,0,1e6"]) == 0
         assert "12/12 checks passed" in capsys.readouterr().out
 
-    def test_more_elongated_form_stalls_only_the_limit_check(self, capsys):
-        assert main(["epstein", "kronecker", "--form", "1,0,4e6"]) == 3
+    def test_elongation_boundary_is_eta_underflow(self, capsys):
+        # Every check passes to c = 7e6; past that the eta product
+        # underflows and stops both Kronecker checks, and nothing else.
+        assert main(["epstein", "kronecker", "--form", "1,0,4e6"]) == 0
+        assert "12/12 checks passed" in capsys.readouterr().out
+        assert main(["epstein", "kronecker", "--form", "1,0,8e6"]) == 3
         captured = capsys.readouterr()
-        assert "11/11 checks passed" in captured.out
-        assert "engine gave up on kronecker/lhs-vs-rhs/1,0,4e+06: " in captured.err
-        assert captured.err.count("engine gave up on") == 1
+        assert "10/10 checks passed" in captured.out
+        assert captured.err.count("eta product underflows at Im z = 2828.43") == 2
+        assert captured.err.count("engine gave up on") == 2
+        assert "accelerated lattice sum stalled" not in captured.err
 
     def test_deep_order_runs_in_tier_one(self, capsys):
         assert main(["triple-product", "two-squares", "--order", "4096"]) == 0
@@ -204,16 +209,15 @@ class TestExitCodes:
     # ROADMAP's failure table for `verify epstein kronecker --form F`; each
     # row that stalls today is a strict xfail, so a fix has to flip it.
     @pytest.mark.parametrize("form", [
-        "1,0,1", "2,-2,1", "1,0,1e6", "1.5,0,100",
+        "1,0,1", "2,-2,1", "1,0,1e6", "1.5,0,100", "1,0,2e6",
         *(pytest.param(form, marks=pytest.mark.xfail(strict=True, reason=reason))
           for form, reason in (
               ("1,0,1e-6", "level sets over 10^7 points, pole-gap stall, eta overflow"),
               ("1e150,0,1e150", "the pole-gap extrapolation stalls"),
               ("1e-150,0,1e-150", "level sets over 10^7 points, accelerated stall"),
-              ("3,1,1e8", "accelerated stall in lhs-vs-rhs, eta underflow"),
-              ("1,0,2e6", "accelerated stall in lhs-vs-rhs"),
-              ("1,0,1e12", "accelerated stall in lhs-vs-rhs, eta log series"),
-              ("1,0.3,1e12", "accelerated stall in lhs-vs-rhs, eta log series"))),
+              ("3,1,1e8", "eta underflow in both Kronecker checks"),
+              ("1,0,1e12", "pole-gap extrapolation stall, eta underflow"),
+              ("1,0.3,1e12", "pole-gap extrapolation stall, eta underflow"))),
     ])
     def test_failure_table_row_passes(self, form, capsys):
         assert main(["epstein", "kronecker", "--form", form]) == 0

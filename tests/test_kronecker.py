@@ -143,8 +143,18 @@ class TestKroneckerLimit:
         # the first bound
         form = BinaryQuadraticForm(1.0, 0.0, 2.0)
         _, base = limit_table.pole_gap_limit(form)
-        halved = limit_at_zero(lambda e: pole_gap(form, 1 + e, 1e-8 / 64), 0.05, 8)
+        halved = limit_at_zero(lambda e: pole_gap(form, 1 + e, 1e-8), 0.05, 8)
         assert abs(base.value - halved.value) <= base.error_bound
+
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 1e7), (1.0, 0.0, 1e8), (3.0, 1.0, 1e8)])
+    def test_elongated_limit_matches_the_eta_log_series(self, coeffs):
+        # Past c = 8e6 the eta product underflows, but the limit still
+        # certifies: its nodes take its own tolerance.  The log-space eta
+        # series gives the right side without underflow.
+        form = BinaryQuadraticForm(*coeffs)
+        lhs = kronecker_lhs(form, 1e-8)
+        rhs = 0.5 * math.log(form.a / form.disc) + l1_series(form, 1e-11)
+        assert abs(lhs.value - rhs.value) <= lhs.error_bound + rhs.error_bound
 
     @pytest.mark.parametrize("coeffs", FOUR_FORMS)
     def test_limit_script_matches_engine(self, coeffs):

@@ -237,6 +237,16 @@ def test_one_entry_per_computation():
         assert not [node for node in ast.walk(quadrature[name])
                     if isinstance(node, ast.FunctionDef) and node is not quadrature[name]], name
 
+    # The Kronecker limit asks its nodes for its own tolerance: pole_gap is
+    # called with plain names, so no share of tol is carved off on the way.
+    calls = [node for node in ast.walk(_functions("kronecker.py")["kronecker_lhs"])
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pole_gap"]
+    assert calls and all(isinstance(arg, ast.Name) for call in calls
+                         for arg in [*call.args, *(kw.value for kw in call.keywords)])
+
+    # Gamma below 1/2 takes gamma_integral's lift, with no lift of its own.
+    assert "_gamma_cached" not in _called_names(_functions("epstein.py")["_gamma_cached"])
+
     # RunConfig builds each form once; a suite builds only its own literal forms.
     for name, suite in _functions("suites.py").items():
         for node in ast.walk(suite):
