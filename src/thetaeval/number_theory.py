@@ -5,8 +5,8 @@ independent routes, each in a per-n form and a whole-range form that
 returns the table r(0..N) at once (r(0) = 1, the pair (0, 0)):
 
 - direct search: r_bruteforce walks x and tests whether n - x^2 is a
-  square; r_bruteforce_table bincounts x^2 + y^2 over the box
-  1 <= x <= sqrt N, 0 <= y <= sqrt N, a temporary of about N entries;
+  square; r_bruteforce_table counts the points x^2 + y^2 <= N with
+  x >= 1, y >= 0;
 - divisors: r(n) = 4 sum_{d | n} chi4(d) (Lemma 2).  r_divisor sums over
   the divisor pairs of one n; r_divisor_table sieves, adding chi4(d) to
   every multiple of each d.
@@ -64,42 +64,37 @@ def r_divisor(n: int) -> int:
     return 4 * total
 
 
-def r_bruteforce_table(order: int):
-    """r(0..order) as an int64 array, by counting lattice points.
+def r_bruteforce_table(order: int) -> tuple[int, ...]:
+    """r(0..order), by counting lattice points.
 
     Rotation by a quarter turn maps each nonzero point onto exactly one
     point with x >= 1 and y >= 0, so r(n) is 4 times the number of those
     with x^2 + y^2 = n.
     """
-    import numpy as np
     _check_order(order)
-    squares = np.arange(isqrt(order) + 1, dtype=np.int64) ** 2
-    norms = (squares[1:, None] + squares[None, :]).ravel()
-    table = 4 * np.bincount(norms[norms <= order], minlength=order + 1)
+    squares = [y * y for y in range(isqrt(order) + 1)]
+    table = [0] * (order + 1)
     table[0] = 1
-    return table
+    for x2 in squares[1:]:
+        for y2 in squares:
+            if x2 + y2 > order:
+                break
+            table[x2 + y2] += 4
+    return tuple(table)
 
 
-def r_divisor_table(order: int):
-    """r(0..order) as an int64 array, by sieving chi4 over divisors.
-
-    Each pair d m <= order adds chi4(d) to entry d m.  With s = isqrt(order)
-    a pair has d <= s or m <= s, never both past s, so the pairs go one d at
-    a time up to s, then one m at a time for d > s: 2 s slices in all.
-    """
-    import numpy as np
+def r_divisor_table(order: int) -> tuple[int, ...]:
+    """r(0..order), by sieving chi4 over divisors: each d adds 4 chi4(d)
+    to every multiple of d."""
     _check_order(order)
-    s = isqrt(order)
-    chars = np.array([chi4(d) for d in range(order + 1)], dtype=np.int64)
-    sums = np.zeros(order + 1, dtype=np.int64)
-    for d in range(1, s + 1):
-        sums[d::d] += chars[d]
-    for m in range(1, s + 1):
-        top = order // m
-        sums[m * (s + 1): m * top + 1: m] += chars[s + 1: top + 1]
-    table = 4 * sums
+    table = [0] * (order + 1)
     table[0] = 1
-    return table
+    for d in range(1, order + 1):
+        char = 4 * chi4(d)
+        if char:
+            for n in range(d, order + 1, d):
+                table[n] += char
+    return tuple(table)
 
 
 def _check_positive(n: int) -> None:

@@ -3,16 +3,8 @@
 Everything here is exact: coefficients are unbounded Python ints and a
 truncation order fixed at construction.  The two series of interest are the
 square-indicator series (1 + 2q + 2q^4 + 2q^9 + ...) and the product
-(1-q^2)(1+q)^2 (1-q^4)(1+q^3)^2 ..., expanded one binomial 1 +- q^k at a time,
-up to the last factor that can touch a retained coefficient, on an int64
-array.  A binomial at most doubles max|c|, so after an exact max M the next
-63 - M.bit_length() binomials provably stay below 2**63; the array is
-scanned for its max again only once that budget is spent, and turns into
-Python ints (dtype=object) when the scan finds M >= 2**62.  So int64 never
-wraps.  Wrapping is not acceptable although the final coefficients are 0, 1
-and 2: arithmetic mod 2**64 proves a congruence, not the equality the
-product check certifies.  Values reach 51 bits at order 4096; orders past
-about 6000 promote.
+(1-q^2)(1+q)^2 (1-q^4)(1+q^3)^2 ..., whose coefficients come from its
+logarithmic derivative, read off the factors alone.
 """
 
 from __future__ import annotations
@@ -77,17 +69,33 @@ def theta_qseries(order: int) -> QSeries:
 
 
 def triple_product_qseries(order: int) -> QSeries:
-    """Product over n >= 1 of (1 - q^(2n)) (1 + q^(2n-1))^2, truncated."""
-    import numpy as np
+    """Product over n >= 1 of (1 - q^(2n)) (1 + q^(2n-1))^2, truncated.
+
+    With P the product, q P'/P = sum c_k q^k, where a factor 1 - q^m (m even)
+    puts -m at every multiple of m and (1 + q^m)^2 (m odd) puts +2m, -2m,
+    +2m, ... at m, 2m, 3m, ...  Then n p_n = sum_{k=1..n} c_k p_(n-k), an
+    exact division since P has integer coefficients.  Each nonzero p_n
+    is added, times c, into the running sums of every later n at once.
+    """
     _check_order(order)
-    out = np.zeros(order + 1, dtype=np.int64)
-    out[0] = 1
-    budget = 0
-    for n in range(1, (order + 1) // 2 + 1):
-        for k, e in ((2 * n - 1, 1), (2 * n - 1, 1), (2 * n, -1)):
-            if k <= order:
-                out, budget = _times_binomial(out, k, e, budget)
-    return QSeries(tuple(out.tolist()))
+    c = [0] * (order + 1)
+    for m in range(1, order + 1):
+        if m % 2:
+            for k in range(m, order + 1, 2 * m):
+                c[k] += 2 * m
+            for k in range(2 * m, order + 1, 2 * m):
+                c[k] -= 2 * m
+        else:
+            for k in range(m, order + 1, m):
+                c[k] -= m
+    # p[n] holds the running sum for n until step n divides it into p_n.
+    p = c[:]
+    p[0] = 1
+    for n in range(1, order + 1):
+        p[n] = pn = p[n] // n
+        if pn:
+            p[n + 1:] = [s + pn * ck for s, ck in zip(p[n + 1:], c[1:])]
+    return QSeries(tuple(p))
 
 
 def r_from_theta_squared(n: int, order: int) -> int:
@@ -101,25 +109,3 @@ def r_from_theta_squared(n: int, order: int) -> int:
         raise ValueError(f"need 0 <= n <= order, got n={n}, order={order}")
     theta = theta_qseries(n).coeffs
     return sum(c * theta[n - j] for j, c in enumerate(theta) if c)
-
-
-def _times_binomial(out, k: int, e: int, budget: int = 0):
-    """Times 1 + e q^k (0 < k < out.size, e = +-1), in place on the returned array.
-
-    budget is how many binomials an int64 array is still proven to take
-    without wrapping; at 0 or below the max is taken again, and the array
-    promoted if that max could reach 2**63 in this step.  Returns the
-    array and the budget left after this step.
-    """
-    if out.dtype != object and budget <= 0:
-        top = max(int(out.max()), -int(out.min()))
-        budget = 63 - top.bit_length()
-        if budget <= 0:
-            out = out.astype(object)
-    # numpy buffers overlapping operands, so the step reads old values.
-    if e > 0:
-        out[k:] += out[: out.size - k]
-    else:
-        out[k:] -= out[: out.size - k]
-    return out, budget - 1
-

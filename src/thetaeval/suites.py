@@ -85,15 +85,15 @@ def _suite_triple_product(config: RunConfig, check) -> None:
 
 def _suite_two_squares(config: RunConfig, check) -> None:
     # r(n) for n = 1..order, each side a whole table; the divisor table is
-    # built by whichever check runs first and shared as a tuple.
+    # built by whichever check runs first and shared.
     order = config.qseries_order
 
     @functools.cache
     def divisor() -> tuple[int, ...]:
-        return tuple(r_divisor_table(order).tolist()[1:])
+        return r_divisor_table(order)[1:]
 
     def divisor_vs_bruteforce():
-        return _exact_gap(divisor(), r_bruteforce_table(order).tolist()[1:])
+        return _exact_gap(divisor(), r_bruteforce_table(order)[1:])
 
     def theta_square_vs_divisor():
         theta = theta_qseries(order)

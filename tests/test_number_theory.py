@@ -115,13 +115,13 @@ def _scalar_counts() -> list[int]:
 class TestTables:
     def test_equals_the_scalar_count_up_to_2000(self, table):
         result = table(2000)
-        assert result.dtype == "int64"
-        assert result.tolist() == _scalar_counts()[:2001]
+        assert type(result) is tuple and all(type(r) is int for r in result)
+        assert list(result) == _scalar_counts()[:2001]
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 24, 25, 26])
     def test_small_orders_and_squares(self, table, order):
-        # The bincount box and the divisor split both turn at isqrt(order).
-        assert table(order).tolist() == _scalar_counts()[: order + 1]
+        # The point count's box turns at isqrt(order).
+        assert list(table(order)) == _scalar_counts()[: order + 1]
 
     @pytest.mark.parametrize("order", [-1, 2.0, True, None])
     def test_rejects_bad_orders(self, table, order):
@@ -133,5 +133,5 @@ class TestTables:
 @settings(max_examples=40, deadline=None)
 def test_tables_equal_scalar_counts_at_any_order(order):
     expected = _scalar_counts()[: order + 1]
-    assert r_bruteforce_table(order).tolist() == expected
-    assert r_divisor_table(order).tolist() == expected
+    assert list(r_bruteforce_table(order)) == expected
+    assert list(r_divisor_table(order)) == expected

@@ -4,7 +4,6 @@ expansion, and the representation counts read off the squared series.
 Everything in this file is integer-exact; there are no tolerances.
 """
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +17,6 @@ from thetaeval import (
     theta_qseries,
     triple_product_qseries,
 )
-from thetaeval.qseries import _times_binomial
 
 
 class TestThetaQSeries:
@@ -57,7 +55,6 @@ class TestTripleProduct:
         assert triple_product_qseries(200).coeffs == theta_qseries(200).coeffs
 
     def test_order_4096_matches_theta(self):
-        # The deepest order whose steps all stay in int64 under the budget.
         coeffs = triple_product_qseries(4096).coeffs
         assert coeffs == theta_qseries(4096).coeffs
         assert all(type(c) is int for c in coeffs)
@@ -67,102 +64,8 @@ class TestTripleProduct:
     def test_matches_theta_at_any_order(self, order):
         assert triple_product_qseries(order).coeffs == theta_qseries(order).coeffs
 
-    def test_matches_theta_past_the_promotion_point(self):
-        # Intermediate coefficients pass 2**62 near order 6000, so this order
-        # runs partly in int64 and partly in Python ints.
-        coeffs = triple_product_qseries(6000).coeffs
-        assert coeffs == theta_qseries(6000).coeffs
-        assert all(type(c) is int for c in coeffs)
-
-
-def _binomial_reference(coeffs, k, e):
-    return [c + e * coeffs[i - k] if i >= k else c for i, c in enumerate(coeffs)]
-
-
-int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
-
-
-class TestTimesBinomial:
-    @pytest.mark.parametrize("coeffs, k, e", [
-        ([2**62, 2**62, 0], 1, 1),               # 2**63 would wrap
-        ([-(2**62) - 5, 2**62 + 5], 1, -1),      # 2**63 + 10 would wrap
-        ([-(2**62), -(2**62), -(2**62)], 2, 1),  # exactly at the threshold
-        ([2**63 - 1, 1, 2**63 - 1], 1, 1),
-    ])
-    def test_promotes_before_a_step_that_could_wrap(self, coeffs, k, e):
-        out, _ = _times_binomial(np.array(coeffs, dtype=np.int64), k, e)
-        assert out.dtype == object
-        result = out.tolist()
-        assert result == _binomial_reference(coeffs, k, e)
-        assert all(type(c) is int for c in result)
-
-    def test_stays_int64_below_the_threshold(self):
-        coeffs = [2**62 - 1, 2**62 - 1, -(2**62) + 1]
-        out, _ = _times_binomial(np.array(coeffs, dtype=np.int64), 1, 1)
-        assert out.dtype == np.int64
-        assert out.tolist() == _binomial_reference(coeffs, 1, 1)
-
-    @given(st.lists(int64s, min_size=2, max_size=12), st.data())
-    def test_matches_python_ints(self, coeffs, data):
-        k = data.draw(st.integers(min_value=1, max_value=len(coeffs) - 1))
-        e = data.draw(st.sampled_from((1, -1)))
-        out, _ = _times_binomial(np.array(coeffs, dtype=np.int64), k, e)
-        assert out.tolist() == _binomial_reference(coeffs, k, e)
-
-    def test_keeps_going_in_python_ints(self):
-        coeffs = [2**100, -(2**100), 3]
-        out, _ = _times_binomial(np.array(coeffs, dtype=object), 2, -1)
-        assert out.tolist() == _binomial_reference(coeffs, 2, -1)
-
-
-class TestOverflowBudget:
-    """After an exact max M the next 63 - M.bit_length() binomials are
-    proven not to wrap; the max is taken again only when they are spent."""
-
-    @pytest.mark.parametrize("bits", [1, 2, 33, 60, 61, 62])
-    def test_budget_after_a_measured_step(self, bits):
-        # The measured step itself spends one of the 63 - bits steps.
-        coeffs = [2**bits - 1, 0, 0]
-        out, budget = _times_binomial(np.array(coeffs, dtype=np.int64), 1, 1)
-        assert out.dtype == np.int64
-        assert budget == 62 - bits
-        assert out.tolist() == _binomial_reference(coeffs, 1, 1)
-
-    @pytest.mark.parametrize("top", [2**62, 2**63 - 1])
-    def test_sixty_three_bits_promote_at_once(self, top):
-        out, _ = _times_binomial(np.array([top, -5, 3], dtype=np.int64), 1, -1)
-        assert out.dtype == object
-        assert out.tolist() == _binomial_reference([top, -5, 3], 1, -1)
-
-    def test_an_unspent_budget_skips_the_scan(self):
-        # A budget the caller still holds is trusted: no promotion here,
-        # although a fresh scan would promote.
-        out, budget = _times_binomial(np.array([2**62, 0], dtype=np.int64), 1, -1, 1)
-        assert out.dtype == np.int64
-        assert budget == 0
-
-    @pytest.mark.parametrize("bits", [61, 62, 63])
-    def test_doubling_chain_promotes_before_it_could_wrap(self, bits):
-        # (1 + q) on a constant array doubles its max each step.  The max
-        # starts at bits - 4 bits and sits at exactly `bits` bits after four
-        # steps, reaching 2**62 only after several; a budget off by one
-        # (62 - bit_length, spent at exactly 0) misses a scan at 62 bits
-        # and lets a later step wrap.
-        start = (2**bits - 1) >> 4
-        coeffs = [start] * 16
-        out, budget = np.array(coeffs, dtype=np.int64), 0
-        for step in range(10):
-            before = max(abs(c) for c in out.tolist())
-            was_int64 = out.dtype == np.int64
-            out, budget = _times_binomial(out, 1, 1, budget)
-            coeffs = _binomial_reference(coeffs, 1, 1)
-            assert out.tolist() == coeffs, f"step {step}"
-            if step == 3:
-                assert max(coeffs).bit_length() == bits
-            if was_int64 and before >= 2**62:
-                assert out.dtype == object, f"int64 step from {before} at step {step}"
-        assert out.dtype == object
-        assert all(type(c) is int for c in out.tolist())
+    def test_order_16384_matches_theta(self):
+        assert triple_product_qseries(16384).coeffs == theta_qseries(16384).coeffs
 
 
 class TestQsMul:

@@ -5,7 +5,7 @@ breaks one shows up here.  The oracle script must stay independent of the
 engines it checks, and the package keeps record building in one place,
 one bounded-value type, two independent two-squares routes, one owner
 of a run's configuration and one declaration per public name, and loads
-numpy only inside the engines that use it.
+numpy only inside the lattice engines.
 """
 
 import ast
@@ -186,14 +186,13 @@ GRID_BUILDERS = {"arange", "meshgrid", "mgrid", "ogrid", "indices"}
 
 
 def test_one_lattice_enumerator_and_a_direct_engine_without_caches():
-    # epstein._level_set alone lays out lattice points; the other integer
-    # grid of the package is the two-squares point count, which must stay
-    # its own route.  Both lattice engines reach points only through it,
-    # the direct engine never reaches the accelerated engine, and nothing
-    # it reaches is cached.
+    # epstein._level_set alone lays out lattice points, and it is the one
+    # array grid of the package.  Both lattice engines reach points only
+    # through it, the direct engine never reaches the accelerated engine,
+    # and nothing it reaches is cached.
     sites = _call_sites(GRID_BUILDERS | {"_level_set"})
     builders = set().union(*(sites[name] for name in GRID_BUILDERS))
-    assert builders == {("epstein", "_level_set"), ("number_theory", "r_bruteforce_table")}
+    assert builders == {("epstein", "_level_set")}
     assert sites["_level_set"] == {("epstein", "epstein_direct"),
                                    ("epstein", "epstein_accelerated")}
 
@@ -409,24 +408,62 @@ def test_compare_reports_refuses_a_malformed_report(tmp_path, report, problem):
 
 
 def test_no_module_of_the_package_imports_numpy_at_module_level():
-    # numpy loads only inside the engines that use it, so the CLI and the
-    # scalar suites start without it.  Only a function body defers a statement.
+    # numpy is the lattice engines' array library and nobody else's: only
+    # epstein.py imports it, and only inside a function body, so the CLI,
+    # the exact suites and the scalar suites start without it.
+    importers = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        stack = list(ast.parse(path.read_text()).body)
+        stack = [(node, None) for node in ast.parse(path.read_text()).body]
         while stack:
-            node = stack.pop()
+            node, function = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+                function = node.name
             if isinstance(node, ast.Import):
-                assert not any(a.name.split(".")[0] == "numpy" for a in node.names), path.name
+                roots = {a.name.split(".")[0] for a in node.names}
             elif isinstance(node, ast.ImportFrom):
-                assert (node.module or "").split(".")[0] != "numpy", path.name
-            stack.extend(ast.iter_child_nodes(node))
+                roots = {(node.module or "").split(".")[0]}
+            else:
+                roots = set()
+            if "numpy" in roots:
+                importers.add((path.stem, function))
+            stack.extend((child, function) for child in ast.iter_child_nodes(node))
+    assert importers and {module for module, _ in importers} == {"epstein"}
+    assert all(function is not None for _, function in importers), importers
 
 
 def test_cli_and_scalar_suites_never_load_numpy():
     proc = _run_with_package(["-c", "import sys, thetaeval.cli\n"
                                     "assert 'numpy' not in sys.modules, 'import'\n"
                                     "assert thetaeval.cli.main(['theta']) == 0\n"
-                                    "assert 'numpy' not in sys.modules, 'verify theta'\n"])
+                                    "assert 'numpy' not in sys.modules, 'verify theta'\n"
+                                    "assert thetaeval.cli.main(['triple-product', "
+                                    "'two-squares', 'theta']) == 0\n"
+                                    "assert 'numpy' not in sys.modules, 'exact suites'\n"])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_product_side_of_lemma_one_never_reaches_the_squares():
+    # triple-product/theta-vs-product compares two computations only while
+    # the product is expanded from its factors, never from the squares.
+    functions = _functions("qseries.py")
+    reached = _reachable(functions, functions["triple_product_qseries"])
+    assert not reached & {"theta_qseries", "qs_mul", "isqrt"}, reached
+
+
+def test_a_failing_property_test_leaves_the_run_going(tmp_path):
+    # Any warning fails the run, but Hypothesis's report of a failing
+    # example must not stop pytest before the other tests have run.
+    (tmp_path / "test_two_failures.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_property_fails(n):\n"
+        "    assert n != n\n\n\n"
+        "def test_plain_fails():\n"
+        "    assert False\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_two_failures.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "2 failed" in proc.stdout, proc.stdout
