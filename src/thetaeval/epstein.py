@@ -24,6 +24,19 @@ with D = 4ac - b^2 and lambda_max the larger eigenvalue of
   summation against the count bound proves the error at most
   alpha T^(1/2-s) (1 + s/(s-1/2)) + 2 beta T^(-s), plus rounding; T is the
   smallest level at which that meets the tolerance.
+
+  Each block of n terms is added in numpy by the exact split of Rump,
+  Ogita and Oishi ("Accurate floating-point summation part I: faithful
+  rounding", SIAM J. Sci. Comput. 31(1), 2008).  With sigma a power of two
+  at least 2 n max, the high parts (t + sigma) - sigma lie on one grid and
+  every partial sum of them stays below sigma, so they add exactly in any
+  order; the low parts t - high are exact too.  fsum adds the two sums, and
+  only the low parts' sum rounds, by at most 4 n^3 u^2 max, about 1e-5 ulp
+  of the block for n <= 4096.  A block sum is therefore fsum's correctly
+  rounded one unless the exact sum lies that close to a rounding boundary,
+  and then at most one ulp from it, which the 8 EPS |Z| rounding allowance
+  covers as it covers fsum's own rounding.  A block whose 2 n max reaches
+  2^1023 goes to fsum whole.
 * epstein_accelerated splits the Mellin integral for Gamma(s) Q^(-s) at
   lambda = 2 pi / sqrt D.  The upper part is a lattice sum of incomplete
   gamma values; the lower part, Poisson-summed, becomes the matching sum
@@ -50,8 +63,8 @@ with D = 4ac - b^2 and lambda_max the larger eigenvalue of
   Each point's Gamma(s, x) is one call of the float kernel behind
   upper_incomplete_gamma, with exp and log from math: the continued
   fraction runs per point until that point converges.  Each block of the
-  level set adds its terms with one fsum per side, and one more fsum adds
-  the blocks' sums.
+  level set adds its terms with one fsum per side, as the kernel returns
+  Python floats, and one more fsum adds the blocks' sums.
 """
 
 from __future__ import annotations
@@ -149,8 +162,12 @@ def _level_set(form: BinaryQuadraticForm, level: float):
     y = 0 < x.  Row y takes the integers of the x-interval that solves
     Q(x, y) <= level, widened by one on each side, and keeps those whose
     value, computed as BinaryQuadraticForm.__call__ does, is at most level.
-    Each block holds at most _BLOCK values.  Raises NonConvergence before
-    any work when the candidates could number more than _MAX_POINTS.
+    Each block takes the next _BLOCK candidates in row order and keeps those
+    at most level: it repeats each of its rows' y and x0 once per candidate
+    the row gives it and adds the candidates' indices to the x0s.  These are
+    exact integers, since under the work cap |x| and the indices stay far
+    below 2^53.  Raises NonConvergence before any work when the candidates
+    could number more than _MAX_POINTS.
     """
     import numpy as np
     a, b, c, disc = form.a, form.b, form.c, form.disc
@@ -170,13 +187,33 @@ def _level_set(form: BinaryQuadraticForm, level: float):
             lo[0] = 1.0
         width = np.maximum(np.ceil(mid + half) + 2.0 - lo, 0.0).astype(np.int64)
         end = np.cumsum(width)
-        for k0 in range(0, int(end[-1]), _BLOCK):
-            k = np.arange(k0, min(k0 + _BLOCK, int(end[-1])))
-            row = np.searchsorted(end, k, side="right")
-            xs = lo[row] + (k - (end[row] - width[row]))
-            ys = y[row]
+        start = end - width
+        x0 = lo - start  # candidate k of a row is x = x0 + k
+        total = int(end[-1])
+        for k0 in range(0, total, _BLOCK):
+            # The rows that hold candidates k0 .. k1 - 1, and how many each.
+            k1 = min(k0 + _BLOCK, total)
+            span = slice(end.searchsorted(k0, side="right"),
+                         end.searchsorted(k1 - 1, side="right") + 1)
+            counts = np.minimum(end[span], k1)
+            counts -= np.maximum(start[span], k0)
+            xs = x0[span].repeat(counts)
+            xs += np.arange(k0, k1, dtype=float)
+            ys = y[span].repeat(counts)
             q = a * xs * xs + b * xs * ys + c * ys * ys
             yield q[q <= level]
+
+
+def _block_sum(terms) -> float:
+    # math.fsum of a block of nonnegative terms, by the exact split of the
+    # module docstring.  float() keeps an overflowing 2 n max from warning;
+    # such a block, an inf term among them, goes to fsum whole.
+    top = 2.0 * len(terms) * float(terms.max(initial=0.0))
+    if not top < 2.0 ** 1023:
+        return math.fsum(terms)
+    sigma = math.ldexp(1.0, math.frexp(top)[1])
+    high = (terms + sigma) - sigma
+    return math.fsum((high.sum(), (terms - high).sum()))
 
 
 def epstein_direct(form: BinaryQuadraticForm, s: float, tol: float = 1e-2) -> ApproxValue:
@@ -197,7 +234,7 @@ def epstein_direct(form: BinaryQuadraticForm, s: float, tol: float = 1e-2) -> Ap
     level = _smallest_level(truncation, (1.0 - 2.0 ** -10) * tol)
     sums, cost = [], 0
     for q in _level_set(form, level):
-        sums.append(math.fsum((q ** -s).tolist()))
+        sums.append(_block_sum(q ** -s))
         cost += 2 * len(q)
     tail = (_TWO_PI / math.sqrt(form.disc)) * level ** (1.0 - s) / (s - 1.0)
     value = 2.0 * math.fsum(sums) + tail

@@ -9,7 +9,7 @@ returns the table r(0..N) at once (r(0) = 1, the pair (0, 0)):
   x >= 1, y >= 0;
 - divisors: r(n) = 4 sum_{d | n} chi4(d) (Lemma 2).  r_divisor sums over
   the divisor pairs of one n; r_divisor_table sieves, adding chi4(d) to
-  every multiple of each d.
+  every multiple of each odd d.
 
 The two routes share nothing but argument checks: the direct search never
 uses chi4, and the divisor route never counts points
@@ -84,16 +84,15 @@ def r_bruteforce_table(order: int) -> tuple[int, ...]:
 
 
 def r_divisor_table(order: int) -> tuple[int, ...]:
-    """r(0..order), by sieving chi4 over divisors: each d adds 4 chi4(d)
-    to every multiple of d."""
+    """r(0..order), by sieving chi4 over divisors: each odd d adds
+    4 chi4(d) to every multiple of d (chi4 is 0 on even d)."""
     _check_order(order)
     table = [0] * (order + 1)
     table[0] = 1
-    for d in range(1, order + 1):
+    for d in range(1, order + 1, 2):
         char = 4 * chi4(d)
-        if char:
-            for n in range(d, order + 1, d):
-                table[n] += char
+        for n in range(d, order + 1, d):
+            table[n] += char
     return tuple(table)
 
 

@@ -7,6 +7,7 @@ direct quadrature of its defining integral, since the accelerated
 engine's correctness funnels through it.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -28,7 +29,7 @@ from thetaeval import (
 )
 from thetaeval import epstein
 from thetaeval.approx import EPS, ApproxValue
-from thetaeval.epstein import _MAX_POINTS, _cf_upper, _count_bound, _level_set
+from thetaeval.epstein import _MAX_POINTS, _block_sum, _cf_upper, _count_bound, _level_set
 from thetaeval.quadrature import _finite, _halfline
 
 # scripts/compute_oracles.py: Simpson after t = 1 + w^2
@@ -182,6 +183,55 @@ def test_level_set_streams_bounded_blocks():
         assert sum(len(q) for q in blocks) == len(_box_values(form, level)) // 2
 
 
+# Each block's length and the first 16 hex digits of the SHA-256 of its
+# bytes.  Both engines add their terms block by block, so their bits rest
+# on this partition as well as on the values.  The last level set has 5479
+# rows, more than one batch of _BLOCK rows.
+LEVEL_SET_BLOCKS = [
+    ((1.0, 0.0, 1.0), 25000.0, [
+        (4046, "e19b0f1429becba7"), (4044, "4f641449be6d704c"), (4044, "05783f247ab2ec64"),
+        (4046, "733bd76e4d21e89f"), (4040, "83272e965bd3719b"), (4040, "e7ff68e592f0b319"),
+        (4034, "b3c9b2e95aa45471"), (4028, "f376c14c620c7e90"), (4018, "868a53009bb6cb6b"),
+        (2934, "8392fe9d8c0f01d3"),
+    ]),
+    ((1.0, 0.3, 1e8), 1e8, [
+        (4096, "e188da802acbaa11"), (4096, "aad8f051d0c22a26"), (1809, "6e2283c9c45209e9"),
+    ]),
+    ((1e4, 0.3, 1.0), 1e7, [
+        (3852, "8c0f5dfd52a8dc47"), (3852, "45b5a75ebb61d386"), (3852, "e0f934e1fd5f58df"),
+        (3848, "77d4e0ad9d563b61"), (3852, "6d983babc08a38dc"), (3852, "468138db631ce360"),
+        (3852, "6c4936305cc47eeb"), (3852, "4c69115c96ef6cfe"), (3852, "477dfe7abdc729b2"),
+        (3852, "c185e98b3cfeb83a"), (3844, "39b6b9506a2fb4bf"), (3844, "089a5e7575f2a96f"),
+        (3844, "2acfbf29c5996b44"), (3844, "9737a31a31959fa3"), (3844, "72798847f60b6b91"),
+        (3844, "51fd7756a4c394ea"), (3836, "50e9010bca69fe57"), (3836, "563bdd2c021738d3"),
+        (3836, "64ca3bbbd7ee5e0e"), (3836, "8ea4a42d92c9c6ac"), (3830, "5d2be51494ef20e3"),
+        (3826, "7ca210a936934d33"), (3828, "7ef39f1446f2f3db"), (3820, "ef203960989c10e6"),
+        (3820, "679e49fa4d2352c8"), (3816, "f07940390bd67575"), (3808, "d5b8374d235af18c"),
+        (3808, "e1048ec676820c7d"), (3800, "7f80af64c97f4c3f"), (3796, "d1246a060d946261"),
+        (3788, "cd5f7dbbcfbc7a0a"), (3780, "e842678aa6d705a8"), (3772, "978c35c88292d346"),
+        (3760, "ce4f5e45c3265eb3"), (3748, "ca3d456814a95a16"), (3732, "5eebf1dc195499ea"),
+        (3712, "b8912af7fd4a86f8"), (3688, "6c5748d7322d125c"), (3648, "a9feee7ed6981296"),
+        (3592, "103085e5144ab95e"), (3460, "ef6e5d94d0f12a25"), (1346, "c83590e2edc59395"),
+    ]),
+    ((1e6, 0.7, 1.0), 3e7, [
+        (3004, "d79be5cff724d86a"), (3004, "ffb9de16ede260cf"), (3004, "7fb343aa438e2b46"),
+        (3004, "b571535f2725ec0d"), (3004, "83ed73d11de07df3"), (3003, "dc27f775119d508c"),
+        (3003, "78feae02e754f8a6"), (3003, "94c24f9da44ef62f"), (2867, "bb6c5402715478aa"),
+        (2836, "4dafa38bc692be92"), (2836, "cddda5adb0a2d34f"), (2836, "71dd22d58eec2772"),
+        (2828, "1dbd508d672ead58"), (2392, "a190a6acafbf4b13"), (2606, "4c0bad50bebb2fc5"),
+        (2378, "105c069ee8beda37"), (1922, "d3d2dfadb79c0d05"), (36, "3f2a26cd3a6004d8"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("coeffs, level, blocks", LEVEL_SET_BLOCKS,
+                         ids=["unit", "long-row", "short-rows", "two-row-batches"])
+def test_level_set_blocks_are_pinned(coeffs, level, blocks):
+    got = [(len(q), hashlib.sha256(q.tobytes()).hexdigest()[:16])
+           for q in _level_set(BinaryQuadraticForm(*coeffs), level)]
+    assert got == blocks
+
+
 def test_level_set_refuses_work_past_the_cap():
     # Q <= 1e7 on the unit form holds about 3e7 points; both engines refuse
     # such a request at once instead of running it.
@@ -193,6 +243,41 @@ def test_level_set_refuses_work_past_the_cap():
     with pytest.raises(NonConvergence, match=str(_MAX_POINTS)):
         epstein_accelerated(BinaryQuadraticForm(1.0, 0.3, 1e30), 1.5, 1e-10)
     assert time.perf_counter() - start < 1.0
+
+
+def _sum_or_error(add, terms):
+    try:
+        return add(terms)
+    except OverflowError as exc:
+        return repr(exc)
+
+
+def _fsum_of_floats(terms):
+    return math.fsum(terms.tolist())
+
+
+@given(st.integers(0, 4096), st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 12.0),
+       st.floats(0.0, 15.0), st.floats(1.0001, 12.0))
+@settings(max_examples=200, deadline=None)
+def test_block_sum_is_fsum(n, seed, low, decades, s):
+    # Values Q spread over up to 15 decades, as blocks of the direct engine.
+    q = 10.0 ** np.random.default_rng(seed).uniform(low, low + decades, n)
+    terms = q ** -s
+    assert _block_sum(terms) == _fsum_of_floats(terms)
+
+
+@pytest.mark.parametrize("terms", [
+    np.empty(0),
+    np.array([0.3]),
+    np.full(4096, 0.1),
+    np.full(4096, 1e305),                              # 2 n max and the sum overflow
+    np.concatenate([[1e305], np.full(4095, 1e-300)]),  # 2 n max overflows, the sum does not
+    np.array([1.5 * 2.0 ** 1021]),                     # sigma = 2^1023, the largest split
+    np.array([math.inf, 1.0]),
+    np.array([5e-324, 1e-310, 2.0 ** -1022]),
+], ids=["empty", "one", "equal", "overflow", "huge-max", "largest-sigma", "inf", "subnormal"])
+def test_block_sum_edge_cases(terms):
+    assert _sum_or_error(_block_sum, terms) == _sum_or_error(_fsum_of_floats, terms)
 
 
 class TestDirectEngine:

@@ -189,7 +189,7 @@ def test_one_lattice_enumerator_and_a_direct_engine_without_caches():
     # epstein._level_set alone lays out lattice points, and it is the one
     # array grid of the package.  Both lattice engines reach points only
     # through it, the direct engine never reaches the accelerated engine,
-    # and nothing it reaches is cached.
+    # nothing it reaches is cached, and it adds its blocks in numpy.
     sites = _call_sites(GRID_BUILDERS | {"_level_set"})
     builders = set().union(*(sites[name] for name in GRID_BUILDERS))
     assert builders == {("epstein", "_level_set")}
@@ -199,6 +199,8 @@ def test_one_lattice_enumerator_and_a_direct_engine_without_caches():
     functions = _functions("epstein.py")
     reached = _reachable(functions, functions["epstein_direct"])
     assert "_level_set" in reached and "epstein_accelerated" not in reached
+    # Its points stay in numpy: no block is turned into Python floats.
+    assert "_block_sum" in reached and "tolist" not in reached
     for name in reached & set(functions) | {"epstein_direct"}:
         assert "epstein_accelerated" not in {
             node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}, name
