@@ -126,7 +126,8 @@ class BinaryQuadraticForm:
         return UpperHalfPoint(-self.b / (2.0 * self.a),
                               math.sqrt(self.disc) / (2.0 * self.a))
 
-    def __call__(self, x: float, y: float) -> float:
+    def __call__(self, x, y):
+        """a x x + b x y + c y y, in that order, for floats or numpy arrays alike."""
         return self.a * x * x + self.b * x * y + self.c * y * y
 
 
@@ -161,7 +162,7 @@ def _level_set(form: BinaryQuadraticForm, level: float):
     The representatives are the points with y > 0 and those with
     y = 0 < x.  Row y takes the integers of the x-interval that solves
     Q(x, y) <= level, widened by one on each side, and keeps those whose
-    value, computed as BinaryQuadraticForm.__call__ does, is at most level.
+    value, computed by BinaryQuadraticForm.__call__ on arrays, is at most level.
     Each block takes the next _BLOCK candidates in row order and keeps those
     at most level: it repeats each of its rows' y and x0 once per candidate
     the row gives it and adds the candidates' indices to the x0s.  These are
@@ -170,7 +171,7 @@ def _level_set(form: BinaryQuadraticForm, level: float):
     could number more than _MAX_POINTS.
     """
     import numpy as np
-    a, b, c, disc = form.a, form.b, form.c, form.disc
+    a, b, disc = form.a, form.b, form.disc
     height = math.sqrt(4.0 * a * level / disc)
     # Half the ellipse's area, its widest row, and five per row.
     work = math.pi * level / math.sqrt(disc) + 2.0 * math.sqrt(level / a) + 5.0 * height + 10.0
@@ -200,7 +201,7 @@ def _level_set(form: BinaryQuadraticForm, level: float):
             xs = x0[span].repeat(counts)
             xs += np.arange(k0, k1, dtype=float)
             ys = y[span].repeat(counts)
-            q = a * xs * xs + b * xs * ys + c * ys * ys
+            q = form(xs, ys)
             yield q[q <= level]
 
 
@@ -356,11 +357,11 @@ def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
     return ApproxValue(*_incomplete_gamma(s, x))
 
 
-def _gamma_block(s: float, x, weight) -> tuple[float, float, int]:
+def _gamma_block(s: float, x: list[float], weight) -> tuple[float, float, int]:
     # Sum of weight * Gamma(s, x) over one block of pair representatives,
     # its bound and its cost, each doubled to count every -v too.
     values, errs, cost = [], [], 0
-    for v, w in zip(x.tolist(), weight.tolist()):
+    for v, w in zip(x, weight.tolist()):
         value, bound, n = _incomplete_gamma(s, v)
         values.append(w * value)
         errs.append(w * bound)
@@ -397,8 +398,9 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
     cost = 0
     for q in _level_set(form, level):
         # The primal side, then the dual side over the same values.
+        x = (lam * q).tolist()
         for order, weight in ((s, q ** -s), (1.0 - s, lam ** (2.0 * s - 1.0) * q ** (s - 1.0))):
-            value, bound, n = _gamma_block(order, lam * q, weight)
+            value, bound, n = _gamma_block(order, x, weight)
             pieces.append(value)
             bounds.append(bound)
             cost += n

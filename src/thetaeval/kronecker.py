@@ -12,10 +12,10 @@ that regular part at one s; kronecker_lhs takes its limit at s = 1 through
 approx.pole_constant and returns it as an ApproxValue certified to its
 tolerance; kronecker_rhs gives the closed-form right side for comparison.
 
-For Q = (1, 0, 1) the lattice sum factors through Dirichlet series, giving
-the scalar family h(eps) = (2/pi) zeta(1+eps) L(1+eps) - zeta(1+2 eps) whose
-limit is the logarithmic cosh integral; scalar_limit_sides gives both as
-one check's two sides.  The four routes to theta at z = i live here too.
+For Q = (1, 0, 1), Z(s) = 4 zeta(s) L(s) gives the scalar family
+h(eps) = (2/pi) zeta(1+eps) L(1+eps) - zeta(1+2 eps); scalar_limit_sides
+certifies its limit like kronecker_lhs and pairs it with the logarithmic
+cosh integral it equals.  The four routes to theta at z = i live here too.
 """
 
 from __future__ import annotations
@@ -81,16 +81,15 @@ def l1_series(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
     return ApproxValue(value, bound, k)
 
 
-def scalar_limit_sides() -> tuple[ApproxValue, ApproxValue]:
-    """(2/pi) zeta(s) L(s) - zeta(2s - 1) at s = 1, through pole_constant,
-    and the logarithmic cosh integral; each node term to a fixed 3.9e-11."""
-    part = 3.90625e-11
+def scalar_limit_sides(tol: float = 1e-8) -> tuple[ApproxValue, ApproxValue]:
+    """(2/pi) zeta(s) L(s) - zeta(2s - 1) at s = 1, certified to tol as in
+    kronecker_lhs (each node term to tol), and the logarithmic cosh integral."""
 
     def regular(s: float) -> ApproxValue:
-        return ((2.0 / math.pi) * (zeta(s, part) * L_chi4(s, part))
-                - zeta(2.0 * s - 1.0, part))
+        return ((2.0 / math.pi) * (zeta(s, tol) * L_chi4(s, tol))
+                - zeta(2.0 * s - 1.0, tol))
 
-    return pole_constant(regular), integral_I(1e-12)
+    return pole_constant(regular).certified(tol, "scalar pole limit"), integral_I(1e-12)
 
 
 def target_limit_check(tol: float = 1e-8) -> VerificationRecord:

@@ -2,10 +2,10 @@
 
 The core rule integrates over (-1, 1) after the change of variable
 x = tanh((pi/2) sinh u), applying the trapezoid rule on a uniform u-grid
-whose spacing halves per level.  Node positions cluster double
-exponentially at the endpoints, which absorbs endpoint singularities of
-log or integrable-power type without special casing; the inter-level
-difference serves as the (heuristic) error estimate.
+whose spacing halves per level.  The nodes cluster double exponentially at
+the endpoints, absorbing log or integrable-power endpoint singularities; the
+inter-level difference is the (heuristic) error estimate, and a non-finite
+integrand value stalls the rule with NonConvergence naming the point.
 
 Two details matter for accuracy near the endpoints:
 
@@ -103,7 +103,9 @@ def _finite(f: Callable[[float], float], a: float, b: float, tol: float) -> Appr
         else:
             x = a + half
         y = f(x)
-        return y if math.isfinite(y) else 0.0
+        if not math.isfinite(y):
+            raise NonConvergence(f"integrand is {y} at x={x!r}")
+        return y
 
     return _drive(node_value, half, tol)
 
@@ -120,8 +122,8 @@ def _halfline(f: Callable[[float], float], tol: float) -> ApproxValue:
             v = 0.5
             t = _LN2
         y = f(t)
-        if y == 0.0 or not math.isfinite(y):
-            return 0.0
+        if not math.isfinite(y):
+            raise NonConvergence(f"integrand is {y} at t={t!r}")
         return y / v
 
     return _drive(node_value, 0.5, tol)

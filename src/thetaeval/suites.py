@@ -313,6 +313,10 @@ SUITE_NAMES = tuple(SUITES)
 
 DEFAULT_FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
 
+# The largest q-series order: verify triple-product two-squares takes about
+# 2 s and 26 MB there, and each doubling past it costs two to four times that.
+_MAX_ORDER = 2 ** 16
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -335,8 +339,9 @@ class RunConfig:
                              f"choose from {', '.join(SUITE_NAMES)}")
         object.__setattr__(self, "suites", tuple(s for s in SUITE_NAMES if s in self.suites))
         object.__setattr__(self, "tol_overrides", MappingProxyType(dict(self.tol_overrides)))
-        if not (isinstance(self.qseries_order, int) and self.qseries_order >= 16):
-            raise ValueError(f"order must be an integer >= 16, got {self.qseries_order!r}")
+        if not (isinstance(self.qseries_order, int) and 16 <= self.qseries_order <= _MAX_ORDER):
+            raise ValueError(f"order must be an integer from 16 to {_MAX_ORDER}, "
+                             f"got {self.qseries_order!r}")
         object.__setattr__(self, "forms", tuple(
             f if isinstance(f, BinaryQuadraticForm) else BinaryQuadraticForm(*f) for f in self.forms))
         for name, tol in self.tol_overrides.items():

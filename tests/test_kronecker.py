@@ -29,7 +29,9 @@ from thetaeval import (
     target_limit_check,
     theta_at_i_assembly,
     theta_uhp,
+    zeta,
 )
+from thetaeval import kronecker
 from thetaeval.approx import limit_at_zero, pole_constant
 from thetaeval.kronecker import pole_gap, scalar_limit_sides
 
@@ -244,6 +246,16 @@ class TestTargetLimit:
             lhs.value, rhs.value)
         assert suite_record.combined_bound == record.combined_bound == (
             lhs.error_bound + rhs.error_bound)
+
+    def test_scalar_limit_certifies_to_its_tol(self, monkeypatch):
+        # A zeta node bound of 1e-6 reaches the limit's bound, and the limit
+        # refuses it, where it used to come back uncertified.
+        def loose_zeta(s, tol):
+            return ApproxValue(zeta(s, tol).value, 1e-6)
+
+        monkeypatch.setattr(kronecker, "zeta", loose_zeta)
+        with pytest.raises(NonConvergence, match=r"^scalar pole limit stalled above tol=1e-08$"):
+            scalar_limit_sides()
 
     def test_limit_equals_eta_logarithm(self):
         record = target_limit_check(1e-8)

@@ -72,6 +72,20 @@ def test_nonconvergence_carries_partial_result():
     assert abs(info.value.value - 0.5 * (0.337 ** 2 + 0.663 ** 2)) < 1e-6
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_integrand_value_stalls(bad):
+    # The integrand is bad below 1e-30, which only the clustered nodes
+    # reach; taking those values as 0 returned 1 - 1/e and 1, with bounds
+    # of 5.7e-12 and 3.7e-14.
+    def spiked(x):
+        return bad if x < 1e-30 else math.exp(-x)
+
+    with pytest.raises(NonConvergence, match=rf"^integrand is {bad} at x=\d"):
+        _finite(spiked, 0.0, 1.0, 1e-10)
+    with pytest.raises(NonConvergence, match=rf"^integrand is {bad} at t=\d"):
+        _halfline(spiked, 1e-10)
+
+
 class TestIntegralI:
     def test_against_composite_rule_oracle(self):
         r = integral_I(1e-12)

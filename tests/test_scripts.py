@@ -245,6 +245,27 @@ def test_one_entry_per_computation():
     assert calls and all(isinstance(arg, ast.Name) for call in calls
                          for arg in [*call.args, *(kw.value for kw in call.keywords)])
 
+    # The scalar pole limit follows the same rule: every zeta and L node is
+    # asked for the function's own tol, and the limit is certified to it.
+    scalar = _functions("kronecker.py")["scalar_limit_sides"]
+    calls = [node for node in ast.walk(scalar) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in ("zeta", "L_chi4")]
+    assert len(calls) == 3 and all(
+        len(call.args) == 2 and getattr(call.args[1], "id", None) == "tol" for call in calls)
+    assert not [node for node in ast.walk(scalar)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+    assert "certified" in _called_names(scalar)
+
+    # L and L'(1) take one attempt at the a-priori term count: no retry loop.
+    pair = _functions("special_values.py")["_accelerated_pair"]
+    assert not [node for node in ast.walk(pair) if isinstance(node, (ast.For, ast.While))]
+
+    # The enumerator evaluates Q through BinaryQuadraticForm.__call__ on
+    # arrays, with no copy of its formula.
+    level_set = _functions("epstein.py")["_level_set"]
+    assert "form" in _called_names(level_set)
+    assert "* xs * xs" not in ast.unparse(level_set)
+
     # Gamma below 1/2 takes gamma_integral's lift, with no lift of its own.
     assert "_gamma_cached" not in _called_names(_functions("epstein.py")["_gamma_cached"])
 
