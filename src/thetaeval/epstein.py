@@ -127,7 +127,7 @@ class BinaryQuadraticForm:
                               math.sqrt(self.disc) / (2.0 * self.a))
 
     def __call__(self, x, y):
-        """a x x + b x y + c y y, in that order, for floats or numpy arrays alike."""
+        """(a x) x + (b x) y + (c y) y, in that order, on floats or numpy arrays."""
         return self.a * x * x + self.b * x * y + self.c * y * y
 
 

@@ -100,8 +100,8 @@ def _accelerated_pair(coefficient, tol: float, what: str) -> ApproxValue:
     n = max(24, int(math.log(8.0 / tol) / math.log(3.0 + math.sqrt(8.0))) + 8)
     lo = _chebyshev_alternating(coefficient, n)
     hi = _chebyshev_alternating(coefficient, n + 8)
-    return ApproxValue(hi, abs(hi - lo) + 8.0 * EPS * (1.0 + abs(hi)), 2 * n + 8).certified(
-        tol, what)
+    bound = abs(hi - lo) + 8.0 * EPS * (1.0 + abs(hi))
+    return ApproxValue(hi, bound, 2 * n + 8).certified(tol, what)
 
 
 def L_chi4(s: float, tol: float = 1e-13) -> ApproxValue:

@@ -59,7 +59,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("order", [2 ** 16 + 1, 10 ** 13])
     def test_order_above_the_cap_is_config_error(self, capsys, order):
         # Refused when the configuration is built, before any table is
-        # allocated: 10^13 used to end in a MemoryError traceback, exit 1.
+        # allocated; a table of 10^13 entries ends in a MemoryError.
         assert main(["triple-product", "two-squares", "--order", str(order)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("bad configuration: order must be an integer from 16 to 65536")

@@ -248,8 +248,8 @@ class TestTargetLimit:
             lhs.error_bound + rhs.error_bound)
 
     def test_scalar_limit_certifies_to_its_tol(self, monkeypatch):
-        # A zeta node bound of 1e-6 reaches the limit's bound, and the limit
-        # refuses it, where it used to come back uncertified.
+        # A zeta node bound of 1e-6 reaches the limit's bound, so the limit
+        # stalls rather than return a value that its tol does not cover.
         def loose_zeta(s, tol):
             return ApproxValue(zeta(s, tol).value, 1e-6)
 

@@ -75,8 +75,8 @@ def test_nonconvergence_carries_partial_result():
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_integrand_value_stalls(bad):
     # The integrand is bad below 1e-30, which only the clustered nodes
-    # reach; taking those values as 0 returned 1 - 1/e and 1, with bounds
-    # of 5.7e-12 and 3.7e-14.
+    # reach; counted as 0, those values give 1 - 1/e and 1 with bounds of
+    # 5.7e-12 and 3.7e-14, a wrong value that looks certified.
     def spiked(x):
         return bad if x < 1e-30 else math.exp(-x)
 
