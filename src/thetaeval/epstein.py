@@ -357,11 +357,11 @@ def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
     return ApproxValue(*_incomplete_gamma(s, x))
 
 
-def _gamma_block(s: float, x: list[float], weight) -> tuple[float, float, int]:
+def _gamma_block(s: float, x, weight) -> tuple[float, float, int]:
     # Sum of weight * Gamma(s, x) over one block of pair representatives,
     # its bound and its cost, each doubled to count every -v too.
     values, errs, cost = [], [], 0
-    for v, w in zip(x, weight.tolist()):
+    for v, w in zip(x.tolist(), weight.tolist()):
         value, bound, n = _incomplete_gamma(s, v)
         values.append(w * value)
         errs.append(w * bound)
@@ -398,9 +398,8 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
     cost = 0
     for q in _level_set(form, level):
         # The primal side, then the dual side over the same values.
-        x = (lam * q).tolist()
         for order, weight in ((s, q ** -s), (1.0 - s, lam ** (2.0 * s - 1.0) * q ** (s - 1.0))):
-            value, bound, n = _gamma_block(order, x, weight)
+            value, bound, n = _gamma_block(order, lam * q, weight)
             pieces.append(value)
             bounds.append(bound)
             cost += n

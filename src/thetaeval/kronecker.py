@@ -81,15 +81,14 @@ def l1_series(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
     return ApproxValue(value, bound, k)
 
 
-def scalar_limit_sides(tol: float = 1e-8) -> tuple[ApproxValue, ApproxValue]:
-    """(2/pi) zeta(s) L(s) - zeta(2s - 1) at s = 1, certified to tol as in
-    kronecker_lhs (each node term to tol), and the logarithmic cosh integral."""
+def scalar_limit_sides() -> tuple[ApproxValue, ApproxValue]:
+    """(2/pi) zeta(s) L(s) - zeta(2s - 1) at s = 1, certified to 1e-8 as in
+    kronecker_lhs (each node term to 1e-8), and the logarithmic cosh integral."""
 
     def regular(s: float) -> ApproxValue:
-        return ((2.0 / math.pi) * (zeta(s, tol) * L_chi4(s, tol))
-                - zeta(2.0 * s - 1.0, tol))
+        return (2.0 / math.pi) * (zeta(s, 1e-8) * L_chi4(s, 1e-8)) - zeta(2.0 * s - 1.0, 1e-8)
 
-    return pole_constant(regular).certified(tol, "scalar pole limit"), integral_I(1e-12)
+    return pole_constant(regular).certified(1e-8, "scalar pole limit"), integral_I(1e-12)
 
 
 def target_limit_check(tol: float = 1e-8) -> VerificationRecord:

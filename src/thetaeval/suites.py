@@ -313,9 +313,10 @@ SUITE_NAMES = tuple(SUITES)
 
 DEFAULT_FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
 
-# The largest q-series order: verify triple-product two-squares takes about
-# 2 s and 26 MB there, and each doubling past it costs two to four times that.
-_MAX_ORDER = 2 ** 16
+# The largest q-series order: verify triple-product two-squares takes 70 to
+# 80 s and 89 MB there, about the 90 s a level set of epstein._MAX_POINTS
+# points costs the accelerated engine; each doubling about triples the time.
+_MAX_ORDER = 2 ** 19
 
 
 @dataclass(frozen=True)

@@ -56,13 +56,13 @@ class TestExitCodes:
     def test_order_too_small_is_config_error(self, capsys):
         assert main(["theta", "--order", "15"]) == 2
 
-    @pytest.mark.parametrize("order", [2 ** 16 + 1, 10 ** 13])
+    @pytest.mark.parametrize("order", [2 ** 19 + 1, 10 ** 13])
     def test_order_above_the_cap_is_config_error(self, capsys, order):
         # Refused when the configuration is built, before any table is
         # allocated; a table of 10^13 entries ends in a MemoryError.
         assert main(["triple-product", "two-squares", "--order", str(order)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("bad configuration: order must be an integer from 16 to 65536")
+        assert err.startswith("bad configuration: order must be an integer from 16 to 524288")
         assert "Traceback" not in err
 
     def test_failing_record_exits_one(self, capsys, monkeypatch):
@@ -428,7 +428,7 @@ class TestRunConfig:
             RunConfig(qseries_order=8)
 
     def test_order_cap_is_inclusive(self):
-        assert RunConfig(qseries_order=2 ** 16).qseries_order == suites._MAX_ORDER
+        assert RunConfig(qseries_order=2 ** 19).qseries_order == suites._MAX_ORDER
         with pytest.raises(ValueError):
             RunConfig(qseries_order=suites._MAX_ORDER + 1)
 

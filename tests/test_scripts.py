@@ -245,16 +245,16 @@ def test_one_entry_per_computation():
     assert calls and all(isinstance(arg, ast.Name) for call in calls
                          for arg in [*call.args, *(kw.value for kw in call.keywords)])
 
-    # The scalar pole limit follows the same rule: every zeta and L node is
-    # asked for the function's own tol, and the limit is certified to it.
+    # The scalar pole limit follows the same rule: its three zeta and L
+    # nodes are asked for the tolerance it is certified to, with no other share.
     scalar = _functions("kronecker.py")["scalar_limit_sides"]
-    calls = [node for node in ast.walk(scalar) if isinstance(node, ast.Call)
+    nodes = [node for node in ast.walk(scalar) if isinstance(node, ast.Call)
              and getattr(node.func, "id", None) in ("zeta", "L_chi4")]
-    assert len(calls) == 3 and all(
-        len(call.args) == 2 and getattr(call.args[1], "id", None) == "tol" for call in calls)
-    assert not [node for node in ast.walk(scalar)
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
-    assert "certified" in _called_names(scalar)
+    certify = [node for node in ast.walk(scalar) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "certified"]
+    assert len(nodes) == 3 and len(certify) == 1
+    assert {ast.dump(call.args[1]) for call in nodes} == {ast.dump(certify[0].args[0])}
+    assert not scalar.args.args
 
     # L and L'(1) take one attempt at the a-priori term count: no retry loop.
     pair = _functions("special_values.py")["_accelerated_pair"]
