@@ -5,7 +5,8 @@ For each standard form, print the raw node values
     g(eps) = (sqrt(D) / 4 pi) Z(1 + eps) - zeta(2 (1 + eps) - 1)
 
 on the ladder of approx.pole_constant, eps = 0.1 * 2^-k, k < 8, each from
-pole_gap at the limit's own tolerance 1e-8, as in kronecker_lhs(form, 1e-8).
+pole_gap on epstein_accelerated at the limit's own tolerance 1e-8, as in
+kronecker_lhs(form, 1e-8).
 The nodes are recorded by the node function pole_constant itself evaluates,
 so the table shows the ladder kronecker_lhs extrapolates, not a copy of it.
 The raw sequence crawls toward the limit at first order in eps; the
@@ -20,7 +21,7 @@ Usage: python scripts/limit_table.py
 
 import sys
 
-from thetaeval import RunConfig, kronecker_lhs, kronecker_rhs
+from thetaeval import RunConfig, epstein_accelerated, kronecker_lhs, kronecker_rhs
 from thetaeval.approx import pole_constant
 from thetaeval.kronecker import pole_gap
 
@@ -33,7 +34,7 @@ def pole_gap_limit(form):
     nodes = []
 
     def node(s):
-        g = pole_gap(form, s, TOL)
+        g = pole_gap(form, s, TOL, epstein_accelerated)
         nodes.append((s - 1.0, g))
         return g
 

@@ -8,14 +8,14 @@ a matching multiple of the Riemann zeta pole leaves
 
 whose limit at eps = 0 equals (1/2) log(a / D) - 2 log |eta(z_Q)| where z_Q
 is the root of a z^2 + b z + c = 0 in the upper half plane.  pole_gap is
-that regular part at one s; kronecker_lhs takes its limit at s = 1 through
-approx.pole_constant and returns it as an ApproxValue certified to its
-tolerance; kronecker_rhs gives the closed-form right side for comparison.
+that regular part at one s, given a route to Z; kronecker_lhs takes its
+limit at s = 1 on epstein_accelerated through approx.pole_constant, certified
+to its tolerance; kronecker_rhs gives the closed-form right side.
 
-For Q = (1, 0, 1), Z(s) = 4 zeta(s) L(s) gives the scalar family
+For Q = (1, 0, 1) the route Z(s) = 4 zeta(s) L(s) makes g the scalar family
 h(eps) = (2/pi) zeta(1+eps) L(1+eps) - zeta(1+2 eps); scalar_limit_sides
-certifies its limit like kronecker_lhs and pairs it with the logarithmic
-cosh integral it equals.  The four routes to theta at z = i live here too.
+takes pole_gap's limit on it, certified like kronecker_lhs, next to the log
+cosh integral it equals.  The four routes to theta(i) live here too.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ __all__ = [
 ]
 
 
-def pole_gap(form: BinaryQuadraticForm, s: float, tol: float) -> ApproxValue:
-    """(sqrt(D)/4 pi) Z(s) - zeta(2s - 1), each term to tol."""
+def pole_gap(form: BinaryQuadraticForm, s: float, tol: float, lattice_sum) -> ApproxValue:
+    """(sqrt(D)/4 pi) Z(s) - zeta(2s - 1), each term to tol; Z is lattice_sum(form, s, tol)."""
     factor = math.sqrt(form.disc) / (4.0 * math.pi)
-    z_val = epstein_accelerated(form, s, tol / factor)
+    z_val = lattice_sum(form, s, tol / factor)
     return factor * z_val - zeta(2.0 * s - 1.0, tol)
 
 
@@ -50,7 +50,7 @@ def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8) -> ApproxValue:
     """Limit of pole_gap at s = 1, each node to tol: the finest node weighs
     about 3.44 in the limit's bound, so a smaller node share only stalls first."""
     check_tol(tol)
-    return pole_constant(lambda s: pole_gap(form, s, tol)).certified(
+    return pole_constant(lambda s: pole_gap(form, s, tol, epstein_accelerated)).certified(
         tol, "pole-gap extrapolation")
 
 
@@ -82,13 +82,15 @@ def l1_series(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
 
 
 def scalar_limit_sides() -> tuple[ApproxValue, ApproxValue]:
-    """(2/pi) zeta(s) L(s) - zeta(2s - 1) at s = 1, certified to 1e-8 as in
-    kronecker_lhs (each node term to 1e-8), and the logarithmic cosh integral."""
+    """pole_gap's limit at s = 1 for Q = (1, 0, 1) with Z(s) = 4 zeta(s) L(s),
+    certified to 1e-8 as in kronecker_lhs, and the logarithmic cosh integral."""
 
-    def regular(s: float) -> ApproxValue:
-        return (2.0 / math.pi) * (zeta(s, 1e-8) * L_chi4(s, 1e-8)) - zeta(2.0 * s - 1.0, 1e-8)
+    def dirichlet(_form: BinaryQuadraticForm, s: float, tol: float) -> ApproxValue:
+        return 4.0 * (zeta(s, tol) * L_chi4(s, tol))
 
-    return pole_constant(regular).certified(1e-8, "scalar pole limit"), integral_I(1e-12)
+    unit = BinaryQuadraticForm(1.0, 0.0, 1.0)
+    limit = pole_constant(lambda s: pole_gap(unit, s, 1e-8, dirichlet))
+    return limit.certified(1e-8, "scalar pole limit"), integral_I(1e-12)
 
 
 def target_limit_check(tol: float = 1e-8) -> VerificationRecord:

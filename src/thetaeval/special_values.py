@@ -114,7 +114,7 @@ def L_chi4(s: float, tol: float = 1e-13) -> ApproxValue:
 def L_chi4_prime_at_1(tol: float = 1e-11) -> ApproxValue:
     """L'(1) = minus the alternating sum of log(2k+1) / (2k+1)."""
     return -_accelerated_pair(
-        lambda k: math.log(2.0 * k + 1.0) / (2.0 * k + 1.0) if k else 0.0,
+        lambda k: math.log(2.0 * k + 1.0) / (2.0 * k + 1.0),
         tol, "L'(1)")
 
 

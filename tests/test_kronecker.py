@@ -18,6 +18,7 @@ from thetaeval import (
     ApproxValue,
     NonConvergence,
     RunConfig,
+    epstein_accelerated,
     eta_uhp,
     euler_gamma,
     gamma_integral,
@@ -145,7 +146,8 @@ class TestKroneckerLimit:
         # the first bound
         form = BinaryQuadraticForm(1.0, 0.0, 2.0)
         _, base = limit_table.pole_gap_limit(form)
-        halved = limit_at_zero(lambda e: pole_gap(form, 1 + e, 1e-8), 0.05, 8)
+        halved = limit_at_zero(lambda e: pole_gap(form, 1 + e, 1e-8, epstein_accelerated),
+                               0.05, 8)
         assert abs(base.value - halved.value) <= base.error_bound
 
     @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 1e7), (1.0, 0.0, 1e8), (3.0, 1.0, 1e8)])

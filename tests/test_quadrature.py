@@ -86,9 +86,29 @@ def test_non_finite_integrand_value_stalls(bad):
         _halfline(spiked, 1e-10)
 
 
+@pytest.mark.parametrize("integral, args", [
+    (gamma_integral, (20.0, 1e-10)),
+    (gamma_integral, (10.0, 1e-14)),
+    (f_form, (BinaryQuadraticForm(0.0254, -0.0797, 0.0806), 3.23, 1e-12)),
+], ids=["gamma-20", "gamma-10", "f-form-3.23"])
+def test_roundoff_floor_above_tol_stalls(integral, args):
+    # The level gap meets tol, but the floor 4.5e-16 (1 + |value|) does not:
+    # Gamma(20) ~ 1.2e17 came back with a bound of 54.7, Gamma(10) with
+    # 1.6e-10 and this f(3.23) ~ -4.0e5 with 1.8e-10, each above its tol.
+    with pytest.raises(NonConvergence, match=r"^quadrature stalled above tol="):
+        integral(*args)
+
+
 class TestIntegralI:
     def test_against_composite_rule_oracle(self):
         r = integral_I(1e-12)
+        assert abs(r.value - ORACLE_I) <= r.error_bound + ORACLE_I_BOUND
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9, 1e-15])
+    def test_one_rule_holds_its_tol(self, tol):
+        # The single half-line rule, log singularity at t = 0 and all.
+        r = integral_I(tol)
+        assert r.error_bound <= tol
         assert abs(r.value - ORACLE_I) <= r.error_bound + ORACLE_I_BOUND
 
     def test_exponential_form(self):

@@ -245,16 +245,24 @@ def test_one_entry_per_computation():
     assert calls and all(isinstance(arg, ast.Name) for call in calls
                          for arg in [*call.args, *(kw.value for kw in call.keywords)])
 
-    # The scalar pole limit follows the same rule: its three zeta and L
-    # nodes are asked for the tolerance it is certified to, with no other share.
+    # The scalar pole limit is pole_gap's on the unit form's Dirichlet
+    # route, asked for the tolerance it is certified to: it builds no
+    # regular part of its own, so spells neither the zeta pole nor pi.
     scalar = _functions("kronecker.py")["scalar_limit_sides"]
-    nodes = [node for node in ast.walk(scalar) if isinstance(node, ast.Call)
-             and getattr(node.func, "id", None) in ("zeta", "L_chi4")]
+    gaps = [node for node in ast.walk(scalar) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "pole_gap"]
     certify = [node for node in ast.walk(scalar) if isinstance(node, ast.Call)
                and getattr(node.func, "attr", None) == "certified"]
-    assert len(nodes) == 3 and len(certify) == 1
-    assert {ast.dump(call.args[1]) for call in nodes} == {ast.dump(certify[0].args[0])}
+    assert len(gaps) == 1 and len(certify) == 1
+    assert ast.dump(gaps[0].args[2]) == ast.dump(certify[0].args[0])
+    assert "zeta(2.0 * s - 1.0" not in ast.unparse(scalar)
+    assert "math.pi" not in ast.unparse(scalar)
     assert not scalar.args.args
+
+    # I is one half-line integral, with no split into a finite piece.
+    integral = [node.func.id for node in ast.walk(_functions("quadrature.py")["integral_I"])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert integral.count("_halfline") == 1 and "_finite" not in integral
 
     # L and L'(1) take one attempt at the a-priori term count: no retry loop.
     pair = _functions("special_values.py")["_accelerated_pair"]
