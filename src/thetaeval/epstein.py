@@ -60,6 +60,13 @@ with D = 4ac - b^2 and lambda_max the larger eigenvalue of
   1 + alpha / (lambda sqrt T) + 2 alpha sqrt T + 2 beta.  T is set so the
   tails stay far below the rounding allowance.
 
+  _split_sum holds that level choice and the block loop over both sides.
+  epstein_accelerated adds the two elementary terms and divides by
+  Gamma(s); kronecker.kronecker_lhs takes the same split at s = 1, where
+  kappa = 1, the primal terms are e^(-lambda Q) / Q and the dual terms
+  lambda E1(lambda Q), and the two elementary terms' pole is taken out in
+  closed form.
+
   Each point's Gamma(s, x) is one call of the float kernel behind
   upper_incomplete_gamma, with exp and log from math: the continued
   fraction runs per point until that point converges.  Each block of the
@@ -369,15 +376,18 @@ def _gamma_block(s: float, x, weight) -> tuple[float, float, int]:
     return 2.0 * math.fsum(values), 2.0 * math.fsum(errs), 2 * cost
 
 
-def epstein_accelerated(form: BinaryQuadraticForm, s: float,
-                        tol: float = 1e-12) -> ApproxValue:
-    """Incomplete-gamma accelerated value of the lattice sum, s > 1."""
-    if not 1.0 < s < math.inf:
-        raise ValueError(f"need a finite s > 1, got {s}")
-    check_tol(tol)
-    s = float(s)  # s = 2 and s = 2.0 take the same float path
+def _split_sum(form: BinaryQuadraticForm, s: float, target: float,
+               *elementary: float) -> ApproxValue:
+    """The incomplete-gamma split of Gamma(s) Z(s) over one level set.
+
+    Sum over v != 0 of Q^(-s) Gamma(s, lambda Q) + lambda^(2s-1) Q^(s-1)
+    Gamma(1-s, lambda Q), lambda = 2 pi / sqrt D, for s >= 1, plus the
+    terms elementary, added in the same fsum.  The level is the smallest
+    at which both sides' tails (module docstring) are within target.  The
+    bound adds the tails, the kernels' bounds and 8 EPS |total| for
+    rounding.
+    """
     lam = _TWO_PI / math.sqrt(form.disc)
-    gamma_whole = _gamma_cached(s)
     alpha, beta = _count_bound(form)
 
     def tail(t: float) -> float:
@@ -389,11 +399,8 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
         root = math.sqrt(t)
         return envelope * (1.0 + alpha / (lam * root) + 2.0 * alpha * root + 2.0 * beta)
 
-    # Both tails together stay far below the rounding allowance
-    # 8 EPS |total|: total > lam^s / (s-1) - lam^s / s, as both lattice
-    # sums are positive.
-    level = _smallest_level(tail, EPS * lam ** s / (32.0 * s * (s - 1.0)))
-    pieces = [lam ** s / (s - 1.0), -lam ** s / s]
+    level = _smallest_level(tail, target)
+    pieces = list(elementary)
     bounds = [2.0 * tail(level)]
     cost = 0
     for q in _level_set(form, level):
@@ -405,6 +412,21 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
             cost += n
 
     total = math.fsum(pieces)
-    total_bound = math.fsum(bounds) + 8.0 * EPS * abs(total)
-    return (ApproxValue(total, total_bound, cost) / gamma_whole).certified(
-        tol, "accelerated lattice sum")
+    return ApproxValue(total, math.fsum(bounds) + 8.0 * EPS * abs(total), cost)
+
+
+def epstein_accelerated(form: BinaryQuadraticForm, s: float,
+                        tol: float = 1e-12) -> ApproxValue:
+    """Incomplete-gamma accelerated value of the lattice sum, s > 1."""
+    if not 1.0 < s < math.inf:
+        raise ValueError(f"need a finite s > 1, got {s}")
+    check_tol(tol)
+    s = float(s)  # s = 2 and s = 2.0 take the same float path
+    lam = _TWO_PI / math.sqrt(form.disc)
+    gamma_whole = _gamma_cached(s)
+    # Both tails together stay far below the rounding allowance
+    # 8 EPS |total|: total > lam^s / (s-1) - lam^s / s, as both lattice
+    # sums are positive.
+    split = _split_sum(form, s, EPS * lam ** s / (32.0 * s * (s - 1.0)),
+                       lam ** s / (s - 1.0), -lam ** s / s)
+    return (split / gamma_whole).certified(tol, "accelerated lattice sum")

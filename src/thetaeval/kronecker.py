@@ -8,14 +8,17 @@ a matching multiple of the Riemann zeta pole leaves
 
 whose limit at eps = 0 equals (1/2) log(a / D) - 2 log |eta(z_Q)| where z_Q
 is the root of a z^2 + b z + c = 0 in the upper half plane.  pole_gap is
-that regular part at one s, given a route to Z; kronecker_lhs takes its
-limit at s = 1 on epstein_accelerated through approx.pole_constant, certified
-to its tolerance; kronecker_rhs gives the closed-form right side.
+that regular part at one s, given a route to Z.  kronecker_lhs takes its
+limit at s = 1 itself: it expands Gamma(s) Z(s), split as in
+epstein_accelerated, about the pole and sums the constant term over one
+level set, certified to its tolerance.  kronecker_rhs gives the closed-form
+right side.
 
 For Q = (1, 0, 1) the route Z(s) = 4 zeta(s) L(s) makes g the scalar family
 h(eps) = (2/pi) zeta(1+eps) L(1+eps) - zeta(1+2 eps); scalar_limit_sides
-takes pole_gap's limit on it, certified like kronecker_lhs, next to the log
-cosh integral it equals.  The four routes to theta(i) live here too.
+takes pole_gap's limit on it through approx.pole_constant, certified to
+1e-8, next to the log cosh integral it equals.  The four routes to theta(i)
+live here too.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ import cmath
 import math
 
 from .approx import EPS, ApproxValue, check_tol, pole_constant, terms_needed
-from .epstein import BinaryQuadraticForm, epstein_accelerated
+from .epstein import BinaryQuadraticForm, _split_sum
 from .modular import UpperHalfPoint, eta_uhp, theta_uhp
 from .quadrature import gamma_integral, integral_I
 from .report import VerificationRecord, timed_record
-from .special_values import L_chi4, zeta
+from .special_values import L_chi4, euler_gamma, zeta
 
 __all__ = [
     "kronecker_lhs",
@@ -47,11 +50,52 @@ def pole_gap(form: BinaryQuadraticForm, s: float, tol: float, lattice_sum) -> Ap
 
 
 def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8) -> ApproxValue:
-    """Limit of pole_gap at s = 1, each node to tol: the finest node weighs
-    about 3.44 in the limit's bound, so a smaller node share only stalls first."""
+    """The limit of pole_gap at s = 1, from one level set at s = 1 itself.
+
+    With lambda = 2 pi / sqrt D, epstein_accelerated's split reads
+    Gamma(s) Z(s) = S(s) + lambda^s / (s-1) - lambda^s / s, where S, the
+    lattice part _split_sum takes, is entire in s.  About s = 1,
+    lambda^s / (s-1) = lambda / (s-1) + lambda log lambda + O(s-1),
+    lambda^s / s = lambda + O(s-1) and 1 / Gamma(s) = 1 + gamma (s-1)
+    + O((s-1)^2), so
+
+        Z(s) = lambda / (s-1) + S(1) + lambda (log lambda - 1 + gamma) + O(s-1),
+
+    and with sqrt(D) / (4 pi) = 1 / (2 lambda) and zeta(2s-1) =
+    1 / (2 (s-1)) + gamma + O(s-1) the poles cancel:
+
+        limit = S(1) / (2 lambda) + (log lambda - 1 - gamma) / 2.
+
+    S(1) / (2 lambda) is the sum over pair representatives v of
+    e^(-x)/x + E1(x), x = lambda Q(v): the primal side at order 1 with
+    weight 1/Q, the dual side at order 0 with weight lambda.  Its level
+    keeps both tails within EPS lambda / 32, far below S(1)'s own 8 EPS
+    |S(1)| rounding allowance (its terms are positive).
+
+    The bound adds to S(1)'s, besides gamma's, the rounding of what
+    _split_sum's bound leaves out.  lambda is within 1.2 EPS of
+    2 pi / sqrt D, so S(1) is the split at that rounded point, and the
+    division by 2 lambda, the dual side's weight and its arguments, whose
+    exact value is (2 pi / sqrt D)^2 Q / lambda, are off by 1.2 to 2.4 EPS
+    plus the product's EPS/2.  The primal kernel takes exp of -x + log x,
+    rounded by up to 1.2 EPS x.  An argument's relative error e moves
+    E1(x) and e^(-x) by e e^(-x); summed with
+    sum over v != 0 of e^(-x) <= 1 + sqrt(y) + 1/sqrt(y), y = Im z_Q (a
+    Gaussian sum along each row, then over the rows), these add at most
+    EPS (3 (1 + sqrt(y) + 1/sqrt(y)) + 3 |S(1)| / (2 lambda)).  log lambda,
+    the two subtractions and the final addition add
+    EPS (2 |log lambda| + 2 |limit| + 3) at most.  The rounding of Q(v)
+    itself, as in both lattice engines, is not counted.
+    """
     check_tol(tol)
-    return pole_constant(lambda s: pole_gap(form, s, tol, epstein_accelerated)).certified(
-        tol, "pole-gap extrapolation")
+    lam = 2.0 * math.pi / math.sqrt(form.disc)
+    lead = _split_sum(form, 1.0, EPS * lam / 32.0) / (2.0 * lam)
+    log_lam = math.log(lam)
+    root = math.sqrt(form.z_point().im)
+    rounding = EPS * (5.0 * abs(lead.value) + 2.0 * abs(log_lam) + 6.0
+                      + 3.0 * (root + 1.0 / root))
+    limit = lead + 0.5 * (log_lam - 1.0) - 0.5 * euler_gamma() + ApproxValue(0.0, rounding)
+    return limit.certified(tol, "Kronecker limit at s = 1")
 
 
 def kronecker_rhs(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:

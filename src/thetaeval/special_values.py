@@ -137,13 +137,17 @@ def gamma_gauss(s: float, tol: float = 1e-9) -> ApproxValue:
     if not s > 0.0:
         raise ValueError(f"need s > 0, got {s}")
     log_s = math.log(s)
+    # Each node's sum is fsum's correctly rounded sum of the first n of
+    # these, so taking each log1p once leaves every node's bits as they are.
+    depth = 8
+    logs = [math.log1p(s / j) for j in range(1, 64 * 2 ** (depth - 1) + 1)]
 
     def node(inv_n: float) -> ApproxValue:
         n = round(1.0 / inv_n)
         log_n = math.log(n)
-        e = s * log_n - log_s - math.fsum(math.log1p(s / j) for j in range(1, n + 1))
+        e = s * log_n - log_s - math.fsum(logs[:n])
         p = math.exp(e)
         spread = 4.0 * s * log_n + 2.0 * s + 2.0 * abs(log_s) + abs(e) + 4.0
         return ApproxValue(p, p * EPS * spread, n)
 
-    return limit_at_zero(node, 1.0 / 64.0, 8).certified(tol, f"gamma_gauss({s})")
+    return limit_at_zero(node, 1.0 / 64.0, depth).certified(tol, f"gamma_gauss({s})")

@@ -218,15 +218,14 @@ class TestExitCodes:
     # ROADMAP's failure table for `verify epstein kronecker --form F`; each
     # row that stalls today is a strict xfail, so a fix has to flip it.
     @pytest.mark.parametrize("form", [
-        "1,0,1", "2,-2,1", "1,0,1e6", "1.5,0,100", "1,0,2e6",
+        "1,0,1", "2,-2,1", "1,0,1e6", "1.5,0,100", "1,0,2e6", "1e150,0,1e150",
         *(pytest.param(form, marks=pytest.mark.xfail(strict=True, reason=reason))
           for form, reason in (
-              ("1,0,1e-6", "level sets over 10^7 points, pole-gap stall, eta overflow"),
-              ("1e150,0,1e150", "the pole-gap extrapolation stalls"),
-              ("1e-150,0,1e-150", "level sets over 10^7 points, accelerated stall"),
+              ("1,0,1e-6", "level sets over 10^7 points, eta overflow in both Kronecker checks"),
+              ("1e-150,0,1e-150", "level sets over 10^7 points in the direct engine"),
               ("3,1,1e8", "eta underflow in both Kronecker checks"),
-              ("1,0,1e12", "pole-gap extrapolation stall, eta underflow"),
-              ("1,0.3,1e12", "pole-gap extrapolation stall, eta underflow"))),
+              ("1,0,1e12", "eta underflow in both Kronecker checks"),
+              ("1,0.3,1e12", "eta underflow in both Kronecker checks"))),
     ])
     def test_failure_table_row_passes(self, form, capsys):
         assert main(["epstein", "kronecker", "--form", form]) == 0

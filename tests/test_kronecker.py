@@ -162,13 +162,18 @@ class TestKroneckerLimit:
 
     @pytest.mark.parametrize("coeffs", FOUR_FORMS)
     def test_limit_script_matches_engine(self, coeffs):
-        # scripts/limit_table.py builds g(eps) on its own; the two
-        # definitions of the limit may not drift apart by a single bit.
+        # scripts/limit_table.py extrapolates g(eps) down the pole ladder;
+        # kronecker_lhs takes the limit at s = 1 itself.  The two routes
+        # must agree within the sum of their bounds.
         form = BinaryQuadraticForm(*coeffs)
         _, limit = limit_table.pole_gap_limit(form)
         engine = kronecker_lhs(form, 1e-8)
-        assert limit.value == engine.value
-        assert limit.error_bound == engine.error_bound
+        assert abs(limit.value - engine.value) <= limit.error_bound + engine.error_bound
+
+    def test_direct_limit_costs_one_level_set(self):
+        # One level set at s = 1, a few hundred kernel steps, where the
+        # ladder's eight accelerated sums took about 8,700.
+        assert kronecker_lhs(BinaryQuadraticForm(1.0, 0.0, 1.0), 1e-8).cost < 2_000
 
     def test_rejects_bad_arguments(self):
         form = BinaryQuadraticForm(1.0, 0.0, 1.0)
@@ -179,6 +184,19 @@ class TestKroneckerLimit:
     def test_refuses_impossible_tolerance(self):
         with pytest.raises(NonConvergence):
             kronecker_lhs(BinaryQuadraticForm(1.0, 0.0, 1.0), 1e-30)
+
+
+@given(a=st.floats(min_value=0.1, max_value=10.0),
+       shear=st.floats(min_value=-1.0, max_value=1.0),
+       ratio=st.floats(min_value=0.0, max_value=6.0))
+@settings(max_examples=40, deadline=None)
+def test_direct_limit_matches_the_eta_log_series(a, shear, ratio):
+    # Over reduced forms |b| <= a <= c, c/a up to 1e6, the limit at s = 1
+    # and the log-space eta route agree within their two bounds.
+    form = BinaryQuadraticForm(a, shear * a, a * 10.0 ** ratio)
+    lhs = kronecker_lhs(form, 1e-8)
+    rhs = 0.5 * math.log(form.a / form.disc) + l1_series(form, 1e-11)
+    assert abs(lhs.value - rhs.value) <= lhs.error_bound + rhs.error_bound
 
 
 class TestKroneckerRhs:

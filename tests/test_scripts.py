@@ -187,18 +187,22 @@ GRID_BUILDERS = {"arange", "meshgrid", "mgrid", "ogrid", "indices"}
 
 def test_one_lattice_enumerator_and_a_direct_engine_without_caches():
     # epstein._level_set alone lays out lattice points, and it is the one
-    # array grid of the package.  Both lattice engines reach points only
-    # through it, the direct engine never reaches the accelerated engine,
-    # nothing it reaches is cached, and it adds its blocks in numpy.
-    sites = _call_sites(GRID_BUILDERS | {"_level_set"})
+    # array grid of the package.  The direct engine and the incomplete-gamma
+    # split reach points only through it, and the accelerated engine and
+    # the Kronecker limit reach them only through the split.  The direct
+    # engine never reaches the accelerated engine, nothing it reaches is
+    # cached, and it adds its blocks in numpy.
+    sites = _call_sites(GRID_BUILDERS | {"_level_set", "_split_sum"})
     builders = set().union(*(sites[name] for name in GRID_BUILDERS))
     assert builders == {("epstein", "_level_set")}
     assert sites["_level_set"] == {("epstein", "epstein_direct"),
-                                   ("epstein", "epstein_accelerated")}
+                                   ("epstein", "_split_sum")}
+    assert sites["_split_sum"] == {("epstein", "epstein_accelerated"),
+                                   ("kronecker", "kronecker_lhs")}
 
     functions = _functions("epstein.py")
     reached = _reachable(functions, functions["epstein_direct"])
-    assert "_level_set" in reached and "epstein_accelerated" not in reached
+    assert "_level_set" in reached and not reached & {"epstein_accelerated", "_split_sum"}
     # Its points stay in numpy: no block is turned into Python floats.
     assert "_block_sum" in reached and "tolist" not in reached
     for name in reached & set(functions) | {"epstein_direct"}:
@@ -214,10 +218,12 @@ def _functions(module):
 
 
 def test_one_entry_per_computation():
-    # The accelerated sum is taken on each call, with no cache around it,
-    # and theta, eta and the eta log series pick their truncation through
-    # the one search, approx.terms_needed, with no loop of their own.
-    assert not _functions("epstein.py")["epstein_accelerated"].decorator_list
+    # The accelerated sum and its split are taken on each call, with no
+    # cache around them, and theta, eta and the eta log series pick their
+    # truncation through the one search, approx.terms_needed, with no loop
+    # of their own.
+    for name in ("epstein_accelerated", "_split_sum"):
+        assert not _functions("epstein.py")[name].decorator_list, name
     for module, name in (("modular.py", "theta_uhp"), ("modular.py", "eta_uhp"),
                          ("kronecker.py", "l1_series")):
         engine = _functions(module)[name]
@@ -238,12 +244,14 @@ def test_one_entry_per_computation():
         assert not [node for node in ast.walk(quadrature[name])
                     if isinstance(node, ast.FunctionDef) and node is not quadrature[name]], name
 
-    # The Kronecker limit asks its nodes for its own tolerance: pole_gap is
-    # called with plain names, so no share of tol is carved off on the way.
-    calls = [node for node in ast.walk(_functions("kronecker.py")["kronecker_lhs"])
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pole_gap"]
-    assert calls and all(isinstance(arg, ast.Name) for call in calls
-                         for arg in [*call.args, *(kw.value for kw in call.keywords)])
+    # The Kronecker limit is taken at s = 1 itself: one incomplete-gamma
+    # split at s = 1.0, and no pole ladder behind it.
+    lhs = _called_names(_functions("kronecker.py")["kronecker_lhs"])
+    assert not lhs & {"pole_gap", "pole_constant", "limit_at_zero", "epstein_accelerated"}
+    splits = [node for node in ast.walk(_functions("kronecker.py")["kronecker_lhs"])
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_split_sum"]
+    assert len(splits) == 1
+    assert isinstance(splits[0].args[1], ast.Constant) and splits[0].args[1].value == 1.0
 
     # The scalar pole limit is pole_gap's on the unit form's Dirichlet
     # route, asked for the tolerance it is certified to: it builds no
