@@ -18,8 +18,8 @@ This module also holds the package's one limit driver.  limit_at_zero
 takes a node function at halving abscissae, evaluates at 0 the polynomial
 through its values (Neville), pushes the nodes' own bounds through the same
 weights, and returns the limit with the nodes' summed cost.  pole_constant
-is its one ladder at the pole s = 1, for the Kronecker limits and Euler's
-constant; the Gauss product for Gamma and the central difference use
+is its one ladder at the pole s = 1, for the scalar Kronecker limit and
+Euler's constant; the Gauss product for Gamma and the central difference use
 ladders of their own.
 terms_needed is the one truncation search, for the theta and eta series:
 the smallest index whose proven tail bound meets a target.

@@ -72,20 +72,19 @@ def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8) -> ApproxValue:
     keeps both tails within EPS lambda / 32, far below S(1)'s own 8 EPS
     |S(1)| rounding allowance (its terms are positive).
 
-    The bound adds to S(1)'s, besides gamma's, the rounding of what
-    _split_sum's bound leaves out.  lambda is within 1.2 EPS of
-    2 pi / sqrt D, so S(1) is the split at that rounded point, and the
-    division by 2 lambda, the dual side's weight and its arguments, whose
-    exact value is (2 pi / sqrt D)^2 Q / lambda, are off by 1.2 to 2.4 EPS
-    plus the product's EPS/2.  The primal kernel takes exp of -x + log x,
-    rounded by up to 1.2 EPS x.  An argument's relative error e moves
-    E1(x) and e^(-x) by e e^(-x); summed with
-    sum over v != 0 of e^(-x) <= 1 + sqrt(y) + 1/sqrt(y), y = Im z_Q (a
-    Gaussian sum along each row, then over the rows), these add at most
-    EPS (3 (1 + sqrt(y) + 1/sqrt(y)) + 3 |S(1)| / (2 lambda)).  log lambda,
-    the two subtractions and the final addition add
-    EPS (2 |log lambda| + 2 |limit| + 3) at most.  The rounding of Q(v)
-    itself, as in both lattice engines, is not counted.
+    The bound adds gamma's and what _split_sum's bound leaves out.  lambda
+    is within 1.2 EPS of 2 pi / sqrt D; S(1) is the split at that rounded
+    point, so the dual side's weight and arguments, exactly
+    (2 pi / sqrt D)^2 Q / lambda, are off by up to 2.4 EPS, plus EPS/2 for
+    the product lambda Q on both sides.  The primal kernel takes exp of a
+    rounded -x + log x, off by up to 1.2 EPS x.  A relative error e in x
+    moves E1(x) and e^(-x) by e e^(-x), and the sum over v != 0 of e^(-x)
+    is at most 1 + sqrt(y) + 1/sqrt(y), y = Im z_Q (a Gaussian sum along
+    each row, then over the rows), so these add at most
+    EPS (3 (1 + sqrt(y) + 1/sqrt(y)) + 2 |lead|), lead = S(1) / (2 lambda).
+    The division by 2 lambda, log lambda, the subtractions and the
+    additions add at most EPS (3 |lead| + 2 |log lambda| + 3).  The
+    rounding of Q(v) itself, as in both lattice engines, is not counted.
     """
     check_tol(tol)
     lam = 2.0 * math.pi / math.sqrt(form.disc)

@@ -150,11 +150,12 @@ class TestKroneckerLimit:
                                0.05, 8)
         assert abs(base.value - halved.value) <= base.error_bound
 
-    @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 1e7), (1.0, 0.0, 1e8), (3.0, 1.0, 1e8)])
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 1e7), (1.0, 0.0, 1e8), (3.0, 1.0, 1e8),
+                                        (1.0, 0.0, 1e12), (1.0, 0.3, 1e12)])
     def test_elongated_limit_matches_the_eta_log_series(self, coeffs):
-        # Past c = 8e6 the eta product underflows, but the limit still
-        # certifies: its nodes take its own tolerance.  The log-space eta
-        # series gives the right side without underflow.
+        # Past c = 8e6 the eta product underflows, but the limit at s = 1
+        # still certifies, to c = 1e12.  The log-space eta series gives the
+        # right side without underflow.
         form = BinaryQuadraticForm(*coeffs)
         lhs = kronecker_lhs(form, 1e-8)
         rhs = 0.5 * math.log(form.a / form.disc) + l1_series(form, 1e-11)
