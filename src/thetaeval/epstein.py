@@ -67,11 +67,16 @@ with D = 4ac - b^2 and lambda_max the larger eigenvalue of
   lambda E1(lambda Q), and the two elementary terms' pole is taken out in
   closed form.
 
-  Each point's Gamma(s, x) is one call of the float kernel behind
-  upper_incomplete_gamma, with exp and log from math: the continued
-  fraction runs per point until that point converges.  Each block of the
-  level set adds its terms with one fsum per side, as the kernel returns
-  Python floats, and one more fsum adds the blocks' sums.
+  Each distinct x = lambda Q(v) of a block takes one call per side of the
+  float kernel behind upper_incomplete_gamma, with exp and log from math:
+  points of equal value (the form's automorphisms, equal representations)
+  reuse it through a table that lives for that block only, so every term
+  is bit for bit a per-point call's.  The continued fraction runs per
+  value until that value converges.  Each block of the level set adds its
+  terms with one fsum per side, as the kernel returns Python floats, and
+  one more fsum adds the blocks' sums.  The split's cost counts the kernel
+  steps taken; the whole Gamma that the series complement takes comes from
+  _gamma_cached once per process and is not charged per point.
 """
 
 from __future__ import annotations
@@ -272,20 +277,25 @@ def _gamma_cached(s: float) -> ApproxValue:
 def _cf_upper(s: float, x: float) -> tuple[float, float, int]:
     # Gamma(s, x), its bound and its iteration count for x >= max(1, s + 1):
     # continued fraction for Gamma(s, x) * exp(x) * x^(-s), modified Lentz
-    # (v or tiny takes tiny for a zero v).
+    # (v or tiny takes tiny for a zero v).  The float counter fi is exact,
+    # so an = fi (s - fi) = -i (i - s) and bn round as with the integer i;
+    # near 1, delta - 1 is exact, so the stop test |delta - 1| < 4 EPS is
+    # the open interval (1 - 4 EPS, 1 + 4 EPS).
     tiny = 1e-300
+    lo, hi = 1.0 - 4.0 * EPS, 1.0 + 4.0 * EPS
     b0 = x + 1.0 - s
     f = b0 or tiny
     cc, dd = f, 0.0
+    fi = 0.0
     for i in range(1, 400):
-        an = -i * (i - s)
-        bn = b0 + 2.0 * i
-        dd = bn + an * dd or tiny
+        fi += 1.0
+        an = fi * (s - fi)
+        bn = b0 + 2.0 * fi
+        dd = 1.0 / (bn + an * dd or tiny)
         cc = bn + an / cc or tiny
-        dd = 1.0 / dd
         delta = cc * dd
-        f = f * delta
-        if abs(delta - 1.0) < 4.0 * EPS:
+        f *= delta
+        if lo < delta < hi:
             value = math.exp(-x + s * math.log(x)) * (1.0 / f)
             return value, 16.0 * EPS * abs(value) + 1e-306, i
     raise NonConvergence(f"incomplete gamma fraction stalled at s={s}, x={x}")
@@ -318,62 +328,77 @@ def _e1_series(x: float) -> tuple[float, float, int]:
     raise NonConvergence(f"exponential integral series stalled at x={x}")
 
 
-def _incomplete_gamma(s: float, x: float) -> tuple[float, float, int]:
-    # Gamma(s, x), its bound and its cost for a finite s and x > 0, in
-    # floats: the body of upper_incomplete_gamma, which the lattice blocks
-    # call directly.
-    if x >= max(1.0, s + 1.0):
-        return _cf_upper(s, x)
+def _incomplete_gamma(s: float, x: float) -> tuple[float, float, int, int]:
+    # Gamma(s, x), its bound, its own steps and the cost of the Gamma value
+    # it takes from _gamma_cached (0 if none), for a finite s and
+    # 0 < x < max(1, s + 1), in floats: the body of upper_incomplete_gamma
+    # below the continued fraction's range, which the lattice blocks call
+    # directly.
     if s < -1e5:
         raise ValueError(f"order s={s} needs more than 10^5 recurrence steps")
     orders = []
     while s < 0.0:
         orders.append(s)
         s += 1.0
+    whole_cost = 0
     if s == 0.0:
         value, bound, cost = _e1_series(x)
     else:
         whole = _gamma_cached(s)
-        series, n = _series_lower(s, x)
+        series, cost = _series_lower(s, x)
         lower = math.exp(-x + s * math.log(x)) * series
         value = whole.value - lower
         bound = whole.error_bound + 8.0 * EPS * (abs(lower) + abs(value))
-        cost = n + whole.cost
+        whole_cost = whole.cost
     for order in reversed(orders):
         front = math.exp(-x + order * math.log(x))
         value = (value - front) / order
         bound = (bound + 4.0 * EPS * front) / abs(order) + 4.0 * EPS * abs(value)
         cost += 1
-    return value, bound, cost
+    return value, bound, cost, whole_cost
 
 
 def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
     """Gamma(s, x) = integral over (x, inf) of t**(s-1) exp(-t), x > 0.
 
-    Continued fraction for large x, series complement for small x with
-    positive s, and the recurrence Gamma(s, x) = (Gamma(s+1, x)
-    - x^s exp(-x)) / s to lift a negative s into range, one step per unit
-    of order.  Raises ValueError for a non-finite s, for s > 171 on the
-    series branch and for s < -10^5 on the lift, whose x^s may also leave
-    the double range (OverflowError).
+    Continued fraction for x >= max(1, s + 1), series complement for
+    smaller x with positive s, and the recurrence Gamma(s, x) =
+    (Gamma(s+1, x) - x^s exp(-x)) / s to lift a negative s into range, one
+    step per unit of order.  The cost counts the fraction's, series' and
+    lift's steps, plus the quadrature behind the whole Gamma the series
+    complement takes.  Raises ValueError for a non-finite s, for s > 171
+    on the series branch and for s < -10^5 on the lift, whose x^s may also
+    leave the double range (OverflowError).
     """
     if not math.isfinite(s):
         raise ValueError(f"need a finite order s, got {s}")
     if not x > 0.0:
         raise ValueError(f"need x > 0, got {x}")
-    return ApproxValue(*_incomplete_gamma(s, x))
+    if x >= max(1.0, s + 1.0):
+        return ApproxValue(*_cf_upper(s, x))
+    value, bound, steps, whole_cost = _incomplete_gamma(s, x)
+    return ApproxValue(value, bound, steps + whole_cost)
 
 
 def _gamma_block(s: float, x, weight) -> tuple[float, float, int]:
-    # Sum of weight * Gamma(s, x) over one block of pair representatives,
-    # its bound and its cost, each doubled to count every -v too.
+    # Sum of weight * Gamma(s, x) over one block of pair representatives
+    # and its bound, each doubled to count every -v too, and the kernel
+    # steps taken.  Points with equal x (the form's automorphisms, equal
+    # representations) reuse one evaluation through seen, which lives for
+    # this block only, so the summed lists are exactly a per-point call's.
+    # The whole Gamma that the series complement takes comes from
+    # _gamma_cached, computed once per process, and is not charged per point.
+    edge = max(1.0, s + 1.0)
+    seen = {}
     values, errs, cost = [], [], 0
     for v, w in zip(x.tolist(), weight.tolist()):
-        value, bound, n = _incomplete_gamma(s, v)
-        values.append(w * value)
-        errs.append(w * bound)
-        cost += n
-    return 2.0 * math.fsum(values), 2.0 * math.fsum(errs), 2 * cost
+        got = seen.get(v)
+        if got is None:
+            got = seen[v] = _cf_upper(s, v) if v >= edge else _incomplete_gamma(s, v)
+            cost += got[2]
+        values.append(w * got[0])
+        errs.append(w * got[1])
+    return 2.0 * math.fsum(values), 2.0 * math.fsum(errs), cost
 
 
 def _split_sum(form: BinaryQuadraticForm, s: float, target: float,

@@ -519,28 +519,30 @@ GAMMA_PINS = [
 ]
 
 # (form, s, value.hex(), error_bound.hex(), cost) of epstein_accelerated at
-# tol 1e-12, recorded as GAMMA_PINS were.
+# tol 1e-12, value and bound recorded as GAMMA_PINS were.  The cost is
+# Gamma(s)'s quadrature plus the kernel steps the split takes: once per
+# distinct argument of a block, with no Gamma charged per point.
 ACCELERATED_PINS = [
-    ((1.0, 0.0, 1.0), 1.25, '0x1.e7a05770a6dc1p+3', '0x1.86ad3d9bd841ep-45', 1077),
-    ((1.0, 0.0, 1.0), 1.5, '0x1.21136dc7ab5cap+3', '0x1.e9051d9d0180cp-46', 1085),
-    ((1.0, 0.0, 1.0), 2.0, '0x1.81b749d8676b8p+2', '0x1.69b1595f4c229p-46', 765),
-    ((1.0, 0.0, 1.0), 3.0, '0x1.2a2ba4037a169p+2', '0x1.9f6a312af15c0p-46', 1773),
-    ((2.0, -2.0, 1.0), 1.25, '0x1.e7a05770a6dc1p+3', '0x1.86ad3d9bb584fp-45', 1077),
-    ((2.0, -2.0, 1.0), 1.5, '0x1.21136dc7ab5cap+3', '0x1.e9051d9ce79dbp-46', 1085),
-    ((2.0, -2.0, 1.0), 2.0, '0x1.81b749d8676b8p+2', '0x1.69b1595f599d8p-46', 765),
-    ((2.0, -2.0, 1.0), 3.0, '0x1.2a2ba4037a169p+2', '0x1.9f6a312ae4c50p-46', 1773),
-    ((1.0, 0.0, 2.0), 1.25, '0x1.442164114ad59p+3', '0x1.323898b3e68dcp-45', 1441),
-    ((1.0, 0.0, 2.0), 1.5, '0x1.6c8d76f466d85p+2', '0x1.8e38f2ec1d693p-46', 1445),
-    ((1.0, 0.0, 2.0), 2.0, '0x1.c05ce5df76ff8p+1', '0x1.1f79040727992p-46', 1253),
-    ((1.0, 0.0, 2.0), 3.0, '0x1.3c41ee5d79ac6p+1', '0x1.b4b1728eab257p-47', 1313),
-    ((1.0, 1.0, 1.0), 1.25, '0x1.21ec5745a3c8fp+4', '0x1.ccdcd3b680275p-45', 1075),
-    ((1.0, 1.0, 1.0), 1.5, '0x1.6117f7b5f8d40p+3', '0x1.257dbde7ccd6bp-45', 1087),
-    ((1.0, 1.0, 1.0), 2.0, '0x1.ed836964610e0p+2', '0x1.bdd510f9ca0adp-46', 757),
-    ((1.0, 1.0, 1.0), 3.0, '0x1.980e718024badp+2', '0x1.2549f1f226219p-45', 2113),
-    ((1.0, 0.53, 10000.0), 1.25, '0x1.5905f7222bceap+1', '0x1.269416f56d42cp-46', 7433),
-    ((1.0, 0.53, 10000.0), 1.5, '0x1.33cf8fd4874c7p+1', '0x1.ec7788aff335ap-47', 6489),
-    ((1.0, 0.53, 10000.0), 2.0, '0x1.1513425a46794p+1', '0x1.a237a913067a8p-47', 5405),
-    ((1.0, 0.53, 10000.0), 3.0, '0x1.0470984c8f760p+1', '0x1.67692f6a29626p-47', 6399),
+    ((1.0, 0.0, 1.0), 1.25, '0x1.e7a05770a6dc1p+3', '0x1.86ad3d9bd841ep-45', 379),
+    ((1.0, 0.0, 1.0), 1.5, '0x1.21136dc7ab5cap+3', '0x1.e9051d9d0180cp-46', 381),
+    ((1.0, 0.0, 1.0), 2.0, '0x1.81b749d8676b8p+2', '0x1.69b1595f4c229p-46', 312),
+    ((1.0, 0.0, 1.0), 3.0, '0x1.2a2ba4037a169p+2', '0x1.9f6a312af15c0p-46', 357),
+    ((2.0, -2.0, 1.0), 1.25, '0x1.e7a05770a6dc1p+3', '0x1.86ad3d9bb584fp-45', 379),
+    ((2.0, -2.0, 1.0), 1.5, '0x1.21136dc7ab5cap+3', '0x1.e9051d9ce79dbp-46', 381),
+    ((2.0, -2.0, 1.0), 2.0, '0x1.81b749d8676b8p+2', '0x1.69b1595f599d8p-46', 312),
+    ((2.0, -2.0, 1.0), 3.0, '0x1.2a2ba4037a169p+2', '0x1.9f6a312ae4c50p-46', 357),
+    ((1.0, 0.0, 2.0), 1.25, '0x1.442164114ad59p+3', '0x1.323898b3e68dcp-45', 487),
+    ((1.0, 0.0, 2.0), 1.5, '0x1.6c8d76f466d85p+2', '0x1.8e38f2ec1d693p-46', 488),
+    ((1.0, 0.0, 2.0), 2.0, '0x1.c05ce5df76ff8p+1', '0x1.1f79040727992p-46', 419),
+    ((1.0, 0.0, 2.0), 3.0, '0x1.3c41ee5d79ac6p+1', '0x1.b4b1728eab257p-47', 435),
+    ((1.0, 1.0, 1.0), 1.25, '0x1.21ec5745a3c8fp+4', '0x1.ccdcd3b680275p-45', 324),
+    ((1.0, 1.0, 1.0), 1.5, '0x1.6117f7b5f8d40p+3', '0x1.257dbde7ccd6bp-45', 326),
+    ((1.0, 1.0, 1.0), 2.0, '0x1.ed836964610e0p+2', '0x1.bdd510f9ca0adp-46', 276),
+    ((1.0, 1.0, 1.0), 3.0, '0x1.980e718024badp+2', '0x1.2549f1f226219p-45', 308),
+    ((1.0, 0.53, 10000.0), 1.25, '0x1.5905f7222bceap+1', '0x1.269416f56d42cp-46', 1304),
+    ((1.0, 0.53, 10000.0), 1.5, '0x1.33cf8fd4874c7p+1', '0x1.ec7788aff335ap-47', 1312),
+    ((1.0, 0.53, 10000.0), 2.0, '0x1.1513425a46794p+1', '0x1.a237a913067a8p-47', 1062),
+    ((1.0, 0.53, 10000.0), 3.0, '0x1.0470984c8f760p+1', '0x1.67692f6a29626p-47', 1173),
 ]
 
 
@@ -627,6 +629,53 @@ class TestAcceleratedCaches:
         assert _bits(epstein_accelerated(BinaryQuadraticForm(1.0, 0.53, 1e4), 2, 1e-12)) \
             == pinned
         assert calls["_e1_series"] > 0 and calls["euler_gamma"] == 0
+
+
+def _kernel_arguments(monkeypatch, form, s):
+    # The (order, x) of every kernel evaluation in one accelerated sum, and
+    # the (order, lambda Q) of every point of its level set, in order.
+    evaluated, points = [], []
+    lam = 2.0 * math.pi / math.sqrt(form.disc)
+
+    def counted(kernel):
+        def wrapper(order, x):
+            evaluated.append((order, x))
+            return kernel(order, x)
+        return wrapper
+
+    def level_set(form, level):
+        for q in real_level_set(form, level):
+            points.extend((order, x) for order in (s, 1.0 - s) for x in (lam * q).tolist())
+            yield q
+
+    real_level_set = epstein._level_set
+    monkeypatch.setattr(epstein, "_level_set", level_set)
+    for name in ("_cf_upper", "_incomplete_gamma"):
+        monkeypatch.setattr(epstein, name, counted(getattr(epstein, name)))
+    epstein_accelerated(form, s, 1e-12)
+    return evaluated, points
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 0.0, 1.0), (1.0, 1.0, 1.0)])
+@pytest.mark.parametrize("s", [1.25, 2.0, 3.0])
+def test_kernel_runs_once_per_distinct_argument(monkeypatch, coeffs, s):
+    # The symmetric forms repeat lambda Q under their automorphisms: each
+    # block evaluates every distinct (order, lambda Q) once (these level
+    # sets fit in one block), and a second call evaluates them all again.
+    form = BinaryQuadraticForm(*coeffs)
+    evaluated, points = _kernel_arguments(monkeypatch, form, s)
+    assert len(points) // 2 <= epstein._BLOCK
+    assert len(evaluated) == len(set(evaluated)) < len(points)
+    assert set(evaluated) == set(points)
+    monkeypatch.undo()
+    again, _ = _kernel_arguments(monkeypatch, form, s)
+    assert again == evaluated
+
+
+def test_kernel_runs_once_per_point_without_repeats(monkeypatch):
+    # A sheared form repeats no value: one evaluation per point and order.
+    evaluated, points = _kernel_arguments(monkeypatch, BinaryQuadraticForm(1.0, 0.53, 1e4), 1.5)
+    assert evaluated == points
 
 
 @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 100.0), (1.5, 0.0, 100.0), (1.0, 0.53, 1e4)])

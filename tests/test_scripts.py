@@ -218,12 +218,24 @@ def _functions(module):
 
 
 def test_one_entry_per_computation():
-    # The accelerated sum and its split are taken on each call, with no
-    # cache around them, and theta, eta and the eta log series pick their
-    # truncation through the one search, approx.terms_needed, with no loop
-    # of their own.
-    for name in ("epstein_accelerated", "_split_sum"):
-        assert not _functions("epstein.py")[name].decorator_list, name
+    # The accelerated sum, its split and the split's kernels are taken on
+    # each call, with no cache around them: a block's table of equal
+    # arguments is local to the block, epstein.py binds no dict at module
+    # level, and Gamma(s) in _gamma_cached is its one cache.  Theta, eta
+    # and the eta log series pick their truncation through the one search,
+    # approx.terms_needed, with no loop of their own.
+    epstein = _functions("epstein.py")
+    for name in ("epstein_accelerated", "_split_sum", "_gamma_block", "_incomplete_gamma",
+                 "_cf_upper"):
+        assert not epstein[name].decorator_list, name
+    assert [name for name, node in epstein.items() if node.decorator_list] == ["_gamma_cached"]
+    module = ast.parse((PACKAGE / "epstein.py").read_text())
+    for node in module.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and value is not None:
+            assert not isinstance(value, (ast.Dict, ast.DictComp)), ast.unparse(node)
+            assert getattr(getattr(value, "func", None), "id", None) not in \
+                {"dict", "defaultdict", "OrderedDict"}, ast.unparse(node)
     for module, name in (("modular.py", "theta_uhp"), ("modular.py", "eta_uhp"),
                          ("kronecker.py", "l1_series")):
         engine = _functions(module)[name]
