@@ -383,11 +383,12 @@ def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
 def _gamma_block(s: float, x, weight) -> tuple[float, float, int]:
     # Sum of weight * Gamma(s, x) over one block of pair representatives
     # and its bound, each doubled to count every -v too, and the kernel
-    # steps taken.  Points with equal x (the form's automorphisms, equal
-    # representations) reuse one evaluation through seen, which lives for
-    # this block only, so the summed lists are exactly a per-point call's.
-    # The whole Gamma that the series complement takes comes from
-    # _gamma_cached, computed once per process, and is not charged per point.
+    # steps taken.  A reused value adds no steps: -v takes v's, and points
+    # with equal x (the form's automorphisms, equal representations) take
+    # one evaluation through seen, which lives for this block only, so the
+    # summed lists are exactly a per-point call's.  The whole Gamma that the
+    # series complement takes comes from _gamma_cached, computed once per
+    # process, and is not charged per point.
     edge = max(1.0, s + 1.0)
     seen = {}
     values, errs, cost = [], [], 0
