@@ -38,12 +38,14 @@ EPS = 2.2204460492503131e-16    # spacing of doubles at 1.0
 
 
 def check_tol(tol: float, what: str = "tolerance", zero_ok: bool = False) -> None:
-    """Refuse a tolerance that is not finite and positive (or zero, if zero_ok).
+    """Refuse a tolerance that is not finite and positive (or +0, if zero_ok).
 
-    Engines need tol > 0 to pick a truncation; a record's tolerance may be 0.
+    Engines need tol > 0 to pick a truncation; a record's tolerance may be
+    0, but not -0, which a JSON report would write as a negative number.
     """
-    if not (math.isfinite(tol) and (tol > 0.0 or zero_ok and tol == 0.0)):
-        need = "finite and >= 0" if zero_ok else "positive and finite"
+    zero = zero_ok and tol == 0.0 and math.copysign(1.0, tol) > 0.0
+    if not (math.isfinite(tol) and (tol > 0.0 or zero)):
+        need = "finite and >= 0, not -0" if zero_ok else "positive and finite"
         raise ValueError(f"{what} must be {need}, got {tol}")
 
 

@@ -67,16 +67,16 @@ with D = 4ac - b^2 and lambda_max the larger eigenvalue of
   lambda E1(lambda Q), and the two elementary terms' pole is taken out in
   closed form.
 
-  Each distinct x = lambda Q(v) of a block takes one call per side of the
-  float kernel behind upper_incomplete_gamma, with exp and log from math:
-  points of equal value (the form's automorphisms, equal representations)
-  reuse it through a table that lives for that block only, so every term
-  is bit for bit a per-point call's.  The continued fraction runs per
-  value until that value converges.  Each block of the level set adds its
-  terms with one fsum per side, as the kernel returns Python floats, and
-  one more fsum adds the blocks' sums.  The split's cost counts the kernel
-  steps taken; the whole Gamma that the series complement takes comes from
-  _gamma_cached once per process and is not charged per point.
+  Each distinct x = lambda Q(v) of a block takes one call per side of
+  _incomplete_gamma, the one float kernel entry, which upper_incomplete_gamma
+  wraps too; it takes exp and log from math.  Points of equal value (the
+  form's automorphisms, equal representations) reuse it through a table
+  that lives for that block only, so every term is bit for bit a per-point
+  call's.  The continued fraction runs per value until that value
+  converges.  Each block adds its terms with one fsum per side, as the
+  kernel returns Python floats, and one more fsum adds the blocks' sums.
+  Cost counts the kernel steps taken; the whole Gamma that the series
+  complement takes comes from _gamma_cached once per process, uncharged.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ __all__ = [
     "upper_incomplete_gamma",
 ]
 
-_TWO_PI = 2.0 * math.pi
 _BLOCK = 4096
 _MAX_POINTS = 10_000_000
 _EULER_GAMMA = euler_gamma(1e-13)
@@ -129,6 +128,11 @@ class BinaryQuadraticForm:
         return 4.0 * self.a * self.c - self.b * self.b
 
     @property
+    def lam(self) -> float:
+        """2 pi / sqrt(4ac - b^2): Z's residue at s = 1, and the split point."""
+        return 2.0 * math.pi / math.sqrt(self.disc)
+
+    @property
     def label(self) -> str:
         """The form's name in record names: a, b, c in format "g", joined by commas."""
         return ",".join(format(v, "g") for v in (self.a, self.b, self.c))
@@ -145,7 +149,7 @@ class BinaryQuadraticForm:
 
 def _count_bound(form: BinaryQuadraticForm) -> tuple[float, float]:
     # alpha and beta of the lattice-point count bound (module docstring).
-    area = _TWO_PI / math.sqrt(form.disc)
+    area = form.lam
     lam_max = 0.5 * (form.a + form.c) + 0.5 * math.hypot(form.a - form.c, form.b)
     return area * math.sqrt(2.0 * lam_max), area * lam_max / 2.0 + 1.0
 
@@ -249,7 +253,7 @@ def epstein_direct(form: BinaryQuadraticForm, s: float, tol: float = 1e-2) -> Ap
     for q in _level_set(form, level):
         sums.append(_block_sum(q ** -s))
         cost += 2 * len(q)
-    tail = (_TWO_PI / math.sqrt(form.disc)) * level ** (1.0 - s) / (s - 1.0)
+    tail = form.lam * level ** (1.0 - s) / (s - 1.0)
     value = 2.0 * math.fsum(sums) + tail
     bound = truncation(level) + 8.0 * EPS * abs(value)
     return ApproxValue(value, bound, cost).certified(tol, "direct lattice sum")
@@ -328,19 +332,19 @@ def _e1_series(x: float) -> tuple[float, float, int]:
     raise NonConvergence(f"exponential integral series stalled at x={x}")
 
 
-def _incomplete_gamma(s: float, x: float) -> tuple[float, float, int, int]:
-    # Gamma(s, x), its bound, its own steps and the cost of the Gamma value
-    # it takes from _gamma_cached (0 if none), for a finite s and
-    # 0 < x < max(1, s + 1), in floats: the body of upper_incomplete_gamma
-    # below the continued fraction's range, which the lattice blocks call
-    # directly.
+def _incomplete_gamma(s: float, x: float) -> tuple[float, float, int]:
+    # Gamma(s, x), its bound and its kernel steps for a finite s and x > 0,
+    # in floats: the one kernel entry, behind upper_incomplete_gamma and
+    # the lattice blocks.  The whole Gamma that the series complement takes
+    # comes from _gamma_cached once per process and is not charged.
+    if x >= max(1.0, s + 1.0):
+        return _cf_upper(s, x)
     if s < -1e5:
         raise ValueError(f"order s={s} needs more than 10^5 recurrence steps")
     orders = []
     while s < 0.0:
         orders.append(s)
         s += 1.0
-    whole_cost = 0
     if s == 0.0:
         value, bound, cost = _e1_series(x)
     else:
@@ -349,13 +353,12 @@ def _incomplete_gamma(s: float, x: float) -> tuple[float, float, int, int]:
         lower = math.exp(-x + s * math.log(x)) * series
         value = whole.value - lower
         bound = whole.error_bound + 8.0 * EPS * (abs(lower) + abs(value))
-        whole_cost = whole.cost
     for order in reversed(orders):
         front = math.exp(-x + order * math.log(x))
         value = (value - front) / order
         bound = (bound + 4.0 * EPS * front) / abs(order) + 4.0 * EPS * abs(value)
         cost += 1
-    return value, bound, cost, whole_cost
+    return value, bound, cost
 
 
 def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
@@ -364,20 +367,17 @@ def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
     Continued fraction for x >= max(1, s + 1), series complement for
     smaller x with positive s, and the recurrence Gamma(s, x) =
     (Gamma(s+1, x) - x^s exp(-x)) / s to lift a negative s into range, one
-    step per unit of order.  The cost counts the fraction's, series' and
-    lift's steps, plus the quadrature behind the whole Gamma the series
-    complement takes.  Raises ValueError for a non-finite s, for s > 171
-    on the series branch and for s < -10^5 on the lift, whose x^s may also
-    leave the double range (OverflowError).
+    step per unit of order.  The cost counts kernel steps, as the lattice
+    sums do: the fraction's, series' and lift's, not the whole Gamma the
+    series complement takes.  Raises ValueError for a non-finite s, for
+    s > 171 on the series branch and for s < -10^5 on the lift, whose x^s
+    may also leave the double range (OverflowError).
     """
     if not math.isfinite(s):
         raise ValueError(f"need a finite order s, got {s}")
     if not x > 0.0:
         raise ValueError(f"need x > 0, got {x}")
-    if x >= max(1.0, s + 1.0):
-        return ApproxValue(*_cf_upper(s, x))
-    value, bound, steps, whole_cost = _incomplete_gamma(s, x)
-    return ApproxValue(value, bound, steps + whole_cost)
+    return ApproxValue(*_incomplete_gamma(s, x))
 
 
 def _gamma_block(s: float, x, weight) -> tuple[float, float, int]:
@@ -386,16 +386,13 @@ def _gamma_block(s: float, x, weight) -> tuple[float, float, int]:
     # steps taken.  A reused value adds no steps: -v takes v's, and points
     # with equal x (the form's automorphisms, equal representations) take
     # one evaluation through seen, which lives for this block only, so the
-    # summed lists are exactly a per-point call's.  The whole Gamma that the
-    # series complement takes comes from _gamma_cached, computed once per
-    # process, and is not charged per point.
-    edge = max(1.0, s + 1.0)
+    # summed lists are exactly a per-point call's.
     seen = {}
     values, errs, cost = [], [], 0
     for v, w in zip(x.tolist(), weight.tolist()):
         got = seen.get(v)
         if got is None:
-            got = seen[v] = _cf_upper(s, v) if v >= edge else _incomplete_gamma(s, v)
+            got = seen[v] = _incomplete_gamma(s, v)
             cost += got[2]
         values.append(w * got[0])
         errs.append(w * got[1])
@@ -413,7 +410,7 @@ def _split_sum(form: BinaryQuadraticForm, s: float, target: float,
     bound adds the tails, the kernels' bounds and 8 EPS |total| for
     rounding.
     """
-    lam = _TWO_PI / math.sqrt(form.disc)
+    lam = form.lam
     alpha, beta = _count_bound(form)
 
     def tail(t: float) -> float:
@@ -448,7 +445,7 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
         raise ValueError(f"need a finite s > 1, got {s}")
     check_tol(tol)
     s = float(s)  # s = 2 and s = 2.0 take the same float path
-    lam = _TWO_PI / math.sqrt(form.disc)
+    lam = form.lam
     gamma_whole = _gamma_cached(s)
     # Both tails together stay far below the rounding allowance
     # 8 EPS |total|: total > lam^s / (s-1) - lam^s / s, as both lattice

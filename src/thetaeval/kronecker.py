@@ -87,7 +87,7 @@ def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8) -> ApproxValue:
     rounding of Q(v) itself, as in both lattice engines, is not counted.
     """
     check_tol(tol)
-    lam = 2.0 * math.pi / math.sqrt(form.disc)
+    lam = form.lam
     lead = _split_sum(form, 1.0, EPS * lam / 32.0) / (2.0 * lam)
     log_lam = math.log(lam)
     root = math.sqrt(form.z_point().im)

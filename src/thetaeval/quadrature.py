@@ -40,7 +40,6 @@ __all__ = [
 
 _U_MAX = 6.0        # grid cutoff; its offset 6.1e-276 is the smallest, still in double range
 _MAX_LEVEL = 11
-_LN2 = math.log(2.0)
 
 
 @lru_cache(maxsize=32)
@@ -66,10 +65,10 @@ def _drive(node_value: Callable[[float, int], float], scale: float,
 
     node_value(q, side) returns the transformed integrand (including any
     jacobian) at the node with offset fraction q from the lower (side -1)
-    or upper (side +1) endpoint; side 0 is the center node.  scale is the
-    half-length of the reference interval.
+    or upper (side +1) endpoint; the center node is q = 1/2 from the lower
+    one.  scale is the half-length of the reference interval.
     """
-    total = 0.5 * math.pi * node_value(0.5, 0)
+    total = 0.5 * math.pi * node_value(0.5, -1)
     neval = 1
     previous = None
     last_err = math.inf
@@ -94,21 +93,18 @@ def _drive(node_value: Callable[[float, int], float], scale: float,
 
 def _finite(f: Callable[[float], float], a: float, b: float, tol: float) -> ApproxValue:
     length = b - a
-    half = 0.5 * length
 
     def node_value(q: float, side: int) -> float:
         if side < 0:
             x = a + length * q
-        elif side > 0:
-            x = b - length * q
         else:
-            x = a + half
+            x = b - length * q
         y = f(x)
         if not math.isfinite(y):
             raise NonConvergence(f"integrand is {y} at x={x!r}")
         return y
 
-    return _drive(node_value, half, tol)
+    return _drive(node_value, 0.5 * length, tol)
 
 
 def _halfline(f: Callable[[float], float], tol: float) -> ApproxValue:
@@ -116,12 +112,9 @@ def _halfline(f: Callable[[float], float], tol: float) -> ApproxValue:
         if side < 0:
             v = q
             t = -math.log(q)
-        elif side > 0:
+        else:
             v = 1.0 - q
             t = -math.log1p(-q)
-        else:
-            v = 0.5
-            t = _LN2
         y = f(t)
         if not math.isfinite(y):
             raise NonConvergence(f"integrand is {y} at t={t!r}")

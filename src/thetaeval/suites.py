@@ -121,15 +121,14 @@ def _suite_integral(config: RunConfig, check) -> None:
     for form in config.forms:
         def value_check(q=form):
             got = f_form(q, 1.0, 1e-12)
-            target = -2.0 * math.pi / math.sqrt(q.disc)
+            target = -q.lam
             return got, ApproxValue(target, 4.0 * EPS * abs(target))
 
         check(f"integral/f-at-1/{form.label}", "Prop. 3", 1e-10, value_check)
 
         def slope_check(q=form):
             got = f_form_derivative_at_1(q, 1e-11)
-            target = -(4.0 * math.pi / math.sqrt(q.disc)) * math.log(
-                math.sqrt(q.a / q.disc))
+            target = -(2.0 * q.lam) * math.log(math.sqrt(q.a / q.disc))
             return got, ApproxValue(target, 4.0 * EPS * abs(target))
 
         check(f"integral/f-prime-at-1/{form.label}", "eq. (1)", 1e-8, slope_check)

@@ -182,6 +182,15 @@ class TestExitCodes:
         assert "engine gave up" not in captured.err
         assert caught == []
 
+    def test_negative_zero_tolerance_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        argv = ["special-values", "--tol", "special-values/L-at-1=-0", "--json", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad configuration: tolerance override")
+        assert "special-values/L-at-1" in captured.err
+        assert captured.out == "" and not path.exists()
+
     def test_zero_tolerance_on_engine_built_checks(self, tmp_path, capsys):
         # An override sets the verdict only; engines keep their own tolerances.
         names = ("kronecker/scalar-limit-vs-integral", "theta/value-at-i-four-routes")
@@ -438,8 +447,10 @@ class TestRunConfig:
             RunConfig(forms=((1.0, 0.0, math.inf),))
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            RunConfig(tol_overrides={"a": -1.0})
+        # -0.0 == 0.0, but a report would write its tolerance as -0.
+        for tol in (-1.0, -0.0):
+            with pytest.raises(ValueError, match="must be finite and >= 0"):
+                RunConfig(tol_overrides={"a": tol})
 
     def test_rejects_forms_sharing_a_label(self):
         # Both forms would label their records "1,0,1".

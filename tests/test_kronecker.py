@@ -254,6 +254,10 @@ class TestTargetLimit:
         assert record.passed
         assert record.tolerance == 1e-8
 
+    def test_refuses_negative_zero_tolerance(self):
+        with pytest.raises(ValueError, match="not -0"):
+            target_limit_check(-0.0)
+
     def test_suite_record_carries_both_sides(self):
         # The suite hands scalar_limit_sides to its runner; its record has
         # the same numbers as target_limit_check's, the integral's bound

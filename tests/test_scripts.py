@@ -235,6 +235,26 @@ def test_one_entry_per_computation():
             assert not isinstance(value, (ast.Dict, ast.DictComp)), ast.unparse(node)
             assert getattr(getattr(value, "func", None), "id", None) not in \
                 {"dict", "defaultdict", "OrderedDict"}, ast.unparse(node)
+
+    # _incomplete_gamma is the one incomplete-gamma entry: it alone picks
+    # the continued fraction, and the public function and the lattice
+    # blocks reach the fraction only through it.
+    assert (PACKAGE / "epstein.py").read_text().count("max(1.0, s + 1.0)") == 1
+    assert "max(1.0, s + 1.0)" in ast.unparse(epstein["_incomplete_gamma"])
+    for name in ("_gamma_block", "upper_incomplete_gamma"):
+        called = _called_names(epstein[name])
+        assert "_incomplete_gamma" in called and "_cf_upper" not in called, name
+
+    # lambda = 2 pi / sqrt D is spelled once, as BinaryQuadraticForm.lam.
+    form_class = next(node for node in module.body if isinstance(node, ast.ClassDef)
+                      and node.name == "BinaryQuadraticForm")
+    lam = next((node for node in form_class.body
+                if isinstance(node, ast.FunctionDef) and node.name == "lam"), None)
+    assert lam is not None and "math.pi / math.sqrt(" in ast.unparse(lam)
+    sources = [path.read_text() for path in PACKAGE.glob("*.py")]
+    assert sum(text.count("math.pi / math.sqrt(") for text in sources) == 1
+    assert not [text for text in sources if "_TWO_PI" in text]
+
     for module, name in (("modular.py", "theta_uhp"), ("modular.py", "eta_uhp"),
                          ("kronecker.py", "l1_series")):
         engine = _functions(module)[name]
