@@ -12,7 +12,7 @@ that regular part at one s, given a route to Z.  kronecker_lhs takes its
 limit at s = 1 itself: it expands Gamma(s) Z(s), split as in
 epstein_accelerated, about the pole and sums the constant term over one
 level set, certified to its tolerance.  kronecker_rhs gives the closed-form
-right side.
+right side; its tol is the eta product's, and it certifies nothing.
 
 For Q = (1, 0, 1) the route Z(s) = 4 zeta(s) L(s) makes g the scalar family
 h(eps) = (2/pi) zeta(1+eps) L(1+eps) - zeta(1+2 eps); scalar_limit_sides
@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .approx import EPS, ApproxValue, check_tol, pole_constant, terms_needed
+from .approx import EPS, ApproxValue, NonConvergence, check_tol, pole_constant, terms_needed
 from .epstein import BinaryQuadraticForm, _split_sum
 from .modular import UpperHalfPoint, eta_uhp, theta_uhp
 from .quadrature import gamma_integral, integral_I
@@ -98,11 +98,14 @@ def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8) -> ApproxValue:
 
 
 def kronecker_rhs(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
-    """(1/2) log(a / D) - 2 log |eta(z_Q)|, evaluated from the eta product."""
-    z = form.z_point()
-    eta = eta_uhp(z, tol / 8.0).magnitude()
+    """(1/2) log(a / D) - 2 log |eta(z_Q)|, with eta asked for tol; not certified to tol."""
     lead = 0.5 * math.log(form.a / form.disc)
-    return ApproxValue(lead, 4.0 * EPS * (1.0 + abs(lead)), 0) - 2.0 * eta.log()
+    return ApproxValue(lead, 4.0 * EPS * (1.0 + abs(lead)), 0) + _minus_two_log_eta(form, tol)
+
+
+def _minus_two_log_eta(form: BinaryQuadraticForm, tol: float) -> ApproxValue:
+    """-2 log |eta(z_Q)| from the eta product asked for tol: both Kronecker checks' eta side."""
+    return -2.0 * eta_uhp(form.z_point(), tol).magnitude().log()
 
 
 def l1_series(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
@@ -110,6 +113,8 @@ def l1_series(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
     check_tol(tol)
     z = form.z_point().as_complex()
     rho = math.exp(-2.0 * math.pi * z.imag)
+    if rho == 1.0:
+        raise NonConvergence(f"eta log series at Im z = {z.imag:g}: exp(-2 pi Im z) rounds to 1")
 
     def tail(k: int) -> float:
         return 4.0 * rho ** k / (1.0 - rho)

@@ -75,12 +75,14 @@ def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     The product is cut once the remaining log-factors are bounded by rho
     with |value| * (exp(rho) - 1) <= tol; that quantity is the reported
     error_bound, and the number of factors taken is the cost.  Raises
-    NonConvergence past 10^6 factors, and where |value| underflows below
-    the normal range (Im z beyond about 2700) and a relative bound fails.
+    NonConvergence past 10^6 factors, where exp(-2 pi Im z) rounds to 1
+    (Im z < 8.8e-18) and where |value| is below the normal range (Im z > 2700).
     """
     check_tol(tol)
     y = z.im
     absw = math.exp(-2.0 * math.pi * y)
+    if absw == 1.0:
+        raise NonConvergence(f"eta product at Im z = {y:g}: exp(-2 pi Im z) rounds to 1")
     # Crude a-priori modulus bound, enough to pick the cut.
     mod_cap = math.exp(-math.pi * y / 12.0) * math.exp(absw / (1.0 - absw))
     n_max = terms_needed(lambda n: mod_cap * math.expm1(_eta_log_tail(n, absw)),

@@ -33,6 +33,7 @@ from types import MappingProxyType
 from .approx import EPS, ApproxValue, NonConvergence, check_tol, limit_at_zero, pole_constant
 from .epstein import BinaryQuadraticForm, epstein_accelerated, epstein_direct
 from .kronecker import (
+    _minus_two_log_eta,
     kronecker_lhs,
     kronecker_rhs,
     l1_series,
@@ -241,12 +242,12 @@ def _suite_epstein(config: RunConfig, check) -> None:
 def _suite_kronecker(config: RunConfig, check) -> None:
     for form in config.forms:
         def limit_check(q=form):
-            return kronecker_lhs(q, 1e-8), kronecker_rhs(q, 1e-11)
+            return kronecker_lhs(q, 1e-8), kronecker_rhs(q, 1e-13)
 
         check(f"kronecker/lhs-vs-rhs/{form.label}", "Prop. 3", 1e-6, limit_check)
 
         def series_check(q=form):
-            return l1_series(q, 1e-11), -2.0 * eta_uhp(q.z_point(), 1e-13).magnitude().log()
+            return l1_series(q, 1e-11), _minus_two_log_eta(q, 1e-13)
 
         check(f"kronecker/l1-vs-eta-log/{form.label}", "eq. (1)", 1e-10, series_check)
 

@@ -141,6 +141,17 @@ class TestExitCodes:
         assert "NonConvergence" not in captured.err
         assert "Traceback" not in captured.err
 
+    def test_eta_log_series_near_the_real_line_is_a_stall(self, capsys):
+        # c = 1e-300 puts z_Q at 1e-150 i, where exp(-2 pi Im z) rounds to 1:
+        # the eta log series stalls with a message, not a division by zero.
+        assert main(["kronecker", "--form", "1,0,1e-300"]) == 3
+        captured = capsys.readouterr()
+        assert ("engine gave up on kronecker/l1-vs-eta-log/1,0,1e-300: "
+                "eta log series at Im z = 1e-150: exp(-2 pi Im z) rounds to 1") in captured.err
+        assert "1/1 checks passed" in captured.out
+        assert "ZeroDivisionError" not in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("name", ["no-such-check", "theta/quotient-identity/z=0+i"])
     def test_unknown_tolerance_name_is_config_error(self, name, capsys):
         assert main(["theta", "--tol", f"{name}=1e-9"]) == 2

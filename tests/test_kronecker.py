@@ -32,7 +32,7 @@ from thetaeval import (
     theta_uhp,
     zeta,
 )
-from thetaeval import kronecker
+from thetaeval import kronecker, suites
 from thetaeval.approx import limit_at_zero, pole_constant
 from thetaeval.kronecker import pole_gap, scalar_limit_sides
 
@@ -222,6 +222,40 @@ class TestKroneckerRhs:
         assert costs[0] > 0
         assert costs == sorted(set(costs))
 
+    def test_asks_eta_for_its_own_tol(self):
+        # The tol goes to the eta product as it is; nothing is cut from it.
+        form = BinaryQuadraticForm(2.0, -2.0, 1.0)
+        assert kronecker_rhs(form, 1e-13).cost == eta_uhp(form.z_point(), 1e-13).cost
+
+    def test_inherits_the_eta_stall_near_the_real_line(self):
+        # z_Q = 1e-150 i, where exp(-2 pi Im z) rounds to 1.
+        with pytest.raises(NonConvergence, match=r"^eta product at Im z = 1e-150: "):
+            kronecker_rhs(BinaryQuadraticForm(1.0, 0.0, 1e-300))
+
+
+class TestKroneckerSuite:
+    def test_asks_eta_for_one_tolerance(self, monkeypatch):
+        # Both checks take -2 log |eta(z_Q)| from one entry at 1e-13.
+        asked = []
+
+        def recording_eta(z, tol=1e-13):
+            asked.append(tol)
+            return eta_uhp(z, tol)
+
+        monkeypatch.setattr(kronecker, "eta_uhp", recording_eta)
+        monkeypatch.setattr(suites, "eta_uhp", recording_eta)
+        records, stalls = run_suites(RunConfig(suites=("kronecker",)))
+        assert not stalls and all(r.passed for r in records)
+        assert asked and set(asked) == {1e-13}
+
+    def test_skew_form_limit_record_is_tight(self):
+        # With eta at 1e-13 the unreduced form (2, -2, 1) needs no reduction
+        # to keep its combined bound far below the others' tolerances.
+        records, _ = run_suites(RunConfig(suites=("kronecker",)))
+        (record,) = [r for r in records if r.name == "kronecker/lhs-vs-rhs/2,-2,1"]
+        assert record.passed
+        assert record.combined_bound < 1e-13
+
 
 class TestL1Series:
     @pytest.mark.parametrize("coeffs", FOUR_FORMS)
@@ -246,6 +280,12 @@ class TestL1Series:
         with pytest.raises(NonConvergence, match=r"^eta log series at Im z = 1e-06 needs "
                                                  r"more than 200000 terms"):
             l1_series(BinaryQuadraticForm(1.0, 0.0, 1e-12), 1e-13)
+
+    def test_stalls_where_the_ratio_rounds_to_one(self):
+        # z_Q = 1e-150 i: exp(-2 pi Im z) is 1.0, and the tail bound would
+        # divide by 1 - 1.
+        with pytest.raises(NonConvergence, match=r"^eta log series at Im z = 1e-150: "):
+            l1_series(BinaryQuadraticForm(1.0, 0.0, 1e-300))
 
 
 class TestTargetLimit:

@@ -233,6 +233,13 @@ class TestEtaProduct:
         with pytest.raises(NonConvergence, match="Im z"):
             eta_uhp(UpperHalfPoint(0.0, im))
 
+    @pytest.mark.parametrize("im", [1e-20, 8e-18])
+    def test_near_the_real_line_is_refused(self, im):
+        # exp(-2 pi Im z) rounds to 1 below Im z = 8.8e-18, where the
+        # product's tail bound would divide by 1 - 1.
+        with pytest.raises(NonConvergence, match=rf"^eta product at Im z = {im:g}: "):
+            eta_uhp(UpperHalfPoint(0.0, im))
+
 
 class TestTermsNeeded:
     # The one truncation search behind theta, eta and the eta log series.

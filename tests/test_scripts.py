@@ -284,6 +284,16 @@ def test_one_entry_per_computation():
     assert len(splits) == 1
     assert isinstance(splits[0].args[1], ast.Constant) and splits[0].args[1].value == 1.0
 
+    # Both Kronecker checks take -2 log |eta(z_Q)| from one entry, which
+    # asks eta for the tol it is given: kronecker_rhs cuts nothing from its
+    # tol, and the suite calls eta only in the theta checks.
+    kronecker = _functions("kronecker.py")
+    assert {name for name, node in kronecker.items() if "eta_uhp" in _called_names(node)} \
+        == {"_minus_two_log_eta", "theta_at_i_assembly"}
+    assert "_minus_two_log_eta" in _called_names(kronecker["kronecker_rhs"])
+    assert "/ 8.0" not in ast.unparse(kronecker["kronecker_rhs"])
+    assert "eta_uhp" not in _called_names(_functions("suites.py")["_suite_kronecker"])
+
     # The scalar pole limit is pole_gap's on the unit form's Dirichlet
     # route, asked for the tolerance it is certified to: it builds no
     # regular part of its own, so spells neither the zeta pole nor pi.
