@@ -249,8 +249,8 @@ class TestKroneckerSuite:
         assert asked and set(asked) == {1e-13}
 
     def test_skew_form_limit_record_is_tight(self):
-        # With eta at 1e-13 the unreduced form (2, -2, 1) needs no reduction
-        # to keep its combined bound far below the others' tolerances.
+        # With eta asked for 1e-13, the unreduced form (2, -2, 1) keeps its
+        # limit record's combined bound under 1e-13, as the reduced forms do.
         records, _ = run_suites(RunConfig(suites=("kronecker",)))
         (record,) = [r for r in records if r.name == "kronecker/lhs-vs-rhs/2,-2,1"]
         assert record.passed
