@@ -10,9 +10,9 @@ exact worst-case interval estimates (these are as cheap as the first-order
 ones and stay valid for large bounds); the ones for sums, products and
 quotients use only moduli, so they hold for complex values and complex
 scalar operands too.  Logs, exponentials and square roots take real values
-only and refuse a complex one with ValueError.  An engine certifies
-its result through ApproxValue.certified, which returns the value or raises
-NonConvergence when the bound misses the tolerance.
+only and refuse a complex one with ValueError.  Every engine but
+kronecker.l1_series certifies its result through ApproxValue.certified, which
+returns the value or raises NonConvergence when the bound misses the tolerance.
 
 This module also holds the package's one limit driver.  limit_at_zero
 takes a node function at halving abscissae, evaluates at 0 the polynomial

@@ -12,7 +12,8 @@ that regular part at one s, given a route to Z.  kronecker_lhs takes its
 limit at s = 1 itself: it expands Gamma(s) Z(s), split as in
 epstein_accelerated, about the pole and sums the constant term over one
 level set, certified to its tolerance.  kronecker_rhs gives the closed-form
-right side; its tol is the eta product's, and it certifies nothing.
+right side; its tol is eta's.  l1_series alone in the package returns its
+bound unchecked: its rounding grows like 4.7e-16 Im z, past any fixed tol.
 
 For Q = (1, 0, 1) the route Z(s) = 4 zeta(s) L(s) makes g the scalar family
 h(eps) = (2/pi) zeta(1+eps) L(1+eps) - zeta(1+2 eps); scalar_limit_sides
@@ -98,7 +99,7 @@ def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8) -> ApproxValue:
 
 
 def kronecker_rhs(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
-    """(1/2) log(a / D) - 2 log |eta(z_Q)|, with eta asked for tol; not certified to tol."""
+    """(1/2) log(a / D) - 2 log |eta(z_Q)|; its tol is eta's, which certifies to it."""
     lead = 0.5 * math.log(form.a / form.disc)
     return ApproxValue(lead, 4.0 * EPS * (1.0 + abs(lead)), 0) + _minus_two_log_eta(form, tol)
 

@@ -2,10 +2,10 @@
 
 Both functions are entire in their summands and decay geometrically, so
 approx.terms_needed picks the truncation index up front from an explicit
-tail bound, and that bound is what the result reports.  Each returns an
+tail bound; that bound plus rounding is certified to tol.  Each returns an
 ApproxValue with a complex value, one bound on the modulus of its error
 and, as cost, the number of series terms or product factors it took;
-eta_quotient is ApproxValue arithmetic on two of them.  No modular
+eta_quotient is ApproxValue arithmetic on two, at eta's tol.  No modular
 transformation is used: values come from the defining series and product.
 """
 
@@ -50,8 +50,8 @@ def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     """Sum over all integers n of exp(i pi n^2 z), truncated at a certified tail.
 
     The partial sum runs over |n| <= N with N the smallest index whose
-    geometric tail bound drops below tol; that bound is the reported
-    error_bound and N the cost.  Past N = 10^6 it raises NonConvergence.
+    geometric tail bound drops below tol; that bound plus rounding, certified
+    to tol, is the error_bound and N the cost (NonConvergence past N = 10^6).
     """
     check_tol(tol)
     n_max = terms_needed(lambda n: _theta_tail(n, z.im), tol,
@@ -64,28 +64,31 @@ def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
         res.append(term.real)
         ims.append(term.imag)
     # Tail plus a per-term roundoff floor; fsum itself is exact.
-    roundoff = 2.0 * EPS * math.fsum(abs(t) for t in res)
-    return ApproxValue(complex(math.fsum(res), math.fsum(ims)),
-                       _theta_tail(n_max + 1, z.im) + roundoff, n_max)
+    bound = _theta_tail(n_max + 1, z.im) + 2.0 * EPS * math.fsum(abs(t) for t in res)
+    return ApproxValue(complex(math.fsum(res), math.fsum(ims)), bound,
+                       n_max).certified(tol, "theta series")
 
 
 def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     """exp(i pi z / 12) times the product over n >= 1 of (1 - exp(2 pi i n z)).
 
     The product is cut once the remaining log-factors are bounded by rho
-    with |value| * (exp(rho) - 1) <= tol; that quantity is the reported
-    error_bound, and the number of factors taken is the cost.  Raises
-    NonConvergence past 10^6 factors, where exp(-2 pi Im z) rounds to 1
-    (Im z < 8.8e-18) and where |value| is below the normal range (Im z > 2700).
+    with |value| * (exp(rho) - 1) <= tol/2; that quantity plus the rounding
+    4 (n + 2) EPS |value| is the reported error_bound, and the number n of
+    factors taken is the cost.  Raises NonConvergence past 10^6 factors,
+    where |w| = exp(-2 pi Im z) is so near 1 that the a-priori modulus cap
+    exp(|w| / (1 - |w|)) would overflow (Im z < 2.3e-4), where |value| is
+    below the normal range (Im z > 2700) and where the bound misses tol.
     """
     check_tol(tol)
     y = z.im
     absw = math.exp(-2.0 * math.pi * y)
-    if absw == 1.0:
-        raise NonConvergence(f"eta product at Im z = {y:g}: exp(-2 pi Im z) rounds to 1")
-    # Crude a-priori modulus bound, enough to pick the cut.
+    if absw == 1.0 or absw / (1.0 - absw) > 700.0:
+        raise NonConvergence(f"eta product at Im z = {y:g}: exp(-2 pi Im z) is too near 1")
+    # Crude a-priori modulus bound, enough to pick the cut; a log tail past
+    # 709 misses any tol, so capping it there keeps expm1 finite.
     mod_cap = math.exp(-math.pi * y / 12.0) * math.exp(absw / (1.0 - absw))
-    n_max = terms_needed(lambda n: mod_cap * math.expm1(_eta_log_tail(n, absw)),
+    n_max = terms_needed(lambda n: mod_cap * math.expm1(min(_eta_log_tail(n, absw), 709.0)),
                          0.5 * tol, f"eta product at Im z = {y:g}")
     zc = z.as_complex()
     prod = cmath.exp(1j * math.pi * zc / 12.0)
@@ -95,7 +98,7 @@ def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
         raise NonConvergence(f"eta product underflows at Im z = {y:g}")
     bound = abs(prod) * (math.expm1(_eta_log_tail(n_max, absw))
                          + 4.0 * (n_max + 2) * EPS)
-    return ApproxValue(prod, bound, n_max)
+    return ApproxValue(prod, bound, n_max).certified(tol, "eta product")
 
 
 def _eta_log_tail(n: int, absw: float) -> float:
@@ -107,7 +110,7 @@ def _eta_log_tail(n: int, absw: float) -> float:
 def eta_quotient(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     """eta(z/2 + 1/2)^2 / eta(z + 1), the product form of theta(z).
 
-    Both eta factors are evaluated at tol and the quotient's bound is
+    Its tol is eta's: both factors are certified to it, and the bound is
     ApproxValue's, plus 4 EPS (|q| + 1) for rounding the complex square and
     quotient.  Raises ValueError where the denominator's bound allows zero.
     """

@@ -1,7 +1,7 @@
 """Zeta, the mod-4 Dirichlet L-function, Euler's constant and Gamma.
 
 Nothing here is looked up: every constant is produced by a concrete
-convergent process with an error bound.
+convergent process with an error bound, certified to a tol check_tol passes.
 
 * zeta(s) uses the tail-corrected partial sum: N summed terms, the
   integral term N^(1-s)/(s-1), the half-term -N^(-s)/2 and Bernoulli
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .approx import EPS, ApproxValue, limit_at_zero
+from .approx import EPS, ApproxValue, check_tol, limit_at_zero
 
 __all__ = [
     "euler_gamma",
@@ -49,6 +49,7 @@ def euler_gamma(tol: float = 1e-13) -> ApproxValue:
     n = 100 with corrections through n^-8 leaves a remainder near 1e-22,
     so the returned bound is dominated by summation rounding.
     """
+    check_tol(tol)
     n = 100
     harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
     value = (harmonic - math.log(n) - 1.0 / (2.0 * n)
@@ -62,6 +63,7 @@ def zeta(s: float, tol: float = 1e-13) -> ApproxValue:
     """Riemann zeta for real s > 1, stable arbitrarily close to 1."""
     if not s > 1.0:
         raise ValueError(f"need s > 1, got {s}")
+    check_tol(tol)
     n = _ZETA_N
     pieces = [float(k) ** -s for k in range(1, n + 1)]
     pieces.append(float(n) ** (1.0 - s) / (s - 1.0))
@@ -97,6 +99,7 @@ def _chebyshev_alternating(coefficient, n: int) -> float:
 
 
 def _accelerated_pair(coefficient, tol: float, what: str) -> ApproxValue:
+    check_tol(tol)
     n = max(24, int(math.log(8.0 / tol) / math.log(3.0 + math.sqrt(8.0))) + 8)
     lo = _chebyshev_alternating(coefficient, n)
     hi = _chebyshev_alternating(coefficient, n + 8)
@@ -136,6 +139,7 @@ def gamma_gauss(s: float, tol: float = 1e-9) -> ApproxValue:
     """
     if not s > 0.0:
         raise ValueError(f"need s > 0, got {s}")
+    check_tol(tol)
     log_s = math.log(s)
     # Each node's sum is fsum's correctly rounded sum of the first n of
     # these, so taking each log1p once leaves every node's bits as they are.

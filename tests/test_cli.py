@@ -231,6 +231,17 @@ class TestExitCodes:
         assert captured.err.count("engine gave up on") == 2
         assert "accelerated lattice sum stalled" not in captured.err
 
+    def test_near_the_real_line_only_the_direct_engine_stalls(self, capsys):
+        # z_Q = 0.001i: eta's cut no longer overflows, so both Kronecker
+        # checks pass and only the direct engine's four level sets stop.
+        assert main(["epstein", "kronecker", "--form", "1,0,1e-6"]) == 3
+        captured = capsys.readouterr()
+        assert "8/8 checks passed" in captured.out
+        assert captured.err.count("engine gave up on") == 4
+        assert captured.err.count("could hold more than 10000000 points") == 4
+        assert "OverflowError" not in captured.err
+        assert "Traceback" not in captured.err
+
     def test_deep_order_runs_in_tier_one(self, capsys):
         assert main(["triple-product", "two-squares", "--order", "4096"]) == 0
         assert "3/3 checks passed" in capsys.readouterr().out
@@ -241,7 +252,7 @@ class TestExitCodes:
         "1,0,1", "2,-2,1", "1,0,1e6", "1.5,0,100", "1,0,2e6", "1e150,0,1e150",
         *(pytest.param(form, marks=pytest.mark.xfail(strict=True, reason=reason))
           for form, reason in (
-              ("1,0,1e-6", "level sets over 10^7 points, eta overflow in both Kronecker checks"),
+              ("1,0,1e-6", "level sets over 10^7 points in the direct engine"),
               ("1e-150,0,1e-150", "level sets over 10^7 points in the direct engine"),
               ("3,1,1e8", "eta underflow in both Kronecker checks"),
               ("1,0,1e12", "eta underflow in both Kronecker checks"),

@@ -27,6 +27,15 @@ from thetaeval.approx import terms_needed
 ORACLE_THETA_I = 1.086434811213308
 
 
+def stalled(engine, *args):
+    """The value, bound and cost that engine(*args)'s tolerance stall
+    carries, as an ApproxValue; fails unless the call stalls."""
+    with pytest.raises(NonConvergence,
+                       match=r"^(theta series|eta product) stalled above tol=") as info:
+        engine(*args)
+    return ApproxValue(info.value.value, info.value.error_bound, info.value.cost)
+
+
 class TestUpperHalfPoint:
     def test_rejects_real_axis(self):
         with pytest.raises(ValueError):
@@ -173,6 +182,17 @@ class TestThetaSeries:
         with pytest.raises(ValueError):
             theta_uhp(UpperHalfPoint(0.0, 1.0), 0.0)
 
+    def test_stalls_below_its_rounding_floor(self):
+        # At i the tail is met after 4 terms, and the rounding 2 EPS sum |t|
+        # brings the bound to 4.8e-16: 1e-15 certifies, 1e-16 stalls and
+        # carries the value it reached, which the bound still covers.
+        at_i = UpperHalfPoint(0.0, 1.0)
+        assert theta_uhp(at_i, 1e-15).error_bound < 1e-15
+        r = stalled(theta_uhp, at_i, 1e-16)
+        assert 4.8e-16 < r.error_bound < 4.9e-16
+        assert abs(r.value - ORACLE_THETA_I) <= r.error_bound
+        assert r.cost == 4
+
 
 def _theta_terms_used(z, tol):
     # recover the truncation index the engine picked for this tolerance
@@ -194,26 +214,35 @@ def _theta_partial_sum(z, n_terms):
 
 @pytest.mark.parametrize("engine", [theta_uhp, eta_uhp], ids=lambda f: f.__name__)
 def test_cost_counts_terms_and_grows_toward_the_real_line(engine):
-    costs = [engine(UpperHalfPoint(0.1, y), 1e-13).cost for y in (3.0, 1.0, 0.3, 0.05)]
+    # At 0.1 + 0.05i eta's rounding floor 4 (n + 2) EPS |eta| is 1.07e-13,
+    # so eta stalls there and the cost is the one its stall carries.
+    costs = [stalled(engine, UpperHalfPoint(0.1, y), 1e-13).cost
+             if engine is eta_uhp and y == 0.05
+             else engine(UpperHalfPoint(0.1, y), 1e-13).cost
+             for y in (3.0, 1.0, 0.3, 0.05)]
     assert costs[0] > 0
     assert costs == sorted(set(costs))
 
 
 class TestEtaProduct:
+    # 1e-15 is below eta's rounding floor 4 (n + 2) EPS |eta|: 4.8e-15 at i
+    # and 1.06e-14 at 0.5 + 0.5i.  These calls stall, and their assertions
+    # hold on the value, bound and cost the stall carries.
+
     def test_real_positive_at_i(self):
-        r = eta_uhp(UpperHalfPoint(0.0, 1.0), 1e-15)
+        r = stalled(eta_uhp, UpperHalfPoint(0.0, 1.0), 1e-15)
         assert r.value.real > 0.0
         assert abs(r.value.imag) <= r.error_bound
 
     def test_sqrt2_eta_equals_theta_at_i(self):
-        eta = eta_uhp(UpperHalfPoint(0.0, 1.0), 1e-15)
+        eta = stalled(eta_uhp, UpperHalfPoint(0.0, 1.0), 1e-15)
         theta = theta_uhp(UpperHalfPoint(0.0, 1.0), 1e-15)
         gap = abs(math.sqrt(2.0) * eta.magnitude().value - theta.value.real)
         assert gap <= 2.0 * eta.error_bound + theta.error_bound + 1e-15
 
     def test_half_point_modulus_ratio_is_sqrt2(self):
-        num = eta_uhp(UpperHalfPoint(0.5, 0.5), 1e-15).magnitude()
-        den = eta_uhp(UpperHalfPoint(0.0, 1.0), 1e-15).magnitude()
+        num = stalled(eta_uhp, UpperHalfPoint(0.5, 0.5), 1e-15).magnitude()
+        den = stalled(eta_uhp, UpperHalfPoint(0.0, 1.0), 1e-15).magnitude()
         ratio = (num * num) / (den * den)
         assert abs(ratio.value - math.sqrt(2.0)) <= ratio.error_bound + 1e-14
 
@@ -240,6 +269,19 @@ class TestEtaProduct:
         with pytest.raises(NonConvergence, match=rf"^eta product at Im z = {im:g}: "):
             eta_uhp(UpperHalfPoint(0.0, im))
 
+    def test_near_the_real_line_stalls_rather_than_overflows(self):
+        # The cut's expm1 of the log tail overflowed below Im z = 0.0042,
+        # and the modulus cap exp(|w| / (1 - |w|)) below about 2.2e-4.  Now
+        # the cut is found, and the bound alone decides.
+        near = UpperHalfPoint(0.3, 0.001)
+        r = stalled(eta_uhp, near, 1e-13)
+        assert 2.0e-11 < r.error_bound < 2.01e-11
+        assert r.cost == 30932
+        assert eta_uhp(near, 1e-10).error_bound < 1e-10
+        assert eta_uhp(UpperHalfPoint(0.0, 0.004), 1e-13).cost == 2928
+        with pytest.raises(NonConvergence, match=r"^eta product at Im z = 1e-05: "):
+            eta_uhp(UpperHalfPoint(0.3, 1e-5))
+
 
 class TestTermsNeeded:
     # The one truncation search behind theta, eta and the eta log series.
@@ -261,6 +303,13 @@ class TestTermsNeeded:
                            match=r"^eta product at Im z = 0.001 needs more than 4 terms "
                                  r"to reach tail 0.5$"):
             terms_needed(tail, 0.5, "eta product at Im z = 0.001", limit=4)
+
+
+def test_eta_quotient_inherits_the_eta_stall():
+    # At i the numerator's factor eta(0.5 + 0.5i) has a rounding floor of
+    # 1.06e-14, so asking the quotient for 1e-15 stalls in eta.
+    with pytest.raises(NonConvergence, match=r"^eta product stalled above tol=1e-15$"):
+        eta_quotient(UpperHalfPoint(0.0, 1.0), 1e-15)
 
 
 @given(im=st.floats(min_value=0.5, max_value=1e300))

@@ -335,6 +335,34 @@ def test_one_entry_per_computation():
                     f"{name} line {node.lineno}"
 
 
+def test_one_exit_per_engine():
+    # Every function that checks an engine tolerance (check_tol without
+    # zero_ok, which only a record's tolerance takes) returns through
+    # ApproxValue.certified, itself or through a helper of its own module
+    # (_drive for the quadrature rules, _accelerated_pair for L), so a bound
+    # above tol is a stall, never a result.  kronecker.l1_series is the one
+    # exception: its rounding grows like 4.7e-16 Im z, so certifying it at
+    # a fixed tol waits for ROADMAP item 14's tolerance rule.
+    checked, unchecked = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        functions = _functions(path.name)
+        for name, node in functions.items():
+            if any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "check_tol"
+                   and not any(k.arg == "zero_ok" for k in call.keywords)
+                   for call in ast.walk(node)):
+                checked.add(name)
+                if "certified" not in _reachable(functions, node):
+                    unchecked.add((path.stem, name))
+    assert {"theta_uhp", "eta_uhp", "epstein_direct", "kronecker_lhs", "integral_I",
+            "_vertex_integral", "_accelerated_pair", "zeta", "gamma_gauss"} <= checked
+    assert unchecked == {("kronecker", "l1_series")}
+
+    # The special-value engines refuse a bad tol as every other engine does.
+    special = _functions("special_values.py")
+    for name in ("zeta", "L_chi4", "L_chi4_prime_at_1", "euler_gamma", "gamma_gauss"):
+        assert "check_tol" in _reachable(special, special[name]), name
+
+
 def test_one_owner_of_a_run_configuration():
     # report.py renders records and imports nothing from the package; the
     # suite list is spelled once, as the keys of suites.SUITES; and

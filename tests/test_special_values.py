@@ -256,3 +256,18 @@ class TestGammaLProduct:
         integral = gammaL_integral(s, 1e-13)
         assert abs(product.value - integral.value) <= (
             product.error_bound + integral.error_bound)
+
+
+@pytest.mark.parametrize("engine", [
+    lambda tol: zeta(2.0, tol),
+    lambda tol: L_chi4(1.0, tol),
+    L_chi4_prime_at_1,
+    euler_gamma,
+    lambda tol: gamma_gauss(0.5, tol),
+], ids=["zeta", "L_chi4", "L_chi4_prime_at_1", "euler_gamma", "gamma_gauss"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, -0.0])
+def test_refuses_a_tolerance_that_is_not_positive_and_finite(engine, tol):
+    # As every other engine does, rather than certifying to nan or inf, or
+    # failing inside the term count with a ZeroDivisionError or a domain error.
+    with pytest.raises(ValueError, match="^tolerance must be positive and finite, got "):
+        engine(tol)
