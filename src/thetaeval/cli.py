@@ -92,8 +92,10 @@ def main(argv=None) -> int:
     passed = sum(1 for r in records if r.passed)
     print(f"\n{passed}/{len(records)} checks passed")
     for name, exc in stalls:
-        # A stall's message says where it stopped; a fault needs its type too.
+        # A stall says where it stopped, and how far if it has a bound; a fault needs its type.
         detail = exc if isinstance(exc, NonConvergence) else f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, NonConvergence) and exc.error_bound is not None:
+            detail = f"{exc} (value {exc.value}, bound {exc.error_bound:.3g}, cost {exc.cost})"
         print(f"engine gave up on {name}: {detail}", file=sys.stderr)
 
     path = args.json if args.json is not None else args.markdown

@@ -242,6 +242,20 @@ class TestExitCodes:
         assert "OverflowError" not in captured.err
         assert "Traceback" not in captured.err
 
+    def test_a_stall_line_says_how_far_the_engine_got(self, capsys):
+        # f(1) of 1,0,1e-6 is 500 pi; its quadrature stops above tol, and
+        # the line gives the value, bound and cost its NonConvergence holds.
+        assert main(["epstein", "kronecker", "integral", "--form", "1,0,1e-6"]) == 3
+        err = capsys.readouterr().err
+        match = re.search(r"^engine gave up on integral/f-at-1/1,0,1e-06: quadrature stalled "
+                          r"above tol=5e-13 \(value (\S+), bound (\S+), cost (\d+)\)$", err, re.M)
+        assert match, err
+        assert float(match[1]) == pytest.approx(500 * math.pi, rel=1e-12)
+        assert 5e-13 < float(match[2]) < 1e-11
+        assert int(match[3]) > 1000
+        # A stall without a bound keeps its message alone.
+        assert re.search(r"could hold more than 10000000 points$", err, re.M)
+
     def test_deep_order_runs_in_tier_one(self, capsys):
         assert main(["triple-product", "two-squares", "--order", "4096"]) == 0
         assert "3/3 checks passed" in capsys.readouterr().out

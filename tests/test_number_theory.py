@@ -129,6 +129,17 @@ class TestTables:
             table(order)
 
 
+@pytest.mark.parametrize("order", [4095, 4096, 4097, 8192])
+def test_divisor_table_equals_the_per_divisor_sieve(order):
+    # The hyperbola split against one range per odd divisor d.
+    table = [0] * (order + 1)
+    table[0] = 1
+    for d in range(1, order + 1, 2):
+        for n in range(d, order + 1, d):
+            table[n] += 4 * chi4(d)
+    assert r_divisor_table(order) == tuple(table)
+
+
 @given(st.integers(min_value=16, max_value=3000))
 @settings(max_examples=40, deadline=None)
 def test_tables_equal_scalar_counts_at_any_order(order):

@@ -4,11 +4,14 @@ expansion, and the representation counts read off the squared series.
 Everything in this file is integer-exact; there are no tolerances.
 """
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetaeval import (
+    NonConvergence,
     QSeries,
     qs_mul,
     r_bruteforce,
@@ -17,6 +20,7 @@ from thetaeval import (
     theta_qseries,
     triple_product_qseries,
 )
+from thetaeval.qseries import _log_derivative, _solve
 
 
 class TestThetaQSeries:
@@ -66,6 +70,80 @@ class TestTripleProduct:
 
     def test_order_16384_matches_theta(self):
         assert triple_product_qseries(16384).coeffs == theta_qseries(16384).coeffs
+
+
+def _reference_log_derivative(order):
+    # One range per factor m: c_k of q P'/P, element by element.
+    c = [0] * (order + 1)
+    for m in range(1, order + 1):
+        if m % 2:
+            for k in range(m, order + 1, 2 * m):
+                c[k] += 2 * m
+            for k in range(2 * m, order + 1, 2 * m):
+                c[k] -= 2 * m
+        else:
+            for k in range(m, order + 1, m):
+                c[k] -= m
+    return c
+
+
+def _reference_solve(c):
+    # n p_n = sum c_k p_(n-k): each nonzero p_n rebuilds the tail of the
+    # running sums as a list of exact ints.
+    p = c[:]
+    p[0] = 1
+    for n in range(1, len(c)):
+        p[n] = pn = p[n] // n
+        if pn:
+            p[n + 1:] = [s + pn * ck for s, ck in zip(p[n + 1:], c[1:])]
+    return p
+
+
+class TestAgainstTheElementwiseReference:
+    """The hyperbola sieve and the lane recurrence against the plain loops."""
+
+    @given(st.integers(min_value=0, max_value=3000))
+    @settings(max_examples=30, deadline=None)
+    @example(0)
+    @example(1)
+    @example(255)
+    @example(256)
+    @example(257)
+    def test_log_derivative_and_product_at_any_order(self, order):
+        c = _reference_log_derivative(order)
+        assert _log_derivative(order) == c
+        assert triple_product_qseries(order).coeffs == tuple(_reference_solve(c))
+
+    @pytest.mark.parametrize("order", [4095, 4096, 4097, 8192])
+    def test_log_derivative_and_product_at_deep_orders(self, order):
+        c = _reference_log_derivative(order)
+        assert _log_derivative(order) == c
+        assert triple_product_qseries(order).coeffs == tuple(_reference_solve(c))
+
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=700))
+    @settings(max_examples=40, deadline=None)
+    def test_recurrence_on_any_small_c(self, c):
+        # Signed p_n, negative running sums and floor divisions that are
+        # not exact: the lanes still give the list's ints.
+        assert _solve(c) == _reference_solve(c)
+
+    def test_recurrence_past_the_dead_lane_trim(self):
+        # 11 blocks of lanes, so the dead lanes are dropped at least once.
+        c = [random.Random(30).randint(-3, 3) for _ in range(2600)]
+        assert _solve(c) == _reference_solve(c)
+
+    @pytest.mark.parametrize("c, cost", [
+        ([0] + [2 ** 20] * 600, 3),   # p_3 is about 2^57: 2 S M passes 2^63
+        ([0, 2 ** 63, 1], 0),         # c + M would not fit a lane
+    ])
+    def test_running_sums_past_the_lanes_stall(self, c, cost):
+        with pytest.raises(NonConvergence) as info:
+            _solve(c)
+        exc = info.value
+        assert "64-bit lanes" in str(exc)
+        assert exc.cost == cost
+        assert exc.error_bound >= 2.0 ** 63
+        assert exc.value == float(_reference_solve(c[:cost + 1])[cost])
 
 
 class TestQsMul:
@@ -170,6 +248,17 @@ class TestQSeriesValidation:
     def test_rejects_bool_coefficients(self):
         with pytest.raises(TypeError):
             QSeries((True,))
+
+    def test_rejects_one_bad_coefficient_among_many(self):
+        for bad in (0.0, False):
+            with pytest.raises(TypeError):
+                QSeries((1,) * 4096 + (bad,) + (2,) * 10)
+
+    def test_accepts_int_subclasses_other_than_bool(self):
+        class Count(int):
+            pass
+
+        assert QSeries((1, Count(2), 3)).coefficient(1) == 2
 
     def test_coefficient_bounds_checked(self):
         s = QSeries((1, 2, 3))
