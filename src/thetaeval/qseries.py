@@ -6,10 +6,9 @@ square-indicator series (1 + 2q + 2q^4 + 2q^9 + ...) and the product
 (1-q^2)(1+q)^2 (1-q^4)(1+q^3)^2 ..., whose coefficients come from its
 logarithmic derivative, read off the factors alone.
 
-The product's logarithmic derivative is sieved in O(N log N), and its
-recurrence scatters each of its 2 sqrt(N) nonzero coefficients by one
-big-int step over 64-bit lanes (Kronecker substitution): about 6 ms at
-N = 4096 and 4 s at the order cap 2^19 (one 2-vCPU x86-64 host).
+The product's logarithmic derivative is sieved in O(N log N), and its 2 sqrt(N)
+nonzero coefficients are scattered by one big-int step each over 64-bit lanes
+(Kronecker substitution): about 6 ms at N = 4096 on a 2-vCPU x86-64 host.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ def _solve(c: list[int]) -> list[int]:
     Each nonzero p_n adds p_n c_(m-n) to the running sum of every later m.
     The sums sit in one int R, lane t (64 bits) for m = N - t, and C holds
     c_k + M >= 0 in lane N - k (M = max |c|), so a scatter is one big-int
-    step, R += p_n (C >> 64 n).  Lane m then holds its running sum plus the
+    step, R += p_n (C >> 64 n).  The lane of m holds its running sum plus the
     offset 2^63 + M T, T the sum of the p_k added so far, and lies within
     2 S M of 2^63, S the sum of their |p_k|: while 2 S M < 2^63 no carry
     crosses a lane and its bytes are exact.  That bound is checked before C
@@ -133,6 +132,7 @@ def _solve(c: list[int]) -> list[int]:
                                  value=float(p[-1]), error_bound=float(2 * size * big), cost=n)
 
     check(0)
+    # Packed a block at a time: one bytes object per c_k would set the peak memory.
     lanes = b"".join([b"".join([(ck + big).to_bytes(8, "big") for ck in c[i:i + _BLOCK]])
                       for i in range(0, order + 1, _BLOCK)])
     packed = int.from_bytes(lanes, "big")

@@ -129,7 +129,8 @@ class TestAgainstTheElementwiseReference:
 
     def test_recurrence_past_the_dead_lane_trim(self):
         # 11 blocks of lanes, so the dead lanes are dropped at least once.
-        c = [random.Random(30).randint(-3, 3) for _ in range(2600)]
+        rng = random.Random(30)
+        c = [rng.randint(-3, 3) for _ in range(2600)]
         assert _solve(c) == _reference_solve(c)
 
     @pytest.mark.parametrize("c, cost", [
