@@ -1,18 +1,16 @@
 """Floating-point results that carry explicit error bounds.
 
 ApproxValue is the one format numbers take between the package's layers:
-every numerical engine returns one rather than a bare float, and each check
-in suites.py hands its two sides to the report as two of them.  A value
-may be complex (theta and eta on the upper half plane), with one bound on
-the modulus of its error.  Bounds add under addition and are propagated
-through products, quotients, logs, exponentials and square roots with the
-exact worst-case interval estimates (these are as cheap as the first-order
-ones and stay valid for large bounds); the ones for sums, products and
-quotients use only moduli, so they hold for complex values and complex
-scalar operands too.  Logs, exponentials and square roots take real values
-only and refuse a complex one with ValueError.  Every engine but
-kronecker.l1_series certifies its result through ApproxValue.certified, which
-returns the value or raises NonConvergence when the bound misses the tolerance.
+every numerical engine returns one, through ApproxValue.certified, rather
+than a bare float, and each check in suites.py hands its two sides to the
+report as two of them.  A value may be complex (theta and eta on the upper
+half plane), with one bound on the modulus of its error.  Bounds add under
+addition and are propagated through products, quotients, logs, exponentials
+and square roots with the exact worst-case interval estimates (these are as
+cheap as the first-order ones and stay valid for large bounds); the ones for
+sums, products and quotients use only moduli, so they hold for complex
+values and complex scalar operands too.  Logs, exponentials and square roots
+take real values only and refuse a complex one with ValueError.
 
 This module also holds the package's one limit driver.  limit_at_zero
 takes a node function at halving abscissae, evaluates at 0 the polynomial
@@ -160,9 +158,10 @@ class ApproxValue:
                              f"got {self.value}")
 
     def certified(self, tol: float, what: str) -> "ApproxValue":
-        """This value if its bound meets tol; otherwise raise NonConvergence
-        "WHAT stalled above tol=..." carrying the value, bound and cost."""
-        if self.error_bound > tol:
+        """This value if error_bound <= tol * max(1, |value|), the one tolerance
+        rule; otherwise raise NonConvergence "WHAT stalled above tol=..." with
+        the value, bound and cost."""
+        if self.error_bound > tol * max(1.0, abs(self.value)):
             raise NonConvergence(f"{what} stalled above tol={tol:g}", value=self.value,
                                  error_bound=self.error_bound, cost=self.cost)
         return self

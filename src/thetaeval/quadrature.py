@@ -151,7 +151,7 @@ def gamma_integral(s: float, tol: float = 1e-12) -> ApproxValue:
             raise NonConvergence(f"gamma_integral stalled at s={s:g} above tol={tol:g}",
                                  exc.value / s, (exc.error_bound + 2.0 * EPS) / s,
                                  exc.cost) from exc
-        return (lifted + ApproxValue(0.0, 2.0 * EPS)) / s
+        return ((lifted + ApproxValue(0.0, 2.0 * EPS)) / s).certified(tol, f"Gamma({s:g})")
     e = s - 1.0
     return _halfline(lambda t: t ** e * math.exp(-t), tol)
 

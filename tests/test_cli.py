@@ -243,16 +243,18 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
 
     def test_a_stall_line_says_how_far_the_engine_got(self, capsys):
-        # f(1) of 1,0,1e-6 is 500 pi; its quadrature stops above tol, and
-        # the line gives the value, bound and cost its NonConvergence holds.
-        assert main(["epstein", "kronecker", "integral", "--form", "1,0,1e-6"]) == 3
+        # f(1) of 1,0,1e-300 is -1e150 pi, too sharp a peak for the rule: it
+        # runs out of levels above tol, and the line gives the value, bound
+        # and cost its NonConvergence holds.
+        assert main(["epstein", "kronecker", "integral", "--form", "1,0,1e-300"]) == 3
         err = capsys.readouterr().err
-        match = re.search(r"^engine gave up on integral/f-at-1/1,0,1e-06: quadrature stalled "
-                          r"above tol=5e-13 \(value (\S+), bound (\S+), cost (\d+)\)$", err, re.M)
+        match = re.search(r"^engine gave up on integral/f-at-1/1,0,1e-300: quadrature stalled "
+                          r"above tol=5e-13 after level 11 "
+                          r"\(value (\S+), bound (\S+), cost (\d+)\)$", err, re.M)
         assert match, err
-        assert float(match[1]) == pytest.approx(500 * math.pi, rel=1e-12)
-        assert 5e-13 < float(match[2]) < 1e-11
-        assert int(match[3]) > 1000
+        assert float(match[1]) == pytest.approx(5.56e283, rel=1e-3)
+        assert float(match[2]) == pytest.approx(5.1e281, rel=1e-2)
+        assert int(match[3]) == 24577
         # A stall without a bound keeps its message alone.
         assert re.search(r"could hold more than 10000000 points$", err, re.M)
 

@@ -570,12 +570,12 @@ class TestAcceleratedCaches:
     # depend on what ran before it.
 
     def test_cached_sum_still_refuses_a_tighter_tolerance(self):
-        # A bound that meets one tolerance is refused at half of it, with
-        # the same value, bound and cost carried by the stall.
+        # A bound that meets one tolerance is refused at a tol that allows
+        # half of it, with the same value, bound and cost carried by the stall.
         form = BinaryQuadraticForm(1.0, 0.0, 2.0)
         loose = epstein_accelerated(form, 1.5, 1e-10)
         with pytest.raises(NonConvergence, match="accelerated lattice sum stalled") as stall:
-            epstein_accelerated(form, 1.5, loose.error_bound / 2.0)
+            epstein_accelerated(form, 1.5, loose.error_bound / (2.0 * abs(loose.value)))
         assert (stall.value.value, stall.value.error_bound, stall.value.cost) \
             == (loose.value, loose.error_bound, loose.cost)
 

@@ -87,14 +87,15 @@ def test_non_finite_integrand_value_stalls(bad):
 
 
 @pytest.mark.parametrize("integral, args", [
-    (gamma_integral, (20.0, 1e-10)),
-    (gamma_integral, (10.0, 1e-14)),
-    (f_form, (BinaryQuadraticForm(0.0254, -0.0797, 0.0806), 3.23, 1e-12)),
+    (gamma_integral, (20.0, 1e-16)),
+    (gamma_integral, (10.0, 1e-16)),
+    (f_form, (BinaryQuadraticForm(0.0254, -0.0797, 0.0806), 3.23, 1e-16)),
 ], ids=["gamma-20", "gamma-10", "f-form-3.23"])
 def test_roundoff_floor_above_tol_stalls(integral, args):
-    # The level gap meets tol, but the floor 4.5e-16 (1 + |value|) does not:
-    # Gamma(20) ~ 1.2e17 came back with a bound of 54.7, Gamma(10) with
-    # 1.6e-10 and this f(3.23) ~ -4.0e5 with 1.8e-10, each above its tol.
+    # The level gap meets tol, but the floor 4.5e-16 (1 + |value|) exceeds
+    # the tol |value| that tol 1e-16 allows: Gamma(20) ~ 1.2e17 came back
+    # with a bound of 54.7, Gamma(10) with 1.6e-10 and the half-line
+    # integral behind this f(3.23) ~ -4.0e5 with 9.1e-11.
     with pytest.raises(NonConvergence, match=r"^quadrature stalled above tol="):
         integral(*args)
 
@@ -156,9 +157,10 @@ class TestGammaIntegral:
         assert abs(left.value - right.value) <= left.error_bound + right.error_bound + 1e-14
 
     def test_lift_stall_names_the_callers_request(self):
-        # Gamma(2^-10) ~ 1023 has an ulp near 1.1e-13, so no double meets
-        # 1e-14.  The stall names s and the caller's tol, not the s * tol the
-        # lift asks of Gamma(s + 1), and carries the partial Gamma(s).
+        # The lift asks Gamma(1 + 2^-10) for s * tol = 9.8e-18, below the
+        # quadrature's rounding floor.  The stall names s and the caller's
+        # tol, not the s * tol the lift asks of Gamma(s + 1), and carries the
+        # partial Gamma(s).
         with pytest.raises(NonConvergence) as info:
             gamma_integral(2.0 ** -10, 1e-14)
         message = str(info.value)

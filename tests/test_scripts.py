@@ -340,9 +340,7 @@ def test_one_exit_per_engine():
     # zero_ok, which only a record's tolerance takes) returns through
     # ApproxValue.certified, itself or through a helper of its own module
     # (_drive for the quadrature rules, _accelerated_pair for L), so a bound
-    # above tol is a stall, never a result.  kronecker.l1_series is the one
-    # exception: its rounding grows like 4.7e-16 Im z, so certifying it at
-    # a fixed tol waits for ROADMAP item 14's tolerance rule.
+    # above what tol allows is a stall, never a result.
     checked, unchecked = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         functions = _functions(path.name)
@@ -355,7 +353,18 @@ def test_one_exit_per_engine():
                     unchecked.add((path.stem, name))
     assert {"theta_uhp", "eta_uhp", "epstein_direct", "kronecker_lhs", "integral_I",
             "_vertex_integral", "_accelerated_pair", "zeta", "gamma_gauss"} <= checked
-    assert unchecked == {("kronecker", "l1_series")}
+    assert unchecked == set()
+
+    # certified holds the package's one comparison of a bound with a tol.
+    compared = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    names = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}
+                    if isinstance(node, ast.Compare) and {"error_bound", "tol"} <= names:
+                        compared.add((path.stem, function.name))
+    assert compared == {("approx", "certified")}
 
     # The special-value engines refuse a bad tol as every other engine does.
     special = _functions("special_values.py")

@@ -97,10 +97,11 @@ class TestZeta:
             zeta(0.5)
 
     def test_refuses_tolerance_below_roundoff_near_pole(self):
-        # zeta(1 + 1e-6) ~ 1e6, so an absolute bound of 1e-12 is not
-        # certifiable in doubles; the engine must say so, not lie
+        # zeta(1 + 1e-6) ~ 1e6 comes with a bound of 8.9e-10, above the
+        # 1e-17 * 1e6 = 1e-11 that tol 1e-17 allows at that size; the
+        # engine must say so, not lie
         with pytest.raises(NonConvergence):
-            zeta(1.0 + 1e-6, 1e-12)
+            zeta(1.0 + 1e-6, 1e-17)
 
 
 def zeta_regular(s):
