@@ -99,7 +99,7 @@ def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8) -> ApproxValue:
 
 def kronecker_rhs(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
     """(1/2) log(a / D) - 2 log |eta(z_Q)|; its tol is eta's, which certifies to it.
-    Certifying the sum would stall 1,0,1e-6 at 1e-13: bound 5.5e-11, allowance 5.2e-11."""
+    Certifying the sum would stall form 1,0,1e-6 at 1e-13: bound 5.5e-11, allowance 5.2e-11."""
     lead = 0.5 * math.log(form.a / form.disc)
     return ApproxValue(lead, 4.0 * EPS * (1.0 + abs(lead)), 0) + _minus_two_log_eta(form, tol)
 

@@ -110,8 +110,8 @@ def _eta_log_tail(n: int, absw: float) -> float:
 def eta_quotient(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     """eta(z/2 + 1/2)^2 / eta(z + 1), the product form of theta(z).
 
-    Its tol is eta's: both factors are certified to it, the quotient not, as
-    at z = 2.1875i and tol 2.5e-12 its bound is 3.5e-12.  The bound is
+    Its tol is eta's: both factors are certified to it, not the quotient,
+    whose bound at z = 2.1875i and tol 2.5e-12 is 3.5e-12.  The bound is
     ApproxValue's, plus 4 EPS (|q| + 1) for rounding the complex square and
     quotient.  Raises ValueError where the denominator's bound allows zero.
     """

@@ -361,8 +361,8 @@ def test_one_exit_per_engine():
         for function in ast.walk(ast.parse(path.read_text())):
             if isinstance(function, ast.FunctionDef):
                 for node in ast.walk(function):
-                    names = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}
-                    if isinstance(node, ast.Compare) and {"error_bound", "tol"} <= names:
+                    if isinstance(node, ast.Compare) and {"error_bound", "tol"} <= {
+                            getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}:
                         compared.add((path.stem, function.name))
     assert compared == {("approx", "certified")}
 

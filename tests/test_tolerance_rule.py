@@ -50,7 +50,7 @@ ENGINES = {
     "kronecker_lhs(2,-2,1)": lambda tol: kronecker_lhs(BinaryQuadraticForm(2.0, -2.0, 1.0), tol),
     "epstein_accelerated(1,0,2;1.5)":
         lambda tol: epstein_accelerated(BinaryQuadraticForm(1.0, 0.0, 2.0), 1.5, tol),
-    "epstein_direct(1,0,1;3)": lambda tol: epstein_direct(UNIT, 3.0, tol),
+    "epstein_direct(1,0,1;4)": lambda tol: epstein_direct(UNIT, 4.0, tol),
     "integral_I": integral_I,
     **{f"gamma_integral({s})": (lambda tol, s=s: gamma_integral(s, tol))
        for s in (0.1, 0.25, 0.4, 0.75, 2.0, 10.0, 20.0)},
