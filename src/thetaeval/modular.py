@@ -54,8 +54,8 @@ def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     to tol, is the error_bound and N the cost (NonConvergence past N = 10^6).
     """
     check_tol(tol)
-    n_max = terms_needed(lambda n: _theta_tail(n, z.im), tol,
-                         f"theta series at Im z = {z.im:g}")
+    what = f"theta series at Im z = {z.im:g}"
+    n_max = terms_needed(lambda n: _theta_tail(n, z.im), tol, what)
     zc = z.as_complex()
     res = [1.0]
     ims = [0.0]
@@ -66,7 +66,7 @@ def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     # Tail plus a per-term roundoff floor; fsum itself is exact.
     bound = _theta_tail(n_max + 1, z.im) + 2.0 * EPS * math.fsum(abs(t) for t in res)
     return ApproxValue(complex(math.fsum(res), math.fsum(ims)), bound,
-                       n_max).certified(tol, "theta series")
+                       n_max).certified(tol, what)
 
 
 def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
@@ -81,15 +81,15 @@ def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     below the normal range (Im z > 2700) and where the bound misses tol.
     """
     check_tol(tol)
-    y = z.im
+    y, what = z.im, f"eta product at Im z = {z.im:g}"
     absw = math.exp(-2.0 * math.pi * y)
     if absw == 1.0 or absw / (1.0 - absw) > 700.0:
-        raise NonConvergence(f"eta product at Im z = {y:g}: exp(-2 pi Im z) is too near 1")
+        raise NonConvergence(f"{what}: exp(-2 pi Im z) is too near 1")
     # Crude a-priori modulus bound, enough to pick the cut; a log tail past
     # 709 misses any tol, so capping it there keeps expm1 finite.
     mod_cap = math.exp(-math.pi * y / 12.0) * math.exp(absw / (1.0 - absw))
     n_max = terms_needed(lambda n: mod_cap * math.expm1(min(_eta_log_tail(n, absw), 709.0)),
-                         0.5 * tol, f"eta product at Im z = {y:g}")
+                         0.5 * tol, what)
     zc = z.as_complex()
     prod = cmath.exp(1j * math.pi * zc / 12.0)
     for n in range(1, n_max + 1):
@@ -98,7 +98,7 @@ def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
         raise NonConvergence(f"eta product underflows at Im z = {y:g}")
     bound = abs(prod) * (math.expm1(_eta_log_tail(n_max, absw))
                          + 4.0 * (n_max + 2) * EPS)
-    return ApproxValue(prod, bound, n_max).certified(tol, "eta product")
+    return ApproxValue(prod, bound, n_max).certified(tol, what)
 
 
 def _eta_log_tail(n: int, absw: float) -> float:

@@ -7,13 +7,14 @@ square-indicator series (1 + 2q + 2q^4 + 2q^9 + ...) and the product
 logarithmic derivative, read off the factors alone.
 
 The product's logarithmic derivative is sieved in O(N log N), and its 2 sqrt(N)
-nonzero coefficients are scattered by one big-int step each over 64-bit lanes
-(Kronecker substitution): about 6 ms at N = 4096 on a 2-vCPU x86-64 host.
+nonzero coefficients are scattered by one big-int step each over the 64-bit
+lanes of one int, the running sums' only store (Kronecker substitution): about
+6 ms at N = 4096 and 0.4 ms at N = 256 on a 2-vCPU x86-64 host.
 """
 
 from __future__ import annotations
 
-import sys
+import struct
 from dataclasses import dataclass
 from itertools import cycle, repeat
 from operator import add
@@ -120,8 +121,8 @@ def _solve(c: list[int]) -> list[int]:
     crosses a lane and its bytes are exact.  That bound is checked before C
     is packed and after each nonzero p_n, and raises NonConvergence when it
     fails; the product's own c reaches 2^32.7 at order 2^19.  R is read 256
-    lanes at a time from the top; updates inside that block go to a list,
-    and the dead lanes above it are dropped once they pass eight blocks.
+    lanes at a time from the top, and the rest of those again after each
+    nonzero p_n; the dead lanes above are dropped once they pass eight blocks.
     """
     order, big = len(c) - 1, max(map(abs, c))
     p, total, size = [1], 1, 1
@@ -138,22 +139,21 @@ def _solve(c: list[int]) -> list[int]:
     packed = int.from_bytes(lanes, "big")
     sums = int.from_bytes(lanes[8:], "big") + int.from_bytes((b"\x80" + bytes(7)) * order, "big")
     for start in range(1, order + 1, _BLOCK):
-        live = order + 1 - start
-        width = min(_BLOCK, live)
+        live, end = order + 1 - start, min(start + _BLOCK, order + 1)
         if sums.bit_length() > 64 * (live + 8 * _BLOCK):
             sums &= (1 << 64 * live) - 1
-        offset = big * total + (1 << 63)
-        top = (sums >> 64 * (live - width)) & ((1 << 64 * width) - 1)
-        # Native words; a little-endian machine lists the lowest lane first.
-        view = memoryview(top.to_bytes(8 * width, sys.byteorder)).cast("Q")
-        block = [v - offset for v in (view[::-1] if sys.byteorder == "little" else view)]
-        for i, n in enumerate(range(start, start + width)):
-            p.append(pn := block[i] // n)
-            if pn:
-                total, size = total + pn, size + abs(pn)
-                check(n)
-                block[i + 1:] = [s + pn * ck for s, ck in zip(block[i + 1:], c[1:width - i])]
-                sums += pn * (packed >> 64 * n)
+        n = start
+        while n < end:  # the lanes of m = n..end-1, read again after each nonzero p_n
+            width, offset = end - n, big * total + (1 << 63)
+            top = (sums >> 64 * (order + 1 - end)) & ((1 << 64 * width) - 1)
+            for n, s in enumerate(struct.unpack(f">{width}Q", top.to_bytes(8 * width, "big")), n):
+                p.append(pn := (s - offset) // n)
+                if pn:
+                    total, size = total + pn, size + abs(pn)
+                    check(n)
+                    sums += pn * (packed >> 64 * n)
+                    break
+            n += 1
     return p
 
 

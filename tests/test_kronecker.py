@@ -230,7 +230,7 @@ class TestKroneckerRhs:
     def test_inherits_the_eta_stall_below_its_rounding_floor(self):
         # z_Q = 0.5 + 0.5i: eta's bound there is 1.07e-14, so kronecker_rhs,
         # whose tol is eta's, stalls in eta when asked for 1e-14.
-        with pytest.raises(NonConvergence, match=r"^eta product stalled above tol=1e-14$"):
+        with pytest.raises(NonConvergence, match=r"^eta product at Im z = 0.5 stalled above tol=1e-14$"):
             kronecker_rhs(BinaryQuadraticForm(2.0, -2.0, 1.0), 1e-14)
 
     def test_inherits_the_eta_stall_near_the_real_line(self):
@@ -272,7 +272,7 @@ class TestL1Series:
             # At z_Q = 0.5 + 0.5i eta's rounding floor 4 (n + 2) EPS |eta| is
             # 1.07e-14: eta stalls, and the test runs on the eta it carries.
             with pytest.raises(NonConvergence,
-                               match=r"^eta product stalled above tol=1e-14$") as info:
+                               match=r"^eta product at Im z = 0.5 stalled above tol=1e-14$") as info:
                 eta_uhp(form.z_point(), 1e-14)
             eta = ApproxValue(info.value.value, info.value.error_bound).magnitude()
         else:

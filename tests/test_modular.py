@@ -31,7 +31,7 @@ def stalled(engine, *args):
     """The value, bound and cost that engine(*args)'s tolerance stall
     carries, as an ApproxValue; fails unless the call stalls."""
     with pytest.raises(NonConvergence,
-                       match=r"^(theta series|eta product) stalled above tol=") as info:
+                       match=r"^(theta series|eta product) at Im z = [^ ]+ stalled above tol=") as info:
         engine(*args)
     return ApproxValue(info.value.value, info.value.error_bound, info.value.cost)
 
@@ -308,7 +308,7 @@ class TestTermsNeeded:
 def test_eta_quotient_inherits_the_eta_stall():
     # At i the numerator's factor eta(0.5 + 0.5i) has a rounding floor of
     # 1.06e-14, so asking the quotient for 1e-15 stalls in eta.
-    with pytest.raises(NonConvergence, match=r"^eta product stalled above tol=1e-15$"):
+    with pytest.raises(NonConvergence, match=r"^eta product at Im z = 0.5 stalled above tol=1e-15$"):
         eta_quotient(UpperHalfPoint(0.0, 1.0), 1e-15)
 
 

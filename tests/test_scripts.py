@@ -334,6 +334,17 @@ def test_one_entry_per_computation():
                 assert all(isinstance(arg, (ast.Constant, ast.UnaryOp)) for arg in node.args), \
                     f"{name} line {node.lineno}"
 
+    # The triple product's running sums have one store, the lane int: its
+    # windows are read as explicit big-endian words, with no byte-order
+    # branch, and _solve assigns to no list slice, so a nonzero p_n reaches
+    # the running sums only through the big int.
+    text = (PACKAGE / "qseries.py").read_text()
+    assert "byteorder" not in text and "memoryview" not in text
+    assert not [ast.unparse(node) for node in ast.walk(_functions("qseries.py")["_solve"])
+                if isinstance(node, (ast.Assign, ast.AugAssign))
+                for target in getattr(node, "targets", [getattr(node, "target", None)])
+                if isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Slice)]
+
 
 def test_one_exit_per_engine():
     # Every function that checks an engine tolerance (check_tol without
