@@ -312,9 +312,9 @@ SUITE_NAMES = tuple(SUITES)
 
 DEFAULT_FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
 
-# The largest q-series order: verify triple-product two-squares takes 4 to
-# 5.5 s and 76 MB there on a 2-vCPU host; each doubling about triples the
-# time (0.5 s at 2^17, 1.4 s at 2^18) and doubles the memory.
+# The largest q-series order: verify triple-product two-squares takes 3 to
+# 5.5 s and 76 MB there on a 2-vCPU host; each doubling costs 2.5 to 3 times
+# the time (0.5 s at 2^17, 1.2 s at 2^18) and 1.5 to 1.7 times the peak RSS.
 _MAX_ORDER = 2 ** 19
 
 
