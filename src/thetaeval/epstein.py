@@ -261,21 +261,7 @@ def epstein_direct(form: BinaryQuadraticForm, s: float, tol: float = 1e-2) -> Ap
 
 @lru_cache(maxsize=64)
 def _gamma_cached(s: float) -> ApproxValue:
-    # Gamma(s) = (s - 1) Gamma(s - 1): past s = 4, Gamma(s) > 6 brings the
-    # quadrature's rounding floor up to 1e-14.  Each s - 1 is exact; each
-    # product rounds by EPS/2 of the running value.  Below 1/2,
-    # gamma_integral's own lift asks Gamma(s + 1) for s tol = 1e-14.
-    if not s <= 171.0:
-        raise ValueError(f"need s <= 171, as Gamma(s) overflows past 171.62; got s={s}")
-    if s < 0.5:
-        return gamma_integral(s, 1e-14 / s)
-    factor, steps = 1.0, 0
-    while s > 4.0:
-        s -= 1.0
-        factor *= s
-        steps += 1
-    scaled = factor * gamma_integral(s, 1e-14)
-    return scaled + ApproxValue(0.0, steps * EPS * scaled.value)
+    return gamma_integral(s, 1e-14 / s if s < 0.5 else 1e-14)  # s < 1/2 lifts at s tol
 
 
 def _cf_upper(s: float, x: float) -> tuple[float, float, int]:

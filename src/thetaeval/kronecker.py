@@ -110,9 +110,10 @@ def _minus_two_log_eta(form: BinaryQuadraticForm, tol: float) -> ApproxValue:
 
 
 def l1_series(form: BinaryQuadraticForm, tol: float = 1e-11) -> ApproxValue:
-    """pi y_Q / 6 - sum_k log|1 - exp(2 pi i k z_Q)|^2, equal to -log|eta(z_Q)|^2."""
+    """pi y_Q / 6 - sum_k log|1 - exp(2 pi i k z_Q)|^2 = -log|eta(z_Q)|^2, Re z_Q fmod 1."""
     check_tol(tol)
-    z = form.z_point().as_complex()
+    z_q = form.z_point()
+    z = complex(math.fmod(z_q.re, 1.0), z_q.im)
     rho = math.exp(-2.0 * math.pi * z.imag)
     if rho == 1.0:
         raise NonConvergence(f"eta log series at Im z = {z.imag:g}: exp(-2 pi Im z) rounds to 1")

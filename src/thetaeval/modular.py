@@ -5,8 +5,8 @@ approx.terms_needed picks the truncation index up front from an explicit
 tail bound; that bound plus rounding is certified to tol.  Each returns an
 ApproxValue with a complex value, one bound on the modulus of its error
 and, as cost, the number of series terms or product factors it took;
-eta_quotient is ApproxValue arithmetic on two, at eta's tol.  No modular
-transformation is used: values come from the defining series and product.
+eta_quotient is ApproxValue arithmetic on two, at eta's tol.  Values come
+from the defining series and product at Re z fmod 2 (theta) or 24 (eta).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     check_tol(tol)
     what = f"theta series at Im z = {z.im:g}"
     n_max = terms_needed(lambda n: _theta_tail(n, z.im), tol, what)
-    zc = z.as_complex()
+    zc = complex(math.fmod(z.re, 2.0), z.im)
     res = [1.0]
     ims = [0.0]
     for n in range(1, n_max + 1):
@@ -90,7 +90,7 @@ def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     mod_cap = math.exp(-math.pi * y / 12.0) * math.exp(absw / (1.0 - absw))
     n_max = terms_needed(lambda n: mod_cap * math.expm1(min(_eta_log_tail(n, absw), 709.0)),
                          0.5 * tol, what)
-    zc = z.as_complex()
+    zc = complex(math.fmod(z.re, 24.0), z.im)
     prod = cmath.exp(1j * math.pi * zc / 12.0)
     for n in range(1, n_max + 1):
         prod *= 1.0 - cmath.exp(2j * math.pi * n * zc)

@@ -132,28 +132,41 @@ def integral_I(tol: float = 1e-12) -> ApproxValue:
 
 
 def gamma_integral(s: float, tol: float = 1e-12) -> ApproxValue:
-    """Integral over (0, inf) of t**(s-1) * exp(-t), for s > 0.
+    """Integral over (0, inf) of t**(s-1) * exp(-t), for 0 < s <= 171.
 
-    For 1/2 <= s < 1 the origin carries an integrable power singularity; the
-    clustered nodes of the half-line rule absorb it.  Below 1/2 it is too
-    steep for the rule's error estimate and Gamma(s) ~ 1/s, so the value is
-    Gamma(s + 1) / s with Gamma(s + 1) to s tol; rounding s + 1 and the
-    quotient move it by less than 2 EPS / s.  A stall of the lift is reported
-    against s and the caller's tol.
+    The half-line rule takes 1/2 <= s <= 4, its nodes absorbing the origin's
+    power singularity below 1.  Below 1/2, too steep for the rule's estimate,
+    it is Gamma(s + 1) / s, Gamma(s + 1) to s tol, plus 2 EPS / s rounding.
+    Above 4, where the rule's floor grows with Gamma(s) and t**(s-1)
+    overflows past s ~ 111, it is (s-1)...(s-k) Gamma(s - k), s - k in
+    (3, 4], Gamma(s - k) to tol and the factor exact from s = m / d, rounded
+    once: 2 EPS |value| for any k.  A stall carries the partial Gamma(s).
     """
     if not s > 0.0:
         raise ValueError(f"need s > 0, got {s}")
     check_tol(tol)
+    if 0.5 <= s <= 4.0:
+        e = s - 1.0
+        return _halfline(lambda t: t ** e * math.exp(-t), tol)
     if s < 0.5:
-        try:
-            lifted = gamma_integral(s + 1.0, s * tol)
-        except NonConvergence as exc:
-            raise NonConvergence(f"gamma_integral stalled at s={s:g} above tol={tol:g}",
-                                 exc.value / s, (exc.error_bound + 2.0 * EPS) / s,
-                                 exc.cost) from exc
-        return ((lifted + ApproxValue(0.0, 2.0 * EPS)) / s).certified(tol, f"Gamma({s:g})")
-    e = s - 1.0
-    return _halfline(lambda t: t ** e * math.exp(-t), tol)
+        inner, inner_tol = s + 1.0, s * tol
+    elif s <= 171.0:
+        k = math.ceil(s - 4.0)
+        m, d = s.as_integer_ratio()
+        factor = math.prod(m - j * d for j in range(1, k + 1)) / d ** k
+        inner, inner_tol = s - k, tol
+    else:
+        raise ValueError(f"need s <= 171, as Gamma(s) overflows past 171.62; got s={s}")
+    try:
+        g, stall = gamma_integral(inner, inner_tol), None
+    except NonConvergence as exc:
+        g, stall = ApproxValue(exc.value, exc.error_bound, exc.cost), exc
+    pad = ApproxValue(0.0, 2.0 * EPS * (1.0 if s < 0.5 else g.value))
+    g = (g + pad) / s if s < 0.5 else (g + pad) * factor
+    if stall is not None:
+        raise NonConvergence(f"gamma_integral stalled at s={s:g} above tol={tol:g}",
+                             g.value, g.error_bound, g.cost) from stall
+    return g.certified(tol, f"Gamma({s:g})")
 
 
 def gammaL_integral(s: float, tol: float = 1e-12) -> ApproxValue:

@@ -227,6 +227,22 @@ class TestKroneckerRhs:
         form = BinaryQuadraticForm(2.0, -2.0, 1.0)
         assert kronecker_rhs(form, 1e-13).cost == eta_uhp(form.z_point(), 1e-13).cost
 
+    def test_a_far_form_takes_the_reduced_forms_value_and_bound(self):
+        # z_Q = 1000008.25 + i lies 24 * 41667 from the near form's 0.25 + i,
+        # and eta reduces Re z by its period 24 exactly: the right sides
+        # are equal in value, bound and cost.
+        far = kronecker_rhs(BinaryQuadraticForm(1.0, -2000016.5, 1000016500069.0625))
+        near = kronecker_rhs(BinaryQuadraticForm(1.0, -0.5, 1.0625))
+        assert (far.value, far.error_bound, far.cost) == (near.value, near.error_bound, near.cost)
+
+    def test_a_far_form_stays_within_its_bound(self):
+        # z_Q = 10^6 + 1/4 + i reduces to 16.25 + i, where |eta| is
+        # |eta(0.25 + i)|.  Without the reduction this side was 1.9e-12 off
+        # the near form's, against a bound of 5.8e-14.
+        far = kronecker_rhs(BinaryQuadraticForm(1.0, -2000000.5, 1000000500001.0625))
+        near = kronecker_rhs(BinaryQuadraticForm(1.0, -0.5, 1.0625))
+        assert abs(far.value - near.value) <= far.error_bound + near.error_bound
+
     def test_inherits_the_eta_stall_below_its_rounding_floor(self):
         # z_Q = 0.5 + 0.5i: eta's bound there is 1.07e-14, so kronecker_rhs,
         # whose tol is eta's, stalls in eta when asked for 1e-14.
@@ -279,6 +295,15 @@ class TestL1Series:
             eta = eta_uhp(form.z_point(), 1e-14).magnitude()
         rhs = -2.0 * eta.log().value
         assert abs(series.value - rhs) <= series.error_bound + 1e-10
+
+    @pytest.mark.parametrize("coeffs", [(1.0, -2000000.5, 1000000500001.0625),
+                                        (1.0, -2000016.5, 1000016500069.0625)])
+    def test_a_far_form_takes_the_reduced_forms_value_and_bound(self, coeffs):
+        # z_Q = 10^6 + 1/4 + i and 1000008.25 + i reduce by the period 1,
+        # exactly, to the near form's 0.25 + i.
+        far = l1_series(BinaryQuadraticForm(*coeffs))
+        near = l1_series(BinaryQuadraticForm(1.0, -0.5, 1.0625))
+        assert (far.value, far.error_bound, far.cost) == (near.value, near.error_bound, near.cost)
 
     def test_leading_term_dominates_far_up(self):
         # high in the half-plane the product terms die and only the

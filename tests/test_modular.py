@@ -167,6 +167,17 @@ class TestThetaSeries:
             gap = abs(a.value - b.value)
             assert gap <= a.error_bound + b.error_bound
 
+    @pytest.mark.parametrize("re, im, shift", [
+        (0.0, 1.0, 1e6), (0.25, 1.0, 2.0 ** 40), (-0.75, 1.7, -1e6), (1.5, 0.5, 2.0)])
+    def test_far_point_takes_the_reduced_points_value_and_bound(self, re, im, shift):
+        # Re z is reduced by the period 2 with math.fmod, which is exact: a
+        # point shifted by an even integer gives the same value, bound and
+        # cost.  Summed as it stood, theta(10^6 + i) was 1.9e-11 off theta(i),
+        # against a bound of 4.8e-16.
+        near = theta_uhp(UpperHalfPoint(re, im), 1e-13)
+        far = theta_uhp(UpperHalfPoint(re + shift, im), 1e-13)
+        assert (far.value, far.error_bound, far.cost) == (near.value, near.error_bound, near.cost)
+
     def test_tail_bound_sound_on_random_points(self):
         # adding three more terms must move the value by less than the
         # reported bound; 100 draws, fixed seed
@@ -245,6 +256,16 @@ class TestEtaProduct:
         den = stalled(eta_uhp, UpperHalfPoint(0.0, 1.0), 1e-15).magnitude()
         ratio = (num * num) / (den * den)
         assert abs(ratio.value - math.sqrt(2.0)) <= ratio.error_bound + 1e-14
+
+    @pytest.mark.parametrize("re, im, shift", [
+        (0.0, 1.0, 2.4e7), (0.5, 0.5, 24.0 * 2.0 ** 35), (-0.25, 2.0, -2.4e7), (23.5, 1.0, 24.0)])
+    def test_far_point_takes_the_reduced_points_value_and_bound(self, re, im, shift):
+        # Re z is reduced by the period 24 with math.fmod, which is exact.
+        # Multiplied as it stood, eta(2.4e7 + i) was 3.4e-10 off eta(i),
+        # against a bound of 2.2e-14.
+        near = eta_uhp(UpperHalfPoint(re, im), 1e-13)
+        far = eta_uhp(UpperHalfPoint(re + shift, im), 1e-13)
+        assert (far.value, far.error_bound, far.cost) == (near.value, near.error_bound, near.cost)
 
     def test_unit_shift_preserves_modulus(self):
         rng = random.Random(7)

@@ -6,6 +6,7 @@ disjoint from the tanh-sinh engine under test).
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,9 @@ ORACLE_I_BOUND = 5e-15
 # scripts/compute_oracles.py: Euler transform of the alternating series
 ORACLE_CATALAN = 0.91596559417721901
 ORACLE_SERIES_BOUND = 5e-15
+# sqrt(pi) to 48 digits, as an exact fraction: it moves a Gamma oracle by
+# under 1e-47 relative, far below any bound it is held to.
+SQRT_PI = Fraction("1.77245385090551602729816748334114518279754945612")
 
 
 def test_unit_integrand():
@@ -86,17 +90,18 @@ def test_non_finite_integrand_value_stalls(bad):
         _halfline(spiked, 1e-10)
 
 
-@pytest.mark.parametrize("integral, args", [
-    (gamma_integral, (20.0, 1e-16)),
-    (gamma_integral, (10.0, 1e-16)),
-    (f_form, (BinaryQuadraticForm(0.0254, -0.0797, 0.0806), 3.23, 1e-16)),
+@pytest.mark.parametrize("integral, args, message", [
+    (gamma_integral, (20.0, 1e-16), r"^gamma_integral stalled at s=20 above tol=1e-16$"),
+    (gamma_integral, (10.0, 1e-16), r"^gamma_integral stalled at s=10 above tol=1e-16$"),
+    (f_form, (BinaryQuadraticForm(0.0254, -0.0797, 0.0806), 3.23, 1e-16),
+     r"^quadrature stalled above tol="),
 ], ids=["gamma-20", "gamma-10", "f-form-3.23"])
-def test_roundoff_floor_above_tol_stalls(integral, args):
+def test_roundoff_floor_above_tol_stalls(integral, args, message):
     # The level gap meets tol, but the floor 4.5e-16 (1 + |value|) exceeds
-    # the tol |value| that tol 1e-16 allows: Gamma(20) ~ 1.2e17 came back
-    # with a bound of 54.7, Gamma(10) with 1.6e-10 and the half-line
-    # integral behind this f(3.23) ~ -4.0e5 with 9.1e-11.
-    with pytest.raises(NonConvergence, match=r"^quadrature stalled above tol="):
+    # the tol |value| that tol 1e-16 allows: the half-line integral behind
+    # this f(3.23) ~ -4.0e5 came back with 9.1e-11.  Gamma(10) and Gamma(20)
+    # meet the floor at Gamma(4) = 6 behind the recurrence, which names s.
+    with pytest.raises(NonConvergence, match=message):
         integral(*args)
 
 
@@ -172,6 +177,38 @@ class TestGammaIntegral:
     def test_rejects_nonpositive_s(self):
         with pytest.raises(ValueError):
             gamma_integral(0.0)
+
+    @pytest.mark.parametrize("s", [171.5, 1e300, math.inf])
+    def test_rejects_s_past_gamma_overflow(self, s):
+        with pytest.raises(ValueError, match=r"^need s <= 171, as Gamma\(s\) overflows"):
+            gamma_integral(s)
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-12, 1e-8])
+    @pytest.mark.parametrize("s", [5.0, 11.0, 18.5, 27.5, 41.0, 80.0, 111.0, 112.0,
+                                   150.0, 170.5, 171.0])
+    def test_recurrence_meets_exact_factorials(self, s, tol):
+        # Above 4 the value is (s-1)...(s-k) Gamma(s - k).  Against the
+        # exact Gamma(n) = (n-1)! and Gamma(n + 1/2) = (2n)! sqrt(pi) /
+        # (4^n n!), compared as fractions, every s returns a certified value
+        # whose bound holds.  Before the recurrence moved here, the half-line
+        # rule alone stalled at s = 11 to 80 and overflowed from s = 112 on.
+        r = gamma_integral(s, tol)
+        assert r.error_bound <= tol * r.value
+        n = int(s)
+        if s == n:
+            exact = Fraction(math.factorial(n - 1))
+        else:
+            exact = Fraction(math.factorial(2 * n), 4 ** n * math.factorial(n)) * SQRT_PI
+        assert abs(Fraction(r.value) - exact) <= Fraction(r.error_bound)
+
+    def test_recurrence_stall_carries_the_partial_gamma(self):
+        # Gamma(4) meets its rounding floor at tol 1e-16; the stall is
+        # reported against s = 20, with 19!/6 times Gamma(4)'s partial.
+        with pytest.raises(NonConvergence) as info:
+            gamma_integral(20.0, 1e-16)
+        exact = math.factorial(19)
+        assert abs(info.value.value - exact) <= info.value.error_bound
+        assert 1e-16 * exact < info.value.error_bound < 1e-14 * exact
 
 
 class TestGammaLIntegral:

@@ -323,8 +323,30 @@ def test_one_entry_per_computation():
     assert "form" in _called_names(level_set)
     assert "* xs * xs" not in ast.unparse(level_set)
 
-    # Gamma below 1/2 takes gamma_integral's lift, with no lift of its own.
-    assert "_gamma_cached" not in _called_names(_functions("epstein.py")["_gamma_cached"])
+    # Gamma(s) has one entry.  _gamma_cached is one call to gamma_integral,
+    # with no loop: below 1/2 it takes gamma_integral's lift and above 4 its
+    # recurrence.  The 171 limit and the downward recurrence (an exact
+    # product, or a step s -= 1) live in quadrature.gamma_integral alone.
+    cached = _functions("epstein.py")["_gamma_cached"]
+    assert [type(node) for node in cached.body] == [ast.Return]
+    assert [getattr(node.func, "id", None) for node in ast.walk(cached.body[0])
+            if isinstance(node, ast.Call)] == ["gamma_integral"]
+    limits, recurrences = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(side, ast.Constant) and side.value == 171
+                        for side in (node.left, *node.comparators)):
+                    limits.add((path.stem, function.name))
+                if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub) \
+                        and isinstance(node.value, ast.Constant) and node.value.value == 1:
+                    recurrences.add((path.stem, function.name))
+            if "prod" in _called_names(function):
+                recurrences.add((path.stem, function.name))
+    assert limits == recurrences == {("quadrature", "gamma_integral")}
 
     # RunConfig builds each form once; a suite builds only its own literal forms.
     for name, suite in _functions("suites.py").items():

@@ -53,7 +53,7 @@ ENGINES = {
     "epstein_direct(1,0,1;4)": lambda tol: epstein_direct(UNIT, 4.0, tol),
     "integral_I": integral_I,
     **{f"gamma_integral({s})": (lambda tol, s=s: gamma_integral(s, tol))
-       for s in (0.1, 0.25, 0.4, 0.75, 2.0, 10.0, 20.0)},
+       for s in (0.1, 0.25, 0.4, 0.75, 2.0, 10.0, 20.0, 80.0, 150.0, 171.0)},
     **{f"gammaL_integral({s})": (lambda tol, s=s: gammaL_integral(s, tol))
        for s in (0.5, 1.5, 3.0)},
     "f_form(1,0,1;1)": lambda tol: f_form(UNIT, 1.0, tol),
