@@ -237,8 +237,8 @@ class TestKroneckerRhs:
 
     def test_a_far_form_stays_within_its_bound(self):
         # z_Q = 10^6 + 1/4 + i reduces to 16.25 + i, where |eta| is
-        # |eta(0.25 + i)|.  Without the reduction this side was 1.9e-12 off
-        # the near form's, against a bound of 5.8e-14.
+        # |eta(0.25 + i)|.  Unreduced, this side is 1.9e-12 off the near
+        # form's, against a bound of 5.8e-14.
         far = kronecker_rhs(BinaryQuadraticForm(1.0, -2000000.5, 1000000500001.0625))
         near = kronecker_rhs(BinaryQuadraticForm(1.0, -0.5, 1.0625))
         assert abs(far.value - near.value) <= far.error_bound + near.error_bound

@@ -172,8 +172,8 @@ class TestThetaSeries:
     def test_far_point_takes_the_reduced_points_value_and_bound(self, re, im, shift):
         # Re z is reduced by the period 2 with math.fmod, which is exact: a
         # point shifted by an even integer gives the same value, bound and
-        # cost.  Summed as it stood, theta(10^6 + i) was 1.9e-11 off theta(i),
-        # against a bound of 4.8e-16.
+        # cost.  Unreduced, theta(10^6 + i) is 1.9e-11 off theta(i), against
+        # a bound of 4.8e-16.
         near = theta_uhp(UpperHalfPoint(re, im), 1e-13)
         far = theta_uhp(UpperHalfPoint(re + shift, im), 1e-13)
         assert (far.value, far.error_bound, far.cost) == (near.value, near.error_bound, near.cost)
@@ -261,8 +261,8 @@ class TestEtaProduct:
         (0.0, 1.0, 2.4e7), (0.5, 0.5, 24.0 * 2.0 ** 35), (-0.25, 2.0, -2.4e7), (23.5, 1.0, 24.0)])
     def test_far_point_takes_the_reduced_points_value_and_bound(self, re, im, shift):
         # Re z is reduced by the period 24 with math.fmod, which is exact.
-        # Multiplied as it stood, eta(2.4e7 + i) was 3.4e-10 off eta(i),
-        # against a bound of 2.2e-14.
+        # Unreduced, eta(2.4e7 + i) is 3.4e-10 off eta(i), against a bound
+        # of 2.2e-14.
         near = eta_uhp(UpperHalfPoint(re, im), 1e-13)
         far = eta_uhp(UpperHalfPoint(re + shift, im), 1e-13)
         assert (far.value, far.error_bound, far.cost) == (near.value, near.error_bound, near.cost)

@@ -190,8 +190,8 @@ class TestGammaIntegral:
         # Above 4 the value is (s-1)...(s-k) Gamma(s - k).  Against the
         # exact Gamma(n) = (n-1)! and Gamma(n + 1/2) = (2n)! sqrt(pi) /
         # (4^n n!), compared as fractions, every s returns a certified value
-        # whose bound holds.  Before the recurrence moved here, the half-line
-        # rule alone stalled at s = 11 to 80 and overflowed from s = 112 on.
+        # whose bound holds.  The half-line rule alone stalls at s = 11,
+        # 18.5, 27.5, 41 and 80 and overflows from s = 111.5 on.
         r = gamma_integral(s, tol)
         assert r.error_bound <= tol * r.value
         n = int(s)
