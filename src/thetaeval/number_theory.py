@@ -9,8 +9,9 @@ returns the table r(0..N) at once (r(0) = 1, the pair (0, 0)):
   x >= 1, y >= 0;
 - divisors: r(n) = 4 sum_{d | n} chi4(d) (Lemma 2).  r_divisor sums over
   the divisor pairs of one n; r_divisor_table sieves 4 chi4(d) onto the
-  multiples of each odd d in about 1.5 sqrt(N) strided slices (Dirichlet's
-  hyperbola split).
+  odd multiples of each odd d in about sqrt(N) strided slices (Dirichlet's
+  hyperbola split), then copies r(o) to r(2^a o), o odd, with one slice
+  per power of two, since the odd divisors of 2^a o are those of o.
 
 The two routes share nothing but argument checks: the direct search never
 uses chi4, and the divisor route never counts points
@@ -87,21 +88,29 @@ def r_bruteforce_table(order: int) -> tuple[int, ...]:
 
 
 def r_divisor_table(order: int) -> tuple[int, ...]:
-    """r(0..order), by sieving 4 chi4(d) onto the multiples of each odd d.
+    """r(0..order), by sieving 4 chi4(d) onto the odd multiples of each odd d.
 
-    Each pair (odd d, multiple j) with d j <= N has j <= J = isqrt(N) or
-    d <= N // (J + 1), not both: table[j::2j] takes 4 chi4(1), 4 chi4(3),
-    ... for each j <= J, and table[(J + 1) d::d] takes 4 chi4(d).
+    Only odd d count, and they divide 2^a o exactly when they divide o, so
+    r(2^a o) = r(o) (o odd).  Each odd pair (j, d) with j d <= N has
+    j <= J = isqrt(N) or j >= J', the first odd number above J, not both:
+    table[j::2j] takes 4 chi4(1), 4 chi4(3), ... for each odd j <= J, and
+    table[J' d::2d] takes 4 chi4(d) for each odd d <= N // J'.  Then one
+    slice per power of two 2^a <= N copies r(o) to r(2^a o).
     """
     _check_order(order)
     table = [0] * (order + 1)
     table[0] = 1
     root = isqrt(order)
+    first = root + 1 + root % 2
     pattern = [4 * chi4(d) for d in (1, 3)]
-    for j in range(1, root + 1):
+    for j in range(1, root + 1, 2):
         table[j::2 * j] = map(add, table[j::2 * j], cycle(pattern))
-    for d in range(1, order // (root + 1) + 1, 2):
-        table[(root + 1) * d::d] = map(add, table[(root + 1) * d::d], repeat(4 * chi4(d)))
+    for d in range(1, order // first + 1, 2):
+        table[first * d::2 * d] = map(add, table[first * d::2 * d], repeat(4 * chi4(d)))
+    power = 2
+    while power <= order:
+        table[power::2 * power] = table[1:order // power + 1:2]
+        power *= 2
     return tuple(table)
 
 

@@ -5,7 +5,8 @@ x = tanh((pi/2) sinh u), applying the trapezoid rule on a uniform u-grid
 whose spacing halves per level.  The nodes cluster double exponentially at
 the endpoints, absorbing log or integrable-power endpoint singularities; the
 inter-level difference is the (heuristic) error estimate, and a non-finite
-integrand value stalls the rule with NonConvergence naming the point.
+integrand value, or on the half-line one whose evaluation overflows, stalls
+the rule with NonConvergence naming the point.
 
 Two details matter for accuracy near the endpoints:
 
@@ -115,7 +116,10 @@ def _halfline(f: Callable[[float], float], tol: float) -> ApproxValue:
         else:
             v = 1.0 - q
             t = -math.log1p(-q)
-        y = f(t)
+        try:
+            y = f(t)
+        except OverflowError as exc:  # a part such as t ** e can leave the double range
+            raise NonConvergence(f"integrand overflows at t={t!r}") from exc
         if not math.isfinite(y):
             raise NonConvergence(f"integrand is {y} at t={t!r}")
         return y / v
@@ -170,7 +174,11 @@ def gamma_integral(s: float, tol: float = 1e-12) -> ApproxValue:
 
 
 def gammaL_integral(s: float, tol: float = 1e-12) -> ApproxValue:
-    """Integral over (0, inf) of t**(s-1) / (2 cosh t), for s > 0."""
+    """Integral over (0, inf) of t**(s-1) / (2 cosh t), for s > 0.
+
+    It stalls from about s = 111.5, where t**(s-1) overflows at the rule's
+    farthest nodes.
+    """
     if not s > 0.0:
         raise ValueError(f"need s > 0, got {s}")
     check_tol(tol)

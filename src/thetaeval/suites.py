@@ -70,8 +70,9 @@ def _s_label(s: float) -> str:
 
 
 def _exact_gap(lhs, rhs) -> tuple[ApproxValue, ApproxValue]:
-    # Largest |lhs[n] - rhs[n]| over two sequences of Python ints, against 0.
-    gap = max(abs(x - y) for x, y in zip(lhs, rhs, strict=True))
+    # Largest |lhs[n] - rhs[n]| over two tuples of Python ints, against 0.
+    # Equal tuples compare in C; only unequal ones are scanned for the gap.
+    gap = 0 if lhs == rhs else max(abs(x - y) for x, y in zip(lhs, rhs, strict=True))
     return ApproxValue(float(gap), 0.0), _ZERO
 
 
@@ -312,9 +313,9 @@ SUITE_NAMES = tuple(SUITES)
 
 DEFAULT_FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
 
-# The largest q-series order: verify triple-product two-squares takes 3 to
-# 5.5 s and 76 MB there on a 2-vCPU host; each doubling costs 2.5 to 3 times
-# the time (0.5 s at 2^17, 1.2 s at 2^18) and 1.5 to 1.7 times the peak RSS.
+# The largest q-series order: verify triple-product two-squares takes 2.8 to
+# 3.3 s and 69 MB there on a 2-vCPU host; each doubling costs 2 to 3 times
+# the time (0.5 s at 2^17, 1.1 s at 2^18) and 1.5 to 1.6 times the peak RSS.
 _MAX_ORDER = 2 ** 19
 
 

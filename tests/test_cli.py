@@ -519,6 +519,30 @@ class TestRunConfig:
             RunConfig(suites=suites, tol_overrides={name: 1e-4})
 
 
+class TestExactGap:
+    # The exact checks' measured value: the largest |lhs[n] - rhs[n]|.
+    def test_equal_tuples_give_zero(self):
+        big = tuple(range(-2 ** 70, -2 ** 70 + 4096))
+        for lhs in [(1, 2, 3), big, ()]:
+            assert suites._exact_gap(lhs, tuple(lhs)) == (ApproxValue(0.0, 0.0),
+                                                          ApproxValue(0.0, 0.0))
+
+    @pytest.mark.parametrize("lhs, rhs, gap", [
+        ((1, 2, 3, 4), (1, 2, 3, 11), 7.0),    # at the last index
+        ((5, 0, 0), (1, 0, 9), 9.0),           # lhs - rhs = -9 beats +4
+        ((2 ** 70, 0), (0, 1), 2.0 ** 70),     # exact ints, rounded once
+    ])
+    def test_unequal_tuples_give_the_largest_difference(self, lhs, rhs, gap):
+        value, target = suites._exact_gap(lhs, rhs)
+        assert (value.value, value.error_bound) == (gap, 0.0)
+        assert target == ApproxValue(0.0, 0.0)
+
+    @pytest.mark.parametrize("lhs, rhs", [((1, 2), (1, 2, 3)), ((), (0,)), ((0, 1), (1,))])
+    def test_unequal_lengths_raise(self, lhs, rhs):
+        with pytest.raises(ValueError):
+            suites._exact_gap(lhs, rhs)
+
+
 class TestRecordInvariants:
     # abs_error and passed are computed from the stored numbers, so a
     # record cannot be built to disagree with them.

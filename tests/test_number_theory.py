@@ -129,7 +129,7 @@ class TestTables:
             table(order)
 
 
-@pytest.mark.parametrize("order", [4095, 4096, 4097, 8192])
+@pytest.mark.parametrize("order", [4095, 4096, 4097, 8192, 65536])
 def test_divisor_table_equals_the_per_divisor_sieve(order):
     # The hyperbola split against one range per odd divisor d.
     table = [0] * (order + 1)

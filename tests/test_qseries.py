@@ -120,6 +120,10 @@ class TestAgainstTheElementwiseReference:
         assert _log_derivative(order) == c
         assert triple_product_qseries(order).coeffs == tuple(_reference_solve(c))
 
+    def test_log_derivative_at_order_65536(self):
+        # The sieve alone, 16 powers of two deep, without the slow solver.
+        assert _log_derivative(65536) == _reference_log_derivative(65536)
+
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=700))
     @settings(max_examples=40, deadline=None)
     def test_recurrence_on_any_small_c(self, c):

@@ -231,6 +231,22 @@ class TestGammaLIntegral:
         with pytest.raises(ValueError):
             gammaL_integral(-1.0)
 
+    @pytest.mark.parametrize("s", [111.5, 112.0, 150.0])
+    def test_overflowing_integrand_stalls_naming_the_node(self, s):
+        # t ** (s - 1) leaves the double range at the rule's far nodes,
+        # where the integrand itself is still finite.
+        with pytest.raises(NonConvergence, match=r"^integrand overflows at t=\d+\.\d+$"):
+            gammaL_integral(s, 1e-14)
+
+    def test_largest_s_below_the_overflow_keeps_its_value_and_bound(self):
+        # Gamma(111) beta(111), with beta(111) = 1 - 3^-111 + ...: 110! to
+        # well inside the bound, and the value and bound bit for bit.
+        r = gammaL_integral(111.0, 1e-14)
+        assert (r.value.hex(), r.error_bound.hex()) == ("0x1.f5af14bdc4730p+591",
+                                                        "0x1.fc5c7ce9b5c70p+540")
+        exact = math.factorial(110)
+        assert abs(Fraction(r.value) - exact) <= Fraction(r.error_bound) + Fraction(exact, 3 ** 111)
+
 
 FORM_CASES = [
     ((1.0, 0.0, 1.0), 4.0),
