@@ -314,8 +314,9 @@ SUITE_NAMES = tuple(SUITES)
 DEFAULT_FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
 
 # The largest q-series order: verify triple-product two-squares takes 2.8 to
-# 3.3 s and 69 MB there on a 2-vCPU host; each doubling costs 2 to 3 times
-# the time (0.5 s at 2^17, 1.1 s at 2^18) and 1.5 to 1.6 times the peak RSS.
+# 4 s (median 3.2 s) and 69 MB there on a 2-vCPU host; each doubling costs
+# 2.4 to 3 times the time (0.43 s at 2^17, 1.0 s at 2^18) and 1.5 to 1.6
+# times the peak RSS.
 _MAX_ORDER = 2 ** 19
 
 
