@@ -21,6 +21,12 @@ Two details matter for accuracy near the endpoints:
   branch), so both t -> 0 and t -> inf keep full relative precision.
   The map neutralizes decay like exp(-t); integrands must decay at least
   that fast for the transformed integrand to stay bounded.
+
+Each level's nodes, and their points under the half-line map and the form
+integral's vertex map, are tabulated once per process, for the levels a
+run reaches (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005).  _drive is the
+one loop over the levels and the one stop rule; each rule sums a level
+from its table with the integrand called directly.
 """
 
 from __future__ import annotations
@@ -41,13 +47,17 @@ __all__ = [
 
 _U_MAX = 6.0        # grid cutoff; its offset 6.1e-276 is the smallest, still in double range
 _MAX_LEVEL = 11
+_Table = tuple[tuple[float, ...], ...]
 
 
 @lru_cache(maxsize=32)
 def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
     # Positive-u nodes for one refinement level: (offset q, weight h*dx/du).
     # Level 0 is the unit grid u = 1, 2, ...; level k > 0 holds the odd
-    # multiples of 2**-k.  The u = 0 node is handled by the driver.
+    # multiples of 2**-k.  Level -1 is the centre u = 0 alone, which the
+    # driver takes once, on its lower side: q = 1/2 with weight pi/2.
+    if level < 0:
+        return ((0.5, 0.5 * math.pi),)
     h = 2.0 ** -level
     js = range(1, int(_U_MAX / h) + 1, 1 if level == 0 else 2)
     out = []
@@ -60,24 +70,61 @@ def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-def _drive(node_value: Callable[[float, int], float], scale: float,
-           tol: float) -> ApproxValue:
-    """Run the doubling trapezoid sum.
+@lru_cache(maxsize=32)
+def _halfline_nodes(level: int) -> _Table:
+    # Columns w, t, v, t, v: t = -log v at v = q below and v = 1 - q above,
+    # where log1p keeps t -> 0 at full relative precision.
+    qs, ws = zip(*_level_nodes(level))
+    return (ws, tuple(-math.log(q) for q in qs), qs,
+            tuple(-math.log1p(-q) for q in qs), tuple(1.0 - q for q in qs))
 
-    node_value(q, side) returns the transformed integrand (including any
-    jacobian) at the node with offset fraction q from the lower (side -1)
-    or upper (side +1) endpoint; the center node is q = 1/2 from the lower
-    one.  scale is the half-length of the reference interval.
+
+@lru_cache(maxsize=32)
+def _vertex_nodes(level: int) -> _Table:
+    # Columns w, u, r, u, r: r = (1 - u)/u at u = q below and u = 1 - q above.
+    qs, ws = zip(*_level_nodes(level))
+    table = [ws]
+    for us in (qs, tuple(1.0 - q for q in qs)):
+        table += [us, tuple((1.0 - u) / u for u in us)]
+    return tuple(table)
+
+
+def _rows(table: _Table):
+    # (w, lower point, upper point) per node of a table: its columns are the
+    # weights, then the fields of the lower points and of the upper ones.
+    k = len(table) // 2
+    return zip(table[0], zip(*table[1:1 + k]), zip(*table[1 + k:]))
+
+
+def _drive(nodes: Callable[[int], _Table], level_sum: Callable[[_Table], float],
+           node_value: Callable[..., float], scale: float, tol: float) -> ApproxValue:
+    """Run the doubling trapezoid sum: the one level loop and stop rule.
+
+    nodes(level) is the rule's table of one level, held as columns (see
+    _rows) so that it adds no object per node for the garbage collector to
+    count; level -1 is the centre alone.  level_sum(table) returns the sum
+    of w * (y_lo + y_hi) in node order, and node_value(*point) returns y at
+    one point and stalls, naming it, where y is not finite.  A level whose
+    sum raises or is not finite is summed again through node_value, so a
+    stall names the first faulty node in order.  scale is the half-length
+    of the reference interval.
     """
-    total = 0.5 * math.pi * node_value(0.5, -1)
+    (w, centre, _), = _rows(nodes(-1))
+    total = w * node_value(*centre)
     neval = 1
     previous = None
     last_err = math.inf
     for level in range(0, _MAX_LEVEL + 1):
-        fresh = 0.0
-        for q, w in _level_nodes(level):
-            fresh += w * (node_value(q, -1) + node_value(q, +1))
-            neval += 2
+        table = nodes(level)
+        try:
+            fresh = level_sum(table)
+        except Exception:  # the rescan below raises the first fault in node order
+            fresh = math.nan
+        if not math.isfinite(fresh):
+            fresh = 0.0
+            for w, lo, hi in _rows(table):
+                fresh += w * (node_value(*lo) + node_value(*hi))
+        neval += 2 * len(table[0])
         total = total + fresh if level == 0 else 0.5 * total + fresh
         estimate = scale * total
         if previous is not None:
@@ -95,27 +142,27 @@ def _drive(node_value: Callable[[float, int], float], scale: float,
 def _finite(f: Callable[[float], float], a: float, b: float, tol: float) -> ApproxValue:
     length = b - a
 
-    def node_value(q: float, side: int) -> float:
-        if side < 0:
-            x = a + length * q
-        else:
-            x = b - length * q
+    def nodes(level: int) -> _Table:
+        qs, ws = zip(*_level_nodes(level))
+        return ws, tuple(a + length * q for q in qs), tuple(b - length * q for q in qs)
+
+    def node_value(x: float) -> float:
         y = f(x)
         if not math.isfinite(y):
             raise NonConvergence(f"integrand is {y} at x={x!r}")
         return y
 
-    return _drive(node_value, 0.5 * length, tol)
+    def level_sum(table: _Table) -> float:
+        fresh = 0.0
+        for w, x_lo, x_hi in zip(*table):
+            fresh += w * (f(x_lo) + f(x_hi))
+        return fresh
+
+    return _drive(nodes, level_sum, node_value, 0.5 * length, tol)
 
 
 def _halfline(f: Callable[[float], float], tol: float) -> ApproxValue:
-    def node_value(q: float, side: int) -> float:
-        if side < 0:
-            v = q
-            t = -math.log(q)
-        else:
-            v = 1.0 - q
-            t = -math.log1p(-q)
+    def node_value(t: float, v: float) -> float:
         try:
             y = f(t)
         except OverflowError as exc:  # a part such as t ** e can leave the double range
@@ -124,7 +171,13 @@ def _halfline(f: Callable[[float], float], tol: float) -> ApproxValue:
             raise NonConvergence(f"integrand is {y} at t={t!r}")
         return y / v
 
-    return _drive(node_value, 0.5, tol)
+    def level_sum(table: _Table) -> float:
+        fresh = 0.0
+        for w, t_lo, v_lo, t_hi, v_hi in zip(*table):
+            fresh += w * (f(t_lo) / v_lo + f(t_hi) / v_hi)
+        return fresh
+
+    return _drive(_halfline_nodes, level_sum, node_value, 0.5, tol)
 
 
 def integral_I(tol: float = 1e-12) -> ApproxValue:
@@ -211,8 +264,17 @@ def _vertex_integral(form, g: Callable[[float], float], tol: float) -> ApproxVal
     check_tol(tol)
     p0 = c - b * b / (4.0 * a)
 
-    def transformed(u: float) -> float:
-        r = (1.0 - u) / u
-        return (g(a * r * r + p0) / u) / u
+    def node_value(u: float, r: float) -> float:
+        y = (g(a * r * r + p0) / u) / u
+        if not math.isfinite(y):
+            raise NonConvergence(f"integrand is {y} at x={u!r}")
+        return y
 
-    return 2.0 * _finite(transformed, 0.0, 1.0, 0.5 * tol)
+    def level_sum(table: _Table) -> float:
+        fresh = 0.0
+        for w, u_lo, r_lo, u_hi, r_hi in zip(*table):
+            fresh += w * ((g(a * r_lo * r_lo + p0) / u_lo) / u_lo
+                          + (g(a * r_hi * r_hi + p0) / u_hi) / u_hi)
+        return fresh
+
+    return 2.0 * _drive(_vertex_nodes, level_sum, node_value, 0.5, 0.5 * tol)

@@ -106,15 +106,20 @@ def _suite_two_squares(config: RunConfig, check) -> None:
 
 
 def _suite_integral(config: RunConfig, check) -> None:
+    # Gamma(1/4) and Gamma(3/4) serve both checks; a stall is not cached.
+    @functools.cache
+    def gamma(s: float) -> ApproxValue:
+        return gamma_integral(s, 1e-13)
+
     def exp_i_check():
         lhs = integral_I(1e-12).exp()
-        quotient = gamma_integral(0.75, 1e-13) / gamma_integral(0.25, 1e-13)
+        quotient = gamma(0.75) / gamma(0.25)
         return lhs, math.sqrt(2.0 * math.pi) * quotient
 
     check("integral/exp-I-vs-gamma-quotient", "Lemma 4", 1e-10, exp_i_check)
 
     def reflection_check():
-        product = gamma_integral(0.25, 1e-13) * gamma_integral(0.75, 1e-13)
+        product = gamma(0.25) * gamma(0.75)
         target = math.pi * math.sqrt(2.0)
         return product, ApproxValue(target, 4.0 * EPS * target)
 

@@ -268,8 +268,17 @@ def test_one_entry_per_computation():
     assert "limit_at_zero" in defined
     assert not defined & {"extrapolate_to_zero", "_limit_at_zero"}
 
-    # Both form integrals go through the one vertex split and map.
+    # Both form integrals go through the one vertex split and map.  The
+    # quadrature's node maps are spelled once each, in the per-process node
+    # tables, and _drive holds the one loop over the levels.
     quadrature = _functions("quadrature.py")
+    text = (PACKAGE / "quadrature.py").read_text()
+    for spelling, table in (("-math.log(", "_halfline_nodes"), ("log1p(-", "_halfline_nodes"),
+                            ("(1.0 - u) / u", "_vertex_nodes")):
+        assert text.count(spelling) == 1 and spelling in ast.unparse(quadrature[table]), spelling
+        assert [ast.unparse(d) for d in quadrature[table].decorator_list] == ["lru_cache(maxsize=32)"]
+    assert [name for name, node in quadrature.items() for loop in ast.walk(node)
+            if isinstance(loop, ast.For) and "_MAX_LEVEL" in ast.unparse(loop.iter)] == ["_drive"]
     for name in ("f_form", "f_form_derivative_at_1"):
         assert "_vertex_integral" in _called_names(quadrature[name]), name
         assert not [node for node in ast.walk(quadrature[name])
