@@ -97,9 +97,6 @@ class ApproxValue:
     def __sub__(self, other: "ApproxValue | complex") -> "ApproxValue":
         return self + (-other if isinstance(other, ApproxValue) else -_scalar(other))
 
-    def __rsub__(self, other: complex) -> "ApproxValue":
-        return (-self) + _scalar(other)
-
     def __mul__(self, other: "ApproxValue | complex") -> "ApproxValue":
         if isinstance(other, ApproxValue):
             bound = (abs(self.value) * other.error_bound

@@ -37,9 +37,6 @@ class UpperHalfPoint:
         if not (math.isfinite(self.re) and math.isfinite(self.im) and self.im > 0.0):
             raise ValueError(f"need finite re and im > 0, got {self.re}, {self.im}")
 
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
 
 def _theta_tail(n: int, y: float) -> float:
     # Geometric bound for twice the sum of exp(-pi k^2 y) over k >= n.

@@ -45,11 +45,6 @@ class QSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> int:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient index {n} outside 0..{self.order}")
-        return self.coeffs[n]
-
     def __mul__(self, other: "QSeries") -> "QSeries":
         return qs_mul(self, other)
 

@@ -1,7 +1,7 @@
 """Adaptive double-exponential quadrature and the integrals built on it.
 
-The core rule integrates over (-1, 1) after the change of variable
-x = tanh((pi/2) sinh u), applying the trapezoid rule on a uniform u-grid
+Both rules integrate over (0, 1), as half the trapezoid rule over (-1, 1)
+after the change of variable x = tanh((pi/2) sinh u), on a uniform u-grid
 whose spacing halves per level.  The nodes cluster double exponentially at
 the endpoints, absorbing log or integrable-power endpoint singularities; the
 inter-level difference is the (heuristic) error estimate, and a non-finite
@@ -25,8 +25,9 @@ Two details matter for accuracy near the endpoints:
 Each level's nodes, and their points under the half-line map and the form
 integral's vertex map, are tabulated once per process, for the levels a
 run reaches (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005).  _drive is the
-one loop over the levels and the one stop rule; each rule sums a level
-from its table with the integrand called directly.
+one loop over the levels and the one stop rule; its two rules, _halfline
+and _vertex_integral, each sum a level from their table with the integrand
+called directly.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def _rows(table: _Table):
 
 
 def _drive(nodes: Callable[[int], _Table], level_sum: Callable[[_Table], float],
-           node_value: Callable[..., float], scale: float, tol: float) -> ApproxValue:
+           node_value: Callable[..., float], tol: float) -> ApproxValue:
     """Run the doubling trapezoid sum: the one level loop and stop rule.
 
     nodes(level) is the rule's table of one level, held as columns (see
@@ -106,8 +107,9 @@ def _drive(nodes: Callable[[int], _Table], level_sum: Callable[[_Table], float],
     of w * (y_lo + y_hi) in node order, and node_value(*point) returns y at
     one point and stalls, naming it, where y is not finite.  A level whose
     sum raises or is not finite is summed again through node_value, so a
-    stall names the first faulty node in order.  scale is the half-length
-    of the reference interval.
+    stall names the first faulty node in order.  The weights are those of
+    (-1, 1) and both rules integrate over (0, 1), so the estimate is half
+    the sum.
     """
     (w, centre, _), = _rows(nodes(-1))
     total = w * node_value(*centre)
@@ -126,7 +128,7 @@ def _drive(nodes: Callable[[int], _Table], level_sum: Callable[[_Table], float],
                 fresh += w * (node_value(*lo) + node_value(*hi))
         neval += 2 * len(table[0])
         total = total + fresh if level == 0 else 0.5 * total + fresh
-        estimate = scale * total
+        estimate = 0.5 * total
         if previous is not None:
             last_err = abs(estimate - previous)
             floor = 4.5e-16 * (1.0 + abs(estimate))
@@ -137,28 +139,6 @@ def _drive(nodes: Callable[[int], _Table], level_sum: Callable[[_Table], float],
     raise NonConvergence(
         f"quadrature stalled above tol={tol:g} after level {_MAX_LEVEL}",
         value=previous, error_bound=last_err, cost=neval)
-
-
-def _finite(f: Callable[[float], float], a: float, b: float, tol: float) -> ApproxValue:
-    length = b - a
-
-    def nodes(level: int) -> _Table:
-        qs, ws = zip(*_level_nodes(level))
-        return ws, tuple(a + length * q for q in qs), tuple(b - length * q for q in qs)
-
-    def node_value(x: float) -> float:
-        y = f(x)
-        if not math.isfinite(y):
-            raise NonConvergence(f"integrand is {y} at x={x!r}")
-        return y
-
-    def level_sum(table: _Table) -> float:
-        fresh = 0.0
-        for w, x_lo, x_hi in zip(*table):
-            fresh += w * (f(x_lo) + f(x_hi))
-        return fresh
-
-    return _drive(nodes, level_sum, node_value, 0.5 * length, tol)
 
 
 def _halfline(f: Callable[[float], float], tol: float) -> ApproxValue:
@@ -177,7 +157,7 @@ def _halfline(f: Callable[[float], float], tol: float) -> ApproxValue:
             fresh += w * (f(t_lo) / v_lo + f(t_hi) / v_hi)
         return fresh
 
-    return _drive(_halfline_nodes, level_sum, node_value, 0.5, tol)
+    return _drive(_halfline_nodes, level_sum, node_value, tol)
 
 
 def integral_I(tol: float = 1e-12) -> ApproxValue:
@@ -277,4 +257,4 @@ def _vertex_integral(form, g: Callable[[float], float], tol: float) -> ApproxVal
                           + (g(a * r_hi * r_hi + p0) / u_hi) / u_hi)
         return fresh
 
-    return 2.0 * _drive(_vertex_nodes, level_sum, node_value, 0.5, 0.5 * tol)
+    return 2.0 * _drive(_vertex_nodes, level_sum, node_value, 0.5 * tol)

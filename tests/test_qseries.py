@@ -32,7 +32,7 @@ class TestThetaQSeries:
 
     def test_coefficient_at_nine(self):
         # n = +-3 contribute one each
-        assert theta_qseries(16).coefficient(9) == 2
+        assert theta_qseries(16).coeffs[9] == 2
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
@@ -165,7 +165,7 @@ class TestQsMul:
     def test_theta_squared_coefficient_of_q5(self):
         t = theta_qseries(16)
         # (+-1, +-2) and (+-2, +-1): eight ordered pairs with m^2 + k^2 = 5
-        assert qs_mul(t, t).coefficient(5) == 8
+        assert qs_mul(t, t).coeffs[5] == 8
 
     def test_truncates_to_smaller_order(self):
         a = QSeries((1, 1, 1, 1, 1))
@@ -263,9 +263,4 @@ class TestQSeriesValidation:
         class Count(int):
             pass
 
-        assert QSeries((1, Count(2), 3)).coefficient(1) == 2
-
-    def test_coefficient_bounds_checked(self):
-        s = QSeries((1, 2, 3))
-        with pytest.raises(IndexError):
-            s.coefficient(3)
+        assert QSeries((1, Count(2), 3)).coeffs[1] == 2

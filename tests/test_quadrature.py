@@ -27,7 +27,8 @@ from thetaeval import (
     UpperHalfPoint,
 )
 from thetaeval import quadrature
-from thetaeval.quadrature import _finite, _halfline
+from thetaeval.quadrature import _halfline
+from reference_quadrature import reference_halfline, reference_vertex_integral
 
 # scripts/compute_oracles.py: composite Simpson, 10^6 panels per piece
 ORACLE_I = -0.16580304006210941
@@ -35,15 +36,11 @@ ORACLE_I_BOUND = 5e-15
 # scripts/compute_oracles.py: Euler transform of the alternating series
 ORACLE_CATALAN = 0.91596559417721901
 ORACLE_SERIES_BOUND = 5e-15
+# Euler's constant: the integral of log(t) exp(-t) over (0, inf) is its negative
+EULER_GAMMA = 0.57721566490153286
 # sqrt(pi) to 48 digits, as an exact fraction: it moves a Gamma oracle by
 # under 1e-47 relative, far below any bound it is held to.
 SQRT_PI = Fraction("1.77245385090551602729816748334114518279754945612")
-
-
-def test_unit_integrand():
-    r = _finite(lambda t: 1.0, 0.0, 1.0, 1e-12)
-    assert abs(r.value - 1.0) <= r.error_bound
-    assert r.error_bound < 1e-12
 
 
 def test_exponential_halfline():
@@ -63,30 +60,28 @@ def test_shifted_halfline_lower_endpoint():
 
 
 def test_log_singular_endpoint():
-    r = _finite(math.log, 0.0, 1.0, 1e-12)
-    assert abs(r.value + 1.0) <= r.error_bound + 1e-13
+    r = _halfline(lambda t: math.log(t) * math.exp(-t), 1e-12)
+    assert abs(r.value + EULER_GAMMA) <= r.error_bound + 1e-13
 
 
 def test_nonconvergence_carries_partial_result():
     # a kink integrand at an interior point defeats the endpoint
     # clustering, so an absurd tolerance must fail loudly
     with pytest.raises(NonConvergence) as info:
-        _finite(lambda t: abs(t - 0.337), 0.0, 1.0, 1e-15)
+        _halfline(lambda t: abs(t - 0.337) * math.exp(-t), 1e-15)
     assert info.value.value is not None
     assert info.value.error_bound > 1e-15
-    assert abs(info.value.value - 0.5 * (0.337 ** 2 + 0.663 ** 2)) < 1e-6
+    assert abs(info.value.value - (0.337 - 1.0 + 2.0 * math.exp(-0.337))) < 1e-6
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_integrand_value_stalls(bad):
     # The integrand is bad below 1e-30, which only the clustered nodes
-    # reach; counted as 0, those values give 1 - 1/e and 1 with bounds of
-    # 5.7e-12 and 3.7e-14, a wrong value that looks certified.
-    def spiked(x):
-        return bad if x < 1e-30 else math.exp(-x)
+    # reach; counted as 0, those values give 1 with a bound of 3.7e-14, a
+    # wrong value that looks certified.
+    def spiked(t):
+        return bad if t < 1e-30 else math.exp(-t)
 
-    with pytest.raises(NonConvergence, match=rf"^integrand is {bad} at x=\d"):
-        _finite(spiked, 0.0, 1.0, 1e-10)
     with pytest.raises(NonConvergence, match=rf"^integrand is {bad} at t=\d"):
         _halfline(spiked, 1e-10)
 
@@ -304,23 +299,6 @@ class TestFForm:
         assert abs(slope.value - target) <= slope.error_bound
 
 
-coeff = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
-
-
-@given(c0=coeff, c1=coeff, c2=coeff,
-       split=st.floats(min_value=0.1, max_value=0.9))
-@settings(max_examples=20, deadline=None)
-def test_interval_additivity(c0, c1, c2, split):
-    def f(t):
-        return c0 + c1 * t + c2 * math.sin(3.0 * t)
-
-    whole = _finite(f, 0.0, 1.0, 1e-12)
-    left = _finite(f, 0.0, split, 1e-12)
-    right = _finite(f, split, 1.0, 1e-12)
-    gap = abs(whole.value - left.value - right.value)
-    assert gap <= whole.error_bound + left.error_bound + right.error_bound + 1e-13
-
-
 @given(s=st.floats(min_value=0.6, max_value=4.0))
 @settings(max_examples=15, deadline=None)
 def test_f_form_negative_and_decreasing_in_s(s):
@@ -340,85 +318,13 @@ def test_cost_counts_evaluations():
         calls += 1
         return math.exp(-t * t)
 
-    r = _finite(f, 0.0, 1.0, 1e-12)
+    r = _halfline(f, 1e-12)
     assert r.cost == calls
 
 
 def test_approx_value_division_guard():
     with pytest.raises(ValueError):
         ApproxValue(1.0, 0.0) / ApproxValue(1e-9, 1e-8)
-
-
-# The per-node loop the cached node tables replaced, kept as the reference:
-# each node's point is mapped and checked inside a closure call.  The new
-# loop must give the same value, bound and cost bits, and the same stalls.
-def _reference_drive(node_value, scale, tol):
-    total = 0.5 * math.pi * node_value(0.5, -1)
-    neval = 1
-    previous = None
-    last_err = math.inf
-    for level in range(0, quadrature._MAX_LEVEL + 1):
-        fresh = 0.0
-        for q, w in quadrature._level_nodes(level):
-            fresh += w * (node_value(q, -1) + node_value(q, +1))
-            neval += 2
-        total = total + fresh if level == 0 else 0.5 * total + fresh
-        estimate = scale * total
-        if previous is not None:
-            last_err = abs(estimate - previous)
-            floor = 4.5e-16 * (1.0 + abs(estimate))
-            if last_err <= tol and level >= 2:
-                return ApproxValue(estimate, max(last_err, floor), neval).certified(
-                    tol, "quadrature")
-        previous = estimate
-    raise NonConvergence(
-        f"quadrature stalled above tol={tol:g} after level {quadrature._MAX_LEVEL}",
-        value=previous, error_bound=last_err, cost=neval)
-
-
-def _reference_finite(f, a, b, tol):
-    length = b - a
-
-    def node_value(q, side):
-        x = a + length * q if side < 0 else b - length * q
-        y = f(x)
-        if not math.isfinite(y):
-            raise NonConvergence(f"integrand is {y} at x={x!r}")
-        return y
-
-    return _reference_drive(node_value, 0.5 * length, tol)
-
-
-def _reference_halfline(f, tol):
-    def node_value(q, side):
-        if side < 0:
-            v = q
-            t = -math.log(q)
-        else:
-            v = 1.0 - q
-            t = -math.log1p(-q)
-        try:
-            y = f(t)
-        except OverflowError as exc:
-            raise NonConvergence(f"integrand overflows at t={t!r}") from exc
-        if not math.isfinite(y):
-            raise NonConvergence(f"integrand is {y} at t={t!r}")
-        return y / v
-
-    return _reference_drive(node_value, 0.5, tol)
-
-
-def _reference_vertex_integral(form, g, tol):
-    a, b, c = float(form.a), float(form.b), float(form.c)
-    if not (a > 0.0 and 4.0 * a * c - b * b > 0.0):
-        raise ValueError("form must be positive definite")
-    p0 = c - b * b / (4.0 * a)
-
-    def transformed(u):
-        r = (1.0 - u) / u
-        return (g(a * r * r + p0) / u) / u
-
-    return 2.0 * _reference_finite(transformed, 0.0, 1.0, 0.5 * tol)
 
 
 def _outcome(call):
@@ -464,32 +370,13 @@ HALFLINE_CASES = {
     "big": lambda t: 1e300,
 }
 
-FINITE_CASES = {
-    "one": (lambda x: 1.0, 0.0, 1.0),
-    "log": (math.log, 0.0, 1.0),
-    "sqrt-pole": (lambda x: x ** -0.5, 0.0, 3.0),
-    "sin": (math.sin, -2.0, 5.5),
-    "kink": (lambda x: abs(x - _KINK), 0.0, 1.0),
-    "nan-upper": (lambda x: math.nan if x > 0.7 else x, 0.0, 1.0),
-    "inf-lower": (lambda x: math.inf if x < 1e-30 else math.exp(-x), 0.0, 1.0),
-    "overflow": (lambda x: x ** -400.0, 0.0, 1.0),
-}
-
-
 class TestBitIdentityWithThePerNodeLoop:
     @pytest.mark.parametrize("name", HALFLINE_CASES)
     def test_halfline(self, name):
         f = HALFLINE_CASES[name]
         for tol in BIT_TOLS:
             assert _outcome(lambda: _halfline(f, tol)) \
-                == _outcome(lambda: _reference_halfline(f, tol)), tol
-
-    @pytest.mark.parametrize("name", FINITE_CASES)
-    def test_finite(self, name):
-        f, a, b = FINITE_CASES[name]
-        for tol in BIT_TOLS:
-            assert _outcome(lambda: _finite(f, a, b, tol)) \
-                == _outcome(lambda: _reference_finite(f, a, b, tol)), tol
+                == _outcome(lambda: reference_halfline(f, tol)), tol
 
     @pytest.mark.parametrize("engine, args", [
         (integral_I, ()),
@@ -501,8 +388,8 @@ class TestBitIdentityWithThePerNodeLoop:
     ])
     def test_engine(self, engine, args, monkeypatch):
         new = [_outcome(lambda: engine(*args, tol)) for tol in BIT_TOLS]
-        monkeypatch.setattr(quadrature, "_halfline", _reference_halfline)
-        monkeypatch.setattr(quadrature, "_vertex_integral", _reference_vertex_integral)
+        monkeypatch.setattr(quadrature, "_halfline", reference_halfline)
+        monkeypatch.setattr(quadrature, "_vertex_integral", reference_vertex_integral)
         assert new == [_outcome(lambda: engine(*args, tol)) for tol in BIT_TOLS]
 
     @pytest.mark.parametrize("integral, message", [
@@ -510,14 +397,12 @@ class TestBitIdentityWithThePerNodeLoop:
         (lambda: _halfline(HALFLINE_CASES["mixed"], 1e-10), r"^integrand is nan at t=11\."),
         (lambda: _halfline(HALFLINE_CASES["centre-nan"], 1e-10),
          r"^integrand is nan at t=0\.6931471805599453$"),
-        (lambda: _finite(*FINITE_CASES["nan-upper"], 1e-10), r"^integrand is nan at x=0\.[7-9]"),
         (lambda: quadrature._vertex_integral(BinaryQuadraticForm(1.0, 0.0, 1.0),
                                              lambda p: math.inf if p > 4.0 else 1.0 / p, 1e-10),
          r"^integrand is inf at x=0\.[0-4]"),
         (lambda: _halfline(HALFLINE_CASES["overflow"], 1e-10), r"^integrand overflows at t=\d"),
-        (lambda: _finite(*FINITE_CASES["kink"], 1e-15), r"^quadrature stalled above tol=1e-15 "),
-    ], ids=["nan-t", "first-fault-t", "centre-t", "nan-x", "vertex-inf-x", "overflow-t",
-            "level-11"])
+        (lambda: _halfline(HALFLINE_CASES["kink"], 1e-15), r"^quadrature stalled above tol=1e-15 "),
+    ], ids=["nan-t", "first-fault-t", "centre-t", "vertex-inf-x", "overflow-t", "level-11"])
     def test_stalls_name_the_first_faulty_node(self, integral, message):
         with pytest.raises(NonConvergence, match=message) as info:
             integral()

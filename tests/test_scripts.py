@@ -279,6 +279,10 @@ def test_one_entry_per_computation():
         assert [ast.unparse(d) for d in quadrature[table].decorator_list] == ["lru_cache(maxsize=32)"]
     assert [name for name, node in quadrature.items() for loop in ast.walk(node)
             if isinstance(loop, ast.For) and "_MAX_LEVEL" in ast.unparse(loop.iter)] == ["_drive"]
+    assert [arg.arg for arg in quadrature["_drive"].args.args] \
+        == ["nodes", "level_sum", "node_value", "tol"]
+    assert {name for name, node in quadrature.items() if "_drive" in _called_names(node)} \
+        == {"_halfline", "_vertex_integral"}
     for name in ("f_form", "f_form_derivative_at_1"):
         assert "_vertex_integral" in _called_names(quadrature[name]), name
         assert not [node for node in ast.walk(quadrature[name])
@@ -599,6 +603,77 @@ def test_cli_and_scalar_suites_never_load_numpy():
                                     "'two-squares', 'theta']) == 0\n"
                                     "assert 'numpy' not in sys.modules, 'exact suites'\n"])
     assert proc.returncode == 0, proc.stderr
+
+
+# Runs cli.main on each argv given as JSON, after the imports, and writes
+# the exit codes and the (file, first line) of every package function called.
+_CALL_TRACER = """
+import json, os, sys
+from thetaeval import cli
+package = os.path.dirname(cli.__file__)
+called = set()
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(package):
+        called.add((os.path.basename(frame.f_code.co_filename), frame.f_code.co_firstlineno))
+
+out, *argvs = sys.argv[1:]
+sys.setprofile(profile)
+codes = [cli.main(json.loads(argv)) for argv in argvs]
+sys.setprofile(None)
+with open(out, "w") as f:
+    json.dump({"codes": codes, "called": sorted(called)}, f)
+"""
+
+# Package functions that no verify run calls, each kept for a caller outside
+# the run: acceptance criterion 01 multiplies two q-series, the benchmark's
+# layer spans wrap upper_incomplete_gamma by name, and tests/test_acceptance.py
+# calls the rest.
+KEPT_OUTSIDE_A_RUN = {
+    ("qseries", "QSeries.__mul__"), ("qseries", "r_from_theta_squared"),
+    ("epstein", "upper_incomplete_gamma"), ("kronecker", "target_limit_check"),
+    ("number_theory", "r_divisor"), ("number_theory", "r_bruteforce"),
+    ("number_theory", "_check_positive"),
+}
+
+
+def _defined_functions(path):
+    # (qualified name, lines a code object may start at) of every function
+    # defined in one module; a decorated one starts at a decorator or its def.
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                found.append((name, {child.lineno} | {d.lineno for d in child.decorator_list}))
+                visit(child, name + ".<locals>.")
+            else:
+                visit(child, prefix + child.name + "." if isinstance(child, ast.ClassDef)
+                      else prefix)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_every_function_of_the_package_is_reached_by_a_run(tmp_path):
+    # The default run and one run through the integral, epstein and
+    # kronecker suites with a stalling form and a tolerance override call
+    # every function of src/ but those kept for a caller outside a run: code
+    # that only tests reach belongs in tests/.
+    argvs = [["--json", str(tmp_path / "default.json")],
+             ["integral", "epstein", "kronecker", "--form", "1,0.53,1e4", "--form", "1,0,1e-300",
+              "--tol", "integral/f-at-1/1,0.53,10000=1e-9", "--json", str(tmp_path / "wide.json")]]
+    proc = _run_with_package(["-c", _CALL_TRACER, str(tmp_path / "called.json"),
+                              *map(json.dumps, argvs)])
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads((tmp_path / "called.json").read_text())
+    assert traced["codes"] == [0, 3]
+    called = {tuple(site) for site in traced["called"]}
+    unreached = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+                 for name, lines in _defined_functions(path)
+                 if not any((path.name, line) in called for line in lines)}
+    assert unreached == KEPT_OUTSIDE_A_RUN
 
 
 def test_the_product_side_of_lemma_one_never_reaches_the_squares():
