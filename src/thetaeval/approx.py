@@ -21,18 +21,23 @@ Euler's constant; the Gauss product for Gamma and the central difference use
 ladders of their own.
 terms_needed is the one truncation search, for the theta and eta series:
 the smallest index whose proven tail bound meets a target.
+once_per_run shares an engine's positional calls within one run_suites run,
+keyed by the argument tuple; no stall is kept, and nothing outlives the run.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 __all__ = ["ApproxValue", "NonConvergence"]
 
 EPS = 2.2204460492503131e-16    # spacing of doubles at 1.0
+_RUN_MEMO = ContextVar("_RUN_MEMO", default=None)  # (engine, args) -> result, in a run
 
 
 def check_tol(tol: float, what: str = "tolerance", zero_ok: bool = False) -> None:
@@ -173,6 +178,18 @@ def terms_needed(tail, target: float, what: str, first: int = 1, limit: int = 1_
         if n > limit:
             raise NonConvergence(f"{what} needs more than {limit} terms to reach tail {target:g}")
     return n
+
+
+def once_per_run(engine):
+    @functools.wraps(engine)
+    def shared(*args, **kwargs):
+        memo = _RUN_MEMO.get()
+        if memo is None or kwargs:
+            return engine(*args, **kwargs)
+        if (engine, args) not in memo:
+            memo[engine, args] = engine(*args)
+        return memo[engine, args]
+    return shared
 
 
 def _scalar(c: complex) -> complex:

@@ -76,16 +76,15 @@ with D = 4ac - b^2 and lambda_max the larger eigenvalue of
   converges.  Each block adds its terms with one fsum per side, as the
   kernel returns Python floats, and one more fsum adds the blocks' sums.
   Cost counts the kernel steps taken; the whole Gamma that the series
-  complement takes comes from _gamma_cached once per process, uncharged.
+  complement takes comes from gamma_integral, uncharged, once per run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .approx import EPS, ApproxValue, NonConvergence, check_tol
+from .approx import EPS, ApproxValue, NonConvergence, check_tol, once_per_run
 from .modular import UpperHalfPoint
 from .quadrature import gamma_integral
 from .special_values import euler_gamma
@@ -259,11 +258,6 @@ def epstein_direct(form: BinaryQuadraticForm, s: float, tol: float = 1e-2) -> Ap
     return ApproxValue(value, bound, cost).certified(tol, "direct lattice sum")
 
 
-@lru_cache(maxsize=64)
-def _gamma_cached(s: float) -> ApproxValue:
-    return gamma_integral(s, 1e-14 / s if s < 0.5 else 1e-14)  # s < 1/2 lifts at s tol
-
-
 def _cf_upper(s: float, x: float) -> tuple[float, float, int]:
     # Gamma(s, x), its bound and its iteration count for x >= max(1, s + 1):
     # continued fraction for Gamma(s, x) * exp(x) * x^(-s), modified Lentz
@@ -322,7 +316,7 @@ def _incomplete_gamma(s: float, x: float) -> tuple[float, float, int]:
     # Gamma(s, x), its bound and its kernel steps for a finite s and x > 0,
     # in floats: the one kernel entry, behind upper_incomplete_gamma and
     # the lattice blocks.  The whole Gamma that the series complement takes
-    # comes from _gamma_cached once per process and is not charged.
+    # comes from gamma_integral, once per run, and is not charged.
     if x >= max(1.0, s + 1.0):
         return _cf_upper(s, x)
     if s < -1e5:
@@ -334,7 +328,7 @@ def _incomplete_gamma(s: float, x: float) -> tuple[float, float, int]:
     if s == 0.0:
         value, bound, cost = _e1_series(x)
     else:
-        whole = _gamma_cached(s)
+        whole = gamma_integral(s, 1e-14 / s if s < 0.5 else 1e-14)  # s < 1/2 lifts at s tol
         series, cost = _series_lower(s, x)
         lower = math.exp(-x + s * math.log(x)) * series
         value = whole.value - lower
@@ -424,6 +418,7 @@ def _split_sum(form: BinaryQuadraticForm, s: float, target: float,
     return ApproxValue(total, math.fsum(bounds) + 8.0 * EPS * abs(total), cost)
 
 
+@once_per_run
 def epstein_accelerated(form: BinaryQuadraticForm, s: float,
                         tol: float = 1e-12) -> ApproxValue:
     """Incomplete-gamma accelerated value of the lattice sum, s > 1."""
@@ -432,7 +427,7 @@ def epstein_accelerated(form: BinaryQuadraticForm, s: float,
     check_tol(tol)
     s = float(s)  # s = 2 and s = 2.0 take the same float path
     lam = form.lam
-    gamma_whole = _gamma_cached(s)
+    gamma_whole = gamma_integral(s, 1e-14)
     # Both tails together stay far below the rounding allowance
     # 8 EPS |total|: total > lam^s / (s-1) - lam^s / s, as both lattice
     # sums are positive.

@@ -93,7 +93,7 @@ def kronecker_lhs(form: BinaryQuadraticForm, tol: float = 1e-8) -> ApproxValue:
     root = math.sqrt(form.z_point().im)
     rounding = EPS * (5.0 * abs(lead.value) + 2.0 * abs(log_lam) + 6.0
                       + 3.0 * (root + 1.0 / root))
-    limit = lead + 0.5 * (log_lam - 1.0) - 0.5 * euler_gamma() + ApproxValue(0.0, rounding)
+    limit = lead + 0.5 * (log_lam - 1.0) - 0.5 * euler_gamma(1e-13) + ApproxValue(0.0, rounding)
     return limit.certified(tol, "Kronecker limit at s = 1")
 
 

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .approx import EPS, ApproxValue, NonConvergence, check_tol, terms_needed
+from .approx import EPS, ApproxValue, NonConvergence, check_tol, once_per_run, terms_needed
 
 __all__ = [
     "UpperHalfPoint",
@@ -66,6 +66,7 @@ def theta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
                        n_max).certified(tol, what)
 
 
+@once_per_run
 def eta_uhp(z: UpperHalfPoint, tol: float = 1e-13) -> ApproxValue:
     """exp(i pi z / 12) times the product over n >= 1 of (1 - exp(2 pi i n z)).
 

@@ -36,7 +36,7 @@ import math
 from functools import lru_cache
 from typing import Callable
 
-from .approx import EPS, ApproxValue, NonConvergence, check_tol
+from .approx import EPS, ApproxValue, NonConvergence, check_tol, once_per_run
 
 __all__ = [
     "integral_I",
@@ -160,6 +160,7 @@ def _halfline(f: Callable[[float], float], tol: float) -> ApproxValue:
     return _drive(_halfline_nodes, level_sum, node_value, tol)
 
 
+@once_per_run
 def integral_I(tol: float = 1e-12) -> ApproxValue:
     """The constant (1/pi) * integral over (0, inf) of log(t) / cosh(t), as one
     half-line rule: its v = 1 - q branch reaches t -> 0 at exact offsets, and
@@ -168,6 +169,7 @@ def integral_I(tol: float = 1e-12) -> ApproxValue:
     return _halfline(lambda t: math.log(t) / math.cosh(t), tol) * (1.0 / math.pi)
 
 
+@once_per_run
 def gamma_integral(s: float, tol: float = 1e-12) -> ApproxValue:
     """Integral over (0, inf) of t**(s-1) * exp(-t), for 0 < s <= 171.
 
@@ -206,6 +208,7 @@ def gamma_integral(s: float, tol: float = 1e-12) -> ApproxValue:
     return g.certified(tol, f"Gamma({s:g})")
 
 
+@once_per_run
 def gammaL_integral(s: float, tol: float = 1e-12) -> ApproxValue:
     """Integral over (0, inf) of t**(s-1) / (2 cosh t), for s > 0.
 

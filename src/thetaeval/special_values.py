@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .approx import EPS, ApproxValue, check_tol, limit_at_zero
+from .approx import EPS, ApproxValue, check_tol, limit_at_zero, once_per_run
 
 __all__ = [
     "euler_gamma",
@@ -43,6 +43,7 @@ _BERNOULLI_TERMS = ((2, (1.0 / 6.0) / 2.0),
 _ZETA_N = 64
 
 
+@once_per_run
 def euler_gamma(tol: float = 1e-13) -> ApproxValue:
     """Euler's constant from H_n - log n - 1/(2n) + 1/(12 n^2) - ...
 
@@ -114,6 +115,7 @@ def L_chi4(s: float, tol: float = 1e-13) -> ApproxValue:
     return _accelerated_pair(lambda k: (2.0 * k + 1.0) ** -s, tol, f"L({s})")
 
 
+@once_per_run
 def L_chi4_prime_at_1(tol: float = 1e-11) -> ApproxValue:
     """L'(1) = minus the alternating sum of log(2k+1) / (2k+1)."""
     return -_accelerated_pair(

@@ -8,29 +8,30 @@ scalar_limit_sides is one): a closed-form target is ApproxValue(target,
 rounding), a gap checked against zero is ApproxValue(gap, bound) against an
 exact zero.  Sides built from engine results, complex theta and eta values
 included, come from ApproxValue arithmetic, which propagates their bounds.
-`run_suites` supplies `check` and builds every record through
-report.timed_record, which adds the two sides' bounds: it looks up the
-tolerance, times the builder, keeps an engine failure (a non-finite side
+`run_suites` supplies `check`, opens the run's memo (approx.once_per_run),
+the checks' one way to share an engine result, and builds every record
+through report.timed_record, which adds the two sides' bounds: it looks up
+the tolerance, times the builder, keeps an engine failure (a non-finite side
 included) to its own check and sorts each suite's records by name.  Default
 tolerances live here, next to the checks they gate; an override per record
 name through the configuration changes the verdict only, never how a value
 is computed.  RunConfig lives here too, with SUITE_NAMES, the key order of
 SUITES.  It holds only what run_suites reads (suites, order, forms and
 tolerance overrides; the report file is the CLI's), and building it makes
-every configuration check once, form labels and override names included,
-so run_suites only runs checks.
+every configuration check once, form labels and override names included, so
+run_suites only runs checks.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .approx import EPS, ApproxValue, NonConvergence, check_tol, limit_at_zero, pole_constant
+from .approx import (EPS, _RUN_MEMO, ApproxValue, NonConvergence, check_tol, limit_at_zero,
+                     once_per_run, pole_constant)
 from .epstein import BinaryQuadraticForm, epstein_accelerated, epstein_direct
 from .kronecker import (
     _minus_two_log_eta,
@@ -86,40 +87,30 @@ def _suite_triple_product(config: RunConfig, check) -> None:
 
 
 def _suite_two_squares(config: RunConfig, check) -> None:
-    # r(n) for n = 1..order, each side a whole table; the divisor table is
-    # built by whichever check runs first and shared.
+    # Whole tables of r(1..order); number_theory imports nothing, so the memo wraps here.
     order = config.qseries_order
 
-    @functools.cache
-    def divisor() -> tuple[int, ...]:
-        return r_divisor_table(order)[1:]
-
     def divisor_vs_bruteforce():
-        return _exact_gap(divisor(), r_bruteforce_table(order)[1:])
+        return _exact_gap(once_per_run(r_divisor_table)(order)[1:], r_bruteforce_table(order)[1:])
 
     def theta_square_vs_divisor():
         theta = theta_qseries(order)
-        return _exact_gap(qs_mul(theta, theta).coeffs[1:], divisor())
+        return _exact_gap(qs_mul(theta, theta).coeffs[1:], once_per_run(r_divisor_table)(order)[1:])
 
     check("two-squares/bruteforce-vs-divisor", "Lemma 2", 0.0, divisor_vs_bruteforce)
     check("two-squares/theta-squared-vs-divisor", "§3", 0.0, theta_square_vs_divisor)
 
 
 def _suite_integral(config: RunConfig, check) -> None:
-    # Gamma(1/4) and Gamma(3/4) serve both checks; a stall is not cached.
-    @functools.cache
-    def gamma(s: float) -> ApproxValue:
-        return gamma_integral(s, 1e-13)
-
     def exp_i_check():
         lhs = integral_I(1e-12).exp()
-        quotient = gamma(0.75) / gamma(0.25)
+        quotient = gamma_integral(0.75, 1e-13) / gamma_integral(0.25, 1e-13)
         return lhs, math.sqrt(2.0 * math.pi) * quotient
 
     check("integral/exp-I-vs-gamma-quotient", "Lemma 4", 1e-10, exp_i_check)
 
     def reflection_check():
-        product = gamma(0.25) * gamma(0.75)
+        product = gamma_integral(0.25, 1e-13) * gamma_integral(0.75, 1e-13)
         target = math.pi * math.sqrt(2.0)
         return product, ApproxValue(target, 4.0 * EPS * target)
 
@@ -169,8 +160,6 @@ def _suite_special_values(config: RunConfig, check) -> None:
 
     check("special-values/gauss-gamma-reflection", "§1", 1e-8, gauss_reflection)
 
-    # Each route runs once for its two pairs; a stall is not cached, so it ends both.
-    @functools.cache
     def product_rule() -> ApproxValue:
         gamma = euler_gamma(1e-13)
         slope = L_chi4_prime_at_1(1e-11)
@@ -185,11 +174,9 @@ def _suite_special_values(config: RunConfig, check) -> None:
         q = (gammaL_integral(s_hi, 1e-13) - gammaL_integral(s_lo, 1e-13)) / (s_hi - s_lo)
         return q + ApproxValue(0.0, EPS * abs(q.value))
 
-    @functools.cache
     def central_difference() -> ApproxValue:
         return limit_at_zero(difference_quotient, 2.0 ** -8, 6)
 
-    @functools.cache
     def half_pi_integral() -> ApproxValue:
         return (math.pi / 2.0) * integral_I(1e-12)
 
@@ -216,14 +203,10 @@ _DIRECT_TOL = {1.25: 5e-2, 1.5: 3e-3, 2.0: 1e-5, 3.0: 2e-10}
 def _suite_epstein(config: RunConfig, check) -> None:
     unit = BinaryQuadraticForm(1.0, 0.0, 1.0)
 
-    # One accelerated sum per (form, s) for every check: it does not depend on tol.
-    @functools.cache
-    def accelerated(q: BinaryQuadraticForm, s: float) -> ApproxValue:
-        return epstein_accelerated(q, s, 1e-10)
-
+    # Every check asks at 1e-10, so the run's memo takes each (form, s) once.
     for s in _DIRICHLET_S:
         def dirichlet_check(s=s):
-            return (accelerated(unit, s),
+            return (epstein_accelerated(unit, s, 1e-10),
                     4.0 * (zeta(s, 1e-12) * L_chi4(s, 1e-12)))
 
         check(f"epstein/accelerated-vs-dirichlet/s={_s_label(s)}",
@@ -232,13 +215,13 @@ def _suite_epstein(config: RunConfig, check) -> None:
     for form in config.forms:
         for s, tol in _DIRECT_TOL.items():
             def engines_check(q=form, s=s, tol=tol):
-                return epstein_direct(q, s, tol), accelerated(q, s)
+                return epstein_direct(q, s, tol), epstein_accelerated(q, s, 1e-10)
 
             check(f"epstein/direct-vs-accelerated/{form.label}/s={_s_label(s)}",
                   "§3", 0.0, engines_check)
 
     def unimodular_check():
-        return tuple(accelerated(q, 1.5).certified(1e-12, "accelerated lattice sum")
+        return tuple(epstein_accelerated(q, 1.5, 1e-10).certified(1e-12, "accelerated lattice sum")
                      for q in (unit, BinaryQuadraticForm(2.0, -2.0, 1.0)))
 
     check("epstein/unimodular-equivalence/s=1.5", "§3", 0.0, unimodular_check)
@@ -382,16 +365,20 @@ def run_suites(
     """
     records: list[VerificationRecord] = []
     stalls: list[tuple[str, Exception]] = []
-    for suite in config.suites:
-        finished: list[VerificationRecord] = []
+    token = _RUN_MEMO.set({})
+    try:
+        for suite in config.suites:
+            finished: list[VerificationRecord] = []
 
-        def check(name, anchor, default_tol, builder):
-            tol = config.tolerance(name, default_tol)
-            try:
-                finished.append(timed_record(name, anchor, tol, builder))
-            except (NonConvergence, ArithmeticError, ValueError) as exc:
-                stalls.append((name, exc))
+            def check(name, anchor, default_tol, builder):
+                tol = config.tolerance(name, default_tol)
+                try:
+                    finished.append(timed_record(name, anchor, tol, builder))
+                except (NonConvergence, ArithmeticError, ValueError) as exc:
+                    stalls.append((name, exc))
 
-        SUITES[suite](config, check)
-        records.extend(sorted(finished, key=lambda r: r.name))
+            SUITES[suite](config, check)
+            records.extend(sorted(finished, key=lambda r: r.name))
+    finally:
+        _RUN_MEMO.reset(token)
     return records, stalls

@@ -4,15 +4,20 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import re
+import sys
 import warnings
 
 import pytest
 
-from thetaeval.approx import ApproxValue
+from thetaeval import approx
+from thetaeval.approx import ApproxValue, once_per_run
 from thetaeval.cli import build_parser, main
-from thetaeval.epstein import BinaryQuadraticForm, epstein_accelerated
+from thetaeval.epstein import BinaryQuadraticForm
+from thetaeval.modular import eta_uhp
 from thetaeval.number_theory import r_divisor_table
+from thetaeval.quadrature import gamma_integral, integral_I
 from thetaeval.report import (
     REPORT_VERSION,
     VerificationRecord,
@@ -21,8 +26,9 @@ from thetaeval.report import (
     render_markdown,
     timed_record,
 )
-from thetaeval import suites
-from thetaeval.suites import SUITE_NAMES, SUITES, RunConfig
+from thetaeval import epstein, suites
+from thetaeval.special_values import euler_gamma
+from thetaeval.suites import SUITE_NAMES, SUITES, RunConfig, run_suites
 
 
 def _record(lhs, rhs, combined_bound=0.0, name="x", anchor="§1"):
@@ -393,6 +399,7 @@ class TestRunBehaviour:
         assert a["summary"]["total"] == b["summary"]["total"]
 
     def test_two_squares_builds_its_divisor_table_once(self, monkeypatch, capsys):
+        # Once per run through the run's memo, and afresh in the next run.
         calls = []
 
         def counted(order):
@@ -407,26 +414,32 @@ class TestRunBehaviour:
     def test_each_lattice_sum_and_slope_route_runs_once(self, monkeypatch, capsys):
         # The epstein suite asks for 17 distinct (form, s) sums on the default
         # forms, some of them from more than one check; the special-values
-        # suite compares three gammaL-slope routes in three pairs.
+        # suite compares three gammaL-slope routes in three pairs.  Count
+        # computations, not calls: the split under each accelerated sum, and
+        # each route engine under the run's memo.
         sums = []
+        split_sum = epstein._split_sum
 
-        def counted_sum(form, s, tol):
-            sums.append((form, s, tol))
-            return epstein_accelerated(form, s, tol)
+        def counted_sum(form, s, *args):
+            sums.append((form, s))
+            return split_sum(form, s, *args)
 
-        monkeypatch.setattr("thetaeval.suites.epstein_accelerated", counted_sum)
+        monkeypatch.setattr(epstein, "_split_sum", counted_sum)
         assert main(["epstein"]) == 0
         assert len(sums) == len(set(sums)) == 17
 
         routes = []
-        for name in ("L_chi4_prime_at_1", "limit_at_zero", "integral_I"):
-            def counted_route(*args, _name=name, _route=getattr(suites, name)):
-                routes.append(_name)
-                return _route(*args)
+        for name in ("L_chi4_prime_at_1", "gammaL_integral", "integral_I"):
+            def counted_route(*args, _name=name, _engine=getattr(suites, name).__wrapped__):
+                routes.append((_name, args))
+                return _engine(*args)
 
-            monkeypatch.setattr(suites, name, counted_route)
+            monkeypatch.setattr(suites, name, once_per_run(counted_route))
         assert main(["special-values"]) == 0
-        assert sorted(routes) == ["L_chi4_prime_at_1", "integral_I", "limit_at_zero"]
+        # The central difference takes 6 nodes, each gammaL at 1 +- h.
+        assert len(routes) == len(set(routes)) == 14
+        assert sorted(name for name, _ in routes) \
+            == ["L_chi4_prime_at_1"] + ["gammaL_integral"] * 12 + ["integral_I"]
 
     def test_records_sorted_by_name(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -447,6 +460,101 @@ class TestRunBehaviour:
         applied = {r["name"]: r["tolerance"] for r in doc["records"]}
         for name, tol in overrides.items():
             assert applied[name] == tol
+
+
+def _computations(run, *engines):
+    # (name, args) of each computation of the memoised engines while run()
+    # runs: each entry into an engine's own code, under its memo wrapper.
+    codes = {engine.__wrapped__.__code__: engine.__name__ for engine in engines}
+    seen = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code in codes:
+            seen.append((codes[code],
+                         tuple(frame.f_locals[v] for v in code.co_varnames[:code.co_argcount])))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def _one_check_suite(builder):
+    def suite(config, check):
+        check("theta/memo", "§3", 0.0, builder)
+
+    return suite
+
+
+class TestRunMemo:
+    # approx.once_per_run: within one run_suites run, a positional call to a
+    # memoised engine computes once per distinct argument tuple; a stall,
+    # a keyword call and a call outside a run share nothing.
+
+    def test_a_default_run_computes_each_shared_constant_once(self, capsys):
+        got = _computations(lambda: main([]), integral_I, gamma_integral, euler_gamma)
+        assert len(got) == len(set(got))
+        assert got.count(("integral_I", (1e-12,))) == 1
+        assert got.count(("gamma_integral", (0.25, 1e-13))) == 1
+        assert got.count(("gamma_integral", (0.75, 1e-13))) == 1
+        # Besides epstein._EULER_GAMMA, which is computed at import.
+        assert [args for name, args in got if name == "euler_gamma"] == [(1e-13,)]
+
+    def test_outside_a_run_every_call_computes(self):
+        results = []
+        got = _computations(lambda: results.extend(
+            (integral_I(1e-12), integral_I(1e-12), integral_I(tol=1e-12))), integral_I)
+        assert got == [("integral_I", (1e-12,))] * 3
+        assert results[0] == results[1] == results[2]
+
+    def test_a_keyword_call_in_a_run_is_not_shared(self, monkeypatch):
+        def builder():
+            return integral_I(tol=1e-12), integral_I(tol=1e-12)
+
+        monkeypatch.setitem(SUITES, "theta", _one_check_suite(builder))
+        got = _computations(lambda: run_suites(RunConfig(suites=("theta",))), integral_I)
+        assert got == [("integral_I", (1e-12,))] * 2
+
+    def test_a_stall_is_not_kept(self, capsys):
+        # Both Kronecker checks ask eta for the same point and stall there; the
+        # first stall is not stored, so the second check computes eta again.
+        got = _computations(lambda: main(["kronecker", "--form", "1,0,1e12"]), eta_uhp)
+        assert [args for _, args in got if args[0].im == 1e6] \
+            == [(BinaryQuadraticForm(1.0, 0.0, 1e12).z_point(), 1e-13)] * 2
+        err = capsys.readouterr().err
+        for name in ("lhs-vs-rhs", "l1-vs-eta-log"):
+            assert f"engine gave up on kronecker/{name}/1,0,1e+12: eta product underflows" in err
+
+    def test_an_interrupt_leaves_the_memo_off(self, monkeypatch):
+        def interrupted():
+            integral_I(1e-12)
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(SUITES, "theta", _one_check_suite(interrupted))
+        with pytest.raises(KeyboardInterrupt):
+            run_suites(RunConfig(suites=("theta",)))
+        assert approx._RUN_MEMO.get() is None
+        got = _computations(lambda: (integral_I(1e-12), integral_I(1e-12)), integral_I)
+        assert len(got) == 2
+
+    def test_runs_in_one_process_give_the_same_reports_in_either_order(self, tmp_path, capsys):
+        ledger = json.loads((pathlib.Path(__file__).parent / "ledger.json").read_text())
+        argvs = [tuple(e["argv"]) for e in ledger if e["case"] in ("default", "form 1,0,1")]
+        reports = {argv: [] for argv in argvs}
+        for order in (argvs, argvs[::-1]):
+            for argv in order:
+                path = tmp_path / "report.json"
+                assert main([*argv, "--json", str(path)]) == 0
+                doc = json.loads(path.read_text())
+                for record in doc["records"]:
+                    del record["runtime_ms"]
+                reports[argv].append(doc)
+        assert len(reports) == 2
+        assert all(first == second for first, second in reports.values())
 
 
 class TestRunConfig:

@@ -27,7 +27,7 @@ from thetaeval import (
     upper_incomplete_gamma,
     zeta,
 )
-from thetaeval import epstein
+from thetaeval import approx, epstein
 from thetaeval.approx import EPS, ApproxValue
 from thetaeval.epstein import _MAX_POINTS, _block_sum, _cf_upper, _count_bound, _level_set
 from thetaeval.quadrature import _halfline
@@ -488,7 +488,7 @@ _T = 2.0 ** -10
 # quadrature oracles above guard the values).  The cost counts kernel
 # steps, as the lattice sums do: the fraction's, series' and lift's, with
 # nothing for the whole Gamma the series complement takes from
-# _gamma_cached.  Rows by branch: continued fraction (x >= max(1, s + 1)),
+# gamma_integral.  Rows by branch: continued fraction (x >= max(1, s + 1)),
 # series complement, E1, lift.
 GAMMA_PINS = [
     (1.5, 3.0, '0x1.9524bc3c75cb3p-4', '0x1.9524bc3c75cb3p-52', 29),
@@ -568,8 +568,9 @@ def _bits(r):
 
 
 class TestAcceleratedCaches:
-    # The accelerated sum is taken afresh on every call, so its bits may not
-    # depend on what ran before it.
+    # Outside a run the accelerated sum is taken afresh on every call, and
+    # in a run it shares Gamma values: its bits may not depend on what ran
+    # before it.
 
     def test_cached_sum_still_refuses_a_tighter_tolerance(self):
         # A bound that meets one tolerance is refused at a tol that allows
@@ -583,13 +584,17 @@ class TestAcceleratedCaches:
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "fresh"])
     def test_pins_hold_in_any_call_order(self, order):
-        # "fresh" computes each pin's Gamma(s) anew as well.
+        # "ascending" and "descending" take the pins in one run's memo, where
+        # a sum takes the Gamma values an earlier one computed; "fresh" calls
+        # outside a run, where each pin computes its Gamma values anew.
         pins = sorted(ACCELERATED_PINS, key=lambda pin: pin[1], reverse=order == "descending")
-        for coeffs, s, value, bound, cost in pins:
-            if order == "fresh":
-                epstein._gamma_cached.cache_clear()
-            r = epstein_accelerated(BinaryQuadraticForm(*coeffs), s, 1e-12)
-            assert _bits(r) == (value, bound, cost)
+        run = approx._RUN_MEMO.set(None if order == "fresh" else {})
+        try:
+            for coeffs, s, value, bound, cost in pins:
+                r = epstein_accelerated(BinaryQuadraticForm(*coeffs), s, 1e-12)
+                assert _bits(r) == (value, bound, cost)
+        finally:
+            approx._RUN_MEMO.reset(run)
 
     def test_level_set_runs_once_per_uncached_sum(self, monkeypatch):
         # Both sides sum over the form's own level set, never the dual

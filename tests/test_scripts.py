@@ -126,10 +126,13 @@ TWO_SQUARES_ROUTES = {"r_divisor_table", "r_bruteforce_table"}
 
 
 def _called_names(node):
+    # A call through the run's memo, once_per_run(f)(...), is a call to f too.
     names = set()
     for child in ast.walk(node):
         if isinstance(child, ast.Call):
             func = child.func
+            if isinstance(func, ast.Call) and getattr(func.func, "id", None) == "once_per_run":
+                func = func.args[0]
             names.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
     return names
 
@@ -217,17 +220,47 @@ def _functions(module):
     return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
+MEMOISED = {"integral_I", "gamma_integral", "gammaL_integral", "euler_gamma",
+            "L_chi4_prime_at_1", "eta_uhp", "epstein_accelerated"}
+
+
 def test_one_entry_per_computation():
-    # The accelerated sum, its split and the split's kernels are taken on
-    # each call, with no cache around them: a block's table of equal
-    # arguments is local to the block, epstein.py binds no dict at module
-    # level, and Gamma(s) in _gamma_cached is its one cache.  Theta, eta
-    # and the eta log series pick their truncation through the one search,
+    # The accelerated sum, its split and the split's kernels keep no cache
+    # of their own: a block's table of equal arguments is local to the
+    # block, epstein.py binds no dict at module level, and the sum itself
+    # is shared only through the run's memo.  Theta, eta and the eta log
+    # series pick their truncation through the one search,
     # approx.terms_needed, with no loop of their own.
     epstein = _functions("epstein.py")
     assert {"epstein_accelerated", "_split_sum", "_gamma_block", "_incomplete_gamma",
             "_cf_upper"} <= set(epstein)
-    assert [name for name, node in epstein.items() if node.decorator_list] == ["_gamma_cached"]
+    assert [name for name, node in epstein.items() if node.decorator_list] \
+        == ["epstein_accelerated"]
+
+    # The run's memo, approx.once_per_run, is the package's one sharing of
+    # engine results: it decorates exactly the seven engines that a default
+    # run asks for more than once (the two-squares suite applies it to
+    # r_divisor_table where it calls it), and no lru_cache or functools.cache
+    # is left but the quadrature's three node tables, kept per process.
+    decorated, cached = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            for decorator in map(ast.unparse, getattr(node, "decorator_list", ())):
+                if decorator == "once_per_run":
+                    decorated.add(node.name)
+                elif "cache" in decorator:
+                    cached.add((path.stem, node.name))
+        assert "functools.cache" not in path.read_text(), path.name
+    assert decorated == MEMOISED
+    assert cached == {("quadrature", "_level_nodes"), ("quadrature", "_halfline_nodes"),
+                      ("quadrature", "_vertex_nodes")}
+    # The memo keys positional arguments only, so every call in src/ to a
+    # memoised engine spells its arguments positionally: one spelling per
+    # shared computation.
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in MEMOISED:
+                assert not node.keywords, f"{path.name} line {node.lineno}"
     module = ast.parse((PACKAGE / "epstein.py").read_text())
     for node in module.body:
         value = getattr(node, "value", None)
@@ -336,14 +369,14 @@ def test_one_entry_per_computation():
     assert "form" in _called_names(level_set)
     assert "* xs * xs" not in ast.unparse(level_set)
 
-    # Gamma(s) has one entry.  _gamma_cached is one call to gamma_integral,
-    # with no loop: below 1/2 it takes gamma_integral's lift and above 4 its
-    # recurrence.  The 171 limit and the downward recurrence (an exact
-    # product, or a step s -= 1) live in quadrature.gamma_integral alone.
-    cached = _functions("epstein.py")["_gamma_cached"]
-    assert [type(node) for node in cached.body] == [ast.Return]
-    assert [getattr(node.func, "id", None) for node in ast.walk(cached.body[0])
-            if isinstance(node, ast.Call)] == ["gamma_integral"]
+    # Gamma(s) has one entry.  The lattice engines call gamma_integral
+    # directly, in the kernel and in the accelerated sum's division: below
+    # 1/2 it takes its lift and above 4 its recurrence.  The 171 limit and
+    # the downward recurrence (an exact product, or a step s -= 1) live in
+    # quadrature.gamma_integral alone.
+    assert {site for site in _call_sites({"gamma_integral"})["gamma_integral"]
+            if site[0] == "epstein"} \
+        == {("epstein", "_incomplete_gamma"), ("epstein", "epstein_accelerated")}
     limits, recurrences = set(), set()
     for path in PACKAGE.glob("*.py"):
         for function in ast.walk(ast.parse(path.read_text())):
