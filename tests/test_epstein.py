@@ -588,13 +588,13 @@ class TestAcceleratedCaches:
         # a sum takes the Gamma values an earlier one computed; "fresh" calls
         # outside a run, where each pin computes its Gamma values anew.
         pins = sorted(ACCELERATED_PINS, key=lambda pin: pin[1], reverse=order == "descending")
-        run = approx._RUN_MEMO.set(None if order == "fresh" else {})
+        token = approx._RUN_MEMO.set(None if order == "fresh" else {})
         try:
             for coeffs, s, value, bound, cost in pins:
                 r = epstein_accelerated(BinaryQuadraticForm(*coeffs), s, 1e-12)
                 assert _bits(r) == (value, bound, cost)
         finally:
-            approx._RUN_MEMO.reset(run)
+            approx._RUN_MEMO.reset(token)
 
     def test_level_set_runs_once_per_uncached_sum(self, monkeypatch):
         # Both sides sum over the form's own level set, never the dual

@@ -241,26 +241,25 @@ def test_one_entry_per_computation():
     # engine results: it decorates exactly the seven engines that a default
     # run asks for more than once (the two-squares suite applies it to
     # r_divisor_table where it calls it), and no lru_cache or functools.cache
-    # is left but the quadrature's three node tables, kept per process.
+    # is left but the quadrature's three node tables, kept per process.  The
+    # memo keys positional arguments only, so every call in src/ to a
+    # memoised engine spells its arguments positionally: one spelling per
+    # shared computation.
     decorated, cached = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        text = path.read_text()
+        assert "functools.cache" not in text, path.name
+        for node in ast.walk(ast.parse(text)):
             for decorator in map(ast.unparse, getattr(node, "decorator_list", ())):
                 if decorator == "once_per_run":
                     decorated.add(node.name)
                 elif "cache" in decorator:
                     cached.add((path.stem, node.name))
-        assert "functools.cache" not in path.read_text(), path.name
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in MEMOISED:
+                assert not node.keywords, f"{path.name} line {node.lineno}"
     assert decorated == MEMOISED
     assert cached == {("quadrature", "_level_nodes"), ("quadrature", "_halfline_nodes"),
                       ("quadrature", "_vertex_nodes")}
-    # The memo keys positional arguments only, so every call in src/ to a
-    # memoised engine spells its arguments positionally: one spelling per
-    # shared computation.
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in MEMOISED:
-                assert not node.keywords, f"{path.name} line {node.lineno}"
     module = ast.parse((PACKAGE / "epstein.py").read_text())
     for node in module.body:
         value = getattr(node, "value", None)
