@@ -76,7 +76,8 @@ with D = 4ac - b^2 and lambda_max the larger eigenvalue of
   converges.  Each block adds its terms with one fsum per side, as the
   kernel returns Python floats, and one more fsum adds the blocks' sums.
   Cost counts the kernel steps taken; the whole Gamma that the series
-  complement takes comes from gamma_integral, uncharged, once per run.
+  complement takes comes from gamma_integral, uncharged, once per block
+  side, and within a run once per run.
 """
 
 from __future__ import annotations
@@ -312,11 +313,14 @@ def _e1_series(x: float) -> tuple[float, float, int]:
     raise NonConvergence(f"exponential integral series stalled at x={x}")
 
 
-def _incomplete_gamma(s: float, x: float) -> tuple[float, float, int]:
+def _incomplete_gamma(s: float, x: float, whole: list) -> tuple[float, float, int]:
     # Gamma(s, x), its bound and its kernel steps for a finite s and x > 0,
     # in floats: the one kernel entry, behind upper_incomplete_gamma and
     # the lattice blocks.  The whole Gamma that the series complement takes
-    # comes from gamma_integral, once per run, and is not charged.
+    # is of s lifted by whole units, so of the order alone: gamma_integral
+    # gives it at the first point that needs it, uncharged, and it is kept
+    # in whole, a list the caller holds for one order (a block side, or
+    # one upper_incomplete_gamma call).
     if x >= max(1.0, s + 1.0):
         return _cf_upper(s, x)
     if s < -1e5:
@@ -328,11 +332,13 @@ def _incomplete_gamma(s: float, x: float) -> tuple[float, float, int]:
     if s == 0.0:
         value, bound, cost = _e1_series(x)
     else:
-        whole = gamma_integral(s, 1e-14 / s if s < 0.5 else 1e-14)  # s < 1/2 lifts at s tol
+        if not whole:
+            # s < 1/2 lifts at s tol
+            whole.append(gamma_integral(s, 1e-14 / s if s < 0.5 else 1e-14))
         series, cost = _series_lower(s, x)
         lower = math.exp(-x + s * math.log(x)) * series
-        value = whole.value - lower
-        bound = whole.error_bound + 8.0 * EPS * (abs(lower) + abs(value))
+        value = whole[0].value - lower
+        bound = whole[0].error_bound + 8.0 * EPS * (abs(lower) + abs(value))
     for order in reversed(orders):
         front = math.exp(-x + order * math.log(x))
         value = (value - front) / order
@@ -357,7 +363,7 @@ def upper_incomplete_gamma(s: float, x: float) -> ApproxValue:
         raise ValueError(f"need a finite order s, got {s}")
     if not x > 0.0:
         raise ValueError(f"need x > 0, got {x}")
-    return ApproxValue(*_incomplete_gamma(s, x))
+    return ApproxValue(*_incomplete_gamma(s, x, []))
 
 
 def _gamma_block(s: float, x, weight) -> tuple[float, float, int]:
@@ -366,13 +372,14 @@ def _gamma_block(s: float, x, weight) -> tuple[float, float, int]:
     # steps taken.  A reused value adds no steps: -v takes v's, and points
     # with equal x (the form's automorphisms, equal representations) take
     # one evaluation through seen, which lives for this block only, so the
-    # summed lists are exactly a per-point call's.
-    seen = {}
+    # summed lists are exactly a per-point call's.  The series complement's
+    # whole Gamma is taken once for the block, in whole.
+    seen, whole = {}, []
     values, errs, cost = [], [], 0
     for v, w in zip(x.tolist(), weight.tolist()):
         got = seen.get(v)
         if got is None:
-            got = seen[v] = _incomplete_gamma(s, v)
+            got = seen[v] = _incomplete_gamma(s, v, whole)
             cost += got[2]
         values.append(w * got[0])
         errs.append(w * got[1])

@@ -647,9 +647,9 @@ def _kernel_arguments(monkeypatch, form, s):
     evaluated, points = [], []
     lam = 2.0 * math.pi / math.sqrt(form.disc)
 
-    def counted(order, x):
+    def counted(order, x, whole):
         evaluated.append((order, x))
-        return kernel(order, x)
+        return kernel(order, x, whole)
 
     def level_set(form, level):
         for q in real_level_set(form, level):
@@ -683,6 +683,24 @@ def test_kernel_runs_once_per_point_without_repeats(monkeypatch):
     # A sheared form repeats no value: one evaluation per point and order.
     evaluated, points = _kernel_arguments(monkeypatch, BinaryQuadraticForm(1.0, 0.53, 1e4), 1.5)
     assert evaluated == points
+
+
+def test_whole_gamma_is_taken_once_per_block_side(monkeypatch):
+    # Outside a run the series complement's whole Gamma, which depends on
+    # the order alone, is taken once per block side: the sheared form's one
+    # block asks Gamma(1.5) and the dual side's lifted Gamma(0.5) once each,
+    # beside the division's Gamma(1.5), not once per series-branch point.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gamma_integral(*args)
+
+    monkeypatch.setattr(epstein, "gamma_integral", counted)
+    form = BinaryQuadraticForm(1.0, 0.53, 1e4)
+    assert approx._RUN_MEMO.get() is None
+    epstein_accelerated(form, 1.5, 1e-12)
+    assert sorted(calls) == [(0.5, 1e-14), (1.5, 1e-14), (1.5, 1e-14)]
 
 
 @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 100.0), (1.5, 0.0, 100.0), (1.0, 0.53, 1e4)])

@@ -211,15 +211,29 @@ class TestGammaGauss:
         p = gamma_gauss(0.25, 1e-9) * gamma_gauss(0.75, 1e-9)
         assert abs(p.value - math.pi * math.sqrt(2.0)) <= p.error_bound
 
-    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.0, 2.0])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0])
     def test_agrees_with_quadrature(self, s):
         gauss = gamma_gauss(s, 1e-9)
         quad = gamma_integral(s, 1e-13)
         assert abs(gauss.value - quad.value) <= gauss.error_bound + quad.error_bound
 
+    @pytest.mark.parametrize("s, cost", [(0.25, 4080), (0.75, 4080), (1.0, 4080),
+                                         (1.5, 8160), (2.0, 8160), (3.0, 16320)])
+    def test_ladder_starts_at_a_node_scaled_to_s(self, s, cost):
+        # The nodes are n0 2^k, k < 8, with n0 = 16 for s <= 1, 32 for
+        # s <= 2 and 64 above: the cost is n0 (1 + 2 + ... + 128) = 255 n0.
+        assert gamma_gauss(s, 1e-9).cost == cost
+
     def test_rejects_nonpositive_s(self):
         with pytest.raises(ValueError):
             gamma_gauss(-0.5)
+
+    @pytest.mark.parametrize("s", [172.0, 200.0, 5e-324, math.inf, math.nan])
+    def test_rejects_s_where_gamma_leaves_the_double_range(self, s):
+        # Gamma(s) overflows past 171.62 and, as about 1/s, below about
+        # 5.6e-309: refused up front, not by an OverflowError from exp.
+        with pytest.raises(ValueError, match=r"^need (s > 0|2\^-1022 <= s <= 171)"):
+            gamma_gauss(s)
 
     def test_refuses_impossible_tolerance(self):
         with pytest.raises(NonConvergence):
