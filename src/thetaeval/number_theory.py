@@ -8,9 +8,9 @@ returns the table r(0..N) at once (r(0) = 1, the pair (0, 0)):
   square; r_bruteforce_table counts the points x^2 + y^2 <= N with
   x >= 1, y >= 0;
 - divisors: r(n) = 4 sum_{d | n} chi4(d) (Lemma 2).  r_divisor sums over
-  the divisor pairs of one n; r_divisor_table sieves 4 chi4(d) onto the
-  odd multiples of each odd d in about sqrt(N) strided slices (Dirichlet's
-  hyperbola split), then copies r(o) to r(2^a o), o odd, with one slice
+  the divisor pairs of one n; r_divisor_table sieves 4 chi4(d) over odd n
+  with _odd_divisor_sums, the package's one divisor sieve (qseries takes
+  sigma from it too), then copies r(o) to r(2^a o), o odd, with one slice
   per power of two, since the odd divisors of 2^a o are those of o.
 
 The two routes share nothing but argument checks: the direct search never
@@ -20,7 +20,7 @@ uses chi4, and the divisor route never counts points
 
 from __future__ import annotations
 
-from itertools import cycle, repeat
+from itertools import repeat
 from math import isqrt
 from operator import add
 
@@ -88,30 +88,37 @@ def r_bruteforce_table(order: int) -> tuple[int, ...]:
 
 
 def r_divisor_table(order: int) -> tuple[int, ...]:
-    """r(0..order), by sieving 4 chi4(d) onto the odd multiples of each odd d.
-
-    Only odd d count, and they divide 2^a o exactly when they divide o, so
-    r(2^a o) = r(o) (o odd).  Each odd pair (j, d) with j d <= N has
-    j <= J = isqrt(N) or j >= J', the first odd number above J, not both:
-    table[j::2j] takes 4 chi4(1), 4 chi4(3), ... for each odd j <= J, and
-    table[J' d::2d] takes 4 chi4(d) for each odd d <= N // J'.  Then one
-    slice per power of two 2^a <= N copies r(o) to r(2^a o).
+    """r(0..order): at odd o, the sum of 4 chi4(d) over the odd d | o, from
+    _odd_divisor_sums; r(2^a o) = r(o), as 2^a o has the odd divisors of o,
+    copied by one slice per power of two 2^a <= N.
     """
     _check_order(order)
-    table = [0] * (order + 1)
+    table = _odd_divisor_sums(order, [4 * chi4(d) for d in (1, 3)] * (order // 4 + 1))
     table[0] = 1
-    root = isqrt(order)
-    first = root + 1 + root % 2
-    pattern = [4 * chi4(d) for d in (1, 3)]
-    for j in range(1, root + 1, 2):
-        table[j::2 * j] = map(add, table[j::2 * j], cycle(pattern))
-    for d in range(1, order // first + 1, 2):
-        table[first * d::2 * d] = map(add, table[first * d::2 * d], repeat(4 * chi4(d)))
     power = 2
     while power <= order:
         table[power::2 * power] = table[1:order // power + 1:2]
         power *= 2
     return tuple(table)
+
+
+def _odd_divisor_sums(order: int, weights: list[int] | range) -> list[int]:
+    """t[0..N] with t[o] = sum_{d | o} w(d) at odd o and 0 at even k.
+
+    weights holds w(1), w(3), w(5), ..., at least (N + 1) // 2 of them.
+    Each odd pair (j, d) with j d <= N has j <= J or j >= J', the first odd
+    number above J, not both, for any J (Dirichlet's hyperbola split), so
+    a slice per odd j <= J adds w(1), w(3), ... at t[j::2j] and a slice per
+    odd d <= N // J' adds w(d) at t[J' d::2d], about sqrt N slices in all.
+    """
+    table = [0] * (order + 1)
+    root = int(order ** 0.5)
+    first = root + 1 + root % 2  # J'
+    for j in range(1, root + 1, 2):
+        table[j::2 * j] = map(add, table[j::2 * j], weights)
+    for d, w in zip(range(1, order // first + 1, 2), weights):
+        table[first * d::2 * d] = map(add, table[first * d::2 * d], repeat(w))
+    return table
 
 
 def _check_positive(n: int) -> None:

@@ -6,12 +6,12 @@ square-indicator series (1 + 2q + 2q^4 + 2q^9 + ...) and the product
 (1-q^2)(1+q)^2 (1-q^4)(1+q^3)^2 ..., whose coefficients come from its
 logarithmic derivative, read off the factors alone.
 
-The product's logarithmic derivative is sieved in O(N log N) over the odd k
-alone, from sigma of the odd part, and spread to the even k by one slice per
-power of two.  Its 2 sqrt(N) nonzero coefficients are scattered by one big-int
-step each over the 64-bit lanes of one int, the running sums' only store
-(Kronecker substitution): about 3.5 ms at N = 4096 (0.7 ms of it the sieve)
-and 0.27 ms at N = 256 on a 2-vCPU x86-64 host.
+The product's logarithmic derivative takes sigma of the odd part from the
+odd-divisor sieve in number_theory, O(N log N), and spreads it to the even k
+by one slice per power of two.  Its 2 sqrt(N) nonzero coefficients are
+scattered by one big-int step each over the 64-bit lanes of one int, the
+running sums' only store (Kronecker substitution): about 3.5 ms at N = 4096
+(0.7 ms of it the sieve) and 0.27 ms at N = 256 on a 2-vCPU x86-64 host.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, mul
+from operator import mul
 
 from .approx import NonConvergence
-from .number_theory import _check_order
+from .number_theory import _check_order, _odd_divisor_sums
 
 __all__ = ["QSeries", "qs_mul", "r_from_theta_squared", "theta_qseries", "triple_product_qseries"]
 
@@ -93,21 +93,10 @@ def _log_derivative(order: int) -> list[int]:
     Write k = 2^a o with o odd.  An odd factor m | k puts +2m at k when k
     is odd and -2m when k is even (k/m is then even); the even factors
     2^b d (1 <= b <= a, d | o) put -(2^(a+1) - 2) sigma(o) together.  So
-    c_o = 2 sigma(o) for odd o and c_k = -2^a c_o for even k.  The odd
-    slots take 2 sigma(o) by the hyperbola split over odd pairs (j, d) with
-    j d <= N: j <= J or j >= J', the first odd number above J, not both.
-    A slice per odd j <= J adds 2, 6, 10, ... (2d for d = 1, 3, 5, ...) at
-    c[j::2j], and a slice per odd d <= N // J' adds 2d at c[J' d::2d].
-    Then one slice per power of two 2^a <= N writes the even k from the
-    odd slots.
+    c_o = 2 sigma(o), sieved by _odd_divisor_sums with weight 2d, and
+    c_k = -2^a c_o at even k, by one slice per power of two 2^a <= N.
     """
-    c = [0] * (order + 1)
-    root = int(order ** 0.5)
-    first = root + 1 + root % 2  # J': the first odd number above J = root
-    for j in range(1, root + 1, 2):
-        c[j::2 * j] = map(add, c[j::2 * j], range(2, 4 * ((order // j + 1) // 2), 4))
-    for d in range(1, order // first + 1, 2):
-        c[first * d::2 * d] = map(add, c[first * d::2 * d], repeat(2 * d))
+    c = _odd_divisor_sums(order, range(2, 2 * order + 2, 4))
     power = 2
     while power <= order:
         c[power::2 * power] = map(mul, c[1:order // power + 1:2], repeat(-power))

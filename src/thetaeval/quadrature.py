@@ -5,8 +5,7 @@ after the change of variable x = tanh((pi/2) sinh u), on a uniform u-grid
 whose spacing halves per level.  The nodes cluster double exponentially at
 the endpoints, absorbing log or integrable-power endpoint singularities; the
 inter-level difference is the (heuristic) error estimate, and a non-finite
-integrand value, or on the half-line one whose evaluation overflows, stalls
-the rule with NonConvergence naming the point.
+or overflowing integrand value stalls the rule, naming the point.
 
 Two details matter for accuracy near the endpoints:
 
@@ -248,7 +247,10 @@ def _vertex_integral(form, g: Callable[[float], float], tol: float) -> ApproxVal
     p0 = c - b * b / (4.0 * a)
 
     def node_value(u: float, r: float) -> float:
-        y = (g(a * r * r + p0) / u) / u
+        try:
+            y = (g(a * r * r + p0) / u) / u
+        except OverflowError as exc:  # p ** -s leaves the double range as p -> 0
+            raise NonConvergence(f"integrand overflows at x={u!r}") from exc
         if not math.isfinite(y):
             raise NonConvergence(f"integrand is {y} at x={u!r}")
         return y

@@ -148,7 +148,8 @@ def gamma_gauss(s: float, tol: float = 1e-9) -> ApproxValue:
     within P_n EPS (4 s log n + 2s + 2 |log s| + |E| + 4) of its exact
     value, the slack covering second-order terms; that bound is the node's
     error bound.  Raises ValueError for s outside [2^-1022, 171], where
-    Gamma(s), about 1/s near 0, leaves the double range.
+    Gamma(s), about 1/s near 0, leaves the double range.  At tol 1e-9 it
+    certifies up to s = 11.5 and stalls from s = 11.75 (bound 1.2e-9 |value|).
     """
     if not s > 0.0:
         raise ValueError(f"need s > 0, got {s}")

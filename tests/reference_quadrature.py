@@ -78,6 +78,9 @@ def reference_vertex_integral(form, g, tol):
 
     def transformed(u):
         r = (1.0 - u) / u
-        return (g(a * r * r + p0) / u) / u
+        try:
+            return (g(a * r * r + p0) / u) / u
+        except OverflowError as exc:
+            raise NonConvergence(f"integrand overflows at x={u!r}") from exc
 
     return 2.0 * reference_finite(transformed, 0.0, 1.0, 0.5 * tol)

@@ -124,10 +124,10 @@ class TestExitCodes:
         (["integral", "--form", "1e-300,0,1"],
          ["integral/exp-I-vs-gamma-quotient", "integral/gamma-reflection-quarter"],
          [("integral/f-at-1/1e-300,0,1", None), ("integral/f-prime-at-1/1e-300,0,1", None)]),
-        # c = 1e-320: the form integral overflows.
+        # c = 1e-320: the form integral overflows, and its stall names the point.
         (["integral", "--form", "1,0,1e-320"],
          ["integral/exp-I-vs-gamma-quotient", "integral/gamma-reflection-quarter"],
-         [("integral/f-at-1/1,0,9.99989e-321", "OverflowError"),
+         [("integral/f-at-1/1,0,9.99989e-321", None),
           ("integral/f-prime-at-1/1,0,9.99989e-321", None)]),
         # c = 1e300: the lattice level set would pass the work cap, and eta
         # at z_Q = 1e150 i underflows; both engines refuse.
@@ -146,6 +146,15 @@ class TestExitCodes:
             assert f"engine gave up on {name}: {fault + ': ' if fault else ''}" in captured.err
         assert "NonConvergence" not in captured.err
         assert "Traceback" not in captured.err
+
+    def test_form_integral_stalls_name_the_point(self, capsys):
+        # c = 1e-310: p ** -1 overflows and log(p) / p is -inf at the
+        # parabola's minimum; both stall lines say where.
+        assert main(["integral", "--form", "1,0,1e-310"]) == 3
+        err = capsys.readouterr().err
+        assert "engine gave up on integral/f-at-1/1,0,1e-310: integrand overflows at x=1.0\n" in err
+        assert "engine gave up on integral/f-prime-at-1/1,0,1e-310: integrand is -inf at x=1.0\n" \
+            in err
 
     def test_eta_log_series_near_the_real_line_is_a_stall(self, capsys):
         # c = 1e-300 puts z_Q at 1e-150 i, where exp(-2 pi Im z) rounds to 1:

@@ -385,6 +385,7 @@ class TestBitIdentityWithThePerNodeLoop:
         *((f_form, (BinaryQuadraticForm(*form), s)) for form in BIT_FORMS
           for s in (0.75, 1.0, 2.0, 3.23)),
         *((f_form_derivative_at_1, (BinaryQuadraticForm(*form),)) for form in BIT_FORMS),
+        (f_form, (BinaryQuadraticForm(1.0, 0.0, 1e-310), 1.0)),  # the overflow stall
     ])
     def test_engine(self, engine, args, monkeypatch):
         new = [_outcome(lambda: engine(*args, tol)) for tol in BIT_TOLS]
@@ -401,8 +402,13 @@ class TestBitIdentityWithThePerNodeLoop:
                                              lambda p: math.inf if p > 4.0 else 1.0 / p, 1e-10),
          r"^integrand is inf at x=0\.[0-4]"),
         (lambda: _halfline(HALFLINE_CASES["overflow"], 1e-10), r"^integrand overflows at t=\d"),
+        # p ** -1 overflows at the parabola's minimum p0 = 1e-310, which
+        # level 0's first upper point reaches: u = 1 - q rounds to 1, r = 0.
+        (lambda: f_form(BinaryQuadraticForm(1.0, 0.0, 1e-310), 1.0, 1e-10),
+         r"^integrand overflows at x=1\.0$"),
         (lambda: _halfline(HALFLINE_CASES["kink"], 1e-15), r"^quadrature stalled above tol=1e-15 "),
-    ], ids=["nan-t", "first-fault-t", "centre-t", "vertex-inf-x", "overflow-t", "level-11"])
+    ], ids=["nan-t", "first-fault-t", "centre-t", "vertex-inf-x", "overflow-t", "overflow-x",
+            "level-11"])
     def test_stalls_name_the_first_faulty_node(self, integral, message):
         with pytest.raises(NonConvergence, match=message) as info:
             integral()

@@ -415,6 +415,24 @@ def test_one_entry_per_computation():
                 for target in getattr(node, "targets", [getattr(node, "target", None)])
                 if isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Slice)]
 
+    # Both exact tables take their divisor sums over odd numbers from one
+    # sieve, number_theory._odd_divisor_sums: the hyperbola split's J' is
+    # spelled once in src/, there, and no other function of the package
+    # loops over odd j with a stride of 2.
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert sum(text.count("root + 1 + root % 2") for text in sources.values()) == 1
+    sieve = _functions("number_theory.py")["_odd_divisor_sums"]
+    assert "root + 1 + root % 2" in ast.unparse(sieve)
+    assert "_odd_divisor_sums" in _called_names(_functions("qseries.py")["_log_derivative"])
+    assert "_odd_divisor_sums" in _called_names(_functions("number_theory.py")["r_divisor_table"])
+    odd_loops = {(stem, function.name) for stem, text in sources.items()
+                 for function in ast.walk(ast.parse(text)) if isinstance(function, ast.FunctionDef)
+                 for loop in ast.walk(function) if isinstance(loop, ast.For)
+                 for call in ast.walk(loop.iter) if isinstance(call, ast.Call)
+                 and getattr(call.func, "id", None) == "range" and len(call.args) == 3
+                 and ast.unparse(call.args[0]) == "1" and ast.unparse(call.args[2]) == "2"}
+    assert odd_loops == {("number_theory", "_odd_divisor_sums")}
+
 
 def test_one_exit_per_engine():
     # Every function that checks an engine tolerance (check_tol without
@@ -714,8 +732,11 @@ def test_every_function_of_the_package_is_reached_by_a_run(tmp_path):
 def test_the_product_side_of_lemma_one_never_reaches_the_squares():
     # triple-product/theta-vs-product compares two computations only while
     # the product is expanded from its factors, never from the squares.
-    functions = _functions("qseries.py")
+    # Calls are followed into number_theory too, whose odd-divisor sieve
+    # the product's logarithmic derivative shares with the divisor table.
+    functions = {**_functions("number_theory.py"), **_functions("qseries.py")}
     reached = _reachable(functions, functions["triple_product_qseries"])
+    assert "_odd_divisor_sums" in reached
     assert not reached & {"theta_qseries", "qs_mul", "isqrt"}, reached
 
 
