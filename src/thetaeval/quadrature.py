@@ -4,8 +4,8 @@ Both rules integrate over (0, 1), as half the trapezoid rule over (-1, 1)
 after the change of variable x = tanh((pi/2) sinh u), on a uniform u-grid
 whose spacing halves per level.  The nodes cluster double exponentially at
 the endpoints, absorbing log or integrable-power endpoint singularities; the
-inter-level difference is the (heuristic) error estimate, and a non-finite
-or overflowing integrand value stalls the rule, naming the point.
+inter-level difference is the (heuristic) error estimate, and a summed (0, 1)
+value that overflows or is not finite stalls either rule, naming the point.
 
 Two details matter for accuracy near the endpoints:
 
@@ -24,9 +24,9 @@ Two details matter for accuracy near the endpoints:
 Each level's nodes, and their points under the half-line map and the form
 integral's vertex map, are tabulated once per process, for the levels a
 run reaches (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005).  _drive is the
-one loop over the levels and the one stop rule; its two rules, _halfline
-and _vertex_integral, each sum a level from their table with the integrand
-called directly.
+one loop over the levels, the one stop rule and the one node fault rule; its
+two rules, _halfline and _vertex_integral, each sum a level from their table
+with the integrand called directly.
 """
 
 from __future__ import annotations
@@ -97,21 +97,30 @@ def _rows(table: _Table):
 
 
 def _drive(nodes: Callable[[int], _Table], level_sum: Callable[[_Table], float],
-           node_value: Callable[..., float], tol: float) -> ApproxValue:
-    """Run the doubling trapezoid sum: the one level loop and stop rule.
+           node_value: Callable[..., float], label: str, tol: float) -> ApproxValue:
+    """Run the doubling trapezoid sum: the one level loop, stop rule and fault rule.
 
     nodes(level) is the rule's table of one level, held as columns (see
     _rows) so that it adds no object per node for the garbage collector to
     count; level -1 is the centre alone.  level_sum(table) returns the sum
-    of w * (y_lo + y_hi) in node order, and node_value(*point) returns y at
-    one point and stalls, naming it, where y is not finite.  A level whose
-    sum raises or is not finite is summed again through node_value, so a
-    stall names the first faulty node in order.  The weights are those of
-    (-1, 1) and both rules integrate over (0, 1), so the estimate is half
-    the sum.
+    of w * (y_lo + y_hi) in node order, and node_value(*point) the (0, 1)
+    value y at one point, unchecked.  The centre, and each node of a level
+    whose sum raises or is not finite, is checked: where y overflows or is
+    not finite the rule stalls, naming label=point[0], so a stall names
+    the first faulty node in order.  The weights are those of (-1, 1) and
+    both rules integrate over (0, 1), so the estimate is half the sum.
     """
+    def checked(point: tuple[float, float]) -> float:
+        try:
+            y = node_value(*point)
+        except OverflowError as exc:  # a part such as t ** e or p ** -s leaves the double range
+            raise NonConvergence(f"integrand overflows at {label}={point[0]!r}") from exc
+        if not math.isfinite(y):
+            raise NonConvergence(f"integrand is {y} at {label}={point[0]!r}")
+        return y
+
     (w, centre, _), = _rows(nodes(-1))
-    total = w * node_value(*centre)
+    total = w * checked(centre)
     neval = 1
     previous = None
     last_err = math.inf
@@ -124,7 +133,7 @@ def _drive(nodes: Callable[[int], _Table], level_sum: Callable[[_Table], float],
         if not math.isfinite(fresh):
             fresh = 0.0
             for w, lo, hi in _rows(table):
-                fresh += w * (node_value(*lo) + node_value(*hi))
+                fresh += w * (checked(lo) + checked(hi))
         neval += 2 * len(table[0])
         total = total + fresh if level == 0 else 0.5 * total + fresh
         estimate = 0.5 * total
@@ -141,22 +150,13 @@ def _drive(nodes: Callable[[int], _Table], level_sum: Callable[[_Table], float],
 
 
 def _halfline(f: Callable[[float], float], tol: float) -> ApproxValue:
-    def node_value(t: float, v: float) -> float:
-        try:
-            y = f(t)
-        except OverflowError as exc:  # a part such as t ** e can leave the double range
-            raise NonConvergence(f"integrand overflows at t={t!r}") from exc
-        if not math.isfinite(y):
-            raise NonConvergence(f"integrand is {y} at t={t!r}")
-        return y / v
-
     def level_sum(table: _Table) -> float:
         fresh = 0.0
         for w, t_lo, v_lo, t_hi, v_hi in zip(*table):
             fresh += w * (f(t_lo) / v_lo + f(t_hi) / v_hi)
         return fresh
 
-    return _drive(_halfline_nodes, level_sum, node_value, tol)
+    return _drive(_halfline_nodes, level_sum, lambda t, v: f(t) / v, "t", tol)
 
 
 @once_per_run
@@ -246,15 +246,6 @@ def _vertex_integral(form, g: Callable[[float], float], tol: float) -> ApproxVal
     check_tol(tol)
     p0 = c - b * b / (4.0 * a)
 
-    def node_value(u: float, r: float) -> float:
-        try:
-            y = (g(a * r * r + p0) / u) / u
-        except OverflowError as exc:  # p ** -s leaves the double range as p -> 0
-            raise NonConvergence(f"integrand overflows at x={u!r}") from exc
-        if not math.isfinite(y):
-            raise NonConvergence(f"integrand is {y} at x={u!r}")
-        return y
-
     def level_sum(table: _Table) -> float:
         fresh = 0.0
         for w, u_lo, r_lo, u_hi, r_hi in zip(*table):
@@ -262,4 +253,5 @@ def _vertex_integral(form, g: Callable[[float], float], tol: float) -> ApproxVal
                           + (g(a * r_hi * r_hi + p0) / u_hi) / u_hi)
         return fresh
 
-    return 2.0 * _drive(_vertex_nodes, level_sum, node_value, 0.5 * tol)
+    return 2.0 * _drive(_vertex_nodes, level_sum, lambda u, r: (g(a * r * r + p0) / u) / u,
+                        "x", 0.5 * tol)

@@ -60,12 +60,12 @@ def reference_halfline(f, tol):
             v = 1.0 - q
             t = -math.log1p(-q)
         try:
-            y = f(t)
+            y = f(t) / v
         except OverflowError as exc:
             raise NonConvergence(f"integrand overflows at t={t!r}") from exc
         if not math.isfinite(y):
             raise NonConvergence(f"integrand is {y} at t={t!r}")
-        return y / v
+        return y
 
     return reference_drive(node_value, 0.5, tol)
 

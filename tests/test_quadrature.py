@@ -370,6 +370,19 @@ HALFLINE_CASES = {
     "big": lambda t: 1e300,
 }
 
+
+def _big_stops_on_level_0():
+    # f(t) = 1e300 is finite, but its (0, 1) value f(t) / v is not where
+    # v < 1e-8: first at level 0's third node, lower side (t ~ 31.47).  The
+    # rule stops there, after the centre, level 0's 12 values and the
+    # rescan's 5, not after all 11 levels' 24,577.
+    calls = []
+    try:
+        _halfline(lambda t: calls.append(t) or 1e300, 1e-10)
+    finally:
+        assert len(calls) == 1 + 12 + 5
+
+
 class TestBitIdentityWithThePerNodeLoop:
     @pytest.mark.parametrize("name", HALFLINE_CASES)
     def test_halfline(self, name):
@@ -407,8 +420,9 @@ class TestBitIdentityWithThePerNodeLoop:
         (lambda: f_form(BinaryQuadraticForm(1.0, 0.0, 1e-310), 1.0, 1e-10),
          r"^integrand overflows at x=1\.0$"),
         (lambda: _halfline(HALFLINE_CASES["kink"], 1e-15), r"^quadrature stalled above tol=1e-15 "),
+        (_big_stops_on_level_0, r"^integrand is inf at t=31\.47"),
     ], ids=["nan-t", "first-fault-t", "centre-t", "vertex-inf-x", "overflow-t", "overflow-x",
-            "level-11"])
+            "level-11", "big-value-t"])
     def test_stalls_name_the_first_faulty_node(self, integral, message):
         with pytest.raises(NonConvergence, match=message) as info:
             integral()
@@ -416,6 +430,41 @@ class TestBitIdentityWithThePerNodeLoop:
             carried = (info.value.value, info.value.error_bound, info.value.cost)
             assert all(x is not None for x in carried) and info.value.cost == 1 + 2 * sum(
                 len(quadrature._level_nodes(level)) for level in range(quadrature._MAX_LEVEL + 1))
+
+
+FAULT_KINDS = {
+    "nan": (lambda: math.nan, "is nan"),
+    "inf": (lambda: math.inf, "is inf"),
+    "-inf": (lambda: -math.inf, "is -inf"),
+    "raised-overflow": (lambda: math.exp(1e3), "overflows"),
+    "value-overflow": (lambda: 1e308, "is inf"),  # finite until the (0, 1) map divides it
+}
+
+
+@pytest.mark.parametrize("kind", FAULT_KINDS)
+def test_both_rules_stall_alike_on_every_fault_kind(kind):
+    # Faults far out on each rule's line: t > 20 for the half-line rule and
+    # p > 1e6 for the vertex rule on x^2 + 1.  Both rules first reach them
+    # at level 0's third node, on its lower side (t = 31.47, u = 1.126e-05),
+    # and name it, as the per-node loop does.
+    fault, wording = FAULT_KINDS[kind]
+
+    def half(t):
+        return fault() if t > 20.0 else math.exp(-t)
+
+    def vertex(p):
+        return fault() if p > 1e6 else 1.0 / (p * p)
+
+    form = BinaryQuadraticForm(1.0, 0.0, 1.0)
+    for engine, reference, point in (
+            (lambda: _halfline(half, 1e-10), lambda: reference_halfline(half, 1e-10),
+             "t=31.472082276532355"),
+            (lambda: quadrature._vertex_integral(form, vertex, 1e-10),
+             lambda: reference_vertex_integral(form, vertex, 1e-10), "x=1.1261403769203559e-05")):
+        with pytest.raises(NonConvergence) as info:
+            engine()
+        assert str(info.value) == f"integrand {wording} at {point}"
+        assert _outcome(engine) == _outcome(reference)
 
 
 def test_node_tables_are_columns():

@@ -302,7 +302,8 @@ def test_one_entry_per_computation():
 
     # Both form integrals go through the one vertex split and map.  The
     # quadrature's node maps are spelled once each, in the per-process node
-    # tables, and _drive holds the one loop over the levels.
+    # tables, and _drive holds the one loop over the levels and the one node
+    # fault rule, which neither rule repeats.
     quadrature = _functions("quadrature.py")
     text = (PACKAGE / "quadrature.py").read_text()
     for spelling, table in (("-math.log(", "_halfline_nodes"), ("log1p(-", "_halfline_nodes"),
@@ -312,7 +313,14 @@ def test_one_entry_per_computation():
     assert [name for name, node in quadrature.items() for loop in ast.walk(node)
             if isinstance(loop, ast.For) and "_MAX_LEVEL" in ast.unparse(loop.iter)] == ["_drive"]
     assert [arg.arg for arg in quadrature["_drive"].args.args] \
-        == ["nodes", "level_sum", "node_value", "tol"]
+        == ["nodes", "level_sum", "node_value", "label", "tol"]
+    drive_strings = [node.value for node in ast.walk(quadrature["_drive"])
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    for stall in ("integrand overflows at", "integrand is "):
+        assert text.count(stall) == 1 and any(x.startswith(stall) for x in drive_strings), stall
+    for rule in ("_halfline", "_vertex_integral"):
+        assert not [node for node in ast.walk(quadrature[rule]) if isinstance(node, ast.Try)], rule
+        assert "NonConvergence" not in ast.unparse(quadrature[rule]), rule
     assert {name for name, node in quadrature.items() if "_drive" in _called_names(node)} \
         == {"_halfline", "_vertex_integral"}
     for name in ("f_form", "f_form_derivative_at_1"):
