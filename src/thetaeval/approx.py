@@ -19,6 +19,8 @@ weights, and returns the limit with the nodes' summed cost.  pole_constant
 is its one ladder at the pole s = 1, for the scalar Kronecker limit and
 Euler's constant; the Gauss product for Gamma and the central difference use
 ladders of their own.
+gamma_recurrence reduces Gamma(s) into an engine's window by Gamma(s + 1) =
+s Gamma(s), and check_gamma_range holds the one s range of both Gamma routes.
 terms_needed is the one truncation search, for the theta and eta series:
 the smallest index whose proven tail bound meets a target.
 once_per_run shares an engine's positional calls within one run_suites run,
@@ -234,3 +236,35 @@ def pole_constant(regular) -> ApproxValue:
     k < 8.  A regular part that subtracts 1/(s - 1) must form s - 1 from the
     s it is given (exact for s in [1, 2]), not from eps: 1 + eps rounds."""
     return limit_at_zero(lambda eps: regular(1.0 + eps), 0.1, 8)
+
+
+def check_gamma_range(s: float) -> None:
+    if not 2.0 ** -1022 <= s <= 171.0:
+        raise ValueError(f"need 2^-1022 <= s <= 171, as Gamma(s) leaves the double range "
+                         f"below about 5.6e-309 and past 171.62; got s={s}")
+
+
+def gamma_recurrence(gamma, s: float, tol: float, low: float, top: float) -> ApproxValue:
+    """Gamma(s) outside [low, top] from one call of gamma, an engine on it:
+    below low Gamma(s + 1) / s, Gamma(s + 1) to s tol, plus 2 EPS / s
+    rounding; above top (s-1)...(s-k) Gamma(s - k), s - k in (top - 1, top],
+    Gamma(s - k) to tol and the factor exact from s = m / d, rounded once:
+    2 EPS |value| for any k.  A stall of gamma names s and the caller's tol
+    and carries the partial Gamma(s)."""
+    if s < low:
+        inner, inner_tol = s + 1.0, s * tol
+    else:
+        k = math.ceil(s - top)
+        m, d = s.as_integer_ratio()
+        factor = math.prod(m - j * d for j in range(1, k + 1)) / d ** k
+        inner, inner_tol = s - k, tol
+    try:
+        g, stall = gamma(inner, inner_tol), None
+    except NonConvergence as exc:
+        g, stall = ApproxValue(exc.value, exc.error_bound, exc.cost), exc
+    pad = ApproxValue(0.0, 2.0 * EPS * (1.0 if s < low else g.value))
+    g = (g + pad) / s if s < low else (g + pad) * factor
+    if stall is not None:
+        raise NonConvergence(f"{gamma.__name__} stalled at s={s:g} above tol={tol:g}",
+                             g.value, g.error_bound, g.cost) from stall
+    return g.certified(tol, f"Gamma({s:g})")

@@ -35,7 +35,8 @@ import math
 from functools import lru_cache
 from typing import Callable
 
-from .approx import EPS, ApproxValue, NonConvergence, check_tol, once_per_run
+from .approx import (ApproxValue, NonConvergence, check_gamma_range, check_tol, gamma_recurrence,
+                     once_per_run)
 
 __all__ = [
     "integral_I",
@@ -170,41 +171,19 @@ def integral_I(tol: float = 1e-12) -> ApproxValue:
 
 @once_per_run
 def gamma_integral(s: float, tol: float = 1e-12) -> ApproxValue:
-    """Integral over (0, inf) of t**(s-1) * exp(-t), for 0 < s <= 171.
+    """Integral over (0, inf) of t**(s-1) * exp(-t), for 2^-1022 <= s <= 171.
 
     The half-line rule takes 1/2 <= s <= 4, its nodes absorbing the origin's
-    power singularity below 1.  Below 1/2, too steep for the rule's estimate,
-    it is Gamma(s + 1) / s, Gamma(s + 1) to s tol, plus 2 EPS / s rounding.
-    Above 4, where the rule's floor grows with Gamma(s) and t**(s-1)
-    overflows past s ~ 111, it is (s-1)...(s-k) Gamma(s - k), s - k in
-    (3, 4], Gamma(s - k) to tol and the factor exact from s = m / d, rounded
-    once: 2 EPS |value| for any k.  A stall carries the partial Gamma(s).
+    power singularity below 1.  approx.gamma_recurrence brings into it a
+    smaller s, too steep for the rule's estimate, and a larger one, where
+    the rule's floor grows with Gamma(s) and t**(s-1) overflows past s ~ 111.
     """
-    if not s > 0.0:
-        raise ValueError(f"need s > 0, got {s}")
+    check_gamma_range(s)
     check_tol(tol)
     if 0.5 <= s <= 4.0:
         e = s - 1.0
         return _halfline(lambda t: t ** e * math.exp(-t), tol)
-    if s < 0.5:
-        inner, inner_tol = s + 1.0, s * tol
-    elif s <= 171.0:
-        k = math.ceil(s - 4.0)
-        m, d = s.as_integer_ratio()
-        factor = math.prod(m - j * d for j in range(1, k + 1)) / d ** k
-        inner, inner_tol = s - k, tol
-    else:
-        raise ValueError(f"need s <= 171, as Gamma(s) overflows past 171.62; got s={s}")
-    try:
-        g, stall = gamma_integral(inner, inner_tol), None
-    except NonConvergence as exc:
-        g, stall = ApproxValue(exc.value, exc.error_bound, exc.cost), exc
-    pad = ApproxValue(0.0, 2.0 * EPS * (1.0 if s < 0.5 else g.value))
-    g = (g + pad) / s if s < 0.5 else (g + pad) * factor
-    if stall is not None:
-        raise NonConvergence(f"gamma_integral stalled at s={s:g} above tol={tol:g}",
-                             g.value, g.error_bound, g.cost) from stall
-    return g.certified(tol, f"Gamma({s:g})")
+    return gamma_recurrence(gamma_integral, s, tol, 0.5, 4.0)
 
 
 @once_per_run

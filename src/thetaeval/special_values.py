@@ -12,22 +12,18 @@ convergent process with an error bound, certified to a tol check_tol passes.
   coefficients that are moments of a finite signed measure on [0, 1], as
   both of ours are; the gap to the sum of n + 8 terms is the bound.
 * euler_gamma comes from H_n - log n with its asymptotic corrections.
-* gamma_gauss evaluates the product P_n = n! n^s / (s (s+1) ... (s+n))
-  at n = n0, 2 n0, ..., 128 n0 and takes its limit at 1/n = 0 through the
-  package's one extrapolation driver (approx.py), with each node's
-  rounding bound carried into the table.  The defect log P_n - log Gamma(s)
-  expands in powers of 1/n with k-th coefficient (-1)^k (B_{k+1}(1+s) -
-  B_{k+1}(1)) / (k (k+1)), a Bernoulli-polynomial difference led by
-  s^(k+1), so its terms fall like s (s/n)^k once s passes 1: the ladder
-  starts at n0 = 16 for s <= 1, 32 for s <= 2 and 64 above, and eight
-  nodes reach double precision for moderate s.
+* gamma_gauss takes the Gauss product P_n = n! n^s / (s (s+1) ... (s+n))
+  at n = 16, 32, ..., 2048 to its limit at 1/n = 0 through the package's one
+  extrapolation driver (approx.py), each node's rounding bound carried into
+  the table, for s in (0, 1]; approx.gamma_recurrence reduces a larger s.
 """
 
 from __future__ import annotations
 
 import math
 
-from .approx import EPS, ApproxValue, check_tol, limit_at_zero, once_per_run
+from .approx import (EPS, ApproxValue, check_gamma_range, check_tol, gamma_recurrence,
+                     limit_at_zero, once_per_run)
 
 __all__ = [
     "euler_gamma",
@@ -130,39 +126,29 @@ def L_chi4_prime_at_1(tol: float = 1e-11) -> ApproxValue:
 def gamma_gauss(s: float, tol: float = 1e-9) -> ApproxValue:
     """Gamma(s) as the limit of the Gauss product, extrapolated in 1/n.
 
-    P_n = n! n^s / (s (s+1) ... (s+n)) approaches Gamma(s) with a defect
-    that expands in powers of 1/n: by Stirling's series for log Gamma(n+1)
-    and log Gamma(n+1+s), log P_n - log Gamma(s) has k-th coefficient
-    (-1)^k (B_{k+1}(1+s) - B_{k+1}(1)) / (k (k+1)), a polynomial in s led
-    by s^(k+1), so the terms fall like s (s/n)^k for s above 1 and the
-    ladder may start at n0 proportional to max(1, s).  The limit at
-    1/n = 0 is the Neville value over n = n0 2^k, k < 8, with
-    n0 = 16 2^ceil(log2 max(1, s)) capped at 64: 16 for s <= 1, 32 for
-    s <= 2, 64 above.  Each P_n is formed in log space as exp(E),
-    E = s log n - log s - sum_{j <= n} log1p(s/j); the n! cancels against
-    the factors j.  With u = EPS/2 and each libm call within one ulp (2u):
-    a log1p term is off by at most 3u of itself and fsum adds u of the
-    total, so the sum, at most s (log n + 1), is off by 4u s (log n + 1);
-    s log n is off by 3u s log n, log s by 2u |log s|, and the two
-    subtractions by u (s log n + |log s| + |E|).  With 2u for exp, P_n is
-    within P_n EPS (4 s log n + 2s + 2 |log s| + |E| + 4) of its exact
-    value, the slack covering second-order terms; that bound is the node's
-    error bound.  Raises ValueError for s outside [2^-1022, 171], where
-    Gamma(s), about 1/s near 0, leaves the double range.  At tol 1e-9 it
-    certifies up to s = 11.5 and stalls from s = 11.75 (bound 1.2e-9 |value|).
+    For s in (0, 1] it is the Neville value at 1/n = 0 over n = 16 2^k,
+    k < 8, of P_n = n! n^s / (s (s+1) ... (s+n)), formed in log space as
+    exp(E), E = s log n - log s - sum_{j <= n} log1p(s/j); the n! cancels
+    against the factors j.  With u = EPS/2 and each libm call within one
+    ulp (2u): a log1p term is off by at most 3u of itself and fsum adds u
+    of the total, so the sum, at most s (log n + 1), is off by
+    4u s (log n + 1); s log n is off by 3u s log n, log s by 2u |log s|,
+    and the two subtractions by u (s log n + |log s| + |E|).  With 2u for
+    exp, P_n is within P_n EPS (4 s log n + 2s + 2 |log s| + |E| + 4) of its
+    exact value, the slack covering second-order terms; that bound is the
+    node's error bound.  Above 1 it is approx.gamma_recurrence's exact
+    (s-1)...(s-k) times the product at s - k in (0, 1], so every s costs
+    4,080 summed terms.  Raises ValueError for s outside [2^-1022, 171],
+    where Gamma(s), about 1/s near 0, leaves the double range.
     """
-    if not s > 0.0:
-        raise ValueError(f"need s > 0, got {s}")
-    if not 2.0 ** -1022 <= s <= 171.0:
-        raise ValueError(f"need 2^-1022 <= s <= 171, as Gamma(s) leaves the double range "
-                         f"below about 5.6e-309 and past 171.62; got s={s}")
+    check_gamma_range(s)
     check_tol(tol)
+    if s > 1.0:
+        return gamma_recurrence(gamma_gauss, s, tol, 0.0, 1.0)
     log_s = math.log(s)
-    n0 = min(64, 16 * 2 ** math.ceil(math.log2(max(1.0, s))))
     # Each node's sum is fsum's correctly rounded sum of the first n of
     # these, so taking each log1p once leaves every node's bits as they are.
-    depth = 8
-    logs = [math.log1p(s / j) for j in range(1, n0 * 2 ** (depth - 1) + 1)]
+    logs = [math.log1p(s / j) for j in range(1, 16 * 2 ** 7 + 1)]
 
     def node(inv_n: float) -> ApproxValue:
         n = round(1.0 / inv_n)
@@ -172,4 +158,4 @@ def gamma_gauss(s: float, tol: float = 1e-9) -> ApproxValue:
         spread = 4.0 * s * log_n + 2.0 * s + 2.0 * abs(log_s) + abs(e) + 4.0
         return ApproxValue(p, p * EPS * spread, n)
 
-    return limit_at_zero(node, 1.0 / n0, depth).certified(tol, f"gamma_gauss({s})")
+    return limit_at_zero(node, 1.0 / 16.0, 8).certified(tol, f"gamma_gauss({s})")

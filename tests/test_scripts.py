@@ -379,10 +379,10 @@ def test_one_entry_per_computation():
     # Gamma(s) has one entry.  The lattice engines call gamma_integral
     # directly, in the kernel and in the accelerated sum's division: below
     # 1/2 it takes its lift and above 4 its recurrence.  The downward
-    # recurrence (an exact product, or a step s -= 1) lives in
-    # quadrature.gamma_integral alone, and the 171 limit there and in the
-    # Gauss product, the independent route to Gamma that the reflection
-    # check takes, which refuses the same range.
+    # recurrence (an exact product, or a step s -= 1) lives in the one
+    # helper, approx.gamma_recurrence, and the 171 limit in the one range
+    # check; both Gamma routes call them, gamma_integral and the Gauss
+    # product, the independent route to Gamma that the reflection check takes.
     assert {site for site in _call_sites({"gamma_integral"})["gamma_integral"]
             if site[0] == "epstein"} \
         == {("epstein", "_incomplete_gamma"), ("epstein", "epstein_accelerated")}
@@ -401,8 +401,11 @@ def test_one_entry_per_computation():
                     recurrences.add((path.stem, function.name))
             if "prod" in _called_names(function):
                 recurrences.add((path.stem, function.name))
-    assert recurrences == {("quadrature", "gamma_integral")}
-    assert limits == recurrences | {("special_values", "gamma_gauss")}
+    assert recurrences == {("approx", "gamma_recurrence")}
+    assert limits == {("approx", "check_gamma_range")}
+    routes = {**_functions("quadrature.py"), **_functions("special_values.py")}
+    for route in ("gamma_integral", "gamma_gauss"):
+        assert {"check_gamma_range", "gamma_recurrence"} <= _called_names(routes[route])
 
     # RunConfig builds each form once; a suite builds only its own literal forms.
     for name, suite in _functions("suites.py").items():

@@ -211,51 +211,63 @@ class TestGammaGauss:
         p = gamma_gauss(0.25, 1e-9) * gamma_gauss(0.75, 1e-9)
         assert abs(p.value - math.pi * math.sqrt(2.0)) <= p.error_bound
 
-    # 11.5 is the top of the range it certifies at tol 1e-9 (relative bound 9.5e-10).
-    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 11.5])
+    # Above 1 the product sees only s - k in (0, 1], so at tol 1e-9 every s
+    # up to the 171 limit certifies.
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 11.5, 11.75, 20.0,
+                                   100.0, 170.5, 171.0])
     def test_agrees_with_quadrature(self, s):
         gauss = gamma_gauss(s, 1e-9)
         quad = gamma_integral(s, 1e-13)
         assert abs(gauss.value - quad.value) <= gauss.error_bound + quad.error_bound
 
     @pytest.mark.parametrize("s, cost", [(0.25, 4080), (0.75, 4080), (1.0, 4080),
-                                         (1.5, 8160), (2.0, 8160), (3.0, 16320)])
+                                         (1.5, 4080), (2.0, 4080), (3.0, 4080),
+                                         (11.75, 4080), (171.0, 4080)])
     def test_ladder_starts_at_a_node_scaled_to_s(self, s, cost):
-        # The nodes are n0 2^k, k < 8, with n0 = 16 for s <= 1, 32 for
-        # s <= 2 and 64 above: the cost is n0 (1 + 2 + ... + 128) = 255 n0.
+        # The product runs only at s in (0, 1], on the nodes 16 2^k, k < 8,
+        # so every s costs 16 (1 + 2 + ... + 128) = 4,080 summed terms.
         assert gamma_gauss(s, 1e-9).cost == cost
-
-    @pytest.mark.xfail(strict=True, raises=NonConvergence,
-                       reason="FOUND in CHANGES.md: above s = 2 the ladder stays at n0 = 64, "
-                              "and at tol 1e-9 it stalls from s = 11.75 to the 171 limit")
-    @pytest.mark.parametrize("s", [11.75, 20.0])
-    def test_certifies_past_s_eleven_and_a_half(self, s):
-        # Relative bounds 1.21e-9 at s = 11.75 and 4.6e-7 at s = 20.
-        gamma_gauss(s, 1e-9)
 
     def test_rejects_nonpositive_s(self):
         with pytest.raises(ValueError):
             gamma_gauss(-0.5)
 
-    @pytest.mark.parametrize("s", [172.0, 200.0, 5e-324, math.inf, math.nan])
+    @pytest.mark.parametrize("s", [172.0, 200.0, 5e-324, 1e-310, math.inf, math.nan])
     def test_rejects_s_where_gamma_leaves_the_double_range(self, s):
         # Gamma(s) overflows past 171.62 and, as about 1/s, below about
-        # 5.6e-309: refused up front, not by an OverflowError from exp.
-        with pytest.raises(ValueError, match=r"^need (s > 0|2\^-1022 <= s <= 171)"):
-            gamma_gauss(s)
+        # 5.6e-309: both routes refuse s up front through one range check,
+        # not by an OverflowError from exp, a tolerance the lift forms or
+        # an infinite value.
+        for engine in (gamma_gauss, gamma_integral):
+            with pytest.raises(ValueError, match=r"^need 2\^-1022 <= s <= 171, as Gamma\(s\) "
+                                                 r"leaves the double range"):
+                engine(s)
 
     def test_refuses_impossible_tolerance(self):
         with pytest.raises(NonConvergence):
             gamma_gauss(0.5, 1e-20)
 
+    def test_recurrence_stall_names_s_and_carries_the_partial_gamma(self):
+        # Gamma(1) stalls at tol 1e-20; the stall is reported against the
+        # s asked for, with 19! times Gamma(1)'s partial value and bound.
+        with pytest.raises(NonConvergence, match=r"^gamma_gauss stalled at s=20 above "
+                                                 r"tol=1e-20$") as info:
+            gamma_gauss(20.0, 1e-20)
+        exact = math.factorial(19)
+        assert abs(info.value.value - exact) <= info.value.error_bound
+        assert 1e-20 * exact < info.value.error_bound < 1e-12 * exact
+        assert info.value.cost == 4080
+
 
 @given(s=st.floats(min_value=1e-3, max_value=4.0))
 @settings(max_examples=25, deadline=None)
 def test_gamma_gauss_recurrence_and_quadrature(s):
-    # Gamma(s + 1) = s Gamma(s).  s + 1 <= 5 rounds by at most 2 EPS, which
-    # moves Gamma(s + 1) by under 3 EPS of itself (|psi| < 1.6 on [1, 5]).
-    # The extrapolated bound is an a-posteriori estimate; both identities
-    # test it.
+    # Gamma(s + 1) = s Gamma(s).  On the Gauss side this is exact
+    # arithmetic, as above 1 gamma_gauss is (s-1)...(s-k) times the product
+    # at s - k; s + 1 <= 5 rounds by at most 2 EPS, which moves Gamma(s + 1)
+    # by under 3 EPS of itself (|psi| < 1.6 on [1, 5]).  The extrapolated
+    # bound is an a-posteriori estimate, so the comparison with the
+    # quadrature carries the check.
     here = gamma_gauss(s, 1e-9)
     up = gamma_gauss(s + 1.0, 1e-9)
     gap = abs(up.value - s * here.value)

@@ -65,7 +65,7 @@ ENGINES = {
     **{f"zeta({s})": (lambda tol, s=s: zeta(s, tol)) for s in (1.0 + 1e-6, 1.5, 2.0)},
     **{f"L_chi4({s})": (lambda tol, s=s: L_chi4(s, tol)) for s in (1.0, 1.5)},
     "L_chi4_prime_at_1": L_chi4_prime_at_1,
-    **{f"gamma_gauss({s})": (lambda tol, s=s: gamma_gauss(s, tol)) for s in (0.25, 3.0)},
+    **{f"gamma_gauss({s})": (lambda tol, s=s: gamma_gauss(s, tol)) for s in (0.25, 3.0, 170.5)},
 }
 
 
