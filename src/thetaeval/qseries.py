@@ -10,18 +10,20 @@ The product's logarithmic derivative takes sigma of the odd part from the
 odd-divisor sieve in number_theory, O(N log N), and spreads it to the even k
 by one slice per power of two.  Its 2 sqrt(N) nonzero coefficients are
 scattered by one big-int step each over the 64-bit lanes of one int, the
-running sums' only store (Kronecker substitution): about 3.5 ms at N = 4096
-(0.7 ms of it the sieve) and 0.27 ms at N = 256 on a 2-vCPU x86-64 host.
+running sums' only store (Kronecker substitution), and the zeros between
+them are skipped a window of lanes at a time, off the highest set bit of one
+XOR: about 3.0 ms at N = 4096 (0.6 ms of it the sieve) and 0.19 ms at
+N = 256 on a 2-vCPU x86-64 host, against 3.6 and 0.29 ms with every lane
+unpacked and divided.  qs_mul likewise visits only nonzero coefficients.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from operator import mul
 
-from .approx import NonConvergence
+from .approx import NonConvergence, once_per_run
 from .number_theory import _check_order, _odd_divisor_sums
 
 __all__ = ["QSeries", "qs_mul", "r_from_theta_squared", "theta_qseries", "triple_product_qseries"]
@@ -52,17 +54,19 @@ class QSeries:
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     """Exact Cauchy product truncated to min(a.order, b.order); skips zeros."""
     order = min(a.order, b.order)
-    nonzero_b = [(j, c) for j, c in enumerate(b.coeffs[: order + 1]) if c]
+    ac, bc = a.coeffs, b.coeffs
+    nonzero_b = [(j, bc[j]) for j in compress(range(order + 1), bc)]
     out = [0] * (order + 1)
-    for i, ai in enumerate(a.coeffs[: order + 1]):
-        if ai:
-            for j, bj in nonzero_b:
-                if i + j > order:
-                    break
-                out[i + j] += ai * bj
+    for i in compress(range(order + 1), ac):
+        ai = ac[i]
+        for j, bj in nonzero_b:
+            if i + j > order:
+                break
+            out[i + j] += ai * bj
     return QSeries(tuple(out))
 
 
+@once_per_run
 def theta_qseries(order: int) -> QSeries:
     """Sum over all integers n of q**(n*n), truncated: 2 at positive squares."""
     _check_order(order)
@@ -116,8 +120,13 @@ def _solve(c: list[int]) -> list[int]:
     crosses a lane and its bytes are exact.  That bound is checked before C
     is packed and after each nonzero p_n, and raises NonConvergence when it
     fails; the product's own c reaches 2^32.7 at order 2^19.  R is read 256
-    lanes at a time from the top, and the rest of those again after each
-    nonzero p_n; the dead lanes above are dropped once they pass eight blocks.
+    lanes at a time from the top and XORed with offset copied into every lane
+    (the guard keeps offset below 2^64, so the copies cannot carry).  A lane
+    equal to offset gives p_m = 0, and the first lane that differs sits at the
+    XOR's highest set bit: the zeros above it are appended at once, its p_m
+    is taken as (s - offset) // m, and the scan goes on below it, or reads the
+    rest of the window again after a nonzero p_m.  The dead lanes above are
+    dropped once they pass eight blocks.
     """
     order, big = len(c) - 1, max(map(abs, c))
     p, total, size = [1], 1, 1
@@ -133,6 +142,7 @@ def _solve(c: list[int]) -> list[int]:
                       for i in range(0, order + 1, _BLOCK)])
     packed = int.from_bytes(lanes, "big")
     sums = int.from_bytes(lanes[8:], "big") + int.from_bytes((b"\x80" + bytes(7)) * order, "big")
+    ones = int.from_bytes((bytes(7) + b"\x01") * _BLOCK, "big")
     for start in range(1, order + 1, _BLOCK):
         live, end = order + 1 - start, min(start + _BLOCK, order + 1)
         if sums.bit_length() > 64 * (live + 8 * _BLOCK):
@@ -140,15 +150,23 @@ def _solve(c: list[int]) -> list[int]:
         n = start
         while n < end:  # the lanes of m = n..end-1, read again after each nonzero p_n
             width, offset = end - n, big * total + (1 << 63)
-            top = (sums >> 64 * (order + 1 - end)) & ((1 << 64 * width) - 1)
-            for n, s in enumerate(struct.unpack(f">{width}Q", top.to_bytes(8 * width, "big")), n):
-                p.append(pn := (s - offset) // n)
+            diff = ((sums >> 64 * (order + 1 - end)) & ((1 << 64 * width) - 1)) \
+                ^ offset * (ones >> 64 * (_BLOCK - width))
+            while diff:  # p_m = 0 on every lane above the first that differs from offset
+                lane = (diff.bit_length() - 1) >> 6
+                m = end - 1 - lane
+                p += [0] * (m - n)
+                p.append(pn := (((diff >> 64 * lane) ^ offset) - offset) // m)
+                n = m + 1
                 if pn:
                     total, size = total + pn, size + abs(pn)
-                    check(n)
-                    sums += pn * (packed >> 64 * n)
+                    check(m)
+                    sums += pn * (packed >> 64 * m)
                     break
-            n += 1
+                diff &= (1 << 64 * lane) - 1
+            else:  # no lane left in the window differs from offset
+                p += [0] * (end - n)
+                n = end
     return p
 
 

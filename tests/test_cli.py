@@ -17,6 +17,7 @@ from thetaeval.cli import build_parser, main
 from thetaeval.epstein import BinaryQuadraticForm
 from thetaeval.modular import eta_uhp
 from thetaeval.number_theory import r_divisor_table
+from thetaeval.qseries import theta_qseries
 from thetaeval.quadrature import gamma_integral, integral_I
 from thetaeval.report import (
     REPORT_VERSION,
@@ -512,6 +513,13 @@ class TestRunMemo:
         assert got.count(("gamma_integral", (0.75, 1e-13))) == 1
         # Besides epstein._EULER_GAMMA, which is computed at import.
         assert [args for name, args in got if name == "euler_gamma"] == [(1e-13,)]
+
+    def test_a_default_run_builds_theta_once(self, capsys):
+        # The triple-product and two-squares suites share one table; the
+        # theta suite asks for its own, at order 64.
+        got = _computations(lambda: main([]), theta_qseries)
+        assert len(got) == len(set(got))
+        assert got.count(("theta_qseries", (256,))) == 1
 
     def test_outside_a_run_every_call_computes(self):
         results = []

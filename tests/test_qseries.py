@@ -137,6 +137,62 @@ class TestAgainstTheElementwiseReference:
         c = [rng.randint(-3, 3) for _ in range(2600)]
         assert _solve(c) == _reference_solve(c)
 
+    # The scan: each window of lanes is XORed with the offset in every lane,
+    # and the first lane that differs is read off the highest set bit.
+
+    @pytest.mark.parametrize("order, nonzero", [
+        (255, {}), (256, {}), (600, {}),
+        (600, {300: 300}),          # a first window of zero lanes, then p_300 = 1
+    ])
+    def test_windows_whose_lanes_are_all_zero(self, order, nonzero):
+        c = [0] * (order + 1)
+        for k, ck in nonzero.items():
+            c[k] = ck
+        assert _solve(c) == _reference_solve(c)
+
+    @pytest.mark.parametrize("order, n", [
+        (600, 1), (600, 257), (600, 513),      # the first lane of a window
+        (600, 256), (600, 512),                # its last lane
+        (255, 255), (257, 257), (511, 511), (513, 513), (767, 767), (769, 769),
+        (257, 256), (511, 256),
+    ])
+    @pytest.mark.parametrize("scale", [2, -1])
+    def test_first_nonzero_p_n_on_a_window_edge(self, order, n, scale):
+        # c_n = scale n makes p_n = scale the first nonzero p_n past p_0.
+        c = [0] * (order + 1)
+        c[n] = scale * n
+        p = _solve(c)
+        assert p == _reference_solve(c)
+        assert p[n] == scale and not any(p[1:n])
+
+    def test_lanes_that_differ_from_the_offset_but_floor_to_zero(self):
+        # Each c_k = k - 1 (and c_11 = 1) leaves 0 < s - offset < k on its
+        # lane, so p_k = 0 there and the scan goes on past it, also on a
+        # window's last lane (256); p_20 = 1 and p_200 = -1 follow.
+        c = [0] * 601
+        for k in (10, 129, 256, 257, 512, 600):
+            c[k] = k - 1
+        c[11], c[20], c[200] = 1, 20, -1
+        p = _solve(c)
+        assert p == _reference_solve(c)
+        assert p[10] == p[11] == p[256] == 0 and p[20] == 1 and p[200] == -1
+
+    @pytest.mark.parametrize("c", [
+        [0] + [2 ** 20] * 600,                       # p_3 is about 2^57
+        [0] * 300 + [300 * 2 ** 40] + [0] * 300,     # after a window of zero lanes
+    ])
+    def test_the_lane_guard_stalls_at_the_first_sum_past_the_lanes(self, c):
+        # The guard 2 S M < 2^63 fails first at a nonzero p_n; the stall
+        # carries that p_n, 2 S M and n.
+        p, big = _reference_solve(c), max(map(abs, c))
+        bounds = [2 * big * sum(map(abs, p[:n + 1])) for n in range(len(c))]
+        n = next(n for n, bound in enumerate(bounds) if bound >= 1 << 63)
+        with pytest.raises(NonConvergence) as info:
+            _solve(c)
+        exc = info.value
+        assert f"at n={n}" in str(exc)
+        assert (exc.value, exc.error_bound, exc.cost) == (float(p[n]), float(bounds[n]), n)
+
     @pytest.mark.parametrize("c, cost", [
         ([0] + [2 ** 20] * 600, 3),   # p_3 is about 2^57: 2 S M passes 2^63
         ([0, 2 ** 63, 1], 0),         # c + M would not fit a lane
@@ -189,14 +245,25 @@ sparse_series = st.lists(
 ).map(lambda cs: QSeries(tuple(cs)))
 
 
+def _naive_product(a, b):
+    return tuple(sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1))
+                 for k in range(min(a.order, b.order) + 1))
+
+
 @given(sparse_series, sparse_series)
 @example(QSeries((0,) * 7), QSeries((0,) * 3))
 @example(QSeries((0, 0, 5)), QSeries((0,) * 9 + (1,)))
 def test_qs_mul_matches_naive_cauchy_product(a, b):
-    order = min(a.order, b.order)
-    naive = tuple(sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1))
-                  for k in range(order + 1))
-    assert qs_mul(a, b).coeffs == naive
+    assert qs_mul(a, b).coeffs == _naive_product(a, b)
+
+
+@given(st.integers(0, 30), sparse_series, st.integers(0, 30), sparse_series)
+@example(3, QSeries((-(2 ** 200), 0, 0, 7)), 0, QSeries((0, 0, 2 ** 200, 0, -1)))
+@example(40, QSeries((1,)), 0, QSeries((1,) * 41))
+def test_qs_mul_with_leading_zeros_matches_naive_cauchy_product(zeros_a, a, zeros_b, b):
+    # Only the nonzero coefficients of either factor are visited.
+    a, b = QSeries((0,) * zeros_a + a.coeffs), QSeries((0,) * zeros_b + b.coeffs)
+    assert qs_mul(a, b).coeffs == _naive_product(a, b)
 
 
 @given(small_series, small_series)

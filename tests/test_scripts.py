@@ -221,7 +221,7 @@ def _functions(module):
 
 
 MEMOISED = {"integral_I", "gamma_integral", "gammaL_integral", "euler_gamma",
-            "L_chi4_prime_at_1", "eta_uhp", "epstein_accelerated"}
+            "L_chi4_prime_at_1", "eta_uhp", "epstein_accelerated", "theta_qseries"}
 
 
 def test_one_entry_per_computation():
@@ -238,7 +238,7 @@ def test_one_entry_per_computation():
         == ["epstein_accelerated"]
 
     # The run's memo, approx.once_per_run, is the package's one sharing of
-    # engine results: it decorates exactly the seven engines that a default
+    # engine results: it decorates exactly the eight engines that a default
     # run asks for more than once (the two-squares suite applies it to
     # r_divisor_table where it calls it), and no lru_cache or functools.cache
     # is left but the quadrature's three node tables, kept per process.  The
