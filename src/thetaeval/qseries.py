@@ -8,17 +8,19 @@ logarithmic derivative, read off the factors alone.
 
 The product's logarithmic derivative takes sigma of the odd part from the
 odd-divisor sieve in number_theory, O(N log N), and spreads it to the even k
-by one slice per power of two.  Its 2 sqrt(N) nonzero coefficients are
-scattered by one big-int step each over the 64-bit lanes of one int, the
-running sums' only store (Kronecker substitution), and the zeros between
-them are skipped a window of lanes at a time, off the highest set bit of one
-XOR: about 3.0 ms at N = 4096 (0.6 ms of it the sieve) and 0.19 ms at
-N = 256 on a 2-vCPU x86-64 host, against 3.6 and 0.29 ms with every lane
-unpacked and divided.  qs_mul likewise visits only nonzero coefficients.
+by one slice per power of two.  Its sqrt(N) nonzero coefficients past p_0 are
+scattered over the 64-bit lanes of one int, the running sums' only store
+(Kronecker substitution), by one big-int add or subtract each of one held
+multiple of the packed c, and the zeros between them are skipped a window of
+lanes at a time, off the highest set bit of one XOR: about 2.4 ms at
+N = 4096 (0.6 ms of it the sieve) and 0.17 ms at N = 256 on a 2-vCPU x86-64
+host, against 2.8 and 0.18 ms with a multiply in every scatter.  qs_mul
+likewise visits only nonzero coefficients.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import mul
@@ -29,6 +31,7 @@ from .number_theory import _check_order, _odd_divisor_sums
 __all__ = ["QSeries", "qs_mul", "r_from_theta_squared", "theta_qseries", "triple_product_qseries"]
 
 _BLOCK = 256  # lanes of the running sums read at once
+_WORDS = struct.Struct(f">{_BLOCK}Q")  # one block of lanes as big-endian words
 
 
 @dataclass(frozen=True)
@@ -119,14 +122,25 @@ def _solve(c: list[int]) -> list[int]:
     2 S M of 2^63, S the sum of their |p_k|: while 2 S M < 2^63 no carry
     crosses a lane and its bytes are exact.  That bound is checked before C
     is packed and after each nonzero p_n, and raises NonConvergence when it
-    fails; the product's own c reaches 2^32.7 at order 2^19.  R is read 256
-    lanes at a time from the top and XORed with offset copied into every lane
-    (the guard keeps offset below 2^64, so the copies cannot carry).  A lane
-    equal to offset gives p_m = 0, and the first lane that differs sits at the
-    XOR's highest set bit: the zeros above it are appended at once, its p_m
-    is taken as (s - offset) // m, and the scan goes on below it, or reads the
-    rest of the window again after a nonzero p_m.  The dead lanes above are
-    dropped once they pass eight blocks.
+    fails; the product's own c reaches 2^32.7 at order 2^19.  The scatter
+    multiplies nothing: one multiple k C is held, rebuilt only when
+    k = |p_n| changes (exactly, as (k_old C) // k_old * k), and p_n adds or
+    subtracts (k C) >> 64 n.  The guard makes 2 k M < 2^63, so each lane of
+    k C is k times C's, at most 2 k M, with no carry between lanes, and
+    (k C) >> 64 n is k (C >> 64 n) exactly.  A negative p_n must subtract
+    it: (p_n C) >> 64 n floors, and is one less whenever a dropped lane is
+    not 0.  The triple product's p_n are theta's, 2 at the squares and 0
+    elsewhere, so the one multiple 2 C serves them all.  C's lanes are
+    packed as big-endian words by one struct per block of 256, and their
+    bytes are released once R is built, so the held multiple takes their
+    place in memory.  R is read 256 lanes at a time from the top and XORed
+    with offset copied into every lane (the guard keeps offset below 2^64,
+    so the copies cannot carry).  A lane equal to offset gives p_m = 0, and
+    the first lane that differs sits at the XOR's highest set bit: the zeros
+    above it are appended at once, its p_m is taken as (s - offset) // m,
+    and the scan goes on below it, or reads the rest of the window again
+    after a nonzero p_m.  The dead lanes above are dropped once they pass
+    eight blocks.
     """
     order, big = len(c) - 1, max(map(abs, c))
     p, total, size = [1], 1, 1
@@ -138,10 +152,13 @@ def _solve(c: list[int]) -> list[int]:
 
     check(0)
     # Packed a block at a time: one bytes object per c_k would set the peak memory.
-    lanes = b"".join([b"".join([(ck + big).to_bytes(8, "big") for ck in c[i:i + _BLOCK]])
-                      for i in range(0, order + 1, _BLOCK)])
-    packed = int.from_bytes(lanes, "big")
+    full = (order + 1) // _BLOCK * _BLOCK
+    lanes = b"".join([_WORDS.pack(*[ck + big for ck in c[i:i + _BLOCK]])
+                      for i in range(0, full, _BLOCK)]
+                     + [struct.pack(f">{order + 1 - full}Q", *[ck + big for ck in c[full:]])])
+    scale, held = 1, int.from_bytes(lanes, "big")  # held = scale C
     sums = int.from_bytes(lanes[8:], "big") + int.from_bytes((b"\x80" + bytes(7)) * order, "big")
+    del lanes
     ones = int.from_bytes((bytes(7) + b"\x01") * _BLOCK, "big")
     for start in range(1, order + 1, _BLOCK):
         live, end = order + 1 - start, min(start + _BLOCK, order + 1)
@@ -161,7 +178,12 @@ def _solve(c: list[int]) -> list[int]:
                 if pn:
                     total, size = total + pn, size + abs(pn)
                     check(m)
-                    sums += pn * (packed >> 64 * m)
+                    if abs(pn) != scale:
+                        scale, held = abs(pn), held // scale * abs(pn)
+                    if pn > 0:
+                        sums += held >> 64 * m
+                    else:
+                        sums -= held >> 64 * m
                     break
                 diff &= (1 << 64 * lane) - 1
             else:  # no lane left in the window differs from offset

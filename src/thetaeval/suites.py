@@ -301,9 +301,9 @@ SUITE_NAMES = tuple(SUITES)
 
 DEFAULT_FORMS = ((1.0, 0.0, 1.0), (2.0, -2.0, 1.0), (1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
 
-# The largest q-series order: verify triple-product two-squares takes 3.6 to
-# 4.4 s (median 3.9 s) and 69.4 to 69.8 MB there on a 2-vCPU host; each
-# doubling costs 2.4 to 3.1 times the time (0.53 s at 2^17, 1.3 s at 2^18)
+# The largest q-series order: verify triple-product two-squares takes 2.1 to
+# 3.2 s (median 2.6 s) and 69.3 to 69.5 MB there on a 2-vCPU host; each
+# doubling costs 2.4 to 3.3 times the time (0.34 s at 2^17, 0.79 s at 2^18)
 # and 1.5 to 1.6 times the peak RSS.
 _MAX_ORDER = 2 ** 19
 

@@ -124,11 +124,41 @@ class TestAgainstTheElementwiseReference:
         # The sieve alone, 16 powers of two deep, without the slow solver.
         assert _log_derivative(65536) == _reference_log_derivative(65536)
 
+    def test_product_at_order_65536_matches_theta(self):
+        # 256 nonzero p_n = 2 scattered from one held multiple 2 C over 256
+        # windows, with the dead lanes trimmed every eight of them.
+        assert triple_product_qseries(65536).coeffs == theta_qseries(65536).coeffs
+
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=700))
     @settings(max_examples=40, deadline=None)
     def test_recurrence_on_any_small_c(self, c):
         # Signed p_n, negative running sums and floor divisions that are
         # not exact: the lanes still give the list's ints.
+        assert _solve(c) == _reference_solve(c)
+
+    # The scatter: one multiple k C of the packed c is held for k = |p_n|,
+    # and a negative p_n subtracts its shifted lanes.
+
+    @pytest.mark.parametrize("order, nonzero", [
+        (2, {1: -1, 2: 1}),         # c = [0, -1, 1]: p = 1, -1, 1
+        (600, {3: -6}),             # p_n = -2, 2, -2, 1, -1: each k with both signs
+        (600, {3: -6, 256: 512}),   # then 2, -4, 4, -4, 2, -2 past a window edge
+    ])
+    def test_signed_p_n_from_one_held_multiple(self, order, nonzero):
+        # Shifting p_n C itself would floor a negative p_n's dropped lanes.
+        c = [0] * (order + 1)
+        for k, ck in nonzero.items():
+            c[k] = ck
+        p = _solve(c)
+        assert p == _reference_solve(c)
+        assert all(-pn in p for pn in p[1:] if pn)
+
+    @pytest.mark.parametrize("order", [255, 256, 511, 512])
+    def test_lanes_packed_by_whole_blocks_and_a_tail(self, order):
+        # 256 and 512 lanes fill whole blocks of words; 257 and 513 leave
+        # a tail of one lane.
+        rng = random.Random(order)
+        c = [rng.randint(-3, 3) for _ in range(order + 1)]
         assert _solve(c) == _reference_solve(c)
 
     def test_recurrence_past_the_dead_lane_trim(self):
